@@ -14,11 +14,17 @@ optional append-only JSONL checkpoint lets an interrupted campaign
 resume from the last completed run (completed runs are re-analysed from
 their checkpointed traces rather than re-simulated).
 
-Execution is also parallel on demand: runs are embarrassingly parallel
-(every run is seeded per key), so ``CampaignConfig.workers > 1`` fans
-the schedule out over a process pool.  Workers run the identical
-retry/quarantine path and ship back ``(result-or-quarantine, metrics
-snapshot, spans)`` payloads; the parent merges them **in schedule
+Every run executes through one function, :func:`_run_task` (retry
+loop, ``run`` span, retry/quarantine counters), and every backend feeds
+one schedule-order merge loop, :meth:`CampaignRunner._run_scheduled`
+(checkpoint append, result, progress, breaker, graceful shutdown).
+Sequential execution is the :class:`~repro.campaign.scheduler.InlineScheduler`:
+``_run_task`` in this process, one run at a time.  Runs are
+embarrassingly parallel (every run is seeded per key), so
+``CampaignConfig.workers > 1`` fans the schedule out over a process
+pool, and ``scheduler="queue"``/``"broker"`` over independent worker
+processes; workers ship back ``(result-or-quarantine, metrics
+snapshot, spans)`` payloads that the parent merges **in schedule
 order**, so the ``CampaignResult``, checkpoint contents and every
 exported counter are bit-identical to sequential execution for the
 same seed.  Checkpoint appends and progress callbacks only ever happen
@@ -43,7 +49,7 @@ from typing import Callable, Iterator
 
 from repro.campaign.dataset import CampaignResult, QuarantinedRun, RunResult
 from repro.campaign.scheduler import (
-    DrainResult,
+    InlineScheduler,
     PendingRun,
     PoolScheduler,
     QueueScheduler,
@@ -67,7 +73,7 @@ from repro.radio.deployment import AreaDeployment
 from repro.radio.geometry import Point
 from repro.resilience.checkpoint import CampaignCheckpoint, CheckpointEntry, RunKey
 from repro.resilience.memo import AnalysisMemo, trace_digest
-from repro.resilience.retry import AttemptOutcome, RetryPolicy, execute_with_retry
+from repro.resilience.retry import RetryPolicy, execute_with_retry
 from repro.resilience.supervision import (
     CircuitBreaker,
     RunTimeoutError,
@@ -284,13 +290,14 @@ class ScheduledRun:
 
 
 # ----------------------------------------------------------------------
-# Process-pool execution engine (CampaignConfig.workers > 1)
+# Run execution, shared by every scheduler
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _WorkerTask:
-    """One run shipped to a pool worker (no deployment: rebuilt there)."""
+    """One run as a scheduler carries it (no deployment: rebuilt by
+    out-of-process workers)."""
 
     key: RunKey
     profile: OperatorProfile
@@ -312,15 +319,19 @@ class _WorkerTask:
 
 @dataclass
 class _WorkerOutcome:
-    """What a pool worker ships back: payload + telemetry to merge."""
+    """What executing one task produced: payload + telemetry to merge.
+
+    ``metrics``/``spans`` are only set by out-of-process workers; a run
+    executed in the coordinator reported into its bundle directly.
+    """
 
     key: RunKey
     run_result: RunResult | None
     quarantined: QuarantinedRun | None
     attempts: int
     retries: int
-    metrics: dict | None
-    spans: list[dict]
+    metrics: dict | None = None
+    spans: list[dict] = field(default_factory=list)
     timed_out: bool = False
 
 
@@ -340,51 +351,96 @@ def _worker_deployment(profile: OperatorProfile,
     return deployment
 
 
-def _finish_outcome(outcome: AttemptOutcome, key: RunKey, span,
-                    registry) -> tuple[RunResult | None,
-                                       QuarantinedRun | None, int, bool]:
-    """Shared post-retry accounting (sequential path and pool workers).
+def _run_task(task: _WorkerTask, deployment: AreaDeployment,
+              run_fn: Callable[..., RunResult] | None = None,
+              sleep: Callable[[float], None] | None = None,
+              **span_attributes) -> _WorkerOutcome:
+    """One run through the retry loop, reported into the active bundle.
 
-    Returns ``(run_result, quarantined, retries, timed_out)`` —
-    ``timed_out`` flags a quarantine whose terminal error was the run
-    blowing its wall-clock budget, which gets its own progress tally
-    and supervision counter.
+    Every run executes here: in the coordinator (inline scheduler,
+    unrestorable-checkpoint fallback) or under
+    :func:`_execute_worker_task`.  It records the ``run`` span and the
+    retry/quarantine counters; the terminal event, checkpoint, progress
+    and result stay with the schedule-order merge.  ``run_fn``/``sleep``
+    are the runner's hooks (``None``: :func:`run_once`, looked up at
+    call time, and no backoff waits); ``span_attributes`` extend the
+    ``run`` span (a worker's pid).  ``timed_out`` flags a quarantine
+    caused by the run's wall-clock budget (own tally and counter).
     """
-    span.set_attribute("attempts", outcome.attempts)
-    events = get_instrumentation().events
-    retries = outcome.attempts - 1
-    if retries:
-        registry.counter("campaign_run_retries_total").inc(retries)
-        registry.counter("campaign_runs_retried_total").inc()
-    if not outcome.succeeded:
+    obs = get_instrumentation()
+    registry = obs.registry
+    test_device = device_by_name(task.device_name)
+    run_fn = run_fn or run_once
+    # Only the stock run_once takes ``memo``: custom run_fn hooks (the
+    # chaos harness) keep their exact signature, and stand-ins patched
+    # over the module global only receive it when a memo is configured.
+    run_kwargs = {}
+    if task.memo_dir is not None and run_fn is run_once:
+        run_kwargs["memo"] = AnalysisMemo(task.memo_dir,
+                                          identity=task.memo_identity)
+
+    def attempt() -> RunResult:
+        # Each retry attempt gets a fresh cooperative deadline; a run
+        # that overruns raises RunTimeoutError at the next stage
+        # boundary (or here, if it only overran while finishing) and
+        # flows through the normal retry/quarantine machinery.
+        with deadline_scope(task.run_timeout_s):
+            value = run_fn(deployment, task.profile, test_device,
+                           task.point, task.location_name, task.run_index,
+                           duration_s=task.duration_s,
+                           keep_trace=task.keep_trace, **run_kwargs)
+            check_deadline("run")
+            return value
+
+    with obs.tracer.span("run", operator=task.profile.name,
+                         area=task.area_name, location=task.location_name,
+                         run_index=task.run_index,
+                         **span_attributes) as span:
+        outcome = execute_with_retry(attempt, task.policy, key=task.key,
+                                     sleep=sleep)
+        span.set_attribute("attempts", outcome.attempts)
+        retries = outcome.attempts - 1
+        if retries:
+            registry.counter("campaign_run_retries_total").inc(retries)
+            registry.counter("campaign_runs_retried_total").inc()
+        if outcome.succeeded:
+            registry.counter("campaign_runs_completed_total").inc()
+            span.set_attribute("outcome", "completed")
+            return _WorkerOutcome(key=task.key, run_result=outcome.value,
+                                  quarantined=None, attempts=outcome.attempts,
+                                  retries=retries)
         error = outcome.error
         timed_out = isinstance(error, RunTimeoutError)
-        quarantined = QuarantinedRun(
-            *key, error=f"{type(error).__name__}: {error}",
-            attempts=outcome.attempts)
         registry.counter("campaign_runs_quarantined_total").inc()
         if timed_out:
             registry.counter("campaign_run_timeouts_total").inc()
             span.set_attribute("timed_out", True)
         span.set_attribute("outcome", "quarantined")
-        events.emit("run.quarantined", severity="warning", run_key=key,
-                    error=quarantined.error, attempts=outcome.attempts,
-                    timed_out=timed_out)
-        return None, quarantined, retries, timed_out
-    registry.counter("campaign_runs_completed_total").inc()
-    span.set_attribute("outcome", "completed")
-    events.emit("run.completed", severity="debug", run_key=key,
-                attempts=outcome.attempts)
-    return outcome.value, None, retries, False
+    quarantined = QuarantinedRun(*task.key,
+                                 error=f"{type(error).__name__}: {error}",
+                                 attempts=outcome.attempts)
+    return _WorkerOutcome(key=task.key, run_result=None,
+                          quarantined=quarantined, attempts=outcome.attempts,
+                          retries=retries, timed_out=timed_out)
+
+
+def _emit_outcome(events, outcome: _WorkerOutcome) -> None:
+    """The run's terminal event: ``run.completed`` or ``run.quarantined``."""
+    if outcome.quarantined is None:
+        events.emit("run.completed", severity="debug", run_key=outcome.key,
+                    attempts=outcome.attempts)
+    else:
+        events.emit("run.quarantined", severity="warning",
+                    run_key=outcome.key, error=outcome.quarantined.error,
+                    attempts=outcome.attempts, timed_out=outcome.timed_out)
 
 
 def _execute_worker_task(task: _WorkerTask) -> _WorkerOutcome:
-    """Pool-worker entry point: one run through the retry loop.
+    """Pool/queue-worker entry point: :func:`_run_task` in a fresh bundle.
 
-    Mirrors ``CampaignRunner._execute`` exactly, except that
-    checkpointing, progress and result accounting stay with the parent:
-    the worker reports into a fresh local instrumentation bundle and
-    ships its snapshot back for an in-schedule-order merge.
+    Checkpointing, progress and result accounting stay with the
+    coordinator: the worker ships its metrics snapshot and spans back
+    for an in-schedule-order merge.
     """
     obs = make_instrumentation() if task.instrument else NULL_INSTRUMENTATION
     ambient_events = get_instrumentation().events
@@ -396,42 +452,13 @@ def _execute_worker_task(task: _WorkerTask) -> _WorkerOutcome:
         # changes for them.
         obs.events = ambient_events
     deployment = _worker_deployment(task.profile, task.area_name)
-    test_device = device_by_name(task.device_name)
-    memo = AnalysisMemo(task.memo_dir, identity=task.memo_identity) \
-        if task.memo_dir is not None else None
-    # Tests monkeypatch ``run_once`` with stand-ins that predate the
-    # memo parameter; only forward it when a store is configured.
-    run_kwargs = {"memo": memo} if memo is not None else {}
-
-    def attempt() -> RunResult:
-        # Each retry attempt gets a fresh cooperative deadline; a run
-        # that overruns raises RunTimeoutError at the next stage
-        # boundary (or here, if it only overran while finishing) and
-        # flows through the normal retry/quarantine machinery.
-        with deadline_scope(task.run_timeout_s):
-            value = run_once(deployment, task.profile, test_device,
-                             task.point, task.location_name,
-                             task.run_index, duration_s=task.duration_s,
-                             keep_trace=task.keep_trace, **run_kwargs)
-            check_deadline("run")
-            return value
-
     with instrumented(obs):
-        with obs.tracer.span("run", operator=task.profile.name,
-                             area=task.area_name,
-                             location=task.location_name,
-                             run_index=task.run_index,
-                             worker_pid=os.getpid()) as span:
-            outcome = execute_with_retry(attempt, task.policy, key=task.key)
-            run_result, quarantined, retries, timed_out = _finish_outcome(
-                outcome, task.key, span, obs.registry)
-    return _WorkerOutcome(
-        key=task.key, run_result=run_result, quarantined=quarantined,
-        attempts=outcome.attempts, retries=retries,
-        metrics=obs.registry.snapshot() if task.instrument else None,
-        spans=([span.to_dict() for span in obs.tracer.spans()]
-               if task.instrument else []),
-        timed_out=timed_out)
+        outcome = _run_task(task, deployment, worker_pid=os.getpid())
+        _emit_outcome(obs.events, outcome)
+    if task.instrument:
+        outcome.metrics = obs.registry.snapshot()
+        outcome.spans = [span.to_dict() for span in obs.tracer.spans()]
+    return outcome
 
 
 def _mp_context():
@@ -523,33 +550,29 @@ class CampaignRunner:
             return result
 
     def _dispatch(self, obs: Instrumentation) -> CampaignResult:
-        if self.config.scheduler in ("queue", "broker"):
-            return self._run_queue(obs)
-        if self.config.scheduler != "pool":
+        backend = self.config.scheduler
+        if backend not in ("pool", "queue", "broker"):
             raise ValueError(
-                f"unknown scheduler {self.config.scheduler!r} "
+                f"unknown scheduler {backend!r} "
                 "(expected 'pool', 'queue' or 'broker')")
-        workers = self._effective_workers()
-        if workers > 1:
-            result = self._run_parallel(obs, workers)
-            if result is not None:
-                return result
-        return self._run(obs)
-
-    def _effective_workers(self) -> int:
-        """How many pool workers to actually use (1 == in-process).
-
-        Falls back to the in-process path for custom ``run_fn`` /
-        ``sleep`` hooks: they are closures over local state (the chaos
-        harness counts attempts in-process), so shipping them to
-        workers would be both unpicklable and semantically wrong.
-        """
+        breaker = self.config.breaker()
+        policy = self.config.retry_policy()
         workers = self.config.workers or 1
-        if workers <= 1:
-            return 1
-        if self.run_fn is not None or self.sleep is not None:
-            return 1
-        return workers
+        scheduler = None
+        if backend != "pool":
+            scheduler = self._queue_scheduler(breaker)
+        elif workers > 1 and self.run_fn is None and self.sleep is None:
+            scheduler = self._pool_scheduler(workers, breaker, policy)
+        if scheduler is None:
+            # Sequential execution in this process.  Custom run_fn /
+            # sleep hooks force it: they are closures over local state
+            # (the chaos harness counts attempts in-process), so
+            # shipping them to workers would be both unpicklable and
+            # semantically wrong.
+            workers = 1
+            scheduler = InlineScheduler(lambda item: _run_task(
+                item.task, item.scheduled.deployment, self.run_fn, self.sleep))
+        return self._run_scheduled(obs, scheduler, breaker, policy, workers)
 
     def _memo(self) -> AnalysisMemo | None:
         """The campaign's analysis memo cache, or ``None`` when disabled."""
@@ -558,90 +581,41 @@ class CampaignRunner:
         return AnalysisMemo(self.config.memo_dir,
                             identity=self.campaign_identity())
 
-    def _run(self, obs: Instrumentation) -> CampaignResult:
-        result = CampaignResult()
-        checkpoint, restored = self._open_checkpoint()
-        policy = self.config.retry_policy()
-        breaker = self.config.breaker()
-        run_fn = self.run_fn or run_once
-        memo = self._memo()
-        test_device = device_by_name(self.config.device_name)
-        schedule = list(self.schedule())
-        registry, progress = obs.registry, obs.progress
-        progress.campaign_started(len(schedule))
-        try:
-            with obs.tracer.span(
-                    "campaign", seed=self.config.seed,
-                    operators=",".join(p.name for p in self.profiles),
-                    scheduled=len(schedule)):
-                for scheduled in schedule:
-                    result.scheduled += 1
-                    registry.counter("campaign_runs_scheduled_total").inc()
-                    entry = restored.get(scheduled.key)
-                    if entry is not None and entry.succeeded:
-                        restored_run = self._restore_span(entry, scheduled,
-                                                          obs, memo)
-                        if restored_run is not None:
-                            result.add(restored_run)
-                            registry.counter(
-                                "campaign_runs_completed_total").inc()
-                            registry.counter(
-                                "campaign_runs_restored_total").inc()
-                            progress.run_restored(scheduled.key)
-                            breaker.record_success()
-                            continue
-                    if self._execute(scheduled, run_fn, test_device, policy,
-                                     checkpoint, result, obs, memo):
-                        breaker.record_success()
-                    else:
-                        # May raise CircuitBreakerOpen (fail fast with a
-                        # diagnostic summary) on a long enough streak.
-                        breaker.record_failure("quarantine", scheduled.key)
-        finally:
-            progress.campaign_finished()
-        return result
-
     # ------------------------------------------------------------------
-    # Parallel execution
+    # Backends
     # ------------------------------------------------------------------
 
-    def _run_parallel(self, obs: Instrumentation,
-                      workers: int) -> CampaignResult | None:
-        """Fan the schedule out over the supervised process-pool backend.
+    def _pool_scheduler(self, workers: int, breaker: CircuitBreaker,
+                        policy: RetryPolicy) -> PoolScheduler | None:
+        """The supervised process-pool backend, started.
 
         Returns ``None`` when the platform lacks usable multiprocessing
-        (the caller then falls back to the in-process path).  The
-        schedule-order merge loop itself lives in
-        :meth:`_run_scheduled`; supervision (parent-side wait budgets,
-        kill-and-rebuild cycles, in-flight rescheduling) lives in
+        (the caller then runs the schedule in-process).  Supervision
+        (parent-side wait budgets, kill-and-rebuild cycles, in-flight
+        rescheduling) lives in
         :class:`~repro.campaign.scheduler.PoolScheduler`.
         """
         context = _mp_context()
         if context is None:
             return None
-        breaker = self.config.breaker()
-        policy = self.config.retry_policy()
         run_timeout = self.config.run_timeout_s
         wait_budget = (parent_wait_budget(run_timeout, policy.max_retries)
                        if run_timeout is not None else None)
         scheduler = PoolScheduler(workers, context, breaker, policy,
                                   wait_budget, _execute_worker_task)
-        if not scheduler.start():
-            return None
-        return self._run_scheduled(obs, scheduler, breaker, policy,
-                                   workers=workers)
+        return scheduler if scheduler.start() else None
 
-    def _run_queue(self, obs: Instrumentation) -> CampaignResult:
-        """Spool the schedule into the durable on-disk task queue.
+    def _queue_scheduler(self, breaker: CircuitBreaker) -> QueueScheduler:
+        """The durable on-disk task queue (or its broker mirror), started.
 
         The coordinator submits every task as a durable spool event,
         seals the queue, and merges completions — produced by
         independent ``repro worker`` processes claiming leases against
         the same spool — strictly in schedule order.  It executes no
-        runs itself (checkpoint-restored runs excepted), so it can be
-        killed and restarted against the same ``queue_dir`` at any
-        point; so can any worker, whose outstanding leases expire and
-        get stolen by the survivors.
+        runs itself (unrestorable checkpoint entries excepted), so it
+        can be killed and restarted against the same ``queue_dir`` at
+        any point; so can any worker, whose outstanding leases expire
+        and get stolen by the survivors.
         """
         backend = self.config.scheduler
         if backend == "queue" and self.config.queue_dir is None:
@@ -653,8 +627,6 @@ class CampaignRunner:
                 f"scheduler={backend!r} cannot ship custom run_fn/sleep "
                 "hooks to independent worker processes; use the pool "
                 "scheduler")
-        breaker = self.config.breaker()
-        policy = self.config.retry_policy()
         if backend == "broker":
             scheduler = self._broker_scheduler(breaker)
         else:
@@ -668,8 +640,7 @@ class CampaignRunner:
                                        poll_s=self.config.queue_poll_s,
                                        stall_s=self.config.queue_stall_s)
         scheduler.start()  # may raise CheckpointMismatchError
-        return self._run_scheduled(obs, scheduler, breaker, policy,
-                                   workers=self.config.workers or 1)
+        return scheduler
 
     def _broker_scheduler(self, breaker: CircuitBreaker):
         """The cross-host coordinator: a BrokerClient mirror behind the
@@ -695,17 +666,17 @@ class CampaignRunner:
     def _run_scheduled(self, obs: Instrumentation, scheduler: Scheduler,
                        breaker: CircuitBreaker, policy: RetryPolicy,
                        workers: int) -> CampaignResult:
-        """The backend-generic schedule-order merge loop.
+        """The schedule-order merge loop every backend feeds.
 
         Ordering contract: runs are *dispatched* as the backend has
         capacity (bounded by ``scheduler.window()``) but *merged*
         strictly in schedule order, and all checkpoint appends and
         progress callbacks happen here in the parent — so results,
         checkpoint contents and exported counters are bit-identical to
-        ``workers=1`` for the same seed whenever no worker hangs or
-        crashes.  SIGTERM/SIGINT drain already-finished head slots into
-        the checkpoint (within ``shutdown_grace_s``) before re-raising
-        for the CLI's resume hint.
+        sequential execution for the same seed whenever no worker hangs
+        or crashes.  SIGTERM/SIGINT drain already-finished head slots
+        into the checkpoint (within ``shutdown_grace_s``) before
+        re-raising for the CLI's resume hint.
         """
         try:
             # May raise CheckpointMismatchError on a foreign checkpoint.
@@ -714,23 +685,37 @@ class CampaignRunner:
             scheduler.kill()
             raise
         result = CampaignResult()
-        test_device = device_by_name(self.config.device_name)
         memo = self._memo()
         schedule = list(self.schedule())
         registry, progress = obs.registry, obs.progress
         keep_trace = self.config.keep_traces or checkpoint is not None
         instrument = obs.registry.enabled or obs.tracer.enabled
+        memo_dir = memo_identity = None
+        if memo is not None:
+            memo_dir, memo_identity = str(self.config.memo_dir), memo.identity
         window = scheduler.window()
         pending: deque[PendingRun] = deque()
         campaign_span = None
         progress.campaign_started(len(schedule))
+
+        def task_for(scheduled: ScheduledRun) -> _WorkerTask:
+            return _WorkerTask(
+                key=scheduled.key, profile=scheduled.profile,
+                area_name=scheduled.deployment.area.name,
+                point=scheduled.point, location_name=scheduled.location_name,
+                run_index=scheduled.run_index,
+                device_name=self.config.device_name,
+                duration_s=self.config.duration_s, keep_trace=keep_trace,
+                policy=policy, instrument=instrument,
+                run_timeout_s=self.config.run_timeout_s,
+                memo_dir=memo_dir, memo_identity=memo_identity)
 
         def drain_one() -> None:
             item = pending.popleft()
             scheduled = item.scheduled
             result.scheduled += 1
             registry.counter("campaign_runs_scheduled_total").inc()
-            if item.handle is None:  # checkpointed: restore in-parent
+            if item.task is None:  # checkpointed: restore in-parent
                 entry = restored[scheduled.key]
                 restored_run = self._restore_span(entry, scheduled, obs, memo)
                 if restored_run is not None:
@@ -742,26 +727,22 @@ class CampaignRunner:
                     progress.run_restored(scheduled.key)
                     breaker.record_success()
                     return
-                # Unrestorable (corrupt or trace-less entry):
-                # re-execute in-process, exactly like sequential.
-                if self._execute(scheduled, self.run_fn or run_once,
-                                 test_device, policy, checkpoint,
-                                 result, obs, memo):
-                    breaker.record_success()
-                else:
-                    breaker.record_failure("quarantine", scheduled.key)
-                return
-            drained = scheduler.drain(item)
-            if drained.error is not None:
-                # The backend gave the run up (hung/crashed past the
-                # retry budget); quarantine it parent-side.
-                self._supervision_quarantine(scheduled, drained.error,
-                                             drained.attempts, checkpoint,
-                                             result, obs)
-                return
-            self._merge_worker_outcome(scheduled, drained.outcome,
-                                       checkpoint, result, obs,
-                                       campaign_span, breaker)
+                # Unrestorable (corrupt or trace-less entry): re-execute
+                # in-process, where it stays in schedule order.
+                outcome = _run_task(task_for(scheduled), scheduled.deployment,
+                                    self.run_fn, self.sleep)
+            else:
+                drained = scheduler.drain(item)
+                if drained.error is not None:
+                    # The backend gave the run up (hung/crashed past the
+                    # retry budget); quarantine it parent-side.
+                    self._supervision_quarantine(scheduled, drained.error,
+                                                 drained.attempts,
+                                                 checkpoint, result, obs)
+                    return
+                outcome = drained.outcome
+            self._merge_worker_outcome(scheduled, outcome, checkpoint,
+                                       result, obs, campaign_span, breaker)
 
         try:
             with obs.tracer.span(
@@ -773,24 +754,8 @@ class CampaignRunner:
                     if entry is not None and entry.succeeded:
                         pending.append(PendingRun(scheduled=scheduled))
                     else:
-                        task = _WorkerTask(
-                            key=scheduled.key, profile=scheduled.profile,
-                            area_name=scheduled.deployment.area.name,
-                            point=scheduled.point,
-                            location_name=scheduled.location_name,
-                            run_index=scheduled.run_index,
-                            device_name=self.config.device_name,
-                            duration_s=self.config.duration_s,
-                            keep_trace=keep_trace, policy=policy,
-                            instrument=instrument,
-                            run_timeout_s=self.config.run_timeout_s,
-                            memo_dir=(str(self.config.memo_dir)
-                                      if self.config.memo_dir is not None
-                                      else None),
-                            memo_identity=(self.campaign_identity()
-                                           if self.config.memo_dir is not None
-                                           else None))
-                        item = PendingRun(scheduled=scheduled, task=task)
+                        item = PendingRun(scheduled=scheduled,
+                                          task=task_for(scheduled))
                         scheduler.submit(item)
                         pending.append(item)
                     if window is not None:
@@ -875,7 +840,7 @@ class CampaignRunner:
         deadline_s = time.monotonic() + max(0.0, self.config.shutdown_grace_s)
         while pending:
             item = pending[0]
-            if item.handle is None:
+            if item.task is None:
                 pending.popleft()
                 continue
             remaining = deadline_s - time.monotonic()
@@ -897,23 +862,18 @@ class CampaignRunner:
                               outcome: _WorkerOutcome,
                               checkpoint: CampaignCheckpoint | None,
                               result: CampaignResult, obs: Instrumentation,
-                              campaign_span,
-                              breaker: CircuitBreaker | None = None) -> None:
-        """Fold one worker payload into the parent, in schedule order."""
+                              campaign_span, breaker: CircuitBreaker) -> None:
+        """Fold one run's outcome into the parent, in schedule order."""
         registry, progress = obs.registry, obs.progress
         if outcome.metrics is not None:
             registry.merge(outcome.metrics)
         if outcome.spans:
             obs.tracer.adopt([Span.from_dict(data) for data in outcome.spans],
                              parent=campaign_span)
+        _emit_outcome(obs.events, outcome)
         if outcome.retries:
             progress.run_retried(scheduled.key, outcome.retries)
         if outcome.quarantined is not None:
-            obs.events.emit("run.quarantined", severity="warning",
-                            run_key=scheduled.key,
-                            error=outcome.quarantined.error,
-                            attempts=outcome.attempts,
-                            timed_out=outcome.timed_out)
             result.quarantine(outcome.quarantined)
             if outcome.timed_out:
                 progress.run_timed_out(scheduled.key)
@@ -923,11 +883,14 @@ class CampaignRunner:
                 checkpoint.record_failure(scheduled.key,
                                           outcome.quarantined.error,
                                           outcome.attempts)
-            if breaker is not None:
-                breaker.record_failure("quarantine", scheduled.key)
+            breaker.record_failure("quarantine", scheduled.key)
             return
         run_result = outcome.run_result
         if checkpoint is not None:
+            # A custom run_fn may drop the trace even when asked to keep
+            # it; record a trace-less success so resume still knows the
+            # run completed (it re-executes deliberately, keeping
+            # CampaignResult counters reconciled).
             checkpoint.record_success(
                 scheduled.key,
                 run_result.trace.to_jsonl()
@@ -935,11 +898,8 @@ class CampaignRunner:
         if not self.config.keep_traces:
             run_result.trace = None
         result.add(run_result)
-        obs.events.emit("run.completed", severity="debug",
-                        run_key=scheduled.key, attempts=outcome.attempts)
         progress.run_completed(scheduled.key)
-        if breaker is not None:
-            breaker.record_success()
+        breaker.record_success()
 
     # ------------------------------------------------------------------
     # Internals
@@ -980,69 +940,6 @@ class CampaignRunner:
         # A fresh (non-resumed) campaign must not inherit stale entries.
         checkpoint.path.unlink(missing_ok=True)
         return checkpoint, {}
-
-    def _execute(self, scheduled: ScheduledRun, run_fn, test_device,
-                 policy: RetryPolicy, checkpoint: CampaignCheckpoint | None,
-                 result: CampaignResult, obs: Instrumentation,
-                 memo: AnalysisMemo | None = None) -> bool:
-        """One run through the retry loop: add, checkpoint or quarantine.
-
-        Returns True when the run completed, False when it quarantined
-        (the caller feeds that into the circuit breaker).
-        """
-        keep_trace = self.config.keep_traces or checkpoint is not None
-        registry, progress = obs.registry, obs.progress
-        run_timeout = self.config.run_timeout_s
-        # Only the stock run_once knows the memo protocol; custom
-        # run_fn hooks (the chaos harness) keep their exact signature.
-        run_kwargs = {"memo": memo} \
-            if memo is not None and run_fn is run_once else {}
-
-        def attempt() -> RunResult:
-            with deadline_scope(run_timeout):
-                value = run_fn(scheduled.deployment, scheduled.profile,
-                               test_device, scheduled.point,
-                               scheduled.location_name, scheduled.run_index,
-                               duration_s=self.config.duration_s,
-                               keep_trace=keep_trace, **run_kwargs)
-                check_deadline("run")
-                return value
-
-        with obs.tracer.span("run", operator=scheduled.profile.name,
-                             area=scheduled.deployment.area.name,
-                             location=scheduled.location_name,
-                             run_index=scheduled.run_index) as span:
-            outcome = execute_with_retry(attempt, policy, key=scheduled.key,
-                                         sleep=self.sleep)
-            run_result, quarantined, retries, timed_out = _finish_outcome(
-                outcome, scheduled.key, span, registry)
-            if retries:
-                progress.run_retried(scheduled.key, retries)
-            if quarantined is not None:
-                result.quarantine(quarantined)
-                if timed_out:
-                    progress.run_timed_out(scheduled.key)
-                else:
-                    progress.run_quarantined(scheduled.key)
-                if checkpoint is not None:
-                    checkpoint.record_failure(scheduled.key,
-                                              quarantined.error,
-                                              outcome.attempts)
-                return False
-            if checkpoint is not None:
-                # A custom run_fn may drop the trace even when asked to
-                # keep it; record a trace-less success so resume still
-                # knows the run completed (it re-executes deliberately,
-                # keeping CampaignResult counters reconciled).
-                checkpoint.record_success(
-                    scheduled.key,
-                    run_result.trace.to_jsonl()
-                    if run_result.trace is not None else None)
-            if not self.config.keep_traces:
-                run_result.trace = None
-            result.add(run_result)
-            progress.run_completed(scheduled.key)
-            return True
 
     def _restore_span(self, entry: CheckpointEntry, scheduled: ScheduledRun,
                       obs: Instrumentation,

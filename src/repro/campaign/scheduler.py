@@ -1,35 +1,30 @@
-"""Pluggable campaign schedulers: process pool and durable task queue.
+"""Pluggable campaign schedulers: inline, process pool, durable task queue.
 
 :class:`~repro.campaign.runner.CampaignRunner` owns *what* to run (the
 schedule) and *how to account for it* (checkpoint, progress, in-order
 merge); a :class:`Scheduler` owns *where the work executes*.  The
-contract is five verbs:
+contract has coordinator verbs only: ``submit`` (hand one task to the
+backend), ``seal`` (the schedule is complete), ``drain`` (block for the
+head slot's outcome: the schedule-order merge), ``poll`` (the head
+outcome within a timeout: the bounded shutdown drain) and ``kill``
+(tear execution down *now*), plus ``start``/``window``/``shutdown``.
+The worker side of the queue backends — claim, heartbeat and complete
+under a fenced lease — is :class:`~repro.resilience.taskqueue.QueueTransport`,
+which ``repro worker`` and the broker call directly.  Every backend
+preserves the schedule-order merge invariant, so results, checkpoint
+bytes and counters are bit-identical to sequential execution absent
+faults.
 
-``submit``
-    Durably (or at least reliably) hand one task to the backend.
-``claim``
-    A worker takes the next available task under a lease.
-``heartbeat``
-    A worker extends a lease it still holds.
-``complete``
-    A worker hands back a finished outcome, fenced by its lease token.
-``kill``
-    Tear execution down *now* (emergency stop / breaker trip).
-
-plus the coordinator-side draining verbs (``drain`` for the blocking
-schedule-order merge, ``poll`` for the bounded shutdown drain, ``seal``
-to mark the schedule complete).  Both backends preserve the
-schedule-order merge invariant: the runner merges outcomes strictly in
-schedule order, so results, checkpoint bytes and counters are
-bit-identical to ``workers=1`` absent faults.
-
+* :class:`InlineScheduler` — sequential execution in the campaign's
+  own process, one run at a time.  The runner picks it for
+  ``workers <= 1``, for custom ``run_fn``/``sleep`` hooks, and when no
+  process pool is available.
 * :class:`PoolScheduler` — the supervised in-host ``ProcessPool``
-  (:class:`~repro.resilience.supervision.PoolSupervisor`).  The
-  claim/heartbeat/complete verbs are *fused into the executor
-  protocol*: submitting a task both enqueues and implicitly leases it
-  to the pool, the OS scheduler is the heartbeat, and the future's
-  result is the completion.  Supervision substitutes for fencing —
-  a hung worker is killed, so it can never race its replacement.
+  (:class:`~repro.resilience.supervision.PoolSupervisor`).  Submitting
+  a task both enqueues and implicitly leases it to the pool, the OS
+  scheduler is the heartbeat, and the future's result is the
+  completion.  Supervision substitutes for fencing — a hung worker is
+  killed, so it can never race its replacement.
 * :class:`QueueScheduler` — the coordinator side of the durable
   on-disk queue (:class:`~repro.resilience.taskqueue.DurableTaskQueue`).
   Tasks are spooled as CRC-framed events; N independent ``repro
@@ -66,11 +61,12 @@ from repro.resilience.supervision import (
     RunTimeoutError,
     WorkerCrashError,
 )
-from repro.resilience.taskqueue import Claim, QueueTransport
+from repro.resilience.taskqueue import QueueTransport
 
 __all__ = [
     "BrokerScheduler",
     "DrainResult",
+    "InlineScheduler",
     "PendingRun",
     "PoolScheduler",
     "QueueScheduler",
@@ -95,9 +91,9 @@ def decode_payload(text: str) -> Any:
 class PendingRun:
     """One schedule slot awaiting its in-order merge in the parent.
 
-    ``task``/``handle`` are ``None`` for checkpointed runs restored
-    in-parent; ``handle`` is backend-opaque (a pool ``Future``, a queue
-    seq).  ``kills`` counts how many times supervision killed the
+    ``task`` is ``None`` for checkpointed runs restored in-parent;
+    ``handle`` is backend-opaque (a pool ``Future``, a queue seq,
+    ``None`` inline).  ``kills`` counts how many times supervision killed the
     worker this run was blamed for (bounded by the retry policy).
     """
 
@@ -122,14 +118,9 @@ class DrainResult:
 
 
 class Scheduler:
-    """The pluggable execution backend contract (see module docstring).
-
-    Coordinator side: ``start``, ``window``, ``submit``, ``seal``,
-    ``drain``, ``poll``, ``kill``, ``shutdown``.  Worker side:
-    ``claim``, ``heartbeat``, ``complete``.
-    """
-
-    # -- coordinator side ----------------------------------------------
+    """The pluggable execution backend contract (see module docstring):
+    ``start``, ``window``, ``submit``, ``seal``, ``drain``, ``poll``,
+    ``kill``, ``shutdown``."""
 
     def start(self) -> bool:
         """Bring the backend up; False = unavailable on this platform."""
@@ -163,16 +154,35 @@ class Scheduler:
     def shutdown(self) -> None:
         """Orderly teardown after a fully drained schedule."""
 
-    # -- worker side ---------------------------------------------------
 
-    def claim(self, worker: str, lease_s: float) -> Claim | None:
-        raise NotImplementedError
+# ----------------------------------------------------------------------
+# In-process backend
+# ----------------------------------------------------------------------
 
-    def heartbeat(self, claim: Claim, lease_s: float) -> bool:
-        raise NotImplementedError
 
-    def complete(self, claim: Claim, outcome: Any) -> bool:
-        raise NotImplementedError
+class InlineScheduler(Scheduler):
+    """Sequential execution in the campaign's own process.
+
+    ``run`` executes one slot into the active instrumentation bundle
+    and returns its outcome (injected, like the pool's ``worker_fn``,
+    so this module never imports the runner).  The window is 1: a slot
+    runs when it is drained, right after its submission, so each run's
+    checkpoint append lands before the next run starts (what
+    kill-and-resume relies on) and at most one outcome is held.  The
+    shutdown drain thus never finds an unmerged slot to ``poll``.
+    """
+
+    def __init__(self, run: Callable[[PendingRun], Any]):
+        self.run = run
+
+    def window(self) -> int | None:
+        return 1
+
+    def submit(self, item: PendingRun) -> None:
+        """Nothing to hand over: the slot runs when it is drained."""
+
+    def drain(self, item: PendingRun) -> DrainResult:
+        return DrainResult(outcome=self.run(item))
 
 
 # ----------------------------------------------------------------------
@@ -307,21 +317,6 @@ class PoolScheduler(Scheduler):
     def shutdown(self) -> None:
         self.supervisor.shutdown()
 
-    # The worker verbs are fused into the executor protocol: submit()
-    # enqueues *and* implicitly leases to the pool, the OS scheduler is
-    # the heartbeat, and the future's result is the completion.
-    def claim(self, worker: str, lease_s: float) -> Claim | None:
-        raise NotImplementedError(
-            "PoolScheduler fuses claim into the executor protocol")
-
-    def heartbeat(self, claim: Claim, lease_s: float) -> bool:
-        raise NotImplementedError(
-            "PoolScheduler fuses heartbeat into the executor protocol")
-
-    def complete(self, claim: Claim, outcome: Any) -> bool:
-        raise NotImplementedError(
-            "PoolScheduler fuses complete into the executor protocol")
-
 
 # ----------------------------------------------------------------------
 # Durable task-queue backend (coordinator side)
@@ -406,17 +401,6 @@ class QueueScheduler(Scheduler):
 
     def shutdown(self) -> None:
         self._pump()  # final gauge refresh (depth 0, leases 0)
-
-    # -- worker verbs (delegated to the spool) -------------------------
-
-    def claim(self, worker: str, lease_s: float) -> Claim | None:
-        return self.queue.claim(worker, lease_s)
-
-    def heartbeat(self, claim: Claim, lease_s: float) -> bool:
-        return self.queue.heartbeat(claim, lease_s)
-
-    def complete(self, claim: Claim, outcome: Any) -> bool:
-        return self.queue.complete(claim, encode_payload(outcome))
 
     # -- pumping -------------------------------------------------------
 

@@ -29,16 +29,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import optimize
 
 from repro.cells.cell import Rat
-from repro.radio.environment import RadioEnvironment
-from repro.radio.geometry import Point
-from repro.rrc.capabilities import DeviceCapabilities
-from repro.rrc.network import SaNetworkLogic
-from repro.rrc.policies import OperatorPolicy
+
+if TYPE_CHECKING:
+    # The analysis library must not import the simulator at load time:
+    # radio.propagation seeds from repro.core.seeding, so importing
+    # radio/rrc here would make ``import repro.radio`` circular.
+    from repro.radio.environment import RadioEnvironment
+    from repro.radio.geometry import Point
+    from repro.rrc.capabilities import DeviceCapabilities
+    from repro.rrc.policies import OperatorPolicy
 
 #: Feature value used when a combination has no competing cell at all.
 NO_COMPETITOR_GAP_DB = 40.0
@@ -121,6 +126,8 @@ def extract_location_features(
     are the blind-addition set the network would configure (F17: the
     target SCells are used iff the target PCell is used).
     """
+    from repro.rrc.network import SaNetworkLogic
+
     propagation = environment.propagation
     network = SaNetworkLogic(environment, policy)
 

@@ -24,12 +24,12 @@ reproducible bit-for-bit.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cells.cell import DeployedCell
+from repro.core.seeding import stable_seed
 from repro.radio.geometry import Point, angular_difference_deg, bearing_deg
 
 
@@ -53,12 +53,6 @@ def log_distance_path_loss_db(
     distance = max(distance_m, reference_distance_m)
     reference_loss = free_space_path_loss_db(reference_distance_m, frequency_mhz)
     return reference_loss + 10.0 * exponent * math.log10(distance / reference_distance_m)
-
-
-def _stable_seed(*parts: object) -> int:
-    """Deterministic 32-bit seed from arbitrary parts (stable across processes)."""
-    text = "|".join(str(part) for part in parts)
-    return zlib.crc32(text.encode("utf-8"))
 
 
 class ShadowingField:
@@ -86,7 +80,7 @@ class ShadowingField:
         cached = self._node_cache.get((ix, iy))
         if cached is not None:
             return cached
-        node_seed = _stable_seed(self._seed, self._cell_key, ix, iy)
+        node_seed = stable_seed(self._seed, self._cell_key, ix, iy)
         value = float(np.random.RandomState(node_seed).normal(0.0, self.sigma_db))
         self._node_cache[(ix, iy)] = value
         return value
@@ -164,7 +158,7 @@ class PropagationModel:
         key = (f"{cell.identity.rat.value}:{cell.identity.notation}", run_seed)
         process = self._fading.get(key)
         if process is None:
-            fading_seed = _stable_seed(self.seed, key[0], run_seed, "fading")
+            fading_seed = stable_seed(self.seed, key[0], run_seed, "fading")
             process = _FadingProcess(fading_seed, self.fading_sigma_db)
             self._fading[key] = process
         return process
@@ -203,7 +197,7 @@ class PropagationModel:
         tick's reported value, deterministically from the label.
         """
         cell_key = f"{cell.identity.rat.value}:{cell.identity.notation}"
-        seed = _stable_seed(self.seed, cell_key, run_seed, tick, label)
+        seed = stable_seed(self.seed, cell_key, run_seed, tick, label)
         return float(np.random.RandomState(seed).normal(0.0, self.fading_sigma_db))
 
     def rsrp_dbm(self, cell: DeployedCell, point: Point, tick: int, run_seed: int) -> float:

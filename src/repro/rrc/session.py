@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from repro.cells.cell import CellIdentity, Rat
+from repro.core.seeding import stable_seed
 from repro.radio.environment import CellObservation, RadioEnvironment
 from repro.radio.geometry import Point
 from repro.rrc.capabilities import DeviceCapabilities
@@ -57,11 +57,6 @@ HANDOVER_COOLDOWN_S = 8.0
 SCG_CHANGE_COOLDOWN_S = 10.0
 NEIGHBOUR_REPORT_FLOOR_DBM = -120.0
 LTE_SELECTION_THRESHOLD_DBM = -120.0
-
-
-def _stable_seed(*parts: object) -> int:
-    text = "|".join(str(part) for part in parts)
-    return zlib.crc32(text.encode("utf-8"))
 
 
 @dataclass
@@ -147,8 +142,8 @@ class _SessionBase:
         self.sampler = RadioSampler(environment, point, config)
         self.ue = UeContext()
         self.trace = SignalingTrace(metadata=config.metadata)
-        self.rng = np.random.RandomState(_stable_seed(config.run_seed, policy.name,
-                                                      device.name, "session"))
+        self.rng = np.random.RandomState(stable_seed(config.run_seed, policy.name,
+                                                     device.name, "session"))
 
     def _emit(self, record) -> None:
         # Sub-tick offsets are cosmetic; keep the capture strictly ordered

@@ -10,8 +10,12 @@ a ``|`` inside a key part must not alias a shifted key split.
 
 import io
 
+import pytest
+
 from repro.campaign import CampaignConfig, CampaignRunner, operator
-from repro.campaign.runner import _run_seed
+from repro.campaign import runner as runner_module
+from repro.campaign.runner import _run_seed, run_once
+from repro.campaign.scheduler import PoolScheduler
 from repro.core.seeding import encode_key_parts, stable_seed
 from repro.obs import (
     StderrProgressReporter,
@@ -121,34 +125,84 @@ class TestParallelTelemetry:
         assert stream.getvalue().endswith("\n")
 
 
-class TestInProcessFallback:
-    def test_workers_one_never_builds_a_pool(self):
-        runner = CampaignRunner([operator("OP_V")], small_config(workers=1))
-        assert runner._effective_workers() == 1
+def refuse_pool(*args, **kwargs):
+    raise AssertionError("sequential execution must not build a pool")
 
-    def test_custom_run_fn_falls_back_to_in_process(self):
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Building a process pool fails the test."""
+    monkeypatch.setattr(runner_module, "PoolScheduler", refuse_pool)
+
+
+@pytest.fixture
+def in_process_runs(monkeypatch):
+    """Every run_once call made in this process, as (location, index).
+
+    The runner resolves ``run_once`` through its module global at call
+    time, so the spy sees exactly the runs executed in-process.
+    """
+    calls = []
+
+    def spy(deployment, profile, device, point, location_name, run_index,
+            duration_s=300, keep_trace=False):
+        calls.append((location_name, run_index))
+        return run_once(deployment, profile, device, point, location_name,
+                        run_index, duration_s=duration_s,
+                        keep_trace=keep_trace)
+
+    monkeypatch.setattr(runner_module, "run_once", spy)
+    return calls
+
+
+def campaign_workers(obs) -> int:
+    [root] = obs.tracer.roots()
+    return root.attributes["workers"]
+
+
+class TestInProcessFallback:
+    def test_workers_one_never_builds_a_pool(self, no_pool,
+                                             in_process_runs):
+        obs, result = run_campaign(small_config(workers=1))
+        assert len(in_process_runs) == result.scheduled == 4
+        assert campaign_workers(obs) == 1
+
+    def test_custom_run_fn_falls_back_to_in_process(self, no_pool):
         calls = []
 
         def spy_run_fn(deployment, profile, device, point, location_name,
                        run_index, duration_s=300, keep_trace=False):
-            from repro.campaign.runner import run_once
             calls.append((location_name, run_index))
             return run_once(deployment, profile, device, point,
                             location_name, run_index, duration_s=duration_s,
                             keep_trace=keep_trace)
 
-        runner = CampaignRunner([operator("OP_V")],
-                                small_config(workers=4), run_fn=spy_run_fn)
-        assert runner._effective_workers() == 1
-        result = runner.run()
+        obs, result = run_campaign(small_config(workers=4),
+                                   run_fn=spy_run_fn)
         # The closure observed every run: execution stayed in-process.
         assert len(calls) == result.scheduled == 4
+        assert campaign_workers(obs) == 1
 
-    def test_custom_sleep_falls_back_to_in_process(self):
-        runner = CampaignRunner([operator("OP_V")],
-                                small_config(workers=4),
-                                sleep=lambda _delay: None)
-        assert runner._effective_workers() == 1
+    def test_custom_sleep_falls_back_to_in_process(self, no_pool,
+                                                   in_process_runs):
+        obs, result = run_campaign(small_config(workers=4),
+                                   sleep=lambda _delay: None)
+        assert len(in_process_runs) == result.scheduled == 4
+        assert campaign_workers(obs) == 1
+
+    def test_missing_multiprocessing_falls_back_to_in_process(
+            self, monkeypatch, no_pool, in_process_runs):
+        monkeypatch.setattr(runner_module, "_mp_context", lambda: None)
+        obs, result = run_campaign(small_config(workers=4))
+        assert len(in_process_runs) == result.scheduled == 4
+        assert campaign_workers(obs) == 1
+
+    def test_pool_that_fails_to_start_falls_back_to_in_process(
+            self, monkeypatch, in_process_runs):
+        monkeypatch.setattr(PoolScheduler, "start", lambda self: False)
+        obs, result = run_campaign(small_config(workers=4))
+        assert len(in_process_runs) == result.scheduled == 4
+        assert campaign_workers(obs) == 1
 
 
 class TestSeedCollisionRegression:
