@@ -1,8 +1,11 @@
-"""The radio environment: deployed cells + propagation -> observations.
+"""The radio environment: deployed cells + propagation.
 
 A :class:`RadioEnvironment` is the single source of radio truth for a
-simulation: given a location, a time tick and a run seed it produces the
-set of :class:`CellObservation` values (RSRP/RSRQ per deployed cell)
+simulation: the deployed cells of one operator area, looked up by
+identity, RAT or channel, and the :class:`PropagationModel` that gives
+their RSRP at a location.  A session observes it through
+:class:`repro.rrc.session.RadioSampler`, which turns a run's RSRP into
+the :class:`CellObservation` values (RSRP/RSRQ/measurability per cell)
 that the UE's measurement machinery then filters and reports.
 """
 
@@ -36,7 +39,7 @@ class RadioEnvironment:
     """All deployed cells of one operator in one area, plus propagation.
 
     The environment is immutable after construction; per-run variation
-    comes from the ``run_seed`` passed to :meth:`observe`.
+    comes from the run seed a sampler draws fading with.
     """
 
     def __init__(self, cells: list[DeployedCell], propagation: PropagationModel) -> None:
@@ -69,30 +72,6 @@ class RadioEnvironment:
 
     def has_cell(self, identity: CellIdentity) -> bool:
         return identity in self._by_identity
-
-    def observe_cell(self, cell: DeployedCell, point: Point, tick: int,
-                     run_seed: int) -> CellObservation:
-        """Observe a single cell from a location at one tick of a run."""
-        rsrp = self.propagation.rsrp_dbm(cell, point, tick, run_seed)
-        rsrq = self.propagation.rsrq_db(rsrp, cell.interference_margin_db)
-        return CellObservation(cell=cell, rsrp_dbm=rsrp, rsrq_db=rsrq,
-                               measurable=self.propagation.is_measurable(rsrp))
-
-    def observe(self, point: Point, tick: int, run_seed: int,
-                rat: Rat | None = None) -> list[CellObservation]:
-        """Observe every deployed cell (optionally of one RAT), strongest first."""
-        cells = self._cells if rat is None else self.cells_of_rat(rat)
-        observations = [self.observe_cell(cell, point, tick, run_seed) for cell in cells]
-        observations.sort(key=lambda obs: obs.rsrp_dbm, reverse=True)
-        return observations
-
-    def strongest(self, point: Point, tick: int, run_seed: int,
-                  rat: Rat, measurable_only: bool = True) -> CellObservation | None:
-        """The strongest (by RSRP) observation of one RAT, or None."""
-        for observation in self.observe(point, tick, run_seed, rat):
-            if observation.measurable or not measurable_only:
-                return observation
-        return None
 
     def mean_rsrp_map(self, cell_identity: CellIdentity,
                       points: list[Point]) -> list[float]:

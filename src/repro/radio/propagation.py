@@ -15,10 +15,13 @@ RSRP at a location is computed as::
 * Fast fading is a small zero-mean temporal AR(1) process regenerated per
   (cell, run) so repeated runs at one location differ slightly, which is
   what makes semi-persistent loops possible (F1).
+  :meth:`PropagationModel.fading_series` draws a run's whole series at
+  once; the session sampler reads it as a column.
 
 Everything is deterministic given the environment seed, the cell
 identity and the sample time, so the full measurement campaign is
-reproducible bit-for-bit.
+reproducible bit-for-bit.  Seeded draws come from
+:func:`repro.core.seeding.scratch_rng`.
 """
 
 from __future__ import annotations
@@ -29,8 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cells.cell import DeployedCell
-from repro.core.seeding import stable_seed
+from repro.core.seeding import scratch_rng
 from repro.radio.geometry import Point, angular_difference_deg, bearing_deg
+
+#: Tick-to-tick correlation of the AR(1) fast fading.
+_FADING_RHO = 0.85
 
 
 def free_space_path_loss_db(distance_m: float, frequency_mhz: float) -> float:
@@ -80,8 +86,8 @@ class ShadowingField:
         cached = self._node_cache.get((ix, iy))
         if cached is not None:
             return cached
-        node_seed = stable_seed(self._seed, self._cell_key, ix, iy)
-        value = float(np.random.RandomState(node_seed).normal(0.0, self.sigma_db))
+        rng = scratch_rng(self._seed, self._cell_key, ix, iy)
+        value = float(rng.normal(0.0, self.sigma_db))
         self._node_cache[(ix, iy)] = value
         return value
 
@@ -98,27 +104,6 @@ class ShadowingField:
         top = v00 * (1 - fx) + v10 * fx
         bottom = v01 * (1 - fx) + v11 * fx
         return top * (1 - fy) + bottom * fy
-
-
-class _FadingProcess:
-    """Temporal AR(1) fading for one (cell, run) pair, sampled at integer ticks."""
-
-    def __init__(self, seed: int, sigma_db: float = 2.0, rho: float = 0.85) -> None:
-        self._rng = np.random.RandomState(seed)
-        self._sigma = sigma_db
-        self._rho = rho
-        self._values: list[float] = []
-
-    def value_db(self, tick: int) -> float:
-        if tick < 0:
-            raise ValueError("tick must be non-negative")
-        while len(self._values) <= tick:
-            if not self._values:
-                self._values.append(float(self._rng.normal(0.0, self._sigma)))
-            else:
-                innovation = self._rng.normal(0.0, self._sigma * math.sqrt(1 - self._rho ** 2))
-                self._values.append(self._rho * self._values[-1] + float(innovation))
-        return self._values[tick]
 
 
 @dataclass
@@ -143,25 +128,16 @@ class PropagationModel:
 
     def __post_init__(self) -> None:
         self._shadowing: dict[str, ShadowingField] = {}
-        self._fading: dict[tuple[str, int], _FadingProcess] = {}
+        self._fading: dict[tuple[str, int], list[float]] = {}
 
     def _shadowing_for(self, cell: DeployedCell) -> ShadowingField:
-        key = f"{cell.identity.rat.value}:{cell.identity.notation}"
+        key = _cell_key(cell)
         field = self._shadowing.get(key)
         if field is None:
             field = ShadowingField(self.seed, key, self.shadowing_sigma_db,
                                    self.shadowing_correlation_m)
             self._shadowing[key] = field
         return field
-
-    def _fading_for(self, cell: DeployedCell, run_seed: int) -> _FadingProcess:
-        key = (f"{cell.identity.rat.value}:{cell.identity.notation}", run_seed)
-        process = self._fading.get(key)
-        if process is None:
-            fading_seed = stable_seed(self.seed, key[0], run_seed, "fading")
-            process = _FadingProcess(fading_seed, self.fading_sigma_db)
-            self._fading[key] = process
-        return process
 
     def _antenna_gain_db(self, cell: DeployedCell, point: Point) -> float:
         """Sector antenna gain: 0 dB at boresight, floored at -18 dB off-axis."""
@@ -183,9 +159,44 @@ class PropagationModel:
         gain = self._antenna_gain_db(cell, point)
         return cell.tx_power_dbm - loss - shadowing + gain
 
+    def fading_series(self, cell: DeployedCell, run_seed: int,
+                      length: int) -> list[float]:
+        """The AR(1) fast-fading term of one cell over ticks ``0..length-1`` of a run.
+
+        One seeded draw gives the first value and one array draw the
+        innovations; the recursion runs in Python floats in tick order.
+        A legacy generator's array draw equals the same number of scalar
+        draws, so a shorter series is a prefix of a longer one.
+        """
+        if length <= 0:
+            return []
+        rng = scratch_rng(self.seed, _cell_key(cell), run_seed, "fading")
+        value = float(rng.normal(0.0, self.fading_sigma_db))
+        innovations = rng.normal(
+            0.0, self.fading_sigma_db * math.sqrt(1 - _FADING_RHO ** 2),
+            size=length - 1).tolist()
+        series = [value]
+        for innovation in innovations:
+            value = _FADING_RHO * value + innovation
+            series.append(value)
+        return series
+
     def fading_db(self, cell: DeployedCell, run_seed: int, tick: int) -> float:
-        """The AR(1) fast-fading term of one cell at one tick of one run."""
-        return self._fading_for(cell, run_seed).value_db(tick)
+        """The AR(1) fast-fading term of one cell at one tick of one run.
+
+        Keeps each (cell, run) series it computes, redrawn twice as long
+        whenever a later tick is asked for.  Only the cell-inventory
+        scans use this; a session reads :meth:`fading_series` once per run.
+        """
+        if tick < 0:
+            raise ValueError("tick must be non-negative")
+        key = (_cell_key(cell), run_seed)
+        series = self._fading.get(key, [])
+        if tick >= len(series):
+            series = self.fading_series(cell, run_seed,
+                                        max(tick + 1, 2 * len(series)))
+            self._fading[key] = series
+        return series[tick]
 
     def fresh_fading_db(self, cell: DeployedCell, run_seed: int, tick: int,
                         label: str = "exec") -> float:
@@ -196,29 +207,41 @@ class PropagationModel:
         triggered it; this returns a fresh draw uncorrelated with the
         tick's reported value, deterministically from the label.
         """
-        cell_key = f"{cell.identity.rat.value}:{cell.identity.notation}"
-        seed = stable_seed(self.seed, cell_key, run_seed, tick, label)
-        return float(np.random.RandomState(seed).normal(0.0, self.fading_sigma_db))
+        rng = scratch_rng(self.seed, _cell_key(cell), run_seed, tick, label)
+        return float(rng.normal(0.0, self.fading_sigma_db))
 
     def rsrp_dbm(self, cell: DeployedCell, point: Point, tick: int, run_seed: int) -> float:
         """Instantaneous RSRP at an integer tick (1 Hz) of one run."""
-        fading = self._fading_for(cell, run_seed).value_db(tick)
+        fading = self.fading_db(cell, run_seed, tick)
         return self.mean_rsrp_dbm(cell, point) + fading
 
-    def rsrq_db(self, rsrp_dbm: float, interference_margin_db: float = 0.0) -> float:
-        """Map RSRP to an RSRQ value.
+    def rsrq_db(self, rsrp_dbm: float | np.ndarray,
+                interference_margin_db: float | np.ndarray = 0.0,
+                ) -> float | np.ndarray:
+        """Map RSRP to an RSRQ value: a float, or an array for an array.
 
         RSRQ in a loaded network degrades roughly linearly as RSRP
         approaches the noise floor; we use a piecewise-linear map
         calibrated to the paper's reported pairs (RSRP -82 / RSRQ -10.5;
         RSRP -108.5 / RSRQ -25.5 in Figure 28), clamped to [-30, -5] dB.
+        Arrays map elementwise (with the margin broadcast against them),
+        rounding exactly as the scalar form does.
         """
         anchor_good = (-82.0, -10.5)
         anchor_poor = (-108.5, -25.5)
         slope = (anchor_poor[1] - anchor_good[1]) / (anchor_poor[0] - anchor_good[0])
         rsrq = anchor_good[1] + slope * (rsrp_dbm - anchor_good[0]) - interference_margin_db
-        return float(min(max(rsrq, -30.0), -5.0))
+        clamped = np.minimum(np.maximum(rsrq, -30.0), -5.0)
+        return float(clamped) if np.ndim(clamped) == 0 else clamped
 
-    def is_measurable(self, rsrp_dbm: float) -> bool:
-        """Whether the UE can measure a cell at all (above the noise floor)."""
+    def is_measurable(self, rsrp_dbm: float | np.ndarray) -> bool | np.ndarray:
+        """Whether the UE can measure a cell at all (above the noise floor).
+
+        A bool, or a boolean array for an array of RSRP values.
+        """
         return rsrp_dbm > self.noise_floor_dbm
+
+
+def _cell_key(cell: DeployedCell) -> str:
+    """The string that keys a cell's shadowing and fading seeds."""
+    return f"{cell.identity.rat.value}:{cell.identity.notation}"

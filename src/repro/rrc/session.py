@@ -71,63 +71,79 @@ class RunConfig:
 
 
 class RadioSampler:
-    """Per-run radio sampling with a stationary-location mean cache."""
+    """Per-run radio sampling, computed as per-cell columns when built.
+
+    The environment's cells are interned to indices, and every tick's
+    RSRP (location mean + fading), RSRQ and measurability of every cell
+    is computed up front: each cell's fading over the whole run in one
+    draw, the means once per cell (stationary) or per tick at that
+    tick's point (moving).  The rows are converted to Python lists once,
+    so observations carry Python floats and bools.  Valid ticks are
+    ``0 .. config.duration_s - 1``.
+    """
 
     def __init__(self, environment: RadioEnvironment, point: Point,
                  config: RunConfig, cutoff_margin_db: float = 8.0) -> None:
         self._environment = environment
         self._point = point
         self._config = config
-        self._moving = config.point_provider is not None
-        self._means: dict[CellIdentity, float] = {}
-        self._relevant = environment.cells
-        if not self._moving:
-            floor = environment.propagation.noise_floor_dbm - cutoff_margin_db
-            relevant = []
-            for cell in environment.cells:
-                mean = environment.propagation.mean_rsrp_dbm(cell, point)
-                self._means[cell.identity] = mean
-                if mean > floor:
-                    relevant.append(cell)
-            self._relevant = relevant
+        propagation = environment.propagation
+        cells = environment.cells
+        ticks = config.duration_s
+        self._cells = cells
+        self._index = {cell.identity: index for index, cell in enumerate(cells)}
+        if config.point_provider is None:
+            means = [propagation.mean_rsrp_dbm(cell, point) for cell in cells]
+            floor = propagation.noise_floor_dbm - cutoff_margin_db
+            relevant = [index for index, mean in enumerate(means) if mean > floor]
+            self._mean_rows = [means] * ticks  # the same row every tick
+        else:
+            self._mean_rows = [[propagation.mean_rsrp_dbm(cell, self.point_at(tick))
+                                for cell in cells] for tick in range(ticks)]
+            relevant = list(range(len(cells)))
+        self._relevant = [(index, cells[index], cells[index].identity)
+                          for index in relevant]
+        fading = np.array([propagation.fading_series(cell, config.run_seed, ticks)
+                           for cell in cells]).reshape(len(cells), ticks)
+        rsrp = np.array(self._mean_rows).reshape(ticks, len(cells)) + fading.T
+        margins = np.array([cell.interference_margin_db for cell in cells])
+        self._rows = list(zip(rsrp.tolist(),
+                              propagation.rsrq_db(rsrp, margins).tolist(),
+                              propagation.is_measurable(rsrp).tolist()))
+
+    def _row(self, tick: int) -> tuple[list[float], list[float], list[bool]]:
+        """This tick's (RSRP, RSRQ, measurable) lists, indexed by cell."""
+        if not 0 <= tick < self._config.duration_s:
+            raise ValueError(f"tick {tick} outside the run's "
+                             f"0..{self._config.duration_s - 1}")
+        return self._rows[tick]
 
     def point_at(self, tick: int) -> Point:
         if self._config.point_provider is not None:
             return self._config.point_provider(tick)
         return self._point
 
-    def _mean_rsrp(self, identity: CellIdentity, tick: int) -> float:
-        cell = self._environment.cell(identity)
-        if self._moving:
-            return self._environment.propagation.mean_rsrp_dbm(cell, self.point_at(tick))
-        mean = self._means.get(identity)
-        if mean is None:
-            mean = self._environment.propagation.mean_rsrp_dbm(cell, self._point)
-            self._means[identity] = mean
-        return mean
-
     def observe_identity(self, identity: CellIdentity, tick: int) -> CellObservation:
         """Observation of one specific cell (even if very weak)."""
-        cell = self._environment.cell(identity)
-        propagation = self._environment.propagation
-        rsrp = self._mean_rsrp(identity, tick) + propagation.fading_db(
-            cell, self._config.run_seed, tick)
-        rsrq = propagation.rsrq_db(rsrp, cell.interference_margin_db)
-        return CellObservation(cell=cell, rsrp_dbm=rsrp, rsrq_db=rsrq,
-                               measurable=propagation.is_measurable(rsrp))
+        index = self._index[identity]
+        rsrp, rsrq, measurable = self._row(tick)
+        return CellObservation(self._cells[index], rsrp[index], rsrq[index],
+                               measurable[index])
 
     def observe(self, tick: int) -> dict[CellIdentity, CellObservation]:
         """Observations of every radio-relevant cell this tick."""
-        return {cell.identity: self.observe_identity(cell.identity, tick)
-                for cell in self._relevant}
+        rsrp, rsrq, measurable = self._row(tick)
+        return {identity: CellObservation(cell, rsrp[index], rsrq[index],
+                                          measurable[index])
+                for index, cell, identity in self._relevant}
 
     def fresh_rsrp(self, identity: CellIdentity, tick: int,
                    label: str = "exec") -> float:
         """Execution-time re-sample of one cell (independent fading draw)."""
-        cell = self._environment.cell(identity)
+        index = self._index[identity]
         fading = self._environment.propagation.fresh_fading_db(
-            cell, self._config.run_seed, tick, label)
-        return self._mean_rsrp(identity, tick) + fading
+            self._cells[index], self._config.run_seed, tick, label)
+        return self._mean_rows[tick][index] + fading
 
 
 class _SessionBase:
@@ -192,8 +208,6 @@ class SaSession(_SessionBase):
         self.network = SaNetworkLogic(environment, policy)
         self._pending_blind_add_s: float | None = None
         self._scell_mod_cooldown_until_s = 0.0
-        self._mod_streak_key: tuple | None = None
-        self._mod_streak = 0
 
     def run(self) -> SignalingTrace:
         for tick in range(self.config.duration_s):
@@ -329,21 +343,9 @@ class SaSession(_SessionBase):
             return False
         decision = self.network.scell_modification(self.ue.scells, observations)
         if decision is None:
-            self._mod_streak_key = None
-            self._mod_streak = 0
             return False
-        # Time-to-trigger: the same replacement must be warranted on two
-        # consecutive ticks before the command is issued.
-        key = (decision.release_identity, decision.add_identity)
-        if key == self._mod_streak_key:
-            self._mod_streak += 1
-        else:
-            self._mod_streak_key = key
-            self._mod_streak = 1
-        if self._mod_streak < 1:
-            return False
-        self._mod_streak_key = None
-        self._mod_streak = 0
+        # No time-to-trigger: the network commands the modification on
+        # the first tick the replacement is warranted.
         new_index = self.ue.next_scell_index
         self._emit(RrcReconfigurationRecord(
             time_s=t + 0.4,

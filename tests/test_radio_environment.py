@@ -1,12 +1,15 @@
-"""Tests for the radio environment (observations over deployed cells)."""
+"""Tests for the radio environment (deployed cells and their lookups).
+
+Observations of the environment are tested on the per-run sampler in
+``tests/test_rrc_sampler.py``.
+"""
 
 import pytest
 
 from repro.cells.cell import CellIdentity, Rat
 from repro.radio.environment import RadioEnvironment
 from repro.radio.geometry import Point
-from repro.radio.propagation import PropagationModel
-from tests.conftest import lte_cell, nr_cell
+from tests.conftest import nr_cell
 
 
 class TestEnvironmentConstruction:
@@ -46,55 +49,9 @@ class TestLookups:
 
 
 class TestObservation:
-    def test_observe_sorted_strongest_first(self, small_environment, centre_point):
-        observations = small_environment.observe(centre_point, tick=0, run_seed=1)
-        rsrps = [obs.rsrp_dbm for obs in observations]
-        assert rsrps == sorted(rsrps, reverse=True)
-
-    def test_observe_filters_by_rat(self, small_environment, centre_point):
-        nr_only = small_environment.observe(centre_point, 0, 1, rat=Rat.NR)
-        assert all(obs.identity.rat is Rat.NR for obs in nr_only)
-        assert len(nr_only) == 4
-
-    def test_observation_is_deterministic(self, small_environment, centre_point):
-        first = small_environment.observe(centre_point, 3, 7)
-        second = small_environment.observe(centre_point, 3, 7)
-        assert [o.rsrp_dbm for o in first] == [o.rsrp_dbm for o in second]
-
-    def test_strongest_of_rat(self, small_environment, centre_point):
-        strongest = small_environment.strongest(centre_point, 0, 1, Rat.NR)
-        assert strongest is not None
-        nr_observations = small_environment.observe(centre_point, 0, 1, rat=Rat.NR)
-        assert strongest.rsrp_dbm == nr_observations[0].rsrp_dbm
-
-    def test_strongest_returns_none_when_nothing_measurable(self, propagation):
-        # A single extremely weak cell (tiny power, huge distance).
-        weak = nr_cell(1, x=0.0, y=0.0, power=-60.0)
-        environment = RadioEnvironment([weak], propagation)
-        assert environment.strongest(Point(5000.0, 5000.0), 0, 1, Rat.NR) is None
-        unmeasured = environment.strongest(Point(5000.0, 5000.0), 0, 1, Rat.NR,
-                                           measurable_only=False)
-        assert unmeasured is not None
-
-    def test_rsrq_reflects_interference_margin(self, propagation):
-        clean = nr_cell(1, x=0.0, y=0.0)
-        loaded = nr_cell(2, channel=501390, x=0.0, y=0.0, margin=4.0)
-        environment = RadioEnvironment([clean, loaded], propagation)
-        point = Point(150.0, 0.0)
-        observations = {obs.identity.pci: obs
-                        for obs in environment.observe(point, 0, 1)}
-        # Equal sites and power: the loaded channel reports worse RSRQ
-        # at comparable RSRP (up to shadowing differences).
-        assert observations[2].rsrq_db == pytest.approx(
-            environment.propagation.rsrq_db(observations[2].rsrp_dbm, 4.0))
-
     def test_mean_rsrp_map(self, small_environment):
         identity = CellIdentity(273, 387410, Rat.NR)
         points = [Point(100.0, 100.0), Point(900.0, 900.0)]
         values = small_environment.mean_rsrp_map(identity, points)
         assert len(values) == 2
         assert values[0] > values[1]
-
-    def test_observation_str(self, small_environment, centre_point):
-        observation = small_environment.observe(centre_point, 0, 1)[0]
-        assert "@" in str(observation)

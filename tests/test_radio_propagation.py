@@ -1,5 +1,6 @@
 """Tests for path loss, shadowing, fading and the RSRQ map."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -176,6 +177,22 @@ class TestRsrq:
     def test_monotone_in_rsrp(self, rsrp):
         model = PropagationModel()
         assert model.rsrq_db(rsrp + 1.0) >= model.rsrq_db(rsrp)
+
+    def test_arrays_map_elementwise_as_scalars_do(self):
+        model = PropagationModel(noise_floor_dbm=-116.0)
+        rsrp = np.array([[-150.0, -108.5, -97.3, -82.0, -40.0],
+                         [-116.0, -115.9, -101.37, -63.2, -5.0]])
+        margins = np.array([0.0, 1.5, 4.0, 0.0, 2.0])
+        slope = (-25.5 + 10.5) / (-108.5 + 82.0)
+        expected = [[min(max(-10.5 + slope * (value + 82.0) - margin, -30.0), -5.0)
+                     for value, margin in zip(row, margins.tolist())]
+                    for row in rsrp.tolist()]
+        assert model.rsrq_db(rsrp, margins).tolist() == expected
+        assert [[model.rsrq_db(value, margin)
+                 for value, margin in zip(row, margins.tolist())]
+                for row in rsrp.tolist()] == expected
+        assert model.is_measurable(rsrp).tolist() == \
+            [[value > -116.0 for value in row] for row in rsrp.tolist()]
 
     def test_measurability_floor(self):
         model = PropagationModel(noise_floor_dbm=-116.0)

@@ -1,12 +1,19 @@
 """Tests for the per-run radio sampler used by the session simulators."""
 
+import gc
+import sys
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from repro.campaign import build_deployment, device, operator
+from repro.campaign.runner import run_once
 from repro.cells.cell import CellIdentity, Rat
 from repro.radio.environment import RadioEnvironment
 from repro.radio.geometry import Point
 from repro.radio.propagation import PropagationModel
-from repro.rrc.session import RadioSampler, RunConfig
+from repro.rrc.session import RadioSampler, RunConfig, simulate_run
 from tests.conftest import nr_cell
 
 
@@ -55,6 +62,46 @@ class TestStationarySampling:
         identity = CellIdentity(1, 521310, Rat.NR)
         assert a.observe_identity(identity, 7).rsrp_dbm == \
             b.observe_identity(identity, 7).rsrp_dbm
+        assert a.observe(3) == b.observe(3)
+        other = RadioSampler(environment, Point(200.0, 200.0),
+                             RunConfig(run_seed=6))
+        assert other.observe(3) != a.observe(3)
+
+    def test_rsrq_reflects_interference_margin(self, propagation):
+        clean = nr_cell(1, x=0.0, y=0.0)
+        loaded = nr_cell(2, channel=501390, x=0.0, y=0.0, margin=4.0)
+        sampler = RadioSampler(RadioEnvironment([clean, loaded], propagation),
+                               Point(150.0, 0.0),
+                               RunConfig(duration_s=10, run_seed=1))
+        observations = {identity.pci: obs
+                        for identity, obs in sampler.observe(0).items()}
+        # Each cell's RSRQ is the propagation model's map of its own
+        # RSRP, shifted down by its channel's interference margin.
+        assert observations[1].rsrq_db == \
+            propagation.rsrq_db(observations[1].rsrp_dbm)
+        assert observations[2].rsrq_db == \
+            propagation.rsrq_db(observations[2].rsrp_dbm, 4.0)
+        assert observations[2].rsrq_db == pytest.approx(
+            propagation.rsrq_db(observations[2].rsrp_dbm) - 4.0)
+
+    def test_observations_are_python_scalars(self, sampler):
+        for observation in sampler.observe(0).values():
+            assert type(observation.rsrp_dbm) is float
+            assert type(observation.rsrq_db) is float
+            assert type(observation.measurable) is bool
+
+    def test_ticks_outside_the_run_raise(self, sampler):
+        identity = CellIdentity(1, 521310, Rat.NR)
+        with pytest.raises(ValueError):
+            sampler.observe_identity(identity, -1)
+        with pytest.raises(ValueError):
+            sampler.observe(-1)
+        with pytest.raises(ValueError):
+            sampler.observe(60)
+
+    def test_observation_str(self, sampler):
+        observation = sampler.observe_identity(CellIdentity(1, 521310, Rat.NR), 0)
+        assert "@" in str(observation)
 
     def test_fresh_rsrp_differs_from_reported(self, sampler):
         identity = CellIdentity(1, 521310, Rat.NR)
@@ -86,3 +133,47 @@ class TestMovingSampling:
                            point_provider=lambda tick: Point(200.0, 200.0))
         sampler = RadioSampler(environment, Point(200.0, 200.0), config)
         assert len(sampler.observe(0)) == 3  # no stationary cutoff
+
+
+class TestRunCost:
+    """What one run builds and leaves behind, counted rather than timed."""
+
+    def test_one_run_builds_at_most_two_generators(self, monkeypatch):
+        profile = operator("OP_T")
+        deployment = build_deployment(profile, "A1")  # nothing cached yet
+        built = []
+
+        class CountingRandomState(np.random.RandomState):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "RandomState", CountingRandomState)
+        trace = simulate_run(deployment.environment, profile.policy,
+                             device("OnePlus 12R"), Point(400.0, 400.0),
+                             RunConfig(duration_s=300, run_seed=3))
+        assert len(trace.records) > 300
+        # The session's generator and, the first time in this thread,
+        # the scratch generator every one-shot seeded draw reuses.
+        assert len(built) <= 2
+
+    def test_runs_leave_no_state_on_the_deployment(self):
+        profile = operator("OP_V")
+        deployment = build_deployment(profile, "A9")
+        phone = device("OnePlus 12R")
+        point = Point(400.0, 400.0)
+        run_once(deployment, profile, phone, point, "L", 0, duration_s=60)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for run_index in range(1, 21):
+                run_once(deployment, profile, phone, point, "L", run_index,
+                         duration_s=60)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # One run's fading state is at least a float per cell per tick.
+        one_run = len(deployment.environment.cells) * 60 * sys.getsizeof(0.0)
+        assert grown < one_run
