@@ -8,10 +8,12 @@ archive the bench trajectory.
 
 Gates (from the PR acceptance criteria): >=5x on ``detect_loop`` for a
 1,000-element dedup sequence, >=3x on end-to-end ``analyze_trace`` for
-a large synthetic trace.  The two-pointer ``run_performance`` merge and
-the forward-cursor ``scg_measurement_delays`` are timed and recorded
-but gated only on output equality, since their share of the end-to-end
-win is already covered by the ``analyze_trace`` gate.
+a large synthetic trace, and >=3x for the columnar ``analyze_trace``
+against the per-record reference pipeline of ``tests/oracles``.  The
+production ``run_performance`` and ``scg_measurement_delays`` are timed
+against the naive ones and recorded but gated only on output equality,
+since their share of the end-to-end win is already covered by the
+``analyze_trace`` gate.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 import pytest
 
 from repro.cells.cell import CellIdentity, Rat
-from repro.core.cellset import CellSet, CellSetInterval, five_g_timeline
+from repro.core.cellset import CellSet, CellSetInterval
+from repro.core.columnar import IntervalColumns
 from repro.core.loops import LoopKind, dedup_sequence, detect_loop
 from repro.core.metrics import (
     RunPerformance,
@@ -46,6 +49,9 @@ from repro.traces.records import (
     ThroughputSampleRecord,
 )
 from benchmarks.conftest import print_header
+from tests.conftest import record_columns
+from tests.oracles import analysis as oracle
+from tests.oracles.analysis import five_g_timeline
 
 pytestmark = pytest.mark.perf
 
@@ -199,7 +205,8 @@ def _naive_analyze_trace(trace):
     detection/metrics.  Classification and cell-set extraction are the
     unchanged shared stages, called exactly as the seed did."""
     from repro.core.cellset import extract_cellset_sequence
-    from repro.core.classify import LoopSubtype, classify_loop
+    from repro.core.classify import LoopSubtype
+    from tests.oracles.analysis import classify_loop
 
     records = trace.signaling_records()
     end_time = trace.records[-1].time_s if trace.records else 0.0
@@ -339,12 +346,15 @@ def test_detect_loop_speedup_on_1000_element_sequence():
 
 def test_run_performance_two_pointer_merge_matches_and_wins():
     intervals, series = _dense_timeline()
+    rcolumns = record_columns(ThroughputSampleRecord(time_s=t, mbps=mbps)
+                              for t, mbps in series)
+    icolumns = IntervalColumns.from_intervals(intervals)
 
     naive_s = _best_of(lambda: _naive_run_performance(intervals, series))
-    fast_s = _best_of(lambda: run_performance(intervals, series))
+    fast_s = _best_of(lambda: run_performance(rcolumns, icolumns))
 
     naive = _naive_run_performance(intervals, series)
-    fast = run_performance(intervals, series)
+    fast = run_performance(rcolumns, icolumns)
     # The series starts at the first segment, so the dropped-prefix fix
     # changes nothing here: the buckets must agree exactly.
     assert fast.on_speed_samples == naive.on_speed_samples
@@ -367,10 +377,12 @@ def test_scg_delays_forward_cursor_matches_and_wins():
         records.append(MeasurementReportRecord(time_s=t + 0.4,
                                                measurements=cells))
 
-    naive_s = _best_of(lambda: _naive_scg_delays(records))
-    fast_s = _best_of(lambda: scg_measurement_delays(records))
+    rcolumns = record_columns(records)
 
-    assert scg_measurement_delays(records) == _naive_scg_delays(records)
+    naive_s = _best_of(lambda: _naive_scg_delays(records))
+    fast_s = _best_of(lambda: scg_measurement_delays(rcolumns))
+
+    assert scg_measurement_delays(rcolumns) == _naive_scg_delays(records)
 
     print_header("Hot path — scg_measurement_delays, 360 failures")
     _record_timing("scg_delays_3600", naive_s, fast_s)
@@ -404,77 +416,24 @@ def test_analyze_trace_end_to_end_speedup():
     assert speedup >= 3.0, f"analyze_trace speedup {speedup:.1f}x < 3x"
 
 
-def _pr5_analyze_trace(trace):
-    """The pre-columnar pipeline: the retained per-record library
-    functions, called in the exact shape ``analyze_trace`` had before
-    the columnar data plane (one record materialization, per-record
-    two-pointer merges and cursors)."""
-    from repro.core.cellset import extract_cellset_sequence
-    from repro.core.classify import LoopSubtype, classify_loop
-    from repro.core.loops import loop_window
-    from repro.core.metrics import loop_cycles
-    from repro.core.pipeline import (
-        RunAnalysis,
-        _collect_measurement_stats,
-        _scell_modification_outcomes,
-    )
-    from repro.cells.cell import Rat
-
-    records = trace.signaling_records()
-    end_time = trace.records[-1].time_s if trace.records else 0.0
-    intervals = extract_cellset_sequence(records, end_time_s=end_time)
-    detection = detect_loop(intervals)
-    if detection.is_loop:
-        subtype, transitions = classify_loop(records, intervals)
-    else:
-        subtype, transitions = LoopSubtype.UNKNOWN, []
-    cycles = loop_cycles(intervals, loop_window(intervals, detection)) \
-        if detection.is_loop else []
-    performance = run_performance(intervals, trace.throughput_series())
-    analysis = RunAnalysis(
-        metadata=trace.metadata,
-        intervals=intervals,
-        detection=detection,
-        subtype=subtype,
-        transitions=transitions,
-        cycles=cycles,
-        performance=performance,
-        scg_meas_delays=scg_measurement_delays(records),
-        scell_mods=_scell_modification_outcomes(records),
-        duration_s=trace.duration_s,
-        n_cs_samples=len(intervals),
-    )
-    for interval in intervals:
-        analysis.unique_cellsets.add(interval.cellset)
-    for cellset in analysis.unique_cellsets:
-        for cell in cellset.all_cells():
-            analysis.observed_cells.add(cell)
-            if cell.rat is Rat.NR:
-                analysis.serving_nr_channels.add(cell.channel)
-            else:
-                analysis.serving_lte_channels.add(cell.channel)
-    _collect_measurement_stats(records, analysis)
-    return analysis
-
-
 def test_analyze_trace_columnar_vs_per_record_bit_identical_and_faster():
-    """The tentpole gate: the columnar data plane must beat the PR 5
-    per-record pipeline >=3x end to end while staying bit-identical on
-    every ``RunAnalysis`` field."""
+    """The columnar data plane must beat the per-record reference
+    pipeline (``tests.oracles.analysis.analyze_trace``) >=3x end to end
+    while staying bit-identical on every ``RunAnalysis`` field."""
     import dataclasses
 
     trace = _synthetic_trace()
 
-    pr5_s = _best_of(lambda: _pr5_analyze_trace(trace), repeats=3)
+    per_record_s = _best_of(lambda: oracle.analyze_trace(trace), repeats=3)
     fast_s = _best_of(lambda: analyze_trace(trace), repeats=3)
 
-    expected = _pr5_analyze_trace(trace)
+    expected = oracle.analyze_trace(trace)
     actual = analyze_trace(trace)
     for field in dataclasses.fields(type(expected)):
         assert getattr(actual, field.name) == getattr(expected, field.name), \
             f"columnar analyze_trace diverges on {field.name}"
 
     print_header("Hot path — analyze_trace, columnar vs per-record")
-    speedup = _record_timing("analyze_trace_columnar", pr5_s, fast_s)
+    speedup = _record_timing("analyze_trace_columnar", per_record_s, fast_s)
     assert speedup >= 3.0, \
         f"columnar analyze_trace speedup {speedup:.1f}x < 3x"

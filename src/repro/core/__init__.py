@@ -14,7 +14,7 @@ from repro.core.cellset import (
     five_g_timeline,
 )
 from repro.core.loops import LoopDetection, LoopKind, detect_loop, loop_window
-from repro.core.classify import LoopSubtype, classify_loop, classify_off_transition
+from repro.core.classify import LoopSubtype, classify_loop
 from repro.core.metrics import CycleMetrics, RunPerformance, loop_cycles, run_performance
 from repro.core.pipeline import RunAnalysis, analyze_trace
 from repro.core.prediction import (
@@ -38,7 +38,6 @@ __all__ = [
     "S1LoopPredictor",
     "analyze_trace",
     "classify_loop",
-    "classify_off_transition",
     "detect_loop",
     "extract_cellset_sequence",
     "fit_s1e3_model",

@@ -176,21 +176,16 @@ class CellSetSequenceBuilder:
     is final — only the *last* interval can still be reabsorbed, and
     only by a same-instant state change (``end_s == t``).
 
-    Out-of-order records — timestamps regressing by more than the
-    trace's own 1e-9 jitter tolerance, which live streams will deliver
-    — are handled per ``on_disorder``: ``"strict"`` raises
-    :class:`~repro.resilience.errors.OutOfOrderRecordError`;
-    ``"recover"`` clamps the record to the running maximum time and
-    counts it (``records_out_of_order_total`` plus the
-    :attr:`records_out_of_order` tally).  Without the clamp the builder
-    would silently emit negative-duration intervals.
+    A timestamp regressing by more than the trace's own 1e-9 jitter
+    tolerance raises :class:`~repro.resilience.errors.OutOfOrderRecordError`
+    (a jitter-sized regression is clamped to the running maximum time),
+    so no negative-duration interval can form.  Live streams, which do
+    deliver reordered records, apply their policy before the builder
+    sees a record (:meth:`repro.core.incremental.IncrementalAnalyzer._admit`).
     """
 
-    def __init__(self, *, on_disorder: str = "strict") -> None:
-        if on_disorder not in ("strict", "recover"):
-            raise ValueError(f"unknown on_disorder mode: {on_disorder!r}")
+    def __init__(self) -> None:
         self._tracker = _CellSetTracker()
-        self._on_disorder = on_disorder
         self._started = False
         self._current: CellSet = IDLE_CELLSET
         self._current_start = 0.0
@@ -200,8 +195,6 @@ class CellSetSequenceBuilder:
         #: Intervals ever committed (stays correct when a live consumer
         #: drains :attr:`intervals`; merge-back pops do decrement it).
         self.committed = 0
-        #: Out-of-order records seen so far (recover mode only).
-        self.records_out_of_order = 0
 
     @property
     def last_time_s(self) -> float:
@@ -213,19 +206,12 @@ class CellSetSequenceBuilder:
         time_s = record.time_s
         if self._started and time_s < self._last_time:
             if self._last_time - time_s > _TIME_TOLERANCE_S:
-                if self._on_disorder == "strict":
-                    from repro.resilience.errors import OutOfOrderRecordError
-                    raise OutOfOrderRecordError(
-                        f"record at t={time_s} precedes stream tail "
-                        f"t={self._last_time}",
-                        record_kind=getattr(record, "kind", None))
-                self.records_out_of_order += 1
-                from repro.obs import get_instrumentation
-                get_instrumentation().registry.counter(
-                    "records_out_of_order_total").inc()
-            # Clamp: jitter-sized regressions in either mode, genuine
-            # reordering in recover mode.  Effective times stay
-            # non-decreasing, so no negative-duration interval can form.
+                from repro.resilience.errors import OutOfOrderRecordError
+                raise OutOfOrderRecordError(
+                    f"record at t={time_s} precedes stream tail "
+                    f"t={self._last_time}",
+                    record_kind=getattr(record, "kind", None))
+            # Clamp jitter: effective times stay non-decreasing.
             time_s = self._last_time
         if not self._started:
             self._started = True
@@ -269,7 +255,6 @@ class CellSetSequenceBuilder:
 
 def extract_cellset_sequence(records: list[Record],
                              end_time_s: float | None = None,
-                             *, on_disorder: str = "strict",
                              ) -> list[CellSetInterval]:
     """Replay a record list into the sequence of serving cell sets.
 
@@ -284,11 +269,10 @@ def extract_cellset_sequence(records: list[Record],
     degenerate zero-width ON segments and produce ``on_s == 0`` cycles.
 
     Regressing timestamps raise
-    :class:`~repro.resilience.errors.OutOfOrderRecordError` by default;
-    ``on_disorder="recover"`` clamps and counts them instead (see
+    :class:`~repro.resilience.errors.OutOfOrderRecordError` (see
     :class:`CellSetSequenceBuilder`).
     """
-    builder = CellSetSequenceBuilder(on_disorder=on_disorder)
+    builder = CellSetSequenceBuilder()
     for record in records:
         builder.push(record)
     return builder.finish(end_time_s)
@@ -297,19 +281,14 @@ def extract_cellset_sequence(records: list[Record],
 def five_g_timeline(intervals: list[CellSetInterval]) -> list[tuple[bool, float, float]]:
     """Collapse a cell set sequence into (is_on, start, end) segments.
 
-    Adjacent same-state intervals merge only when they are contiguous
-    (``segments[-1][2] == interval.start_s``): a gap between intervals
-    (dropped stream chunks) must not be silently absorbed into ON/OFF
-    time.  Batch-extracted sequences are always contiguous, so their
-    segments are unchanged.
+    These are :class:`~repro.core.columnar.IntervalColumns`' ``seg_*``
+    arrays as tuples: adjacent same-state intervals merge only when
+    they are contiguous, so a gap between intervals (dropped stream
+    chunks) is not silently absorbed into ON/OFF time.  Batch-extracted
+    sequences are always contiguous.
     """
-    segments: list[tuple[bool, float, float]] = []
-    for interval in intervals:
-        on = interval.cellset.five_g_on
-        if segments and segments[-1][0] == on \
-                and segments[-1][2] == interval.start_s:
-            previous = segments[-1]
-            segments[-1] = (on, previous[1], interval.end_s)
-        else:
-            segments.append((on, interval.start_s, interval.end_s))
-    return segments
+    from repro.core.columnar import IntervalColumns  # imports this module
+
+    columns = IntervalColumns.from_intervals(intervals)
+    return list(zip(columns.seg_on.tolist(), columns.seg_start.tolist(),
+                    columns.seg_end.tolist()))

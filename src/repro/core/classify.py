@@ -15,6 +15,11 @@ it, exactly the way the paper's cause analysis works:
   serving SCell persistently reporting very poor RSRQ -> **S1E2**.
 
 A loop's sub-type is the majority vote over its OFF transitions.
+
+The classifier reads the trace's columnar tables
+(:mod:`repro.core.columnar`): every trigger-window membership test is a
+pair of ``np.searchsorted`` bounds into a per-kind time array, batched
+across all OFF transitions of the run.
 """
 
 from __future__ import annotations
@@ -23,16 +28,11 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cells.cell import CellIdentity, Rat
-from repro.core.cellset import CellSet, CellSetInterval, five_g_timeline
-from repro.traces.records import (
-    MeasurementReportRecord,
-    MmStateRecord,
-    Record,
-    RrcReconfigurationRecord,
-    RrcReestablishmentRequestRecord,
-    ScgFailureRecord,
-)
+from repro.core.cellset import CellSet
+from repro.core.columnar import IntervalColumns, RecordColumns
 
 # How far around an OFF transition we look for its trigger.
 _TRIGGER_WINDOW_BEFORE_S = 2.5
@@ -81,44 +81,50 @@ class OffTransition:
     problem_cell: "CellIdentity | None" = None
 
 
-def _window(records: list[Record], t_off: float) -> list[Record]:
-    return [record for record in records
-            if t_off - _TRIGGER_WINDOW_BEFORE_S <= record.time_s
-            <= t_off + _TRIGGER_WINDOW_AFTER_S]
+def _window_count(times: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> np.ndarray:
+    """How many of ``times`` fall in each inclusive ``[lo, hi]`` window."""
+    return (np.searchsorted(times, hi, side="right")
+            - np.searchsorted(times, lo, side="left"))
 
 
-def _on_cellset_before(intervals: list[CellSetInterval],
+def _on_cellset_before(icolumns: IntervalColumns,
                        t_off: float) -> CellSet | None:
-    """The serving cell set that was active just before the OFF transition."""
-    best: CellSet | None = None
-    for interval in intervals:
-        if interval.cellset.five_g_on and interval.start_s < t_off + 1e-6 \
-                and interval.end_s <= t_off + 1e-6:
-            best = interval.cellset
-    return best
+    """The serving cell set that was active just before the OFF
+    transition: the last ON interval with ``start < t_off + eps`` and
+    ``end <= t_off + eps``."""
+    cutoff = t_off + 1e-6
+    index = int(np.searchsorted(icolumns.on_end, cutoff, side="right")) - 1
+    while index >= 0 and not (icolumns.on_start[index] < cutoff):
+        index -= 1
+    if index < 0:
+        return None
+    return icolumns.cellsets[icolumns.on_cellset_id[index]]
 
 
-def _classify_sa_exception(records: list[Record],
-                           intervals: list[CellSetInterval],
+def _classify_sa_exception(rcolumns: RecordColumns,
+                           icolumns: IntervalColumns,
                            t_off: float) -> tuple[LoopSubtype,
                                                   CellIdentity | None]:
     """Split an MM-DEREGISTERED exception into S1E1 / S1E2 / S1E3."""
-    for record in records:
-        if isinstance(record, RrcReconfigurationRecord) \
-                and t_off - 2.0 <= record.time_s <= t_off + 1e-6 \
-                and record.scell_add_mod and record.scell_release_indices:
-            return LoopSubtype.S1E3, record.scell_add_mod[0].identity
+    mod_index = int(np.searchsorted(rcolumns.scellmod_t, t_off - 2.0,
+                                    side="left"))
+    if mod_index < rcolumns.scellmod_t.size \
+            and rcolumns.scellmod_t[mod_index] <= t_off + 1e-6:
+        return (LoopSubtype.S1E3,
+                rcolumns.scellmod[mod_index].scell_add_mod[0].identity)
 
-    cellset = _on_cellset_before(intervals, t_off)
+    cellset = _on_cellset_before(icolumns, t_off)
     if cellset is None or cellset.pcell is None:
         return LoopSubtype.UNKNOWN, None
     serving_scells = [cell for cell in cellset.mcg_scells if cell.rat is Rat.NR]
     if not serving_scells:
         return LoopSubtype.UNKNOWN, None
 
-    recent_reports = [record for record in records
-                      if isinstance(record, MeasurementReportRecord)
-                      and t_off - _REPORT_LOOKBACK_S <= record.time_s <= t_off]
+    report_lo = int(np.searchsorted(rcolumns.meas_t,
+                                    t_off - _REPORT_LOOKBACK_S, side="left"))
+    report_hi = int(np.searchsorted(rcolumns.meas_t, t_off, side="right"))
+    recent_reports = rcolumns.meas_reports[report_lo:report_hi]
     if recent_reports:
         for scell in serving_scells:
             seen = any(report.measurement_of(scell) is not None
@@ -139,97 +145,77 @@ def _classify_sa_exception(records: list[Record],
     return LoopSubtype.UNKNOWN, None
 
 
-def classify_off_transition_cell(records: list[Record],
-                                 intervals: list[CellSetInterval],
-                                 t_off: float,
-                                 t_off_end: float | None = None,
-                                 ) -> tuple[LoopSubtype, CellIdentity | None]:
-    """Classify the trigger of one 5G-OFF transition.
+def classify_loop(rcolumns: RecordColumns,
+                  icolumns: IntervalColumns,
+                  ) -> tuple[LoopSubtype, list[OffTransition]]:
+    """Classify every OFF transition and majority-vote the loop sub-type.
 
-    ``t_off_end`` is when 5G next turned ON (or the end of trace).  An N1
-    loop loses the 4G connection *somewhere within* the OFF period —
-    e.g. OP_A's blind redirect to a weak twin fails a second or two
-    after the SCG-releasing handover that started the OFF — so the
-    reestablishment search spans the whole period, while the other
+    The trigger windows of *all* OFF transitions are bounded at once
+    (``searchsorted`` per record kind); the per-transition loop then only
+    dispatches on the precomputed bounds, in trigger priority order
+    (SCG failure, reestablishment, DEREGISTERED, SCG-releasing handover,
+    plain SCG release), plus the small per-report S1 analysis.
+
+    An N1 loop loses the 4G connection *somewhere within* the OFF
+    period — e.g. OP_A's blind redirect to a weak twin fails a second
+    or two after the SCG-releasing handover that started the OFF — so
+    the reestablishment search spans the whole period, while the other
     triggers are looked up right around the transition itself.
     """
-    window = _window(records, t_off)
+    seg_on = icolumns.seg_on
+    off_indices = np.flatnonzero(seg_on[:-1] & ~seg_on[1:]) + 1
+    if off_indices.size == 0:
+        return LoopSubtype.UNKNOWN, []
+    t_offs = icolumns.seg_start[off_indices]
+    t_ends = icolumns.seg_end[off_indices]
+    window_lo = t_offs - _TRIGGER_WINDOW_BEFORE_S
+    window_hi = t_offs + _TRIGGER_WINDOW_AFTER_S
 
-    for record in window:
-        if isinstance(record, ScgFailureRecord):
-            return LoopSubtype.N2E2, _last_scg_pscell(records, t_off)
-    period_end = t_off_end if t_off_end is not None \
-        else t_off + _TRIGGER_WINDOW_AFTER_S
-    for record in records:
-        if not isinstance(record, RrcReestablishmentRequestRecord):
-            continue
-        if t_off - _TRIGGER_WINDOW_BEFORE_S <= record.time_s <= period_end:
-            if record.cause == "handoverFailure":
-                return LoopSubtype.N1E2, record.cell
-            return LoopSubtype.N1E1, record.cell
-    for record in window:
-        if isinstance(record, MmStateRecord) and record.state == "DEREGISTERED":
-            return _classify_sa_exception(records, intervals, t_off)
-    for record in window:
-        if isinstance(record, RrcReconfigurationRecord) and record.is_handover \
-                and record.release_scg:
-            return LoopSubtype.N2E1, record.handover_target
-    for record in window:
-        if isinstance(record, RrcReconfigurationRecord) and record.release_scg \
-                and not record.is_handover:
-            return LoopSubtype.N2_A2B1, _last_scg_pscell(records, t_off)
-    return LoopSubtype.UNKNOWN, None
+    has_scg_failure = _window_count(rcolumns.scg_failure_t,
+                                    window_lo, window_hi) > 0
+    # Reestablishment search spans the whole OFF period (N1 loops lose
+    # the 4G leg somewhere within it), not just the trigger window.
+    reest_first = np.searchsorted(rcolumns.reest_t, window_lo, side="left")
+    has_dereg = _window_count(rcolumns.dereg_t, window_lo, window_hi) > 0
+    ho_first = np.searchsorted(rcolumns.ho_release_t, window_lo, side="left")
+    has_ho_release = _window_count(rcolumns.ho_release_t,
+                                   window_lo, window_hi) > 0
+    has_scg_release = _window_count(rcolumns.scg_release_t,
+                                    window_lo, window_hi) > 0
+    # The PSCell of the latest SCG config at or before t_off + after.
+    pscell_pos = np.searchsorted(rcolumns.scg_config_t, window_hi,
+                                 side="right") - 1
 
+    transitions: list[OffTransition] = []
+    for k in range(off_indices.size):
+        t_off = float(t_offs[k])
+        subtype = LoopSubtype.UNKNOWN
+        problem_cell: CellIdentity | None = None
+        reest_index = int(reest_first[k])
+        if has_scg_failure[k]:
+            subtype = LoopSubtype.N2E2
+            if pscell_pos[k] >= 0:
+                problem_cell = rcolumns.scg_config_pscells[pscell_pos[k]]
+        elif reest_index < rcolumns.reest_t.size \
+                and rcolumns.reest_t[reest_index] <= float(t_ends[k]):
+            request = rcolumns.reest[reest_index]
+            subtype = LoopSubtype.N1E2 if request.cause == "handoverFailure" \
+                else LoopSubtype.N1E1
+            problem_cell = request.cell
+        elif has_dereg[k]:
+            subtype, problem_cell = _classify_sa_exception(
+                rcolumns, icolumns, t_off)
+        elif has_ho_release[k]:
+            problem_cell = rcolumns.ho_release_targets[int(ho_first[k])]
+            subtype = LoopSubtype.N2E1
+        elif has_scg_release[k]:
+            subtype = LoopSubtype.N2_A2B1
+            if pscell_pos[k] >= 0:
+                problem_cell = rcolumns.scg_config_pscells[pscell_pos[k]]
+        transitions.append(OffTransition(t_off, subtype, problem_cell))
 
-def _last_scg_pscell(records: list[Record], t_off: float) -> CellIdentity | None:
-    """The PSCell of the most recent SCG configuration before an OFF."""
-    last = None
-    for record in records:
-        if record.time_s > t_off + _TRIGGER_WINDOW_AFTER_S:
-            break
-        if isinstance(record, RrcReconfigurationRecord) \
-                and record.scg_pscell is not None:
-            last = record.scg_pscell
-    return last
-
-
-def classify_off_transition(records: list[Record],
-                            intervals: list[CellSetInterval],
-                            t_off: float,
-                            t_off_end: float | None = None) -> LoopSubtype:
-    """Classify the trigger of one 5G-OFF transition (sub-type only)."""
-    subtype, _cell = classify_off_transition_cell(records, intervals, t_off,
-                                                  t_off_end)
-    return subtype
-
-
-def off_transition_times(intervals: list[CellSetInterval]) -> list[float]:
-    """Times at which 5G turned OFF (excluding an OFF start of trace)."""
-    return [start for start, _end in off_periods(intervals)]
-
-
-def off_periods(intervals: list[CellSetInterval]) -> list[tuple[float, float]]:
-    """(start, end) of every OFF period that follows an ON period."""
-    segments = five_g_timeline(intervals)
-    periods = []
-    for index in range(1, len(segments)):
-        if not segments[index][0] and segments[index - 1][0]:
-            periods.append((segments[index][1], segments[index][2]))
-    return periods
-
-
-def classify_loop(records: list[Record],
-                  intervals: list[CellSetInterval]) -> tuple[LoopSubtype,
-                                                             list[OffTransition]]:
-    """Classify every OFF transition and majority-vote the loop sub-type."""
-    transitions = []
-    for start, end in off_periods(intervals):
-        subtype, problem_cell = classify_off_transition_cell(
-            records, intervals, start, end)
-        transitions.append(OffTransition(start, subtype, problem_cell))
     votes = Counter(transition.subtype for transition in transitions
                     if transition.subtype is not LoopSubtype.UNKNOWN)
     if not votes:
         return LoopSubtype.UNKNOWN, transitions
-    majority = votes.most_common(1)[0][0]
-    return majority, transitions
+    return votes.most_common(1)[0][0], transitions

@@ -1,43 +1,25 @@
-"""Columnar data plane for the analysis hot path.
+"""Columnar tables of one trace, for the analysis hot path.
 
-``analyze_trace`` spends most of its time re-scanning Python record
-lists: every OFF transition re-filters the whole trace for its trigger
-window, the throughput merge advances a Python cursor sample by sample,
-and the measurement-stat pass re-walks the interval list.  This module
-builds numpy-backed tables **once per trace** — per-kind record time
-arrays (:class:`RecordColumns`) and interval start/end/5G-on/interned
-cell-set-id arrays (:class:`IntervalColumns`) — and reimplements the
-per-record merges as ``np.searchsorted`` lookups over them.
-
-The columnar functions are *bit-identical* to the per-record
-implementations they accelerate (``repro.core.metrics``,
-``repro.core.classify``, and the stat collectors in
-``repro.core.pipeline``), which stay in the tree as test oracles; the
-property tests in ``tests/test_core_columnar.py`` and the benchmark
-gate in ``benchmarks/test_analysis_hotpath.py`` enforce the
-equivalence.  Everything stays behind the existing dataclass schemas:
-callers still receive ``CycleMetrics`` / ``RunPerformance`` /
-``OffTransition`` objects, only the arithmetic underneath is batched.
+Every analysis stage past loop detection looks records and intervals up
+by time.  Re-scanning Python record lists for each lookup is what made
+the per-record pipeline slow, so each trace is tabulated **once**:
+per-kind record time arrays (:class:`RecordColumns`, accumulated by
+:class:`RecordColumnsBuilder`) and interval start/end/5G-on/interned
+cell-set-id arrays plus the collapsed 5G timeline
+(:class:`IntervalColumns`).  The stages themselves live in the modules
+named after their concept — :mod:`repro.core.classify`,
+:mod:`repro.core.metrics` and :mod:`repro.core.pipeline` — and turn
+their lookups into ``np.searchsorted`` calls over these tables.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cells.cell import CellIdentity, Rat
 from repro.core.cellset import CellSet, CellSetInterval
-from repro.core.classify import (
-    _POOR_RSRQ_DB,
-    _REPORT_LOOKBACK_S,
-    _TRIGGER_WINDOW_AFTER_S,
-    _TRIGGER_WINDOW_BEFORE_S,
-    LoopSubtype,
-    OffTransition,
-)
-from repro.core.metrics import CycleMetrics, RunPerformance
 from repro.traces.log import SignalingTrace
 from repro.traces.records import (
     MeasurementReportRecord,
@@ -53,32 +35,11 @@ __all__ = [
     "IntervalColumns",
     "RecordColumns",
     "RecordColumnsBuilder",
-    "classify_loop_columnar",
-    "loop_cycles_columnar",
-    "run_performance_columnar",
-    "scg_measurement_delays_columnar",
 ]
 
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_BOOL = np.empty(0, dtype=bool)
-
-
-def _median(values: list[float]) -> float:
-    """``float(np.median(values))`` without the per-call numpy overhead.
-
-    Bit-identical: ``np.median`` selects the middle element for odd
-    sizes and averages the two middle elements (``(a + b) / 2`` in
-    float64) for even sizes — the per-cycle segments here hold a
-    handful of samples each, where ``sorted`` beats ``np.partition``'s
-    fixed cost by an order of magnitude.
-    """
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n >> 1
-    if n & 1:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def _as_f64(values: list[float]) -> np.ndarray:
@@ -235,11 +196,11 @@ class IntervalColumns:
 
     Cell sets are interned: ``cellsets`` holds each distinct set once
     (first-appearance order) and ``cellset_id`` maps intervals into it.
-    The collapsed 5G timeline (``seg_*``, the exact segments
-    :func:`repro.core.cellset.five_g_timeline` produces) and the
-    ON-interval projection (``on_*``, for the classifier's
-    serving-set-before-OFF lookup) are precomputed here because three
-    different stages reuse them.
+    The collapsed 5G timeline (``seg_*``; this is the one
+    implementation of the rule, :func:`repro.core.cellset.five_g_timeline`
+    returns these segments as tuples) and the ON-interval projection
+    (``on_*``, for the classifier's serving-set-before-OFF lookup) are
+    precomputed here because three different stages reuse them.
     """
 
     start: np.ndarray
@@ -278,8 +239,9 @@ class IntervalColumns:
 
         if n:
             # Same-state intervals only merge into one segment when
-            # contiguous — mirrors the five_g_timeline gap rule (a gap
-            # between intervals must survive as a segment boundary).
+            # contiguous: a gap between intervals (dropped stream
+            # chunks) must survive as a segment boundary, not be
+            # absorbed into ON/OFF time.
             change = np.flatnonzero((on[1:] != on[:-1])
                                     | (start[1:] != end[:-1]))
             seg_first = np.concatenate(([0], change + 1))
@@ -295,223 +257,3 @@ class IntervalColumns:
             seg_on=seg_on, seg_start=seg_start, seg_end=seg_end,
             on_start=start[on], on_end=end[on], on_cellset_id=ids[on],
         )
-
-
-# ----------------------------------------------------------------------
-# Metrics (oracles: repro.core.metrics)
-# ----------------------------------------------------------------------
-
-
-def run_performance_columnar(icolumns: IntervalColumns,
-                             rcolumns: RecordColumns) -> RunPerformance:
-    """Columnar :func:`repro.core.metrics.run_performance`.
-
-    The Python cursor merge becomes one ``searchsorted`` of the sample
-    times into the segment ends: for an in-range sample the cursor rule
-    "first segment with ``t < end``" is exactly
-    ``searchsorted(seg_end, t, side='right')``, and samples before the
-    first / past the last segment split off as contiguous prefix/suffix
-    blocks because both series are time-ordered.
-    """
-    performance = RunPerformance()
-    seg_on, seg_end = icolumns.seg_on, icolumns.seg_end
-    t = rcolumns.throughput_t
-    if seg_on.size == 0 or t.size == 0:
-        return performance
-    mbps = rcolumns.throughput_mbps
-    first_start = icolumns.seg_start[0]
-    last_end = seg_end[-1]
-    lo = int(np.searchsorted(t, first_start, side="left"))
-    hi = int(np.searchsorted(t, last_end, side="left"))
-    in_mbps = mbps[lo:hi]
-    idx = np.searchsorted(seg_end, t[lo:hi], side="right")
-    on_mask = seg_on[idx]
-    performance.on_speed_samples = in_mbps[on_mask].tolist()
-    performance.off_speed_samples = in_mbps[~on_mask].tolist()
-    tail = mbps[hi:]
-    if tail.size:
-        # Samples past the last segment extrapolate its state.
-        bucket = performance.on_speed_samples if seg_on[-1] \
-            else performance.off_speed_samples
-        bucket.extend(tail.tolist())
-    # Per-cycle loss over each consecutive (ON, OFF) segment pair; idx
-    # is non-decreasing, so each segment's samples are one slice.
-    pairs = np.flatnonzero(seg_on[:-1] & ~seg_on[1:])
-    if pairs.size:
-        bounds = np.searchsorted(idx, np.arange(seg_on.size + 1), side="left")
-        samples = in_mbps.tolist()
-        for index in pairs:
-            on_speeds = samples[bounds[index]:bounds[index + 1]]
-            off_speeds = samples[bounds[index + 1]:bounds[index + 2]]
-            if on_speeds and off_speeds:
-                performance.cycle_speed_losses.append(
-                    _median(on_speeds) - _median(off_speeds))
-    return performance
-
-
-def loop_cycles_columnar(icolumns: IntervalColumns,
-                         window: tuple[float, float] | None = None,
-                         ) -> list[CycleMetrics]:
-    """Columnar :func:`repro.core.metrics.loop_cycles` (vectorised clip)."""
-    seg_on = icolumns.seg_on
-    seg_start = icolumns.seg_start
-    seg_end = icolumns.seg_end
-    if window is not None:
-        start_w, end_w = window
-        seg_start = np.maximum(seg_start, start_w)
-        seg_end = np.minimum(seg_end, end_w)
-        keep = seg_end > seg_start
-        seg_on, seg_start, seg_end = seg_on[keep], seg_start[keep], seg_end[keep]
-    return [CycleMetrics(on_s=float(seg_end[i] - seg_start[i]),
-                         off_s=float(seg_end[i + 1] - seg_start[i + 1]))
-            for i in np.flatnonzero(seg_on[:-1] & ~seg_on[1:])]
-
-
-def scg_measurement_delays_columnar(rcolumns: RecordColumns) -> list[float]:
-    """Columnar :func:`repro.core.metrics.scg_measurement_delays`."""
-    failure_t = rcolumns.scg_failure_t
-    report_t = rcolumns.nr_report_t
-    if failure_t.size == 0:
-        return []
-    positions = np.searchsorted(report_t, failure_t, side="right")
-    valid = positions < report_t.size
-    return (report_t[positions[valid]] - failure_t[valid]).tolist()
-
-
-# ----------------------------------------------------------------------
-# Classification (oracle: repro.core.classify)
-# ----------------------------------------------------------------------
-
-
-def _window_count(times: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray) -> np.ndarray:
-    """How many of ``times`` fall in each inclusive ``[lo, hi]`` window."""
-    return (np.searchsorted(times, hi, side="right")
-            - np.searchsorted(times, lo, side="left"))
-
-
-def _on_cellset_before(icolumns: IntervalColumns,
-                       t_off: float) -> CellSet | None:
-    """Columnar ``classify._on_cellset_before``: the last ON interval
-    with ``start < t_off + eps`` and ``end <= t_off + eps``."""
-    cutoff = t_off + 1e-6
-    index = int(np.searchsorted(icolumns.on_end, cutoff, side="right")) - 1
-    while index >= 0 and not (icolumns.on_start[index] < cutoff):
-        index -= 1
-    if index < 0:
-        return None
-    return icolumns.cellsets[icolumns.on_cellset_id[index]]
-
-
-def _classify_sa_exception(rcolumns: RecordColumns,
-                           icolumns: IntervalColumns,
-                           t_off: float) -> tuple[LoopSubtype,
-                                                  CellIdentity | None]:
-    """Columnar ``classify._classify_sa_exception`` (S1E1/S1E2/S1E3)."""
-    mod_index = int(np.searchsorted(rcolumns.scellmod_t, t_off - 2.0,
-                                    side="left"))
-    if mod_index < rcolumns.scellmod_t.size \
-            and rcolumns.scellmod_t[mod_index] <= t_off + 1e-6:
-        return (LoopSubtype.S1E3,
-                rcolumns.scellmod[mod_index].scell_add_mod[0].identity)
-
-    cellset = _on_cellset_before(icolumns, t_off)
-    if cellset is None or cellset.pcell is None:
-        return LoopSubtype.UNKNOWN, None
-    serving_scells = [cell for cell in cellset.mcg_scells if cell.rat is Rat.NR]
-    if not serving_scells:
-        return LoopSubtype.UNKNOWN, None
-
-    report_lo = int(np.searchsorted(rcolumns.meas_t,
-                                    t_off - _REPORT_LOOKBACK_S, side="left"))
-    report_hi = int(np.searchsorted(rcolumns.meas_t, t_off, side="right"))
-    recent_reports = rcolumns.meas_reports[report_lo:report_hi]
-    if recent_reports:
-        for scell in serving_scells:
-            seen = any(report.measurement_of(scell) is not None
-                       for report in recent_reports)
-            if not seen:
-                return LoopSubtype.S1E1, scell
-        poor_votes = 0
-        worst_scell = None
-        for report in recent_reports:
-            for scell in serving_scells:
-                measurement = report.measurement_of(scell)
-                if measurement is not None and measurement.rsrq_db <= _POOR_RSRQ_DB:
-                    poor_votes += 1
-                    worst_scell = scell
-                    break
-        if poor_votes >= max(1, len(recent_reports) // 2):
-            return LoopSubtype.S1E2, worst_scell
-    return LoopSubtype.UNKNOWN, None
-
-
-def classify_loop_columnar(rcolumns: RecordColumns,
-                           icolumns: IntervalColumns,
-                           ) -> tuple[LoopSubtype, list[OffTransition]]:
-    """Columnar :func:`repro.core.classify.classify_loop`.
-
-    Every trigger-window membership test the per-record classifier
-    performs by re-filtering the record list becomes a pair of
-    ``searchsorted`` bounds, batched across *all* OFF transitions at
-    once; the per-transition loop then only dispatches on the
-    precomputed bounds (plus the small per-report S1 analysis).  Branch
-    order, window inclusivity and tie-breaking all match the oracle.
-    """
-    seg_on = icolumns.seg_on
-    off_indices = np.flatnonzero(seg_on[:-1] & ~seg_on[1:]) + 1
-    if off_indices.size == 0:
-        return LoopSubtype.UNKNOWN, []
-    t_offs = icolumns.seg_start[off_indices]
-    t_ends = icolumns.seg_end[off_indices]
-    window_lo = t_offs - _TRIGGER_WINDOW_BEFORE_S
-    window_hi = t_offs + _TRIGGER_WINDOW_AFTER_S
-
-    has_scg_failure = _window_count(rcolumns.scg_failure_t,
-                                    window_lo, window_hi) > 0
-    # Reestablishment search spans the whole OFF period (N1 loops lose
-    # the 4G leg somewhere within it), not just the trigger window.
-    reest_first = np.searchsorted(rcolumns.reest_t, window_lo, side="left")
-    has_dereg = _window_count(rcolumns.dereg_t, window_lo, window_hi) > 0
-    ho_first = np.searchsorted(rcolumns.ho_release_t, window_lo, side="left")
-    has_ho_release = _window_count(rcolumns.ho_release_t,
-                                   window_lo, window_hi) > 0
-    has_scg_release = _window_count(rcolumns.scg_release_t,
-                                    window_lo, window_hi) > 0
-    # _last_scg_pscell: the latest SCG config at or before t_off + after.
-    pscell_pos = np.searchsorted(rcolumns.scg_config_t, window_hi,
-                                 side="right") - 1
-
-    transitions: list[OffTransition] = []
-    for k in range(off_indices.size):
-        t_off = float(t_offs[k])
-        subtype = LoopSubtype.UNKNOWN
-        problem_cell: CellIdentity | None = None
-        reest_index = int(reest_first[k])
-        if has_scg_failure[k]:
-            subtype = LoopSubtype.N2E2
-            if pscell_pos[k] >= 0:
-                problem_cell = rcolumns.scg_config_pscells[pscell_pos[k]]
-        elif reest_index < rcolumns.reest_t.size \
-                and rcolumns.reest_t[reest_index] <= float(t_ends[k]):
-            request = rcolumns.reest[reest_index]
-            subtype = LoopSubtype.N1E2 if request.cause == "handoverFailure" \
-                else LoopSubtype.N1E1
-            problem_cell = request.cell
-        elif has_dereg[k]:
-            subtype, problem_cell = _classify_sa_exception(
-                rcolumns, icolumns, t_off)
-        elif has_ho_release[k]:
-            problem_cell = rcolumns.ho_release_targets[int(ho_first[k])]
-            subtype = LoopSubtype.N2E1
-        elif has_scg_release[k]:
-            subtype = LoopSubtype.N2_A2B1
-            if pscell_pos[k] >= 0:
-                problem_cell = rcolumns.scg_config_pscells[pscell_pos[k]]
-        transitions.append(OffTransition(t_off, subtype, problem_cell))
-
-    votes = Counter(transition.subtype for transition in transitions
-                    if transition.subtype is not LoopSubtype.UNKNOWN)
-    if not votes:
-        return LoopSubtype.UNKNOWN, transitions
-    return votes.most_common(1)[0][0], transitions

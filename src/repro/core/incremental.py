@@ -53,10 +53,11 @@ fleet-scale ingest service (see :mod:`repro.serve`) needs a verdict
   compact :class:`StreamVerdict`.
 
 Out-of-order records (live streams deliver them; batch traces cannot)
-follow the ``extract_cellset_sequence`` taxonomy: ``on_disorder=
-"strict"`` raises :class:`~repro.resilience.errors.OutOfOrderRecordError`,
-``"recover"`` clamps the record to the running maximum time and counts
-it (``records_out_of_order_total``).
+are handled here and only here, in :meth:`IncrementalAnalyzer._admit`,
+before any downstream builder sees them: ``on_disorder="strict"``
+raises :class:`~repro.resilience.errors.OutOfOrderRecordError` (the
+batch pipeline's rule), ``"recover"`` clamps the record to the running
+maximum time and counts it (``records_out_of_order_total``).
 """
 
 from __future__ import annotations
@@ -320,7 +321,7 @@ class IncrementalAnalyzer:
         self.metadata = metadata if metadata is not None else TraceMetadata()
         self.mode = mode
         self._strict = on_disorder == "strict"
-        self._cells = CellSetSequenceBuilder(on_disorder=on_disorder)
+        self._cells = CellSetSequenceBuilder()
         self.detector = IncrementalLoopDetector(
             min_repetitions=min_repetitions, horizon=horizon)
         self._columns = RecordColumnsBuilder() if mode == "full" else None

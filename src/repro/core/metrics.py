@@ -12,10 +12,11 @@ From a run's cell set timeline and throughput capture we derive:
   until the next measurement report contains any 5G cell (Figure 19c,
   the OP_V 30-second-multiple behaviour).
 
-The speed split is a single two-pointer merge of the (sorted) 1 Hz
-throughput series against the 5G timeline segments: ON/OFF buckets,
-per-segment sample lists and per-cycle losses all come out of one pass,
-instead of rescanning the whole series per segment.
+Every metric reads the trace's columnar tables
+(:mod:`repro.core.columnar`): the speed split is one ``searchsorted`` of
+the sample times into the 5G timeline's segment ends, and the recovery
+delay one ``searchsorted`` of the failure times into the NR-bearing
+report times.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cells.cell import Rat
-from repro.core.cellset import CellSetInterval, five_g_timeline
-from repro.traces.records import MeasurementReportRecord, Record, ScgFailureRecord
+from repro.core.columnar import IntervalColumns, RecordColumns
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,26 @@ class CycleMetrics:
         return self.off_s / self.cycle_s
 
 
-def loop_cycles(intervals: list[CellSetInterval],
-                window: tuple[float, float] | None = None) -> list[CycleMetrics]:
+def _median(values: list[float]) -> float:
+    """``float(np.median(values))`` without the per-call numpy overhead.
+
+    Bit-identical: ``np.median`` selects the middle element for odd
+    sizes and averages the two middle elements (``(a + b) / 2`` in
+    float64) for even sizes — the per-cycle segments here hold a
+    handful of samples each, where ``sorted`` beats ``np.partition``'s
+    fixed cost by an order of magnitude.
+    """
+    ordered = sorted(values)
+    n = len(ordered)
+    mid = n >> 1
+    if n & 1:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
+def loop_cycles(icolumns: IntervalColumns,
+                window: tuple[float, float] | None = None,
+                ) -> list[CycleMetrics]:
     """Extract every complete ON-then-OFF cycle from the 5G timeline.
 
     ``window`` restricts extraction to a [start, end) time span —
@@ -57,24 +74,18 @@ def loop_cycles(intervals: list[CellSetInterval],
     periodic region do not contaminate the Figure 10 distributions.
     Segments straddling the window boundary are clipped to it.
     """
-    segments = five_g_timeline(intervals)
+    seg_on = icolumns.seg_on
+    seg_start = icolumns.seg_start
+    seg_end = icolumns.seg_end
     if window is not None:
         start_w, end_w = window
-        clipped = []
-        for on, start, end in segments:
-            start_c = max(start, start_w)
-            end_c = min(end, end_w)
-            if end_c > start_c:
-                clipped.append((on, start_c, end_c))
-        segments = clipped
-    cycles: list[CycleMetrics] = []
-    for index in range(len(segments) - 1):
-        on_segment = segments[index]
-        off_segment = segments[index + 1]
-        if on_segment[0] and not off_segment[0]:
-            cycles.append(CycleMetrics(on_s=on_segment[2] - on_segment[1],
-                                       off_s=off_segment[2] - off_segment[1]))
-    return cycles
+        seg_start = np.maximum(seg_start, start_w)
+        seg_end = np.minimum(seg_end, end_w)
+        keep = seg_end > seg_start
+        seg_on, seg_start, seg_end = seg_on[keep], seg_start[keep], seg_end[keep]
+    return [CycleMetrics(on_s=float(seg_end[i] - seg_start[i]),
+                         off_s=float(seg_end[i + 1] - seg_start[i + 1]))
+            for i in np.flatnonzero(seg_on[:-1] & ~seg_on[1:])]
 
 
 @dataclass
@@ -104,73 +115,61 @@ class RunPerformance:
         return float(np.median(self.cycle_speed_losses))
 
 
-def run_performance(intervals: list[CellSetInterval],
-                    throughput_series: list[tuple[float, float]]) -> RunPerformance:
+def run_performance(rcolumns: RecordColumns,
+                    icolumns: IntervalColumns) -> RunPerformance:
     """Split the 1 Hz speed series by 5G state and compute per-cycle losses.
 
-    ``throughput_series`` must be sorted by time (traces guarantee it);
-    the merge against the timeline segments is a single forward pass.
     Samples captured *before* the first signaling record carry no known
     5G state and are dropped; samples past the final segment extrapolate
-    its state, as the capture simply outlived the signaling.
+    its state, as the capture simply outlived the signaling.  For an
+    in-range sample, "the first segment with ``t < end``" is exactly
+    ``searchsorted(seg_end, t, side='right')``, and the samples before
+    the first / past the last segment split off as contiguous
+    prefix/suffix blocks because both series are time-ordered.
     """
-    segments = five_g_timeline(intervals)
     performance = RunPerformance()
-    if not segments or not throughput_series:
+    seg_on, seg_end = icolumns.seg_on, icolumns.seg_end
+    t = rcolumns.throughput_t
+    if seg_on.size == 0 or t.size == 0:
         return performance
-    first_start = segments[0][1]
-    last_on, _last_start, last_end = segments[-1]
-    on_samples = performance.on_speed_samples
-    off_samples = performance.off_speed_samples
-    segment_samples: list[list[float]] = [[] for _ in segments]
-    cursor = 0
-    last_index = len(segments) - 1
-    for t, mbps in throughput_series:
-        if t < first_start:
-            continue
-        if t >= last_end:
-            (on_samples if last_on else off_samples).append(mbps)
-            continue
-        while cursor < last_index and t >= segments[cursor][2]:
-            cursor += 1
-        segment_samples[cursor].append(mbps)
-        (on_samples if segments[cursor][0] else off_samples).append(mbps)
+    mbps = rcolumns.throughput_mbps
+    first_start = icolumns.seg_start[0]
+    last_end = seg_end[-1]
+    lo = int(np.searchsorted(t, first_start, side="left"))
+    hi = int(np.searchsorted(t, last_end, side="left"))
+    in_mbps = mbps[lo:hi]
+    idx = np.searchsorted(seg_end, t[lo:hi], side="right")
+    on_mask = seg_on[idx]
+    performance.on_speed_samples = in_mbps[on_mask].tolist()
+    performance.off_speed_samples = in_mbps[~on_mask].tolist()
+    tail = mbps[hi:]
+    if tail.size:
+        # Samples past the last segment extrapolate its state.
+        bucket = performance.on_speed_samples if seg_on[-1] \
+            else performance.off_speed_samples
+        bucket.extend(tail.tolist())
     # Per-cycle loss: median ON speed minus median OFF speed inside each
-    # consecutive (ON, OFF) segment pair.
-    for index in range(len(segments) - 1):
-        if not (segments[index][0] and not segments[index + 1][0]):
-            continue
-        on_speeds = segment_samples[index]
-        off_speeds = segment_samples[index + 1]
-        if on_speeds and off_speeds:
-            loss = float(np.median(on_speeds)) - float(np.median(off_speeds))
-            performance.cycle_speed_losses.append(loss)
+    # consecutive (ON, OFF) segment pair; idx is non-decreasing, so each
+    # segment's samples are one slice.
+    pairs = np.flatnonzero(seg_on[:-1] & ~seg_on[1:])
+    if pairs.size:
+        bounds = np.searchsorted(idx, np.arange(seg_on.size + 1), side="left")
+        samples = in_mbps.tolist()
+        for index in pairs:
+            on_speeds = samples[bounds[index]:bounds[index + 1]]
+            off_speeds = samples[bounds[index + 1]:bounds[index + 2]]
+            if on_speeds and off_speeds:
+                performance.cycle_speed_losses.append(
+                    _median(on_speeds) - _median(off_speeds))
     return performance
 
 
-def scg_measurement_delays(records: list[Record]) -> list[float]:
-    """Delay from each SCG failure to the next report containing a 5G cell.
-
-    One pass splits the (time-ordered) records into failure times and
-    the times of reports that contain any NR cell; a forward-only cursor
-    then matches each failure to its recovery report, so the matching is
-    O(failures + reports) instead of O(failures x reports).
-    """
-    failure_times: list[float] = []
-    nr_report_times: list[float] = []
-    for record in records:
-        if isinstance(record, ScgFailureRecord):
-            failure_times.append(record.time_s)
-        elif isinstance(record, MeasurementReportRecord):
-            if any(measurement.identity.rat is Rat.NR
-                   for measurement in record.measurements):
-                nr_report_times.append(record.time_s)
-    delays: list[float] = []
-    cursor = 0
-    n_reports = len(nr_report_times)
-    for failure_time in failure_times:
-        while cursor < n_reports and nr_report_times[cursor] <= failure_time:
-            cursor += 1
-        if cursor < n_reports:
-            delays.append(nr_report_times[cursor] - failure_time)
-    return delays
+def scg_measurement_delays(rcolumns: RecordColumns) -> list[float]:
+    """Delay from each SCG failure to the next report containing a 5G cell."""
+    failure_t = rcolumns.scg_failure_t
+    report_t = rcolumns.nr_report_t
+    if failure_t.size == 0:
+        return []
+    positions = np.searchsorted(report_t, failure_t, side="right")
+    valid = positions < report_t.size
+    return (report_t[positions[valid]] - failure_t[valid]).tolist()

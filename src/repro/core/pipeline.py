@@ -12,18 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cells.cell import CellIdentity, Rat
 from repro.core.cellset import CellSet, CellSetInterval, extract_cellset_sequence
-from repro.core.columnar import (
-    IntervalColumns,
-    RecordColumns,
-    classify_loop_columnar,
-    loop_cycles_columnar,
-    run_performance_columnar,
-    scg_measurement_delays_columnar,
-)
-from repro.core.deadline import check_deadline
 from repro.core.classify import LoopSubtype, OffTransition, classify_loop
+from repro.core.columnar import IntervalColumns, RecordColumns
+from repro.core.deadline import check_deadline
 from repro.core.loops import LoopDetection, LoopKind, detect_loop, loop_window
 from repro.core.metrics import (
     CycleMetrics,
@@ -32,16 +27,8 @@ from repro.core.metrics import (
     run_performance,
     scg_measurement_delays,
 )
-
-import numpy as np
 from repro.obs import get_instrumentation
 from repro.traces.log import SignalingTrace, TraceMetadata
-from repro.traces.records import (
-    MeasurementReportRecord,
-    MmStateRecord,
-    Record,
-    RrcReconfigurationRecord,
-)
 
 
 @dataclass(frozen=True)
@@ -84,52 +71,16 @@ class RunAnalysis:
         return self.detection.kind
 
 
-def _scell_modification_outcomes(records: list[Record]) -> list[ScellModOutcome]:
+def _scell_modification_outcomes(
+        columns: RecordColumns) -> list[ScellModOutcome]:
     """Find SCell modifications and whether each was followed by the exception.
 
-    ``records`` is the run's already-materialized signaling record list;
-    the exception lookahead walks it by index inside the 1.5 s window
-    instead of slicing a fresh tail list per reconfiguration.
-
-    Retained as the per-record oracle for
-    :func:`_scell_modification_outcomes_columnar`.
-    """
-    outcomes: list[ScellModOutcome] = []
-    n_records = len(records)
-    for index, record in enumerate(records):
-        if not isinstance(record, RrcReconfigurationRecord):
-            continue
-        if record.is_handover or record.adds_scg or record.release_scg:
-            continue
-        if not (record.scell_add_mod and record.scell_release_indices):
-            continue
-        failed = False
-        cutoff = record.time_s + 1.5
-        later_index = index + 1
-        while later_index < n_records:
-            later = records[later_index]
-            if later.time_s > cutoff:
-                break
-            if isinstance(later, MmStateRecord) and later.state == "DEREGISTERED":
-                failed = True
-                break
-            later_index += 1
-        for entry in record.scell_add_mod:
-            outcomes.append(ScellModOutcome(channel=entry.identity.channel,
-                                            failed=failed))
-    return outcomes
-
-
-def _scell_modification_outcomes_columnar(
-        columns: RecordColumns) -> list[ScellModOutcome]:
-    """Columnar :func:`_scell_modification_outcomes`.
-
-    The per-reconfiguration record lookahead becomes one
-    ``searchsorted`` into the DEREGISTERED line indices: the first
-    DEREGISTERED after the reconfiguration (record order) is the
-    earliest one, so it alone decides whether the exception fell inside
-    the 1.5 s window — any earlier record past the cutoff would also
-    place that DEREGISTERED past the cutoff (times are non-decreasing).
+    The exception lookahead is one ``searchsorted`` into the
+    DEREGISTERED line indices: the first DEREGISTERED after the
+    reconfiguration (record order) is the earliest one, so it alone
+    decides whether the exception fell inside the 1.5 s window — any
+    earlier record past the cutoff would also place that DEREGISTERED
+    past the cutoff (times are non-decreasing).
     """
     outcomes: list[ScellModOutcome] = []
     dereg_t = columns.dereg_t
@@ -148,50 +99,19 @@ def _scell_modification_outcomes_columnar(
     return outcomes
 
 
-def _collect_measurement_stats(records: list[Record],
+def _collect_measurement_stats(rcolumns: RecordColumns,
+                               icolumns: IntervalColumns,
                                analysis: RunAnalysis) -> None:
     """Tally observed cells, RSRP samples, and per-channel serving RSRP.
 
-    Reports timestamped before the first interval carry no known
-    serving set — they still count toward ``observed_cells`` and
-    ``n_rsrp_samples`` but must not be attributed to the first
-    interval's cells (that inflates ``serving_nr_rsrp``, Figure 17).
-
-    Retained as the per-record oracle for
-    :func:`_collect_measurement_stats_columnar`.
-    """
-    serving_now: frozenset[CellIdentity] | set[CellIdentity] = set()
-    interval_index = 0
-    intervals = analysis.intervals
-    for record in records:
-        if not isinstance(record, MeasurementReportRecord):
-            continue
-        while interval_index < len(intervals) - 1 and \
-                intervals[interval_index].end_s <= record.time_s:
-            interval_index += 1
-        if not intervals or record.time_s < intervals[0].start_s:
-            serving_now = set()
-        else:
-            serving_now = intervals[interval_index].cellset.all_cells()
-        for measurement in record.measurements:
-            analysis.observed_cells.add(measurement.identity)
-            analysis.n_rsrp_samples += 1
-            identity = measurement.identity
-            if identity.rat is Rat.NR and identity in serving_now:
-                analysis.serving_nr_rsrp.setdefault(identity.channel, []).append(
-                    measurement.rsrp_dbm)
-
-
-def _collect_measurement_stats_columnar(rcolumns: RecordColumns,
-                                        icolumns: IntervalColumns,
-                                        analysis: RunAnalysis) -> None:
-    """Columnar :func:`_collect_measurement_stats`.
-
-    The interval cursor becomes one ``searchsorted`` of the report
-    times into the interval ends (sans the last — the cursor never
-    advances past it); pre-timeline reports get the empty serving set.
-    Cell-set membership is resolved per *unique* cell set, not per
-    report.
+    Each report's serving set is the interval it falls in: one
+    ``searchsorted`` of the report times into the interval ends (sans
+    the last, which absorbs every later report).  Reports timestamped
+    before the first interval carry no known serving set — they still
+    count toward ``observed_cells`` and ``n_rsrp_samples`` but must not
+    be attributed to the first interval's cells (that inflates
+    ``serving_nr_rsrp``, Figure 17).  Cell-set membership is resolved
+    per *unique* cell set, not per report.
     """
     intervals_present = icolumns.start.size > 0
     empty_serving: frozenset[CellIdentity] = frozenset()
@@ -233,16 +153,14 @@ def assemble_analysis(metadata: TraceMetadata,
     registry = get_instrumentation().registry
     with registry.timer("stage_seconds", stage="classify"):
         if detection.is_loop:
-            subtype, transitions = classify_loop_columnar(rcolumns,
-                                                          icolumns)
+            subtype, transitions = classify_loop(rcolumns, icolumns)
         else:
             subtype, transitions = LoopSubtype.UNKNOWN, []
     check_deadline("classify")
     with registry.timer("stage_seconds", stage="loop_metrics"):
-        cycles = loop_cycles_columnar(
-            icolumns, loop_window(intervals, detection)) \
+        cycles = loop_cycles(icolumns, loop_window(intervals, detection)) \
             if detection.is_loop else []
-        performance = run_performance_columnar(icolumns, rcolumns)
+        performance = run_performance(rcolumns, icolumns)
     check_deadline("loop_metrics")
 
     analysis = RunAnalysis(
@@ -253,8 +171,8 @@ def assemble_analysis(metadata: TraceMetadata,
         transitions=transitions,
         cycles=cycles,
         performance=performance,
-        scg_meas_delays=scg_measurement_delays_columnar(rcolumns),
-        scell_mods=_scell_modification_outcomes_columnar(rcolumns),
+        scg_meas_delays=scg_measurement_delays(rcolumns),
+        scell_mods=_scell_modification_outcomes(rcolumns),
         duration_s=duration_s,
         n_cs_samples=len(intervals),
     )
@@ -267,7 +185,7 @@ def assemble_analysis(metadata: TraceMetadata,
                     analysis.serving_nr_channels.add(cell.channel)
                 else:
                     analysis.serving_lte_channels.add(cell.channel)
-        _collect_measurement_stats_columnar(rcolumns, icolumns, analysis)
+        _collect_measurement_stats(rcolumns, icolumns, analysis)
     return analysis
 
 

@@ -21,6 +21,11 @@ Response frames::
     {"op": "verdict", "stream": ID, "verdict": {...}}   (StreamVerdict)
     {"op": "error", "stream": ID?, "error": "..."}      (stream dropped)
 
+A malformed frame for one stream (an undecodable record, an open with
+an undecodable ``meta``, a close with a non-numeric or non-finite
+``end_time_s``) gets an error frame and ends only that stream; the
+connection and its other streams carry on.
+
 Each stream runs a ``mode="live"`` :class:`IncrementalAnalyzer` with
 the server's dedup ``horizon``, so per-stream memory is bounded no
 matter how long a device stays connected.  Backpressure is structural:
@@ -48,8 +53,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.core.incremental import IncrementalAnalyzer, StreamVerdict
 from repro.obs import Instrumentation, get_instrumentation, instrumented
 from repro.resilience.errors import TraceParseError
-from repro.traces.log import TraceMetadata
-from repro.traces.parser import parse_record
+from repro.traces.parser import parse_metadata, parse_record
+from repro.traces.records import finite_float
 
 __all__ = [
     "FrameError",
@@ -101,7 +106,7 @@ async def read_frame(reader: asyncio.StreamReader,
             f"got {len(error.partial)}") from error
     try:
         payload = json.loads(body)
-    except json.JSONDecodeError as error:
+    except (ValueError, RecursionError) as error:
         raise FrameError(f"frame is not valid JSON: {error}") from error
     if not isinstance(payload, dict):
         raise FrameError("frame payload must be a JSON object")
@@ -243,7 +248,11 @@ class StreamIngestServer:
                 return {"op": "error", "stream": stream_id,
                         "error": f"server at max_streams="
                                  f"{self.max_streams}"}
-            metadata = TraceMetadata.from_dict(frame.get("meta") or {})
+            try:
+                metadata = parse_metadata(frame.get("meta") or {})
+            except TraceParseError as error:
+                return {"op": "error", "stream": stream_id,
+                        "error": str(error)}
             streams[stream_id] = IncrementalAnalyzer(
                 metadata,
                 min_repetitions=self.min_repetitions,
@@ -281,10 +290,14 @@ class StreamIngestServer:
 
         if op == "close":
             end_time = frame.get("end_time_s")
-            verdict = analyzer.finalize(
-                float(end_time) if end_time is not None else None)
-            assert isinstance(verdict, StreamVerdict)
             self._drop_stream(stream_id, streams, registry)
+            try:
+                end_time = None if end_time is None else finite_float(end_time)
+            except (TypeError, ValueError, OverflowError):
+                return {"op": "error", "stream": stream_id,
+                        "error": f"malformed end_time_s {end_time!r}"}
+            verdict = analyzer.finalize(end_time)
+            assert isinstance(verdict, StreamVerdict)
             registry.counter("stream_verdicts_total").inc(
                 kind=verdict.detection.kind.value)
             return {"op": "verdict", "stream": stream_id,

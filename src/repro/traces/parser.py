@@ -14,6 +14,11 @@ Real captures are messy, so ingestion has two modes:
   returned :class:`~repro.resilience.ingest.ParseReport` and parsing
   continues, so a corrupt trace degrades to "every decodable record,
   plus an audit of what was skipped" instead of an exception.
+
+A record is malformed when a field is missing or mistyped, when its
+``kind`` is not a string, and when a number does not fit its field: a
+non-finite time or float payload (``NaN``, ``±Infinity``, ``1e400``) or
+an integer field given an infinite value.
 """
 
 from __future__ import annotations
@@ -51,12 +56,14 @@ from repro.traces.records import (
     ThroughputSampleRecord,
     _decode_identity,
     _decode_optional_identity,
+    finite_float,
 )
 
 __all__ = [
     "ParseResult",
     "TraceParseError",
     "parse_jsonl",
+    "parse_metadata",
     "parse_record",
     "parse_trace",
 ]
@@ -64,7 +71,7 @@ __all__ = [
 
 def _parse_sys_info(t: float, data: dict) -> Record:
     return SystemInfoRecord(time_s=t, cell=_decode_identity(data["cell"]),
-                            selection_threshold_dbm=float(data["threshold"]))
+                            selection_threshold_dbm=finite_float(data["threshold"]))
 
 
 def _parse_setup_request(t: float, data: dict) -> Record:
@@ -95,7 +102,7 @@ def _parse_reconfiguration(t: float, data: dict) -> Record:
         scg_pscell=_decode_optional_identity(data["scg_pscell"]),
         scg_scells=tuple(_decode_identity(c) for c in data["scg_scells"]),
         release_scg=bool(data["release_scg"]),
-        meas_events=tuple((str(e[0]), int(e[1]), float(e[2]))
+        meas_events=tuple((str(e[0]), int(e[1]), finite_float(e[2]))
                           for e in data["meas_events"]),
     )
 
@@ -130,7 +137,7 @@ def _parse_mm_state(t: float, data: dict) -> Record:
 
 
 def _parse_throughput(t: float, data: dict) -> Record:
-    return ThroughputSampleRecord(time_s=t, mbps=float(data["mbps"]))
+    return ThroughputSampleRecord(time_s=t, mbps=finite_float(data["mbps"]))
 
 
 _PARSERS = {
@@ -158,19 +165,20 @@ def record_kinds() -> tuple[str, ...]:
 def parse_record(data: dict, *, line_number: int | None = None) -> Record:
     """Parse one decoded JSON object into a typed record.
 
-    All malformed input — missing keys, wrong types, undecodable nested
-    structures — surfaces as a :class:`TraceParseError` subclass tagged
-    with ``line_number`` and the record kind, never as a bare
-    ``KeyError``/``TypeError``/``ValueError`` from a decoder.
+    All malformed input — missing keys, wrong types, non-finite or
+    overflowing numbers, undecodable nested structures — surfaces as a
+    :class:`TraceParseError` subclass tagged with ``line_number`` and the
+    record kind, never as a bare ``KeyError``/``TypeError``/``ValueError``
+    /``OverflowError`` from a decoder.
     """
     kind = data.get("kind") if isinstance(data, dict) else None
     kind_label = kind if isinstance(kind, str) else "?"
     try:
-        time_s = float(data["t"])
-        if kind is None:
+        time_s = finite_float(data["t"])
+        if not isinstance(kind, str):
             raise KeyError("kind")
-    except (KeyError, TypeError, ValueError) as error:
-        raise MalformedRecordError(f"record missing kind/time: {data!r}",
+    except (KeyError, TypeError, ValueError, OverflowError) as error:
+        raise MalformedRecordError(f"missing or malformed kind/time: {data!r}",
                                    line_number=line_number,
                                    record_kind=kind_label) from error
     parser = _PARSERS.get(kind)
@@ -180,10 +188,24 @@ def parse_record(data: dict, *, line_number: int | None = None) -> Record:
                                      record_kind=kind_label)
     try:
         return parser(time_s, data)
-    except (KeyError, TypeError, ValueError, IndexError) as error:
+    except (KeyError, TypeError, ValueError, IndexError,
+            OverflowError) as error:
         raise MalformedRecordError(f"malformed {kind} record: {data!r}",
                                    line_number=line_number,
                                    record_kind=kind_label) from error
+
+
+def parse_metadata(data: dict, *, line_number: int | None = None,
+                   ) -> TraceMetadata:
+    """Decode a ``{"meta": ...}`` payload (a trace header or a stream
+    open) or raise :class:`MalformedHeaderError`."""
+    try:
+        return TraceMetadata.from_dict(data)
+    except (AttributeError, KeyError, TypeError, ValueError,
+            OverflowError) as error:
+        raise MalformedHeaderError(f"malformed meta header: {error}",
+                                   line_number=line_number,
+                                   record_kind="meta") from error
 
 
 @dataclass
@@ -199,19 +221,14 @@ def _ingest_line(trace: SignalingTrace, report: ParseReport, stripped: str,
     """Decode and apply one JSONL line, raising typed errors on failure."""
     try:
         data = json.loads(stripped)
-    except json.JSONDecodeError as error:
+    except (ValueError, RecursionError) as error:
         raise TraceDecodeError("invalid JSON", line_number=line_number,
                                record_kind="json") from error
     if not isinstance(data, dict):
         raise TraceDecodeError("expected a JSON object",
                                line_number=line_number, record_kind="json")
     if "meta" in data:
-        try:
-            trace.metadata = TraceMetadata.from_dict(data["meta"])
-        except (AttributeError, KeyError, TypeError, ValueError) as error:
-            raise MalformedHeaderError(f"malformed meta header: {error}",
-                                       line_number=line_number,
-                                       record_kind="meta") from error
+        trace.metadata = parse_metadata(data["meta"], line_number=line_number)
         report.header_parsed = True
         return
     record = parse_record(data, line_number=line_number)

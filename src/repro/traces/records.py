@@ -15,6 +15,7 @@ must track the index->cell mapping exactly as the authors' scripts do.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.cells.cell import CellIdentity, Rat
@@ -41,10 +42,18 @@ class CellMeasurement:
     def from_dict(data: dict) -> "CellMeasurement":
         return CellMeasurement(
             identity=_decode_identity(data["cell"]),
-            rsrp_dbm=float(data["rsrp"]),
-            rsrq_db=float(data["rsrq"]),
+            rsrp_dbm=finite_float(data["rsrp"]),
+            rsrq_db=finite_float(data["rsrq"]),
             is_serving=bool(data.get("serving", False)),
         )
+
+
+def finite_float(value) -> float:
+    """``float(value)``, raising ``ValueError`` for NaN and ±infinity."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite number {value!r}")
+    return number
 
 
 def _encode_identity(identity: CellIdentity) -> dict:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cells.cell import CellIdentity, DeployedCell, Rat
+from repro.core.columnar import RecordColumns
 from repro.radio.environment import RadioEnvironment
 from repro.radio.geometry import Point
 from repro.radio.propagation import PropagationModel
@@ -69,6 +70,11 @@ def centre_point() -> Point:
 
 def cell_id(pci: int, channel: int, rat: Rat = NR) -> CellIdentity:
     return CellIdentity(pci, channel, rat)
+
+
+def record_columns(records) -> RecordColumns:
+    """The production record tables of a bare (time-ordered) record list."""
+    return RecordColumns.from_trace(SignalingTrace(records=list(records)))
 
 
 def make_sa_setup_records(t0: float = 0.0, pcell: CellIdentity | None = None):

@@ -290,27 +290,6 @@ class TestOutOfOrder:
             extract_cellset_sequence(self.RECORDS, end_time_s=10.0)
         assert isinstance(excinfo.value, TraceParseError)
 
-    def test_recover_mode_clamps_and_counts(self):
-        from repro.core.cellset import CellSetSequenceBuilder
-
-        builder = CellSetSequenceBuilder(on_disorder="recover")
-        for record in self.RECORDS:
-            builder.push(record)
-        intervals = builder.finish(10.0)
-        assert builder.records_out_of_order == 1
-        # The regressing setup is clamped to t=5.0: no negative spans.
-        assert all(i.end_s >= i.start_s for i in intervals)
-        assert intervals == [
-            CellSetInterval(CellSet(pcell=P41), 1.0, 5.0),
-            CellSetInterval(CellSet(pcell=LTE_P), 5.0, 7.0),
-            CellSetInterval(CellSet(), 7.0, 10.0),
-        ]
-
-    def test_recover_wrapper_matches_builder(self):
-        intervals = extract_cellset_sequence(self.RECORDS, end_time_s=10.0,
-                                             on_disorder="recover")
-        assert all(i.end_s >= i.start_s for i in intervals)
-
     def test_jitter_within_tolerance_is_not_disorder(self):
         records = [
             RrcSetupCompleteRecord(time_s=1.0, cell=P41),
@@ -319,10 +298,6 @@ class TestOutOfOrder:
         ]
         intervals = extract_cellset_sequence(records, end_time_s=10.0)
         assert intervals[-1].cellset.pcell == LTE_P
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            extract_cellset_sequence([], on_disorder="ignore")
 
 
 class TestTimeline:

@@ -2,13 +2,8 @@
 
 from repro.cells.cell import Rat
 from repro.core.cellset import extract_cellset_sequence
-from repro.core.classify import (
-    LoopSubtype,
-    classify_loop,
-    classify_off_transition,
-    off_periods,
-    off_transition_times,
-)
+from repro.core.classify import LoopSubtype, classify_loop
+from repro.core.columnar import IntervalColumns
 from repro.traces.records import (
     CellMeasurement,
     MeasurementReportRecord,
@@ -20,7 +15,7 @@ from repro.traces.records import (
     ScellAddMod,
     ScgFailureRecord,
 )
-from tests.conftest import cell_id
+from tests.conftest import cell_id, record_columns
 
 P41 = cell_id(393, 521310)
 S25A = cell_id(273, 387410)
@@ -30,10 +25,23 @@ LTE_P2 = cell_id(380, 5815, Rat.LTE)
 NR_PS = cell_id(66, 632736)
 
 
-def analyse(records):
-    intervals = extract_cellset_sequence(records,
-                                         end_time_s=records[-1].time_s + 5.0)
-    return records, intervals
+def analyse(records, end_time_s=None):
+    """The production classifier's inputs: record and interval columns."""
+    intervals = extract_cellset_sequence(records, end_time_s=end_time_s)
+    return record_columns(records), IntervalColumns.from_intervals(intervals)
+
+
+def off_transitions(records):
+    """Every classified OFF transition, 5 s of trace after the last record."""
+    _subtype, transitions = classify_loop(
+        *analyse(records, end_time_s=records[-1].time_s + 5.0))
+    return transitions
+
+
+def off_transition_at(records, t_off):
+    [transition] = [transition for transition in off_transitions(records)
+                    if transition.time_s == t_off]
+    return transition
 
 
 class TestSubtypeLabels:
@@ -47,9 +55,8 @@ class TestSubtypeLabels:
 
 class TestS1Classification:
     def test_s1e3_from_modification_then_exception(self, s1e3_trace):
-        records = s1e3_trace.signaling_records()
-        intervals = extract_cellset_sequence(records)
-        subtype, transitions = classify_loop(records, intervals)
+        subtype, transitions = classify_loop(
+            *analyse(s1e3_trace.signaling_records()))
         assert subtype is LoopSubtype.S1E3
         assert all(t.subtype is LoopSubtype.S1E3 for t in transitions)
 
@@ -69,32 +76,27 @@ class TestS1Classification:
 
     def test_s1e1_when_serving_scell_never_reported(self):
         reports = (CellMeasurement(P41, -82.0, -10.5, is_serving=True),)
-        records, intervals = analyse(self._sa_records_with_reports(reports))
-        assert classify_off_transition(records, intervals, 10.0) \
-            is LoopSubtype.S1E1
+        records = self._sa_records_with_reports(reports)
+        assert off_transition_at(records, 10.0).subtype is LoopSubtype.S1E1
 
     def test_s1e2_when_serving_scell_reported_poor(self):
         reports = (CellMeasurement(P41, -82.0, -10.5, is_serving=True),
                    CellMeasurement(S25A, -108.5, -25.5, is_serving=True))
-        records, intervals = analyse(self._sa_records_with_reports(reports))
-        assert classify_off_transition(records, intervals, 10.0) \
-            is LoopSubtype.S1E2
+        records = self._sa_records_with_reports(reports)
+        assert off_transition_at(records, 10.0).subtype is LoopSubtype.S1E2
 
     def test_unknown_when_scells_look_healthy(self):
         reports = (CellMeasurement(P41, -82.0, -10.5, is_serving=True),
                    CellMeasurement(S25A, -85.0, -12.0, is_serving=True))
-        records, intervals = analyse(self._sa_records_with_reports(reports))
-        assert classify_off_transition(records, intervals, 10.0) \
-            is LoopSubtype.UNKNOWN
+        records = self._sa_records_with_reports(reports)
+        assert off_transition_at(records, 10.0).subtype is LoopSubtype.UNKNOWN
 
     def test_unknown_without_scells(self):
         records = [
             RrcSetupCompleteRecord(time_s=0.2, cell=P41),
             MmStateRecord(time_s=10.0, state="DEREGISTERED"),
         ]
-        records, intervals = analyse(records)
-        assert classify_off_transition(records, intervals, 10.0) \
-            is LoopSubtype.UNKNOWN
+        assert off_transition_at(records, 10.0).subtype is LoopSubtype.UNKNOWN
 
 
 class TestNClassification:
@@ -109,40 +111,28 @@ class TestNClassification:
             ScgFailureRecord(time_s=30.0, failure_type="randomAccessProblem"),
             RrcReconfigurationRecord(time_s=30.1, pcell=LTE_P, release_scg=True),
         ]
-        records, intervals = analyse(records)
-        t_off = off_transition_times(intervals)[0]
-        assert classify_off_transition(records, intervals, t_off) \
-            is LoopSubtype.N2E2
+        assert off_transitions(records)[0].subtype is LoopSubtype.N2E2
 
     def test_n2e1_from_handover_releasing_scg(self):
         records = self._nsa_base() + [
             RrcReconfigurationRecord(time_s=30.0, pcell=LTE_P,
                                      handover_target=LTE_P2, release_scg=True),
         ]
-        records, intervals = analyse(records)
-        t_off = off_transition_times(intervals)[0]
-        assert classify_off_transition(records, intervals, t_off) \
-            is LoopSubtype.N2E1
+        assert off_transitions(records)[0].subtype is LoopSubtype.N2E1
 
     def test_n1e1_from_rlf_reestablishment(self):
         records = self._nsa_base() + [
             RrcReestablishmentRequestRecord(time_s=30.0, cause="otherFailure"),
             RrcReestablishmentCompleteRecord(time_s=30.5, cell=LTE_P2),
         ]
-        records, intervals = analyse(records)
-        t_off = off_transition_times(intervals)[0]
-        assert classify_off_transition(records, intervals, t_off) \
-            is LoopSubtype.N1E1
+        assert off_transitions(records)[0].subtype is LoopSubtype.N1E1
 
     def test_n1e2_from_handover_failure(self):
         records = self._nsa_base() + [
             RrcReestablishmentRequestRecord(time_s=30.0, cause="handoverFailure",
                                             cell=LTE_P2),
         ]
-        records, intervals = analyse(records)
-        t_off = off_transition_times(intervals)[0]
-        assert classify_off_transition(records, intervals, t_off) \
-            is LoopSubtype.N1E2
+        assert off_transitions(records)[0].subtype is LoopSubtype.N1E2
 
     def test_n1_found_later_in_off_period(self):
         """The paper's N1E2 chain: SCG-releasing handover first, the
@@ -154,10 +144,7 @@ class TestNClassification:
             RrcReestablishmentCompleteRecord(time_s=36.5, cell=LTE_P),
             RrcReconfigurationRecord(time_s=40.0, pcell=LTE_P, scg_pscell=NR_PS),
         ]
-        records, intervals = analyse(records)
-        periods = off_periods(intervals)
-        assert classify_off_transition(records, intervals, periods[0][0],
-                                       periods[0][1]) is LoopSubtype.N1E2
+        assert off_transitions(records)[0].subtype is LoopSubtype.N1E2
 
     def test_reestablishment_outside_period_not_matched(self):
         records = self._nsa_base() + [
@@ -168,19 +155,13 @@ class TestNClassification:
             # A much later, unrelated failure after 5G came back.
             RrcReestablishmentRequestRecord(time_s=60.0, cause="handoverFailure"),
         ]
-        records, intervals = analyse(records)
-        periods = off_periods(intervals)
-        assert classify_off_transition(records, intervals, periods[0][0],
-                                       periods[0][1]) is LoopSubtype.N2E1
+        assert off_transitions(records)[0].subtype is LoopSubtype.N2E1
 
     def test_legacy_a2b1_release_without_failure(self):
         records = self._nsa_base() + [
             RrcReconfigurationRecord(time_s=30.0, pcell=LTE_P, release_scg=True),
         ]
-        records, intervals = analyse(records)
-        t_off = off_transition_times(intervals)[0]
-        assert classify_off_transition(records, intervals, t_off) \
-            is LoopSubtype.N2_A2B1
+        assert off_transitions(records)[0].subtype is LoopSubtype.N2_A2B1
 
 
 class TestMajorityVote:
@@ -199,15 +180,15 @@ class TestMajorityVote:
             ScgFailureRecord(time_s=30.0),
             RrcReconfigurationRecord(time_s=30.1, pcell=LTE_P2, release_scg=True),
         ]
-        records, intervals = analyse(records)
-        subtype, transitions = classify_loop(records, intervals)
+        subtype, transitions = classify_loop(
+            *analyse(records, end_time_s=records[-1].time_s + 5.0))
         assert subtype is LoopSubtype.N2E2
         assert len(transitions) == 3
 
     def test_unknown_when_no_votes(self):
         records = [RrcSetupCompleteRecord(time_s=0.2, cell=P41)]
-        records, intervals = analyse(records)
-        subtype, transitions = classify_loop(records, intervals)
+        subtype, transitions = classify_loop(
+            *analyse(records, end_time_s=records[-1].time_s + 5.0))
         assert subtype is LoopSubtype.UNKNOWN
         assert transitions == []
 
@@ -215,11 +196,10 @@ class TestMajorityVote:
 class TestOffPeriods:
     def test_initial_off_not_counted(self):
         records = [RrcSetupCompleteRecord(time_s=5.0, cell=P41)]
-        records, intervals = analyse(records)
-        assert off_transition_times(intervals) == []
+        assert off_transitions(records) == []
 
     def test_periods_have_positive_length(self, s1e3_trace):
-        records = s1e3_trace.signaling_records()
-        intervals = extract_cellset_sequence(records)
-        for start, end in off_periods(intervals):
-            assert end >= start
+        _, icolumns = analyse(s1e3_trace.signaling_records())
+        off = ~icolumns.seg_on
+        assert off.any()
+        assert (icolumns.seg_end[off] >= icolumns.seg_start[off]).all()

@@ -1,12 +1,12 @@
-"""Property tests: the columnar data plane ≡ the per-record oracles.
+"""Property tests: the production analysis stages ≡ the per-record oracles.
 
-The per-record implementations (``repro.core.metrics``,
-``repro.core.classify``, and the stat collectors in
-``repro.core.pipeline``) stay in the tree as reference oracles; these
-tests drive both sides with random traces — including same-timestamp
-record bursts, reports before the first interval, and throughput
-samples straddling the timeline — and require *bit-identical* results,
-field by field.
+Production computes every stage past loop detection over the columnar
+tables (``repro.core.columnar``); the per-record reference
+implementations live in ``tests/oracles/analysis.py``.  These tests
+drive both sides with random traces — including same-timestamp record
+bursts, reports before the first interval, throughput samples
+straddling the timeline, and interval lists with gaps — and require
+*bit-identical* results, field by field.
 """
 
 from __future__ import annotations
@@ -17,20 +17,18 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.cells.cell import CellIdentity, Rat
-from repro.core.cellset import extract_cellset_sequence
-from repro.core.classify import LoopSubtype, classify_loop
-from repro.core.columnar import (
-    IntervalColumns,
-    RecordColumns,
-    _median,
-    classify_loop_columnar,
-    loop_cycles_columnar,
-    run_performance_columnar,
-    scg_measurement_delays_columnar,
+from repro.core.cellset import (
+    CellSet,
+    CellSetInterval,
+    extract_cellset_sequence,
+    five_g_timeline,
 )
-from repro.core.loops import detect_loop, loop_window
+from repro.core.classify import LoopSubtype, classify_loop
+from repro.core.columnar import IntervalColumns, RecordColumns
+from repro.core.loops import detect_loop
 from repro.core.metrics import (
     RunPerformance,
+    _median,
     loop_cycles,
     run_performance,
     scg_measurement_delays,
@@ -38,9 +36,7 @@ from repro.core.metrics import (
 from repro.core.pipeline import (
     RunAnalysis,
     _collect_measurement_stats,
-    _collect_measurement_stats_columnar,
     _scell_modification_outcomes,
-    _scell_modification_outcomes_columnar,
     analyze_trace,
 )
 from repro.traces.log import SignalingTrace, TraceMetadata
@@ -56,6 +52,7 @@ from repro.traces.records import (
     ScgFailureRecord,
     ThroughputSampleRecord,
 )
+from tests.oracles import analysis as oracle
 
 identities = st.builds(
     CellIdentity,
@@ -144,10 +141,10 @@ def _blank_analysis(intervals) -> RunAnalysis:
 
 @given(traces())
 @settings(max_examples=60, deadline=None)
-def test_run_performance_columnar_matches_oracle(trace):
+def test_run_performance_matches_oracle(trace):
     rcolumns, intervals, icolumns = _columns(trace)
-    expected = run_performance(intervals, trace.throughput_series())
-    actual = run_performance_columnar(icolumns, rcolumns)
+    expected = oracle.run_performance(intervals, trace.throughput_series())
+    actual = run_performance(rcolumns, icolumns)
     assert actual == expected
 
 
@@ -155,18 +152,18 @@ def test_run_performance_columnar_matches_oracle(trace):
     st.integers(0, 80).map(lambda v: v / 2.0),
     st.integers(0, 80).map(lambda v: v / 2.0))))
 @settings(max_examples=60, deadline=None)
-def test_loop_cycles_columnar_matches_oracle(trace, window):
+def test_loop_cycles_matches_oracle(trace, window):
     _, intervals, icolumns = _columns(trace)
-    assert loop_cycles_columnar(icolumns, window) == \
-        loop_cycles(intervals, window)
+    assert loop_cycles(icolumns, window) == \
+        oracle.loop_cycles(intervals, window)
 
 
 @given(traces())
 @settings(max_examples=60, deadline=None)
-def test_classify_loop_columnar_matches_oracle(trace):
+def test_classify_loop_matches_oracle(trace):
     rcolumns, intervals, icolumns = _columns(trace)
-    expected = classify_loop(rcolumns.signaling, intervals)
-    actual = classify_loop_columnar(rcolumns, icolumns)
+    expected = oracle.classify_loop(rcolumns.signaling, intervals)
+    actual = classify_loop(rcolumns, icolumns)
     assert actual == expected
 
 
@@ -174,20 +171,20 @@ def test_classify_loop_columnar_matches_oracle(trace):
 @settings(max_examples=60, deadline=None)
 def test_scg_delays_and_scell_outcomes_match_oracles(trace):
     rcolumns, _, _ = _columns(trace)
-    assert scg_measurement_delays_columnar(rcolumns) == \
-        scg_measurement_delays(rcolumns.signaling)
-    assert _scell_modification_outcomes_columnar(rcolumns) == \
-        _scell_modification_outcomes(rcolumns.signaling)
+    assert scg_measurement_delays(rcolumns) == \
+        oracle.scg_measurement_delays(rcolumns.signaling)
+    assert _scell_modification_outcomes(rcolumns) == \
+        oracle._scell_modification_outcomes(rcolumns.signaling)
 
 
 @given(traces())
 @settings(max_examples=60, deadline=None)
-def test_collect_measurement_stats_columnar_matches_oracle(trace):
+def test_collect_measurement_stats_matches_oracle(trace):
     rcolumns, intervals, icolumns = _columns(trace)
     expected = _blank_analysis(intervals)
-    _collect_measurement_stats(rcolumns.signaling, expected)
+    oracle._collect_measurement_stats(rcolumns.signaling, expected)
     actual = _blank_analysis(intervals)
-    _collect_measurement_stats_columnar(rcolumns, icolumns, actual)
+    _collect_measurement_stats(rcolumns, icolumns, actual)
     assert actual.observed_cells == expected.observed_cells
     assert actual.n_rsrp_samples == expected.n_rsrp_samples
     assert actual.serving_nr_rsrp == expected.serving_nr_rsrp
@@ -196,37 +193,63 @@ def test_collect_measurement_stats_columnar_matches_oracle(trace):
 @given(traces())
 @settings(max_examples=40, deadline=None)
 def test_analyze_trace_matches_per_record_assembly(trace):
-    """End-to-end: ``analyze_trace`` ≡ the per-record pipeline shape."""
-    rcolumns, intervals, _ = _columns(trace)
-    records = rcolumns.signaling
-    detection = detect_loop(intervals)
-    if detection.is_loop:
-        subtype, transitions = classify_loop(records, intervals)
-        cycles = loop_cycles(intervals, loop_window(intervals, detection))
-    else:
-        subtype, transitions, cycles = LoopSubtype.UNKNOWN, [], []
-    expected = RunAnalysis(
-        metadata=trace.metadata, intervals=intervals, detection=detection,
-        subtype=subtype, transitions=transitions, cycles=cycles,
-        performance=run_performance(intervals, trace.throughput_series()),
-        scg_meas_delays=scg_measurement_delays(records),
-        scell_mods=_scell_modification_outcomes(records),
-        duration_s=trace.duration_s, n_cs_samples=len(intervals))
-    for interval in intervals:
-        expected.unique_cellsets.add(interval.cellset)
-    for cellset in expected.unique_cellsets:
-        for cell in cellset.all_cells():
-            expected.observed_cells.add(cell)
-            if cell.rat is Rat.NR:
-                expected.serving_nr_channels.add(cell.channel)
-            else:
-                expected.serving_lte_channels.add(cell.channel)
-    _collect_measurement_stats(records, expected)
-
+    """End-to-end: ``analyze_trace`` ≡ the per-record pipeline."""
+    expected = oracle.analyze_trace(trace)
     actual = analyze_trace(trace)
     for field in dataclasses.fields(RunAnalysis):
         assert getattr(actual, field.name) == getattr(expected, field.name), \
             f"analyze_trace diverges from the oracle on {field.name}"
+
+
+@st.composite
+def gapped_intervals(draw):
+    """Interval lists with gaps and zero-width intervals.
+
+    ``extract_cellset_sequence`` never leaves a gap, so the traces above
+    never reach the timeline's gap rule; dropped stream chunks do.
+    Each interval starts at, or some whole steps after, the previous
+    end, and may have zero width.
+    """
+    nr_pcell, nr_scell = CellIdentity(3, 521310), CellIdentity(7, 387410)
+    lte_pcell = CellIdentity(2, 5145, Rat.LTE)
+    cellsets = [CellSet(),
+                CellSet(pcell=nr_pcell),
+                CellSet(pcell=nr_pcell, mcg_scells=frozenset({nr_scell})),
+                CellSet(pcell=lte_pcell),
+                CellSet(pcell=lte_pcell, scg_pscell=CellIdentity(5, 632736))]
+    intervals = []
+    t = draw(st.integers(0, 4)) / 2.0
+    for _ in range(draw(st.integers(0, 12))):
+        start = t + draw(st.sampled_from([0, 0, 0, 1, 3])) / 2.0
+        t = start + draw(st.integers(0, 6)) / 2.0
+        intervals.append(CellSetInterval(draw(st.sampled_from(cellsets)),
+                                         start, t))
+    return intervals
+
+
+@given(gapped_intervals(), traces(), st.one_of(st.none(), st.tuples(
+    st.integers(0, 60).map(lambda v: v / 2.0),
+    st.integers(0, 60).map(lambda v: v / 2.0))))
+@settings(max_examples=60, deadline=None)
+def test_gapped_timeline_matches_oracle(intervals, trace, window):
+    """The gap branch: timeline, cycles, speed split, classification and
+    serving-set lookup over gapped intervals (with unrelated records —
+    both sides see the same inputs)."""
+    expected = oracle.five_g_timeline(intervals)
+    assert five_g_timeline(intervals) == expected
+    icolumns = IntervalColumns.from_intervals(intervals)
+    rcolumns = RecordColumns.from_trace(trace)
+    assert loop_cycles(icolumns, window) == \
+        oracle.loop_cycles(intervals, window)
+    assert run_performance(rcolumns, icolumns) == \
+        oracle.run_performance(intervals, trace.throughput_series())
+    assert classify_loop(rcolumns, icolumns) == \
+        oracle.classify_loop(rcolumns.signaling, intervals)
+    expected_stats = _blank_analysis(intervals)
+    oracle._collect_measurement_stats(rcolumns.signaling, expected_stats)
+    actual_stats = _blank_analysis(intervals)
+    _collect_measurement_stats(rcolumns, icolumns, actual_stats)
+    assert actual_stats.serving_nr_rsrp == expected_stats.serving_nr_rsrp
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,

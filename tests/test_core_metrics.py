@@ -4,19 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.cells.cell import Rat
+from repro.core import metrics
 from repro.core.cellset import CellSet, CellSetInterval
-from repro.core.metrics import (
-    CycleMetrics,
-    loop_cycles,
-    run_performance,
-    scg_measurement_delays,
-)
+from repro.core.columnar import IntervalColumns
+from repro.core.metrics import CycleMetrics
 from repro.traces.records import (
     CellMeasurement,
     MeasurementReportRecord,
     ScgFailureRecord,
+    ThroughputSampleRecord,
 )
-from tests.conftest import cell_id
+from tests.conftest import cell_id, record_columns
 
 ON = CellSet(pcell=cell_id(393, 521310))
 OFF = CellSet()
@@ -31,6 +29,23 @@ def intervals_from(pattern):
         intervals.append(CellSetInterval(cellset, t, t + duration))
         t += duration
     return intervals
+
+
+def loop_cycles(intervals, window=None):
+    return metrics.loop_cycles(IntervalColumns.from_intervals(intervals),
+                               window)
+
+
+def run_performance(intervals, series):
+    """Production ``run_performance`` over a (time, Mbps) series."""
+    samples = [ThroughputSampleRecord(time_s=t, mbps=mbps)
+               for t, mbps in series]
+    return metrics.run_performance(record_columns(samples),
+                                   IntervalColumns.from_intervals(intervals))
+
+
+def scg_measurement_delays(records):
+    return metrics.scg_measurement_delays(record_columns(records))
 
 
 class TestCycleMetrics:

@@ -72,8 +72,7 @@ class TestAnalyzeTrace:
         analysis = analyze_trace(with_throughput)
         assert analysis.subtype is LoopSubtype.S1E3
 
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_pre_timeline_reports_count_but_are_not_serving(self, columnar):
+    def test_pre_timeline_reports_count_but_are_not_serving(self):
         # A report timestamped before the first interval carries no
         # known serving set: it must feed observed_cells /
         # n_rsrp_samples but never serving_nr_rsrp — even if it
@@ -82,10 +81,7 @@ class TestAnalyzeTrace:
         # Figure 17).
         from repro.core.cellset import CellSet, CellSetInterval
         from repro.core.columnar import IntervalColumns, RecordColumns
-        from repro.core.pipeline import (
-            _collect_measurement_stats,
-            _collect_measurement_stats_columnar,
-        )
+        from repro.core.pipeline import _collect_measurement_stats
 
         pcell = cell_id(393, 521310)
         trace = SignalingTrace()
@@ -98,12 +94,9 @@ class TestAnalyzeTrace:
         intervals = [CellSetInterval(CellSet(pcell=pcell), 1.0, 60.0)]
         analysis = analyze_trace(SignalingTrace())
         analysis.intervals = intervals
-        if columnar:
-            _collect_measurement_stats_columnar(
-                RecordColumns.from_trace(trace),
-                IntervalColumns.from_intervals(intervals), analysis)
-        else:
-            _collect_measurement_stats(trace.signaling_records(), analysis)
+        _collect_measurement_stats(
+            RecordColumns.from_trace(trace),
+            IntervalColumns.from_intervals(intervals), analysis)
         assert pcell in analysis.observed_cells
         assert analysis.n_rsrp_samples == 2
         # Only the in-timeline report (t=2.0) is attributed as serving.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import pickle
 import zlib
 
@@ -110,6 +111,50 @@ class TestMemoStore:
             (memo.directory / f"{digest}.pkl").write_bytes(blob)
             assert memo.get(digest) is None
         assert _counters(obs)["corrupt"] == 1
+
+
+class _ClassNameLog(pickle.Unpickler):
+    """Unpickler that records every (module, name) pair it imports."""
+
+    def __init__(self, payload: bytes) -> None:
+        super().__init__(io.BytesIO(payload))
+        self.names: set[tuple[str, str]] = set()
+
+    def find_class(self, module: str, name: str):
+        self.names.add((module, name))
+        return super().find_class(module, name)
+
+
+def test_pickled_analysis_class_names_are_pinned(s1e3_trace):
+    """A memo entry is a pickled ``RunAnalysis``, which names each class
+    it holds by module and name.  Moving or renaming one of them (or
+    leaking a numpy scalar into a field) turns every entry in an
+    existing ``--memo-dir`` into a miss."""
+    samples = [ThroughputSampleRecord(time_s=t + 0.5, mbps=100.0 + t)
+               for t in range(40)]
+    trace = SignalingTrace(metadata=s1e3_trace.metadata, records=sorted(
+        s1e3_trace.records + samples, key=lambda record: record.time_s))
+    analysis = analyze_trace(trace)
+    assert analysis.cycles and analysis.performance.cycle_speed_losses
+    assert analysis.scell_mods and analysis.transitions
+    log = _ClassNameLog(pickle.dumps(analysis,
+                                     protocol=pickle.HIGHEST_PROTOCOL))
+    assert log.load() == analysis
+    assert log.names == {
+        ("repro.cells.cell", "CellIdentity"),
+        ("repro.cells.cell", "Rat"),
+        ("repro.core.cellset", "CellSet"),
+        ("repro.core.cellset", "CellSetInterval"),
+        ("repro.core.classify", "LoopSubtype"),
+        ("repro.core.classify", "OffTransition"),
+        ("repro.core.loops", "LoopDetection"),
+        ("repro.core.loops", "LoopKind"),
+        ("repro.core.metrics", "CycleMetrics"),
+        ("repro.core.metrics", "RunPerformance"),
+        ("repro.core.pipeline", "RunAnalysis"),
+        ("repro.core.pipeline", "ScellModOutcome"),
+        ("repro.traces.log", "TraceMetadata"),
+    }
 
 
 def _campaign(tmp_path, name: str, **overrides):

@@ -9,6 +9,7 @@ invariant under arbitrary seeded multi-fault corruption.
 """
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -191,3 +192,55 @@ def test_recover_accounting_invariant_under_any_corruption(seed, rate):
     assert len(parsed.trace.records) == report.parsed_records
     # Corruption never invents records the clean trace didn't have.
     assert report.parsed_records <= n_records + counts.get("duplicate", 0)
+
+
+@pytest.fixture(scope="module")
+def simulated_text(tmp_path_factory) -> str:
+    """``repro simulate --operator OP_T --duration 60``: an S1E3 loop."""
+    from repro.cli import main
+
+    path = tmp_path_factory.mktemp("simulate") / "run.jsonl"
+    assert main(["simulate", "--operator", "OP_T", "--duration", "60",
+                 "--out", str(path)]) == 0
+    return path.read_text(encoding="utf-8")
+
+
+#: One edited line each: (marker of the first line to edit, field, the
+#: raw JSON its value becomes).  Non-string kinds and non-finite or
+#: overflowing numbers used to crash the parser (unhashable kind,
+#: ``int(inf)``), crash the analysis (NaN throughput time) or quarantine
+#: the rest of the trace (an infinite time sets the ordering watermark).
+CORRUPT_LINE_REPROS = {
+    "kind-list": ('"kind": "throughput"', "kind", "[]"),
+    "kind-dict": ('"kind": "throughput"', "kind", "{}"),
+    "pci-1e400": ('"kind": "sys_info"', "pci", "1e400"),
+    "nan-time-throughput": ('"kind": "throughput"', "t", "NaN"),
+    "nan-string-time-state": ('"state": "DEREGISTERED"', "t", '"nan"'),
+    "infinite-time-throughput": ('"kind": "throughput"', "t", "Infinity"),
+}
+
+
+@pytest.mark.parametrize("repro", sorted(CORRUPT_LINE_REPROS))
+def test_corrupt_field_costs_exactly_its_own_line(simulated_text, repro):
+    from repro.core.pipeline import analyze_trace
+    from repro.resilience.errors import MalformedRecordError
+
+    marker, field, raw = CORRUPT_LINE_REPROS[repro]
+    lines = simulated_text.splitlines()
+    index = next(number for number, line in enumerate(lines)
+                 if marker in line)
+    edited = re.sub(rf'"{field}": ("[^"]*"|[^,}}]+)', f'"{field}": {raw}',
+                    lines[index], count=1)
+    assert edited != lines[index]
+    corrupted = "\n".join(lines[:index] + [edited] + lines[index + 1:])
+
+    with pytest.raises(MalformedRecordError):
+        parse_trace(corrupted, errors="strict")
+    parsed = parse_trace(corrupted, errors="recover")
+    assert parsed.report.skipped_records == 1
+    assert parsed.report.errors_by_class == {"MalformedRecordError": 1}
+    # The rest of the trace is analysed: the clean trace minus that line.
+    clean = parse_trace(simulated_text).trace
+    del clean.records[index - 1]  # line 0 is the meta header
+    assert parsed.trace.records == clean.records
+    assert analyze_trace(parsed.trace) == analyze_trace(clean)

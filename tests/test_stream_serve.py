@@ -112,6 +112,9 @@ class TestFraming:
         b"5\n{}",                        # truncated body
         b"2\nhi",                        # not JSON
         b"2\n[]" + b"0\n",               # JSON but not an object
+        pytest.param(b"5000\n" + b"1" * 5000, id="huge-int"),
+        pytest.param(b"100000\n" + b"[" * 100_000, id="deep-nesting"),
+        pytest.param(b'8\n{"a":"\xff"}', id="not-utf8"),
     ])
     def test_protocol_violations_raise(self, raw):
         with pytest.raises(FrameError):
@@ -259,6 +262,75 @@ class TestProtocolErrors:
         assert replies[1]["op"] == "error"       # the bad record
         assert replies[2]["op"] == "error"       # stream already dropped
         assert "not open" in replies[2]["error"]
+
+    #: Frames for stream B that used to raise out of ``_dispatch`` and
+    #: kill the connection task (raw JSON: ``1e400`` decodes to inf).
+    BAD_B_FRAMES = {
+        "record-kind-list":
+            '{"op":"record","stream":"B","record":{"t":1.0,"kind":[]}}',
+        "record-pci-1e400":
+            '{"op":"record","stream":"B","record":{"t":1.0,'
+            '"kind":"rrc_setup_complete",'
+            '"cell":{"pci":1e400,"ch":521310,"rat":"5G"}}}',
+        "close-end-time-string":
+            '{"op":"close","stream":"B","end_time_s":"x"}',
+        "close-end-time-infinite":
+            '{"op":"close","stream":"B","end_time_s":1e400}',
+        "open-meta-run-seed-string":
+            '{"op":"open","stream":"B","meta":{"run_seed":"x"}}',
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_B_FRAMES))
+    def test_bad_frame_ends_only_its_own_stream(self, bad):
+        """Streams A and B share one connection; one malformed frame
+        for B gets an error reply for B, and A still gets its verdict."""
+        trace = _loop_trace(3, 0, exit_after=False)
+        records = [record.to_dict() for record in trace.records]
+        half = len(records) // 2
+        bad_frame = self.BAD_B_FRAMES[bad].encode("utf-8")
+        opens_b = bad.startswith("open")
+
+        async def go():
+            server = StreamIngestServer()
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    *server.address)
+                frames = [encode_frame({"op": "open", "stream": "A"})]
+                if not opens_b:
+                    frames.append(encode_frame({"op": "open", "stream": "B"}))
+                for record in records[:half]:
+                    frames.append(encode_frame(
+                        {"op": "record", "stream": "A", "record": record}))
+                frames.append(b"%d\n%s" % (len(bad_frame), bad_frame))
+                for record in records[half:]:
+                    frames.append(encode_frame(
+                        {"op": "record", "stream": "A", "record": record}))
+                frames.append(encode_frame({"op": "close", "stream": "A"}))
+                writer.write(b"".join(frames))
+                await writer.drain()
+                writer.write_eof()
+                replies = []
+                while (reply := await read_frame(reader)) is not None:
+                    replies.append(reply)
+                writer.close()
+                await writer.wait_closed()
+                return replies
+            finally:
+                await server.stop()
+
+        replies = asyncio.run(go())
+        b_replies = [reply for reply in replies if reply.get("stream") == "B"]
+        expected_b = ["error"] if opens_b else ["ok", "error"]
+        assert [reply["op"] for reply in b_replies] == expected_b
+        [verdict] = [reply["verdict"] for reply in replies
+                     if reply["op"] == "verdict"]
+        batch = analyze_trace(trace).detection
+        assert batch.is_loop
+        assert verdict["kind"] == batch.kind.value
+        assert verdict["period"] == batch.period
+        assert verdict["repetitions"] == batch.repetitions
+        assert verdict["start_index"] == batch.start_index
 
     def test_bad_frame_ends_connection(self):
         async def go():

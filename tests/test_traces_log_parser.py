@@ -3,8 +3,14 @@
 import pytest
 
 from repro.cells.cell import CellIdentity, Rat
+from repro.resilience.errors import MalformedHeaderError
 from repro.traces.log import SignalingTrace, TraceMetadata
-from repro.traces.parser import TraceParseError, parse_jsonl, parse_record
+from repro.traces.parser import (
+    TraceParseError,
+    parse_jsonl,
+    parse_record,
+    parse_trace,
+)
 from repro.traces.records import (
     MeasurementReportRecord,
     RrcReleaseRecord,
@@ -87,9 +93,24 @@ class TestJsonlRoundTrip:
 
 
 class TestParserErrors:
-    def test_invalid_json_line(self):
+    @pytest.mark.parametrize("line", [
+        "{not json}",
+        "1" * 5000,                 # past the int-conversion digit limit
+        "[" * 100_000,              # nested past the recursion limit
+    ], ids=["not-json", "huge-int", "deep-nesting"])
+    def test_invalid_json_line(self, line):
         with pytest.raises(TraceParseError, match="invalid JSON"):
-            parse_jsonl("{not json}\n")
+            parse_jsonl(line + "\n")
+
+    @pytest.mark.parametrize("meta", [
+        '{"run_seed": "x"}', '{"run_seed": 1e400}', '"not an object"'])
+    def test_malformed_meta_header(self, meta):
+        text = f'{{"meta": {meta}}}\n{{"t": 1.0, "kind": "rrc_release"}}\n'
+        with pytest.raises(MalformedHeaderError):
+            parse_jsonl(text)
+        parsed = parse_trace(text, errors="recover")
+        assert parsed.report.errors_by_class == {"MalformedHeaderError": 1}
+        assert len(parsed.trace.records) == 1
 
     def test_missing_kind(self):
         with pytest.raises(TraceParseError):
