@@ -4,6 +4,12 @@ Reproduces the paper's experiment design: three operator profiles
 (OP_T / OP_A / OP_V) with their areas, channel plans and policies; the
 six test phone models of Table 4; sparse and dense location sampling;
 stationary / walking runs; and dataset assembly (Table 3).
+
+A campaign runs sequentially, over a supervised process pool
+(``--workers``), or through a ``repro broker serve`` that independent
+``repro worker`` processes drain (:class:`BrokerScheduler`,
+:class:`QueueWorker`); results, checkpoints and counters are the same
+either way.
 """
 
 from repro.campaign.devices import DEVICES, device
@@ -16,21 +22,27 @@ from repro.campaign.operators import (
 )
 from repro.campaign.locations import dense_grid_locations, sparse_locations
 from repro.campaign.runner import CampaignConfig, CampaignRunner, RunResult, run_once
-from repro.campaign.scheduler import PoolScheduler, QueueScheduler, Scheduler
+from repro.campaign.scheduler import (
+    BrokerScheduler,
+    InlineScheduler,
+    PoolScheduler,
+    Scheduler,
+)
 from repro.campaign.worker import QueueWorker, WorkerConfig
 from repro.campaign.dataset import CampaignResult, DatasetStatistics
 
 __all__ = [
     "AreaSpec",
+    "BrokerScheduler",
     "CampaignConfig",
     "CampaignResult",
     "CampaignRunner",
     "DEVICES",
     "DatasetStatistics",
+    "InlineScheduler",
     "OPERATORS",
     "OperatorProfile",
     "PoolScheduler",
-    "QueueScheduler",
     "QueueWorker",
     "RunResult",
     "Scheduler",

@@ -1,23 +1,22 @@
-"""Cross-host campaign broker: the durable task queue over HTTP.
+"""Campaign broker: the durable task queue over HTTP.
 
-PR 6's :class:`~repro.resilience.taskqueue.DurableTaskQueue` makes
-campaign completion a durability property, but its flock-serialized
-spool and shared-``CLOCK_MONOTONIC`` assumption pin every worker to one
-filesystem and one host.  :class:`CampaignBroker` lifts the *same*
-event-log protocol onto a stdlib ``ThreadingHTTPServer``: the broker is
-the only process touching the spool, and every verb — attach / submit /
-seal / claim / heartbeat / complete / sync — travels as one CRC-framed
-JSON line over HTTP (the v1 checkpoint framing, verified again on the
-far side), so workers and the coordinator can live on any machine that
-can reach the broker's port.
+:class:`~repro.resilience.taskqueue.DurableTaskQueue` makes campaign
+completion a durability property; :class:`CampaignBroker` is the one
+way work reaches it.  The broker is the only process touching the
+spool, and every verb — attach / submit / seal / claim / heartbeat /
+complete / worker_heartbeat / sync — travels as one CRC-framed JSON
+line over a stdlib ``ThreadingHTTPServer`` (the v1 checkpoint framing,
+verified again on the far side), so workers and the coordinator can
+live on any machine that can reach the broker's port, this one
+included.
 
 **Broker-authoritative clock.**  All lease deadlines are computed from
 the *broker's* monotonic clock: clients send lease *durations*, never
-absolute deadlines, and expiry decisions happen exclusively broker-side
-— the cross-host clock-skew assumption in the on-disk transport simply
-disappears.  The replayed :class:`~repro.resilience.taskqueue.LeaseState`
-fencing machine is reused unchanged, so a stolen run's late ``complete``
-is fenced off across the network exactly as it is on one host.
+absolute deadlines, and expiry decisions happen exclusively
+broker-side, so clients need no shared clock.  The replayed
+:class:`~repro.resilience.taskqueue.LeaseState` fencing machine
+decides every claim, so a stolen run's late ``complete`` is fenced off
+across the network.
 
 **Exactly-once under retries.**  Verbs that mutate at most once per
 logical operation (claim, complete) carry client-generated idempotency
@@ -59,7 +58,7 @@ from repro.obs import Instrumentation, make_instrumentation
 from repro.resilience.checkpoint import (
     CheckpointMismatchError,
     frame_line,
-    unframe_line,
+    load_framed_line,
 )
 from repro.resilience.memo import ArtifactStore
 from repro.resilience.taskqueue import (
@@ -94,21 +93,14 @@ def encode_framed(obj: dict) -> bytes:
 
 
 def decode_framed(body: bytes) -> dict | None:
-    """Verify and decode one framed line; ``None`` on any corruption."""
+    """Verify and decode one framed line; ``None`` for any body that
+    is not a CRC-valid JSON object (corrupt, truncated, too deep, or an
+    integer past the digit limit)."""
     try:
-        text = body.decode("utf-8").strip()
+        text = body.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    if not text:
-        return None
-    payload, crc_ok = unframe_line(text)
-    if crc_ok is not True:
-        return None
-    try:
-        decoded = json.loads(payload)
-    except json.JSONDecodeError:
-        return None
-    return decoded if isinstance(decoded, dict) else None
+    return load_framed_line(text)
 
 
 class CampaignBroker:
@@ -170,8 +162,7 @@ class CampaignBroker:
         with self._mutex:
             if self._queue is None:
                 queue = DurableTaskQueue(
-                    self.queue_dir, identity=identity,
-                    payload_mode="inline", fsync=self.fsync,
+                    self.queue_dir, identity=identity, fsync=self.fsync,
                     default_lease_s=lease_s, clock=self.clock)
                 if not queue.open(create=create):
                     return None
@@ -181,16 +172,8 @@ class CampaignBroker:
                 self.obs.events.emit(
                     "broker.spool_open", queue=str(self.queue_dir),
                     identity=queue.state.identity, created=create)
-            elif identity is not None:
-                spool_identity = self._queue.state.identity
-                if spool_identity is not None \
-                        and spool_identity != identity:
-                    raise CheckpointMismatchError(
-                        f"broker queue {self.queue_dir} belongs to a "
-                        f"different campaign (spool identity "
-                        f"{spool_identity}, this campaign {identity}); "
-                        f"point the broker at a fresh queue directory or "
-                        f"rerun with the original seed/config/operators")
+            else:
+                self._queue.check_identity(identity)
             return self._queue
 
     # -- request entry point --------------------------------------------
@@ -208,7 +191,7 @@ class CampaignBroker:
             response = self._error(409, str(error), code="identity_mismatch")
         except TaskQueueError as error:
             response = self._error(409, str(error), code="task_queue")
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             response = self._error(
                 400, f"malformed request: {type(error).__name__}: {error}")
         except Exception as error:  # noqa: BLE001 - the broker must answer
@@ -254,7 +237,8 @@ class CampaignBroker:
             return self._error(404, f"unknown path {path}")
         request = decode_framed(body)
         if request is None:
-            return self._error(400, "request body failed CRC framing")
+            return self._error(400, "request body is not a CRC-framed JSON "
+                                    "object")
         if self.draining and path != "/v1/sync":
             return self._error(503, "broker draining (shutting down); "
                                     "retry against the restarted broker")
@@ -366,14 +350,11 @@ class CampaignBroker:
         identity = request.get("identity")
         lease_s = request.get("lease_s")
         with self._mutex:
-            queue = self._ensure_queue(
+            self._ensure_queue(
                 create=create,
                 identity=None if identity is None else str(identity),
                 lease_s=None if lease_s is None else float(lease_s))
-            if queue is None:
-                return self._ok({"ready": False, "now": self.clock(),
-                                 "draining": self.draining,
-                                 "protocol": BROKER_PROTOCOL_VERSION})
+            # Until a coordinator creates the spool: "ready": False.
             return self._ok(self._snapshot())
 
     def _handle_submit(self, request: dict) -> tuple[int, str, bytes]:
@@ -416,10 +397,7 @@ class CampaignBroker:
                 return cached
             queue = self._ensure_queue()
             if queue is None:
-                return self._ok({"claim": None, "ready": False,
-                                 "now": self.clock(),
-                                 "draining": self.draining,
-                                 "protocol": BROKER_PROTOCOL_VERSION})
+                return self._ok({"claim": None, **self._snapshot()})
             claim = queue.claim(worker, lease_s)
             payload: dict = {"claim": None}
             if claim is not None:
@@ -486,6 +464,7 @@ class CampaignBroker:
                                  request: dict) -> tuple[int, str, bytes]:
         worker = str(request["worker"])
         ttl_s = float(request["ttl_s"])
+        pid = int(request.get("pid", 0))
         run_key = request.get("run_key")
         token = request.get("token")
         with self._mutex:
@@ -493,7 +472,7 @@ class CampaignBroker:
             if queue is None:
                 return self._ok({"ok": False})
             queue.write_worker_heartbeat(
-                worker, ttl_s,
+                worker, ttl_s, pid=pid,
                 run_key=tuple(run_key) if run_key is not None else None,
                 token=None if token is None else int(token))
             return self._ok({"ok": True, "now": self.clock()})
@@ -507,7 +486,9 @@ class CampaignBroker:
                                  "status": self._snapshot()})
             queue.expire_overdue()
             chunk, next_offset = queue.read_raw(offset)
-            return self._ok({"events": chunk.decode("utf-8"),
+            # Undecodable bytes become U+FFFD, which fails the line's
+            # CRC on the mirror exactly as it does in a local replay.
+            return self._ok({"events": chunk.decode("utf-8", "replace"),
                              "next_offset": next_offset,
                              "status": self._snapshot()})
 

@@ -1,11 +1,9 @@
 """Client side of the campaign broker: the queue verbs over HTTP.
 
-:class:`BrokerClient` implements the
-:class:`~repro.resilience.taskqueue.QueueTransport` verb surface
-against a ``repro broker serve`` process, so
-:class:`~repro.campaign.scheduler.QueueScheduler` and
-:class:`~repro.campaign.worker.QueueWorker` run unmodified over the
-network.  What changes versus the on-disk transport:
+:class:`BrokerClient` speaks the task-queue verbs to a ``repro broker
+serve`` process: :class:`~repro.campaign.scheduler.BrokerScheduler`
+drives its coordinator verbs and :class:`~repro.campaign.worker.QueueWorker`
+its worker verbs.  What the network adds:
 
 * **Every call is retried.**  Transport faults (refused, reset, timed
   out, injected), broker 503s (drain mode, a restarting broker behind a
@@ -32,11 +30,11 @@ network.  What changes versus the on-disk transport:
 
 * **Coordinator mirrors, workers snapshot.**  A ``role="coordinator"``
   client replays the broker's spool (``POST /v1/sync`` streams whole
-  CRC-framed lines; any torn or corrupt line is skipped exactly as a
-  local replay would skip it) through its own
-  :class:`~repro.resilience.taskqueue.LeaseState`, so completions,
-  dispositions and depth come from the same state machine as the
-  on-disk path.  A ``role="worker"`` client only folds the status
+  CRC-framed lines) through its own
+  :class:`~repro.resilience.taskqueue.LeaseState` with the same
+  :func:`~repro.resilience.taskqueue.replay_line` the broker runs on
+  disk, so completions, dispositions and depth agree with the broker
+  line for line.  A ``role="worker"`` client only folds the status
   snapshot stapled onto attach/claim responses into a lite state —
   enough for ``drained()`` and the advertised default lease.
 
@@ -51,7 +49,6 @@ lost either way — the broker's spool is the store of record.
 from __future__ import annotations
 
 import http.client
-import json
 import os
 import threading
 import time
@@ -60,15 +57,10 @@ from typing import Callable
 
 from repro.campaign.broker import decode_framed, encode_framed
 from repro.obs import get_instrumentation
-from repro.resilience.checkpoint import CheckpointMismatchError, unframe_line
+from repro.resilience.checkpoint import CheckpointMismatchError
 from repro.resilience.memo import sha256_digest
 from repro.resilience.retry import RetryPolicy
-from repro.resilience.taskqueue import (
-    Claim,
-    LeaseState,
-    QueueTransport,
-    enrich_disposition,
-)
+from repro.resilience.taskqueue import Claim, LeaseState, replay_line
 
 __all__ = [
     "BrokerClient",
@@ -148,9 +140,16 @@ class HTTPTransport:
             connection.close()
 
 
-class BrokerClient(QueueTransport):
-    """The :class:`QueueTransport` verbs, spoken over HTTP (see module
-    docstring for the protocol-level guarantees).
+class BrokerClient:
+    """The task-queue verbs, spoken over HTTP (see module docstring for
+    the protocol-level guarantees).
+
+    Coordinator verbs: ``open(create=True)``, ``submit``, ``close``,
+    ``take_completion``, ``expire_overdue``, ``drain_dispositions``,
+    ``live_workers``.  Worker verbs: ``open()``, ``claim``,
+    ``heartbeat``, ``complete``, ``write_worker_heartbeat``.  Both
+    roles read ``state`` (the coordinator's spool mirror, or the
+    worker's status snapshot) and ``clock()``.
 
     ``send`` is injectable — production wires :class:`HTTPTransport`,
     the chaos suite wraps it in a
@@ -172,7 +171,6 @@ class BrokerClient(QueueTransport):
         if role not in ("coordinator", "worker"):
             raise ValueError(f"unknown role {role!r}")
         self.base_url = base_url.rstrip("/")
-        self.root = self.base_url  # display name in scheduler diagnostics
         self.role = role
         self.identity = identity
         self.default_lease_s = default_lease_s
@@ -338,36 +336,28 @@ class BrokerClient(QueueTransport):
         self._absorb(response.get("status"))
         text = response.get("events")
         next_offset = response.get("next_offset", self._offset)
-        if isinstance(text, str) and text:
-            for raw in text.split("\n"):
-                stripped = raw.strip()
-                if not stripped:
+        if isinstance(text, str):
+            for line in text.split("\n"):
+                if not line.strip():
                     continue
-                payload_text, crc_ok = unframe_line(stripped)
-                if crc_ok is not True:
-                    # Same contract as a local replay: a corrupt spool
-                    # line (torn-tail fragment the broker's writer
-                    # repaired around) is skipped, never fatal.  Whole-
-                    # response corruption was already caught by the
-                    # outer response framing in _call.
+                observed = replay_line(self.state, line)
+                if observed is None:
+                    # A corrupt spool line (a torn-tail fragment the
+                    # broker's writer repaired around) is skipped, as in
+                    # the broker's own replay.  Whole-response corruption
+                    # was already caught by the response framing in _call.
                     self._skipped_lines += 1
-                    continue
-                try:
-                    event = json.loads(payload_text)
-                except json.JSONDecodeError:
-                    self._skipped_lines += 1
-                    continue
-                if not isinstance(event, dict):
-                    self._skipped_lines += 1
-                    continue
-                disposition = self.state.apply(event)
-                self._dispositions.append(
-                    enrich_disposition(self.state, event, disposition))
+                else:
+                    self._dispositions.append(observed)
         self._offset = int(next_offset)
 
-    # -- QueueTransport: lifecycle --------------------------------------
+    # -- lifecycle -------------------------------------------------------
 
     def open(self, create: bool = False) -> bool:
+        """Attach; False while the coordinator has not created the
+        queue.  A coordinator's identity is checked broker-side: a
+        mismatch is a 409 that :meth:`_call` raises as
+        ``CheckpointMismatchError``."""
         request: dict = {"create": create}
         if create and self.identity is not None:
             request["identity"] = self.identity
@@ -379,17 +369,9 @@ class BrokerClient(QueueTransport):
         self._absorb(response)
         if self.role == "coordinator":
             self._sync()
-            if self.identity is not None \
-                    and self.state.identity is not None \
-                    and self.identity != self.state.identity:
-                raise CheckpointMismatchError(
-                    f"broker queue at {self.base_url} belongs to a "
-                    f"different campaign (spool identity "
-                    f"{self.state.identity}, this campaign "
-                    f"{self.identity})")
         return True
 
-    # -- QueueTransport: coordinator verbs ------------------------------
+    # -- coordinator verbs -----------------------------------------------
 
     def submit(self, key: tuple, payload: str) -> int:
         digest = self._artifact_put(payload.encode("utf-8"))
@@ -410,18 +392,17 @@ class BrokerClient(QueueTransport):
             return None  # already taken
         return self._artifact_get(outcome).decode("utf-8")
 
-    def expire_overdue(self) -> list[tuple[int, str]]:
+    def expire_overdue(self) -> None:
         # Expiry is the broker's decision (its clock, its spool); the
         # coordinator's pump calls this, so piggyback the mirror sync —
         # the resulting expire events come back as dispositions.
         self._sync()
-        return []
 
     def drain_dispositions(self) -> list[tuple[str, int, str]]:
         out, self._dispositions = self._dispositions, []
         return out
 
-    # -- QueueTransport: worker verbs -----------------------------------
+    # -- worker verbs ----------------------------------------------------
 
     def claim(self, worker: str, lease_s: float) -> Claim | None:
         response = self._call("POST", "/v1/claim",
@@ -455,7 +436,8 @@ class BrokerClient(QueueTransport):
     def write_worker_heartbeat(self, worker: str, ttl_s: float,
                                run_key: tuple | None = None,
                                token: int | None = None) -> None:
-        request: dict = {"worker": worker, "ttl_s": ttl_s}
+        request: dict = {"worker": worker, "ttl_s": ttl_s,
+                         "pid": os.getpid()}
         if run_key is not None:
             request["run_key"] = list(run_key)
         if token is not None:

@@ -22,13 +22,13 @@ Sequential execution is the :class:`~repro.campaign.scheduler.InlineScheduler`:
 ``_run_task`` in this process, one run at a time.  Runs are
 embarrassingly parallel (every run is seeded per key), so
 ``CampaignConfig.workers > 1`` fans the schedule out over a process
-pool, and ``scheduler="queue"``/``"broker"`` over independent worker
-processes; workers ship back ``(result-or-quarantine, metrics
-snapshot, spans)`` payloads that the parent merges **in schedule
-order**, so the ``CampaignResult``, checkpoint contents and every
-exported counter are bit-identical to sequential execution for the
-same seed.  Checkpoint appends and progress callbacks only ever happen
-in the parent process.
+pool, and ``scheduler="broker"`` over independent ``repro worker``
+processes draining a ``repro broker serve``; workers ship back
+``(result-or-quarantine, metrics snapshot, spans)`` payloads that the
+parent merges **in schedule order**, so the ``CampaignResult``,
+checkpoint contents and every exported counter are bit-identical to
+sequential execution for the same seed.  Checkpoint appends and
+progress callbacks only ever happen in the parent process.
 
 Execution is *supervised* (see :mod:`repro.resilience.supervision`):
 every run gets a cooperative wall-clock budget
@@ -49,10 +49,10 @@ from typing import Callable, Iterator
 
 from repro.campaign.dataset import CampaignResult, QuarantinedRun, RunResult
 from repro.campaign.scheduler import (
+    BrokerScheduler,
     InlineScheduler,
     PendingRun,
     PoolScheduler,
-    QueueScheduler,
     Scheduler,
 )
 from repro.campaign.devices import device as device_by_name
@@ -80,7 +80,6 @@ from repro.resilience.supervision import (
     ShutdownRequested,
     parent_wait_budget,
 )
-from repro.resilience.taskqueue import DurableTaskQueue
 from repro.rrc.capabilities import DeviceCapabilities
 from repro.rrc.session import RunConfig, simulate_run
 from repro.traces.log import TraceMetadata
@@ -205,17 +204,18 @@ class CampaignConfig:
     waits to drain in-flight worker futures into the checkpoint.
 
     The scheduler knobs (see :mod:`repro.campaign.scheduler`):
-    ``scheduler="pool"`` keeps the in-host supervised ProcessPool;
-    ``scheduler="queue"`` spools the schedule into a durable on-disk
-    task queue at ``queue_dir`` and merges completions produced by
-    independent ``repro worker`` processes — ``lease_timeout_s`` is
-    the work-claim lease each worker must heartbeat, ``queue_poll_s``
-    the coordinator's spool poll cadence, and ``queue_stall_s`` how
-    long a silent queue with no live workers is tolerated before the
-    circuit breaker fails the campaign fast (``0`` disables).  All of
-    these are execution knobs: they are deliberately excluded from
-    :meth:`CampaignRunner.campaign_identity`, so checkpoints and
-    spools interoperate across pool/queue/sequential execution.
+    ``scheduler="pool"`` keeps the in-host supervised ProcessPool
+    (sequential when ``workers <= 1``); ``scheduler="broker"`` submits
+    the schedule to the ``repro broker serve`` at ``broker_url`` and
+    merges completions produced by independent ``repro worker``
+    processes — ``lease_timeout_s`` is the work-claim lease each worker
+    must heartbeat, ``queue_poll_s`` the coordinator's sync cadence,
+    and ``queue_stall_s`` how long a silent queue with no live workers
+    is tolerated before the circuit breaker fails the campaign fast
+    (``0`` disables).  All of these are execution knobs: they are
+    deliberately excluded from :meth:`CampaignRunner.campaign_identity`,
+    so checkpoints and broker queues interoperate across
+    pool/broker/sequential execution.
 
     ``memo_dir`` enables the content-addressed analysis cache (see
     :mod:`repro.resilience.memo`): fresh runs digest their simulated
@@ -246,14 +246,13 @@ class CampaignConfig:
     breaker_max_consecutive_failures: int = 0
     shutdown_grace_s: float = 5.0
     scheduler: str = "pool"
-    queue_dir: str | Path | None = None
     lease_timeout_s: float = 30.0
     queue_poll_s: float = 0.05
     queue_stall_s: float = 60.0
     memo_dir: str | Path | None = None
-    #: ``scheduler="broker"``: coordinate through a ``repro broker
-    #: serve`` process at this URL instead of a shared spool directory.
-    #: Execution knobs like the rest — excluded from campaign_identity.
+    #: ``scheduler="broker"``: coordinate through the ``repro broker
+    #: serve`` process at this URL.  An execution knob like the rest —
+    #: excluded from campaign_identity.
     broker_url: str | None = None
     #: Seeded client-side network fault injection (chaos testing): the
     #: probability each broker request/response is faulted (0 disables).
@@ -311,8 +310,8 @@ class _WorkerTask:
     policy: RetryPolicy
     instrument: bool
     run_timeout_s: float | None = None
-    # Memo cache wiring (str, not Path: tasks pickle into the durable
-    # queue spool as well as the pool pipe).
+    # Memo cache wiring (str, not Path: tasks pickle into the broker's
+    # artifact store as well as the pool pipe).
     memo_dir: str | None = None
     memo_identity: str | None = None
 
@@ -436,7 +435,7 @@ def _emit_outcome(events, outcome: _WorkerOutcome) -> None:
 
 
 def _execute_worker_task(task: _WorkerTask) -> _WorkerOutcome:
-    """Pool/queue-worker entry point: :func:`_run_task` in a fresh bundle.
+    """Pool/broker-worker entry point: :func:`_run_task` in a fresh bundle.
 
     Checkpointing, progress and result accounting stay with the
     coordinator: the worker ships its metrics snapshot and spans back
@@ -445,7 +444,7 @@ def _execute_worker_task(task: _WorkerTask) -> _WorkerOutcome:
     obs = make_instrumentation() if task.instrument else NULL_INSTRUMENTATION
     ambient_events = get_instrumentation().events
     if task.instrument and ambient_events.enabled:
-        # A queue worker keeps one process-wide event log (bound to its
+        # A broker worker keeps one process-wide event log (bound to its
         # worker id, flushed to its telemetry spool); task execution
         # reports events there rather than into the discarded per-task
         # bundle.  Pool workers have a null ambient log, so nothing
@@ -533,10 +532,6 @@ class CampaignRunner:
         obs = self.obs if self.obs is not None else get_instrumentation()
         with instrumented(obs):
             obs.events.bind(campaign=self.campaign_identity())
-            obs.events.emit("campaign.started",
-                            scheduler=self.config.scheduler,
-                            workers=self.config.workers or 1,
-                            seed=self.config.seed)
             try:
                 result = self._dispatch(obs)
             except BaseException as error:
@@ -551,16 +546,15 @@ class CampaignRunner:
 
     def _dispatch(self, obs: Instrumentation) -> CampaignResult:
         backend = self.config.scheduler
-        if backend not in ("pool", "queue", "broker"):
-            raise ValueError(
-                f"unknown scheduler {backend!r} "
-                "(expected 'pool', 'queue' or 'broker')")
+        if backend not in ("pool", "broker"):
+            raise ValueError(f"unknown scheduler {backend!r} "
+                             "(expected 'pool' or 'broker')")
         breaker = self.config.breaker()
         policy = self.config.retry_policy()
         workers = self.config.workers or 1
         scheduler = None
-        if backend != "pool":
-            scheduler = self._queue_scheduler(breaker)
+        if backend == "broker":
+            scheduler = self._broker_scheduler(breaker)
         elif workers > 1 and self.run_fn is None and self.sleep is None:
             scheduler = self._pool_scheduler(workers, breaker, policy)
         if scheduler is None:
@@ -572,6 +566,8 @@ class CampaignRunner:
             workers = 1
             scheduler = InlineScheduler(lambda item: _run_task(
                 item.task, item.scheduled.deployment, self.run_fn, self.sleep))
+        obs.events.emit("campaign.started", scheduler=scheduler.name,
+                        workers=workers, seed=self.config.seed)
         return self._run_scheduled(obs, scheduler, breaker, policy, workers)
 
     def _memo(self) -> AnalysisMemo | None:
@@ -605,49 +601,26 @@ class CampaignRunner:
                                   wait_budget, _execute_worker_task)
         return scheduler if scheduler.start() else None
 
-    def _queue_scheduler(self, breaker: CircuitBreaker) -> QueueScheduler:
-        """The durable on-disk task queue (or its broker mirror), started.
+    def _broker_scheduler(self, breaker: CircuitBreaker) -> BrokerScheduler:
+        """The coordinator of a ``repro broker serve``, started.
 
-        The coordinator submits every task as a durable spool event,
-        seals the queue, and merges completions — produced by
-        independent ``repro worker`` processes claiming leases against
-        the same spool — strictly in schedule order.  It executes no
-        runs itself (unrestorable checkpoint entries excepted), so it
-        can be killed and restarted against the same ``queue_dir`` at
-        any point; so can any worker, whose outstanding leases expire
-        and get stolen by the survivors.
+        The coordinator submits every task to the broker's durable
+        queue, seals it, and merges completions — produced by
+        independent ``repro worker`` processes claiming leases from the
+        same broker — strictly in schedule order.  It executes no runs
+        itself (unrestorable checkpoint entries excepted), so it can be
+        killed and restarted against the same broker at any point; so
+        can any worker, whose outstanding leases expire and get stolen
+        by the survivors.  The broker client is imported lazily: pool
+        and sequential campaigns never load the HTTP stack.
         """
-        backend = self.config.scheduler
-        if backend == "queue" and self.config.queue_dir is None:
-            raise ValueError("scheduler='queue' requires queue_dir")
-        if backend == "broker" and self.config.broker_url is None:
+        if self.config.broker_url is None:
             raise ValueError("scheduler='broker' requires broker_url")
         if self.run_fn is not None or self.sleep is not None:
             raise ValueError(
-                f"scheduler={backend!r} cannot ship custom run_fn/sleep "
-                "hooks to independent worker processes; use the pool "
-                "scheduler")
-        if backend == "broker":
-            scheduler = self._broker_scheduler(breaker)
-        else:
-            queue = DurableTaskQueue(
-                self.config.queue_dir,
-                identity=self.campaign_identity(),
-                payload_mode="ref",
-                fsync=self.config.checkpoint_fsync,
-                default_lease_s=self.config.lease_timeout_s)
-            scheduler = QueueScheduler(queue, breaker,
-                                       poll_s=self.config.queue_poll_s,
-                                       stall_s=self.config.queue_stall_s)
-        scheduler.start()  # may raise CheckpointMismatchError
-        return scheduler
-
-    def _broker_scheduler(self, breaker: CircuitBreaker):
-        """The cross-host coordinator: a BrokerClient mirror behind the
-        same scheduler contract (lazy imports — pool/queue campaigns
-        never load the broker stack)."""
+                "scheduler='broker' cannot ship custom run_fn/sleep hooks "
+                "to independent worker processes; use the pool scheduler")
         from repro.campaign.broker_client import BrokerClient, HTTPTransport
-        from repro.campaign.scheduler import BrokerScheduler
 
         send = HTTPTransport(self.config.broker_url)
         if self.config.broker_fault_rate > 0.0:
@@ -659,9 +632,11 @@ class CampaignRunner:
                               identity=self.campaign_identity(),
                               default_lease_s=self.config.lease_timeout_s,
                               send=send)
-        return BrokerScheduler(client, breaker,
-                               poll_s=self.config.queue_poll_s,
-                               stall_s=self.config.queue_stall_s)
+        scheduler = BrokerScheduler(client, breaker,
+                                    poll_s=self.config.queue_poll_s,
+                                    stall_s=self.config.queue_stall_s)
+        scheduler.start()  # may raise CheckpointMismatchError
+        return scheduler
 
     def _run_scheduled(self, obs: Instrumentation, scheduler: Scheduler,
                        breaker: CircuitBreaker, policy: RetryPolicy,

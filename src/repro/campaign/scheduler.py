@@ -1,4 +1,4 @@
-"""Pluggable campaign schedulers: inline, process pool, durable task queue.
+"""Pluggable campaign schedulers: inline, process pool, broker.
 
 :class:`~repro.campaign.runner.CampaignRunner` owns *what* to run (the
 schedule) and *how to account for it* (checkpoint, progress, in-order
@@ -7,13 +7,13 @@ contract has coordinator verbs only: ``submit`` (hand one task to the
 backend), ``seal`` (the schedule is complete), ``drain`` (block for the
 head slot's outcome: the schedule-order merge), ``poll`` (the head
 outcome within a timeout: the bounded shutdown drain) and ``kill``
-(tear execution down *now*), plus ``start``/``window``/``shutdown``.
-The worker side of the queue backends — claim, heartbeat and complete
-under a fenced lease — is :class:`~repro.resilience.taskqueue.QueueTransport`,
-which ``repro worker`` and the broker call directly.  Every backend
-preserves the schedule-order merge invariant, so results, checkpoint
-bytes and counters are bit-identical to sequential execution absent
-faults.
+(tear execution down *now*), plus ``start``/``window``/``shutdown``
+and a ``name`` (what ``campaign.started`` reports).  The worker side
+of the broker — claim, heartbeat and complete under a fenced lease —
+is :class:`~repro.campaign.broker_client.BrokerClient`, which ``repro
+worker`` drives.  Every backend preserves the schedule-order merge
+invariant, so results, checkpoint bytes and counters are bit-identical
+to sequential execution absent faults.
 
 * :class:`InlineScheduler` — sequential execution in the campaign's
   own process, one run at a time.  The runner picks it for
@@ -25,21 +25,20 @@ faults.
   scheduler is the heartbeat, and the future's result is the
   completion.  Supervision substitutes for fencing — a hung worker is
   killed, so it can never race its replacement.
-* :class:`QueueScheduler` — the coordinator side of the durable
-  on-disk queue (:class:`~repro.resilience.taskqueue.DurableTaskQueue`).
-  Tasks are spooled as CRC-framed events; N independent ``repro
-  worker`` processes claim/heartbeat/complete them directly against
-  the spool (see :mod:`repro.campaign.worker`), with lease expiry and
-  fenced work stealing making any worker — and the coordinator —
-  SIGKILL-safe.  The coordinator never executes queue tasks itself; it
-  expires stale leases, routes queue health into the ``repro.obs``
+* :class:`BrokerScheduler` — the coordinator side of ``repro broker
+  serve`` (:mod:`repro.campaign.broker`), whose durable task queue
+  (:class:`~repro.resilience.taskqueue.DurableTaskQueue`) N
+  independent ``repro worker`` processes drain under leases, with
+  lease expiry and fenced work stealing making any worker — and the
+  coordinator — SIGKILL-safe.  The coordinator never executes broker
+  tasks itself; it routes queue health into the ``repro.obs``
   counters/gauges and the :class:`CircuitBreaker`, and merges
   completions in schedule order.
 
-Task and outcome payloads cross the spool as pickles (compressed,
-base64-framed into the JSON event): the exact objects the pool backend
-already pickles through the executor, which is what makes the two
-backends bit-identical.
+Task and outcome payloads cross the broker as pickles (compressed,
+base64-framed text): the exact objects the pool backend already
+pickles through the executor, which is what makes the backends
+bit-identical.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ import time
 import zlib
 from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -61,7 +61,6 @@ from repro.resilience.supervision import (
     RunTimeoutError,
     WorkerCrashError,
 )
-from repro.resilience.taskqueue import QueueTransport
 
 __all__ = [
     "BrokerScheduler",
@@ -69,7 +68,6 @@ __all__ = [
     "InlineScheduler",
     "PendingRun",
     "PoolScheduler",
-    "QueueScheduler",
     "Scheduler",
     "decode_payload",
     "encode_payload",
@@ -83,7 +81,8 @@ def encode_payload(obj: Any) -> str:
 
 
 def decode_payload(text: str) -> Any:
-    """Inverse of :func:`encode_payload` (trusts the local spool)."""
+    """Inverse of :func:`encode_payload` (trusts the campaign's own
+    broker)."""
     return pickle.loads(zlib.decompress(base64.b64decode(text)))
 
 
@@ -92,7 +91,7 @@ class PendingRun:
     """One schedule slot awaiting its in-order merge in the parent.
 
     ``task`` is ``None`` for checkpointed runs restored in-parent;
-    ``handle`` is backend-opaque (a pool ``Future``, a queue seq,
+    ``handle`` is backend-opaque (a pool ``Future``, a broker seq,
     ``None`` inline).  ``kills`` counts how many times supervision killed the
     worker this run was blamed for (bounded by the retry policy).
     """
@@ -122,6 +121,9 @@ class Scheduler:
     ``start``, ``window``, ``submit``, ``seal``, ``drain``, ``poll``,
     ``kill``, ``shutdown``."""
 
+    #: The backend's name in the ``campaign.started`` event.
+    name: str
+
     def start(self) -> bool:
         """Bring the backend up; False = unavailable on this platform."""
         return True
@@ -134,7 +136,7 @@ class Scheduler:
         raise NotImplementedError
 
     def seal(self) -> None:
-        """The schedule is fully submitted (queue workers may drain out)."""
+        """The schedule is fully submitted (broker workers may drain out)."""
 
     def drain(self, item: PendingRun) -> DrainResult:
         """Block until the head slot's outcome (or give-up) is known."""
@@ -172,6 +174,8 @@ class InlineScheduler(Scheduler):
     shutdown drain thus never finds an unmerged slot to ``poll``.
     """
 
+    name = "inline"
+
     def __init__(self, run: Callable[[PendingRun], Any]):
         self.run = run
 
@@ -201,6 +205,8 @@ class PoolScheduler(Scheduler):
     the supervision layer, bounded by ``policy.max_retries`` per run
     and by the circuit breaker overall.
     """
+
+    name = "pool"
 
     def __init__(self, workers: int, mp_context, breaker: CircuitBreaker,
                  policy, wait_budget_s: float | None,
@@ -319,103 +325,133 @@ class PoolScheduler(Scheduler):
 
 
 # ----------------------------------------------------------------------
-# Durable task-queue backend (coordinator side)
+# Broker backend (coordinator side)
 # ----------------------------------------------------------------------
 
 
-class QueueScheduler(Scheduler):
-    """Coordinator over a :class:`DurableTaskQueue` spool.
+class BrokerScheduler(Scheduler):
+    """Coordinator over a ``repro broker serve`` through a
+    :class:`~repro.campaign.broker_client.BrokerClient`.
 
-    Pumping (every ``drain``/``poll`` iteration) does four things:
-    replay new spool events, route their dispositions into the
+    Pumping (every ``drain``/``poll`` iteration) does three things:
+    sync the client's mirror of the broker's spool (which also drives
+    broker-side lease expiry), route the new dispositions into the
     ``leases_expired_total`` / ``runs_stolen_total`` counters and the
     circuit breaker (a steal counts as a rebuild, so steal storms trip
-    the breaker like crash storms do), requeue overdue leases, and
-    refresh the ``queue_depth`` / ``leases_active`` gauges.
+    the breaker like crash storms do), and refresh the ``queue_depth`` /
+    ``leases_active`` gauges.
 
     ``stall_s`` bounds how long the coordinator waits with zero queue
     activity *and* zero live workers before tripping the breaker with a
     diagnostic summary (``0`` disables — useful when workers attach
-    late).  The queue-health counters are coordinator-only: they do not
-    exist in a sequential run, so bit-identity comparisons exclude
-    them (everything else merges in schedule order and matches).
+    late).  When the client's per-verb retry budget is exhausted
+    (``BrokerUnavailableError``: the broker stayed unreachable through
+    backoff), every verb trips the breaker with the client's diagnostic
+    instead of crashing with a network traceback, which routes into the
+    standard flush-checkpoint-print-resume-hint path; the campaign is
+    durable on the broker.  The queue-health counters are
+    coordinator-only: they do not exist in a sequential run, so
+    bit-identity comparisons exclude them (everything else merges in
+    schedule order and matches).
+
+    The whole schedule is submitted up front (the default ``window``):
+    tasks are small, outcomes wait in the broker's artifact store until
+    their in-order merge, and workers never starve behind the merge.
+    ``kill`` has nothing to tear down: workers are independent
+    processes that notice the coordinator's absence through their own
+    idle/drained exits, and the queue stays durable for a resumed
+    coordinator.
     """
 
-    def __init__(self, queue: QueueTransport, breaker: CircuitBreaker,
+    name = "broker"
+
+    def __init__(self, client, breaker: CircuitBreaker,
                  poll_s: float = 0.05, stall_s: float = 60.0,
                  sleep: Callable[[float], None] = time.sleep):
-        self.queue = queue
+        self.client = client
         self.breaker = breaker
         self.poll_s = max(0.001, poll_s)
         self.stall_s = stall_s
         self.sleep = sleep
-        #: The stall diagnostic's "how to unwedge this" hint; the broker
-        #: scheduler overrides it with its --broker form.
-        self.worker_hint = f"repro worker --queue-dir " \
-                           f"{getattr(queue, 'root', '?')}"
-        self._last_activity = queue.clock()
+        self._last_activity = client.clock()
+
+    @contextmanager
+    def _tripping(self):
+        """Turn a broker outage into a breaker trip (late import: the
+        pool path never loads the broker stack)."""
+        from repro.campaign.broker_client import BrokerUnavailableError
+        try:
+            yield
+        except BrokerUnavailableError as error:
+            get_instrumentation().events.emit(
+                "broker.unavailable", severity="error", error=str(error))
+            self.breaker.trip(str(error))  # raises CircuitBreakerOpen
 
     def start(self) -> bool:
-        return self.queue.open(create=True)
-
-    def window(self) -> int | None:
-        # Submit the whole schedule up front: tasks are small (no
-        # traces), completion payloads stay on disk until their in-order
-        # merge, and workers should never starve behind the merge.
-        return None
+        with self._tripping():
+            return self.client.open(create=True)
 
     def submit(self, item: PendingRun) -> None:
-        item.handle = self.queue.submit(item.task.key,
-                                        encode_payload(item.task))
+        with self._tripping():
+            item.handle = self.client.submit(item.task.key,
+                                             encode_payload(item.task))
 
     def seal(self) -> None:
-        self.queue.close()
+        with self._tripping():
+            self.client.close()
+
+    def _outcome(self, item: PendingRun) -> Any:
+        """Pump, then the slot's decoded outcome (``None``: not yet)."""
+        self._pump()
+        payload = self.client.take_completion(item.handle)
+        return None if payload is None else decode_payload(payload)
 
     def drain(self, item: PendingRun) -> DrainResult:
-        while True:
-            self._pump()
-            payload = self.queue.take_completion(item.handle)
-            if payload is not None:
-                self._last_activity = self.queue.clock()
-                return DrainResult(outcome=decode_payload(payload))
-            self._check_stall(item)
-            self.sleep(self.poll_s)
+        with self._tripping():
+            while True:
+                outcome = self._outcome(item)
+                if outcome is not None:
+                    self._last_activity = self.client.clock()
+                    return DrainResult(outcome=outcome)
+                self._check_stall(item)
+                self.sleep(self.poll_s)
 
     def poll(self, item: PendingRun, timeout_s: float) -> Any:
-        deadline = self.queue.clock() + max(0.0, timeout_s)
-        while True:
-            self._pump()
-            payload = self.queue.take_completion(item.handle)
-            if payload is not None:
-                return decode_payload(payload)
-            remaining = deadline - self.queue.clock()
-            if remaining <= 0:
-                raise FutureTimeoutError(
-                    f"task {item.handle} not completed within {timeout_s:.1f}s")
-            self.sleep(min(self.poll_s, remaining))
-
-    def kill(self) -> None:
-        """Nothing to tear down: workers are independent processes that
-        notice the coordinator's absence through their own idle/drained
-        exits; the spool stays durable for a resumed coordinator."""
+        with self._tripping():
+            deadline = self.client.clock() + max(0.0, timeout_s)
+            while True:
+                outcome = self._outcome(item)
+                if outcome is not None:
+                    return outcome
+                remaining = deadline - self.client.clock()
+                if remaining <= 0:
+                    raise FutureTimeoutError(
+                        f"task {item.handle} not completed within "
+                        f"{timeout_s:.1f}s")
+                self.sleep(min(self.poll_s, remaining))
 
     def shutdown(self) -> None:
-        self._pump()  # final gauge refresh (depth 0, leases 0)
+        from repro.campaign.broker_client import BrokerUnavailableError
+        try:
+            self._pump()  # final gauge refresh (depth 0, leases 0)
+        except BrokerUnavailableError:
+            pass  # the campaign is already merged; losing the final
+            #       gauge refresh to an outage is not an error
 
     # -- pumping -------------------------------------------------------
 
     def _pump(self) -> None:
-        self.queue.expire_overdue()
-        events = self.queue.drain_dispositions()
+        self.client.expire_overdue()
+        events = self.client.drain_dispositions()
         if events:
-            self._last_activity = self.queue.clock()
+            self._last_activity = self.client.clock()
         obs = get_instrumentation()
         registry = obs.registry
+        state = self.client.state
         for disposition, seq, worker in events:
             if disposition == "expire":
                 registry.counter("leases_expired_total").inc()
-                task = self.queue.state.tasks.get(seq)
-                key = task.key if task is not None else (str(seq),)
+                key = state.tasks[seq].key
                 obs.events.emit("queue.lease_expired", severity="warning",
                                 run_key=tuple(key), worker=worker or None,
                                 seq=seq)
@@ -423,121 +459,35 @@ class QueueScheduler(Scheduler):
                     f"lease expired (worker {worker or '?'})", key)
             elif disposition == "steal":
                 registry.counter("runs_stolen_total").inc()
-                task = self.queue.state.tasks.get(seq)
-                obs.events.emit(
-                    "queue.run_stolen", severity="warning",
-                    run_key=task.key if task is not None else None,
-                    token=task.token if task is not None else None,
-                    worker=worker or None, seq=seq)
+                task = state.tasks[seq]
+                obs.events.emit("queue.run_stolen", severity="warning",
+                                run_key=task.key, token=task.token,
+                                worker=worker or None, seq=seq)
                 # A steal is the queue backend's kill-and-respawn cycle:
                 # count it against the same rebuild budget, so steal
                 # storms fail fast with the breaker's summary.
                 self.breaker.record_rebuild(
                     f"lease stolen by worker {worker or '?'}")
-        state = self.queue.state
         registry.gauge("queue_depth").set(state.depth())
         registry.gauge("leases_active").set(
-            state.active_leases(self.queue.clock()))
+            state.active_leases(self.client.clock()))
 
     def _check_stall(self, item: PendingRun) -> None:
         if self.stall_s <= 0:
             return
-        idle = self.queue.clock() - self._last_activity
+        idle = self.client.clock() - self._last_activity
         if idle < self.stall_s:
             return
-        if self.queue.live_workers():
+        if self.client.live_workers():
             # Workers are alive but silent (e.g. mid-run without a
             # heartbeat tick yet): give them the benefit of the doubt
             # for another stall window.
-            self._last_activity = self.queue.clock()
+            self._last_activity = self.client.clock()
             return
         self.breaker.trip(
             f"task queue stalled: no queue activity for {idle:.0f}s, no "
-            f"live workers, {self.queue.state.depth()} task(s) outstanding "
-            f"(head: {'/'.join(str(p) for p in item.scheduled.key)}); "
-            f"start `{self.worker_hint}` processes "
+            f"live workers, {self.client.state.depth()} task(s) "
+            f"outstanding (head: "
+            f"{'/'.join(str(p) for p in item.scheduled.key)}); start "
+            f"`repro worker --broker {self.client.base_url}` processes "
             "or resume later — the spool is durable")
-
-
-# ----------------------------------------------------------------------
-# Cross-host broker backend (coordinator side)
-# ----------------------------------------------------------------------
-
-
-class BrokerScheduler(QueueScheduler):
-    """:class:`QueueScheduler` over a network
-    :class:`~repro.campaign.broker_client.BrokerClient` instead of a
-    local spool.
-
-    The pump/merge/stall machinery is inherited unchanged — the client
-    implements the same :class:`~repro.resilience.taskqueue.QueueTransport`
-    verbs and mirrors the broker's spool through the same
-    :class:`~repro.resilience.taskqueue.LeaseState`.  What this subclass
-    adds is *graceful degradation*: when the client's per-verb retry
-    budget is exhausted (:class:`BrokerUnavailableError` — the broker
-    stayed unreachable through backoff), the coordinator trips the
-    circuit breaker with the client's diagnostic instead of crashing
-    with a raw network traceback, which routes into the standard
-    flush-checkpoint-print-resume-hint path.  Campaign state is durable
-    on the broker, so resuming against the same broker URL continues
-    where the outage struck.
-    """
-
-    def __init__(self, client, breaker: CircuitBreaker,
-                 poll_s: float = 0.05, stall_s: float = 60.0,
-                 sleep: Callable[[float], None] = time.sleep):
-        super().__init__(client, breaker, poll_s=poll_s, stall_s=stall_s,
-                         sleep=sleep)
-        self.worker_hint = f"repro worker --broker {client.base_url}"
-
-    def _trip_unavailable(self, error: Exception) -> None:
-        get_instrumentation().events.emit(
-            "broker.unavailable", severity="error", error=str(error))
-        self.breaker.trip(str(error))  # raises CircuitBreakerOpen
-
-    def start(self) -> bool:
-        try:
-            return super().start()
-        except _broker_unavailable() as error:
-            self._trip_unavailable(error)
-            raise  # pragma: no cover - trip always raises
-
-    def submit(self, item: PendingRun) -> None:
-        try:
-            super().submit(item)
-        except _broker_unavailable() as error:
-            self._trip_unavailable(error)
-
-    def seal(self) -> None:
-        try:
-            super().seal()
-        except _broker_unavailable() as error:
-            self._trip_unavailable(error)
-
-    def drain(self, item: PendingRun) -> DrainResult:
-        try:
-            return super().drain(item)
-        except _broker_unavailable() as error:
-            self._trip_unavailable(error)
-            raise  # pragma: no cover - trip always raises
-
-    def poll(self, item: PendingRun, timeout_s: float) -> Any:
-        try:
-            return super().poll(item, timeout_s)
-        except _broker_unavailable() as error:
-            self._trip_unavailable(error)
-            raise  # pragma: no cover - trip always raises
-
-    def shutdown(self) -> None:
-        try:
-            super().shutdown()
-        except _broker_unavailable():
-            pass  # the campaign is already merged; losing the final
-            #       gauge refresh to an outage is not an error
-
-
-def _broker_unavailable() -> type[Exception]:
-    """Late import: the scheduler must stay importable without the
-    broker stack (the pool path never touches it)."""
-    from repro.campaign.broker_client import BrokerUnavailableError
-    return BrokerUnavailableError

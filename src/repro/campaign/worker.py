@@ -1,30 +1,31 @@
-"""Queue-drain campaign worker: the ``repro worker`` process body.
+"""Broker-drain campaign worker: the ``repro worker`` process body.
 
-A worker attaches to a durable task-queue spool
-(:mod:`repro.resilience.taskqueue`), claims one task at a time under a
-heartbeated lease, executes it through the exact pool-worker entry
-point (:func:`repro.campaign.runner._execute_worker_task` — same retry
-loop, same instrumentation snapshot, which is what keeps multi-worker
-campaigns bit-identical to sequential ones), and records the outcome
-as a fenced completion.  N workers against one spool drain a sharded
-campaign cooperatively; any of them can be SIGKILLed mid-run and the
-survivors steal its expired lease.
+A worker attaches to a ``repro broker serve`` over HTTP
+(:class:`~repro.campaign.broker_client.BrokerClient`), claims one task
+at a time under a heartbeated lease, executes it through the exact
+pool-worker entry point (:func:`repro.campaign.runner._execute_worker_task`
+— same retry loop, same instrumentation snapshot, which is what keeps
+multi-worker campaigns bit-identical to sequential ones), and records
+the outcome as a fenced completion.  N workers against one broker
+drain a sharded campaign cooperatively; any of them can be SIGKILLed
+mid-run and the survivors steal its expired lease.
 
 The loop per claim::
 
-    refresh workers/<id>.hb  →  claim  →  [fault injection]  →
+    worker heartbeat  →  claim  →  [fault injection]  →
     decode task  →  execute under a lease-heartbeat thread  →
     complete (a fenced completion is discarded: the run was stolen)
 
 and the worker exits 0 once the queue is sealed and fully drained.
 SIGTERM/SIGINT raise :class:`ShutdownRequested` between stages (the
 outstanding lease, if any, simply expires and is stolen) and map to
-exit ``128 + signum``.
+exit ``128 + signum``; a broker that stays unreachable through the
+client's retry budget maps to exit 75.
 
-``fail_after=N`` is deterministic fault injection for the steal tests
-and the CI smoke: the worker SIGKILLs itself immediately after its
-N-th successful claim — before executing it — leaving exactly one
-orphaned lease for the survivors.
+``fail_after=N`` is deterministic fault injection for the steal tests:
+the worker SIGKILLs itself immediately after its N-th successful claim
+— before executing it — leaving exactly one orphaned lease for the
+survivors.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from pathlib import Path
 from repro.campaign.runner import _execute_worker_task
 from repro.campaign.scheduler import decode_payload, encode_payload
 from repro.obs import Instrumentation, instrumented, make_instrumentation
-from repro.obs.spool import TELEMETRY_DIRNAME, TelemetrySpool
+from repro.obs.spool import TelemetrySpool
 from repro.obs.tracing import Span
-from repro.resilience.taskqueue import Claim, DurableTaskQueue
+from repro.resilience.taskqueue import Claim
 
 logger = logging.getLogger(__name__)
 
@@ -58,29 +59,26 @@ def _default_worker_id() -> str:
 class WorkerConfig:
     """One worker process's knobs.
 
-    Exactly one of ``queue_dir`` (same-host spool) and ``broker_url``
-    (cross-host ``repro broker serve``) selects the transport.
-
+    ``broker_url`` is the ``repro broker serve`` to drain.
     ``lease_s`` must match the coordinator's ``lease_timeout_s`` scale:
     the worker heartbeats every ``lease_s / 3``, so a lease only
     expires when the worker is genuinely dead or wedged for most of a
     lease window.  ``attach_timeout_s`` bounds how long the worker
-    waits for the coordinator to create the spool before giving up
+    waits for the coordinator to create the queue before giving up
     (workers are routinely started first).  ``fail_after`` is the
     deterministic self-SIGKILL fault injection described in the module
     docstring (``None`` disables).  ``broker_fault_rate`` /
     ``broker_fault_seed`` wrap the broker transport in the seeded
     network fault injector (chaos testing; 0.0 disables).
-    ``telemetry_dir`` overrides where the durable telemetry spool
-    lives — broker-mode workers have no shared queue directory, so
-    without it their telemetry stays in-process only.
+    ``telemetry_dir`` is where the durable telemetry spool lives
+    (``<queue-dir>/telemetry`` is where ``repro status <queue-dir>``
+    reads it); without it the worker's telemetry stays in-process.
     """
 
-    queue_dir: str | Path | None = "queue"
-    broker_url: str | None = None
+    broker_url: str
     worker_id: str = field(default_factory=_default_worker_id)
-    #: ``None`` inherits the lease the coordinator advertised in the
-    #: spool header (``--lease-timeout``), falling back to 30s.
+    #: ``None`` inherits the lease the coordinator advertised to the
+    #: broker (``--lease-timeout``), falling back to 30s.
     lease_s: float | None = None
     poll_s: float = 0.05
     attach_timeout_s: float = 60.0
@@ -91,57 +89,39 @@ class WorkerConfig:
 
 
 class QueueWorker:
-    """Drain loop over one durable task-queue spool.
+    """Drain loop over one broker's task queue.
 
     Every worker keeps a live process-wide instrumentation bundle
-    (``obs``) and a durable telemetry spool under
-    ``<queue-dir>/telemetry/<worker-id>.tspool``: events, finished
-    spans and metric snapshots are flushed to it at every claim, every
-    lease heartbeat and every completion, so a SIGKILLed worker's
-    partial telemetry survives on disk and stays attributable after
-    the run is stolen.  The claim-time flush deliberately happens
-    *before* the ``fail_after`` fault injection — that ordering is what
-    the steal tests (and the paper's crash-forensics story) rely on.
+    (``obs``) and, with a ``telemetry_dir``, a durable telemetry spool
+    at ``<telemetry-dir>/<worker-id>.tspool``: events, finished spans
+    and metric snapshots are flushed to it at every claim, every lease
+    heartbeat and every completion, so a SIGKILLed worker's partial
+    telemetry survives on disk and stays attributable after the run is
+    stolen.  The claim-time flush deliberately happens *before* the
+    ``fail_after`` fault injection — that ordering is what the steal
+    tests (and the paper's crash-forensics story) rely on.
     """
 
     def __init__(self, config: WorkerConfig,
                  obs: Instrumentation | None = None):
-        if (config.queue_dir is None) == (config.broker_url is None):
-            raise ValueError(
-                "exactly one of queue_dir and broker_url must be set")
+        from repro.campaign.broker_client import BrokerClient, HTTPTransport
+
         self.config = config
-        self.queue = self._build_transport(config)
+        send = HTTPTransport(config.broker_url)
+        if config.broker_fault_rate > 0.0:
+            from repro.resilience.netfaults import NetworkFaultInjector
+            send = NetworkFaultInjector(send, seed=config.broker_fault_seed,
+                                        rate=config.broker_fault_rate)
+        self.queue = BrokerClient(config.broker_url, role="worker",
+                                  worker_id=config.worker_id, send=send)
         self.lease_s = config.lease_s or 30.0
         self.claims = 0
         self.completed = 0
         self.fenced = 0
         self.obs = obs if obs is not None else make_instrumentation()
-        telemetry_dir = config.telemetry_dir
-        if telemetry_dir is None and config.queue_dir is not None:
-            telemetry_dir = Path(config.queue_dir) / TELEMETRY_DIRNAME
-        self.spool = (TelemetrySpool(telemetry_dir, config.worker_id)
-                      if telemetry_dir is not None else None)
+        self.spool = (TelemetrySpool(config.telemetry_dir, config.worker_id)
+                      if config.telemetry_dir is not None else None)
         self._spool_lock = threading.Lock()
-
-    @staticmethod
-    def _build_transport(config: WorkerConfig):
-        """The spool- or broker-backed queue transport for this worker."""
-        if config.broker_url is None:
-            return DurableTaskQueue(config.queue_dir, payload_mode="drop")
-        from repro.campaign.broker_client import BrokerClient, HTTPTransport
-        send = HTTPTransport(config.broker_url)
-        if config.broker_fault_rate > 0.0:
-            from repro.resilience.netfaults import NetworkFaultInjector
-            send = NetworkFaultInjector(send,
-                                        seed=config.broker_fault_seed,
-                                        rate=config.broker_fault_rate)
-        return BrokerClient(config.broker_url, role="worker",
-                            worker_id=config.worker_id, send=send)
-
-    @property
-    def _target(self) -> str:
-        """Where this worker drains from, for logs and events."""
-        return str(self.config.broker_url or self.config.queue_dir)
 
     def run(self) -> int:
         """Drain until the queue is sealed and empty; returns exit code.
@@ -159,7 +139,8 @@ class QueueWorker:
         if not attached:
             logger.error("worker %s: no task queue appeared at %s "
                          "within %.0fs", self.config.worker_id,
-                         self._target, self.config.attach_timeout_s)
+                         self.config.broker_url,
+                         self.config.attach_timeout_s)
             return 1
         if self.config.lease_s is None \
                 and self.queue.state.default_lease_s is not None:
@@ -168,7 +149,7 @@ class QueueWorker:
                              campaign=self.queue.state.identity)
         if self.spool is not None:
             self.spool.campaign = self.queue.state.identity
-        self.obs.events.emit("worker.attach", queue=self._target,
+        self.obs.events.emit("worker.attach", queue=self.config.broker_url,
                              pid=os.getpid(), lease_s=self.lease_s)
         self._flush_telemetry()
         with instrumented(self.obs):
@@ -309,12 +290,10 @@ class QueueWorker:
                 # The main loop will hit the same latched error at its
                 # next verb and exit resumably; stop renewing here.
                 return
-            except OSError:  # pragma: no cover - transient spool I/O
-                continue
             self._flush_telemetry()
 
 
 def _broker_unavailable() -> type[Exception]:
-    """Late import: same-host workers never load the broker stack."""
+    """Late import: ``import repro.campaign`` never loads the HTTP stack."""
     from repro.campaign.broker_client import BrokerUnavailableError
     return BrokerUnavailableError

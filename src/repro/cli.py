@@ -36,38 +36,37 @@ Five subcommands mirror the reproduction's main workflows::
         per-stage timing table plus the metrics reconciliation check
         (exit code 1 when the telemetry does not reconcile).
 
-    python -m repro worker --queue-dir QDIR
-        Attach to a durable campaign task queue and drain it: claim
-        runs under heartbeated leases, execute them, record fenced
-        completions.  Start N of these (any host sharing the spool
-        directory) against ``repro campaign --scheduler queue
-        --queue-dir QDIR``; kill any of them at any time — expired
-        leases are stolen by the survivors without double-completion.
-        Every worker flushes its events/spans/metrics to a durable
-        telemetry spool under ``QDIR/telemetry/``.  With ``--broker
-        URL`` instead of ``--queue-dir`` the worker drains a remote
-        ``repro broker serve`` over HTTP — no shared filesystem; exit
-        75 (EX_TEMPFAIL) means the broker stayed unreachable and the
-        worker should simply be restarted.
-
     python -m repro broker serve --queue-dir QDIR [--port N]
         Own a campaign queue directory and serve the task-queue verbs
         (submit/seal/claim/heartbeat/complete/status) over HTTP with a
         broker-authoritative lease clock, plus a content-addressed
         artifact plane for task/outcome payloads.  Point the
         coordinator (``repro campaign --broker URL``) and any number of
-        cross-host workers (``repro worker --broker URL``) at it.  The
-        bound URL is printed on stdout (``--port 0`` picks a free
-        port); SIGTERM drains gracefully — mutating verbs get 503
-        while in-flight state is already fsynced — and a restarted
-        broker on the same queue directory resumes the campaign.
+        workers, on this host or others (``repro worker --broker
+        URL``), at it.  The bound URL is printed on stdout (``--port
+        0`` picks a free port); SIGTERM drains gracefully — mutating
+        verbs get 503 while in-flight state is already fsynced — and a
+        restarted broker on the same queue directory resumes the
+        campaign.
+
+    python -m repro worker --broker URL [--telemetry-dir QDIR/telemetry]
+        Attach to a campaign broker and drain its task queue: claim
+        runs under heartbeated leases, execute them, record fenced
+        completions.  Start N of these; kill any of them at any time —
+        expired leases are stolen by the survivors without
+        double-completion.  ``--telemetry-dir`` flushes the worker's
+        events/spans/metrics to a durable telemetry spool (under the
+        broker's ``QDIR/telemetry/`` for ``repro status``).  Exit 75
+        (EX_TEMPFAIL) means the broker stayed unreachable and the
+        worker should simply be restarted.
 
     python -m repro status QDIR [--json|--watch [SECONDS]|--serve PORT]
-        Live view of a queue campaign's telemetry plane: worker
+        Live view of a broker campaign's telemetry plane: worker
         liveness, lease table, queue depth/throughput/ETA, merged
         worker counters and recent events — aggregated read-only from
-        the queue spool, heartbeat files and telemetry spools, so it
-        can run beside (or after) a live campaign.  ``--serve PORT``
+        the broker's queue directory (spool, heartbeat files and
+        telemetry spools), so it can run beside (or after) a live
+        campaign.  ``--serve PORT``
         exposes ``/metrics`` (Prometheus text) and ``/status`` (JSON)
         over stdlib HTTP for mid-campaign scraping.
 
@@ -171,21 +170,11 @@ def _add_campaign_parser(subparsers) -> None:
                         metavar="N",
                         help="consecutive run failures before the campaign "
                              "fails fast (default 0 = disabled)")
-    parser.add_argument("--scheduler", choices=("pool", "queue", "broker"),
-                        default="pool",
-                        help="execution backend: 'pool' = in-host worker "
-                             "processes (--workers), 'queue' = durable "
-                             "on-disk task queue drained by independent "
-                             "`repro worker` processes, 'broker' = the "
-                             "same queue served over HTTP by `repro "
-                             "broker serve` (default pool)")
-    parser.add_argument("--queue-dir", default=None, metavar="DIR",
-                        help="task-queue spool directory "
-                             "(required with --scheduler queue)")
     parser.add_argument("--broker", default=None, metavar="URL",
-                        help="campaign broker URL (e.g. "
-                             "http://127.0.0.1:8737); implies "
-                             "--scheduler broker")
+                        help="drain the campaign through the `repro "
+                             "broker serve` at this URL (e.g. "
+                             "http://127.0.0.1:8737) and its `repro "
+                             "worker` processes instead of --workers")
     _add_broker_fault_flags(parser)
     parser.add_argument("--lease-timeout", type=float, default=30.0,
                         metavar="SECONDS",
@@ -220,20 +209,15 @@ def _add_broker_fault_flags(parser) -> None:
 
 def _add_worker_parser(subparsers) -> None:
     parser = subparsers.add_parser(
-        "worker", help="drain a durable campaign task queue "
-                       "(start N of these against --scheduler queue "
-                       "or a `repro broker serve` URL)")
-    parser.add_argument("--queue-dir", default=None, metavar="DIR",
-                        help="task-queue spool directory shared with the "
-                             "campaign coordinator (same-host mode; "
-                             "exactly one of --queue-dir/--broker)")
-    parser.add_argument("--broker", default=None, metavar="URL",
-                        help="campaign broker URL to drain over HTTP "
-                             "(cross-host mode)")
+        "worker", help="drain a campaign broker's task queue (start N "
+                       "of these against a `repro broker serve` URL)")
+    parser.add_argument("--broker", required=True, metavar="URL",
+                        help="campaign broker URL to drain over HTTP")
     parser.add_argument("--telemetry-dir", default=None, metavar="DIR",
-                        help="durable telemetry spool directory (broker "
-                             "mode has no shared queue dir; default: "
-                             "<queue-dir>/telemetry, or none)")
+                        help="durable telemetry spool directory; "
+                             "<queue-dir>/telemetry of the broker is "
+                             "where `repro status` reads it (default: "
+                             "none)")
     _add_broker_fault_flags(parser)
     parser.add_argument("--worker-id", default=None,
                         help="stable worker identity "
@@ -242,14 +226,15 @@ def _add_worker_parser(subparsers) -> None:
                         metavar="SECONDS",
                         help="lease duration per claim; heartbeats renew "
                              "it every lease/3 (default: the campaign's "
-                             "--lease-timeout from the spool header)")
+                             "--lease-timeout, as the broker advertises)")
     parser.add_argument("--poll", type=float, default=0.05,
                         metavar="SECONDS",
                         help="idle poll interval (default 0.05)")
     parser.add_argument("--attach-timeout", type=float, default=60.0,
                         metavar="SECONDS",
-                        help="how long to wait for the spool to appear "
-                             "before exiting 1 (default 60)")
+                        help="how long to wait for the coordinator to "
+                             "create the queue before exiting 1 "
+                             "(default 60)")
     parser.add_argument("--fail-after", type=int, default=None, metavar="N",
                         help="fault injection: SIGKILL this worker right "
                              "after its N-th claim (steal/chaos testing)")
@@ -290,9 +275,9 @@ def _add_broker_parser(subparsers) -> None:
 
 def _add_status_parser(subparsers) -> None:
     parser = subparsers.add_parser(
-        "status", help="live view of a queue campaign's telemetry plane")
+        "status", help="live view of a broker campaign's telemetry plane")
     parser.add_argument("queue_dir", metavar="QUEUE_DIR",
-                        help="task-queue spool directory of the campaign")
+                        help="the campaign broker's --queue-dir")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="print the full machine-readable view "
                              "instead of the terminal rendering")
@@ -578,17 +563,6 @@ def _final_progress_snapshot(obs: Instrumentation) -> None:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     names = args.operators or sorted(OPERATORS)
     profiles = [operator(name) for name in names]
-    scheduler = args.scheduler
-    if args.broker and scheduler == "pool":
-        scheduler = "broker"  # --broker URL implies the broker backend
-    if scheduler == "broker" and not args.broker:
-        print("error: --scheduler broker requires --broker URL",
-              file=sys.stderr)
-        return 2
-    if scheduler == "queue" and not args.queue_dir:
-        print("error: --scheduler queue requires --queue-dir",
-              file=sys.stderr)
-        return 2
     config = CampaignConfig(
         device_name=args.device,
         duration_s=args.duration,
@@ -606,8 +580,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         checkpoint_fsync=not args.no_fsync,
         breaker_max_rebuilds=args.breaker_rebuilds,
         breaker_max_consecutive_failures=args.breaker_failures,
-        scheduler=scheduler,
-        queue_dir=args.queue_dir,
+        scheduler="broker" if args.broker else "pool",
         lease_timeout_s=args.lease_timeout,
         queue_stall_s=args.queue_stall,
         memo_dir=args.memo_dir,
@@ -753,12 +726,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.campaign.worker import QueueWorker, WorkerConfig
 
-    if (args.queue_dir is None) == (args.broker is None):
-        print("error: exactly one of --queue-dir and --broker is required",
-              file=sys.stderr)
-        return 2
-    kwargs = {"queue_dir": args.queue_dir, "broker_url": args.broker,
-              "lease_s": args.lease,
+    kwargs = {"broker_url": args.broker, "lease_s": args.lease,
               "poll_s": args.poll, "attach_timeout_s": args.attach_timeout,
               "fail_after": args.fail_after,
               "broker_fault_rate": args.broker_fault_rate,
@@ -774,7 +742,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             return worker.run()
     except (KeyboardInterrupt, ShutdownRequested) as stop:
         # Nothing to flush: an outstanding lease simply expires and is
-        # stolen; completed work is already durable in the spool.
+        # stolen; completed work is already durable on the broker.
         print(f"worker {worker.config.worker_id} stopping "
               f"({worker.completed} completed)", file=sys.stderr)
         return 128 + stop.signum if isinstance(stop, ShutdownRequested) \
@@ -871,7 +839,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
             return 0
     if not aggregator.refresh():
         print(f"error: no task-queue spool at {args.queue_dir} "
-              f"(is this the campaign's --queue-dir?)", file=sys.stderr)
+              f"(is this the broker's --queue-dir?)", file=sys.stderr)
         return 1
     print(_render_status_once(aggregator, args))
     return 0

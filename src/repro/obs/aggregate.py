@@ -1,15 +1,17 @@
 """Coordinator-side live aggregation: the engine behind ``repro status``.
 
-A queue campaign's telemetry is scattered across durable artifacts the
-moment it starts — the task-queue event spool (submits, leases,
-completions), per-worker heartbeat files, and per-worker telemetry
-spools (:mod:`repro.obs.spool`).  :class:`CampaignAggregator` tails all
-of them *read-only* into one :class:`CampaignView`:
+A broker campaign's telemetry is scattered across durable artifacts in
+the broker's queue directory the moment it starts — the task-queue
+event spool (submits, leases, completions), the worker heartbeat files
+the broker writes for its workers, and the per-worker telemetry spools
+workers flush under ``<queue-dir>/telemetry`` (:mod:`repro.obs.spool`).
+:class:`CampaignAggregator` tails all of them *read-only* into one
+:class:`CampaignView`:
 
 * **queue state** — depth, sealed/total, completions, lease health
   (expired/stolen/fenced), and the active lease table, from a replay
   of ``events.spool`` (a second, independent :class:`LeaseState` — the
-  aggregator never writes, so it can run beside a live coordinator);
+  aggregator never writes, so it can run beside a live broker);
 * **worker liveness** — each heartbeat file's pid, staleness, and the
   run key + fencing token the worker currently holds;
 * **throughput** — a ring buffer of ``(mono, completed)`` samples, one
@@ -104,13 +106,12 @@ class CampaignView:
 
 
 class CampaignAggregator:
-    """Tail a queue directory's durable telemetry into live views.
+    """Tail a broker queue directory's durable telemetry into live views.
 
-    Strictly read-only: opens the queue spool with
-    ``payload_mode="drop"`` (payloads are never materialized) and never
-    appends to it, so any number of aggregators can run beside a live
-    campaign.  Thread-safe — the HTTP surface refreshes from request
-    threads.
+    Strictly read-only: opens the queue spool without ``create`` and
+    never appends to it, so any number of aggregators can run beside a
+    live campaign.  Thread-safe — the HTTP surface refreshes from
+    request threads.
     """
 
     def __init__(self, queue_dir: str | Path,
@@ -120,8 +121,7 @@ class CampaignAggregator:
         self.root = Path(queue_dir)
         self._clock = clock
         self._wall_clock = wall_clock
-        self.queue = DurableTaskQueue(self.root, payload_mode="drop",
-                                      fsync=False, clock=clock)
+        self.queue = DurableTaskQueue(self.root, fsync=False, clock=clock)
         self.telemetry_dir = self.root / TELEMETRY_DIRNAME
         self.opened = False
         self._offsets: dict[Path, int] = {}
@@ -138,7 +138,8 @@ class CampaignAggregator:
         """Fold in everything appended since the last refresh.
 
         Returns False (and does nothing) while the queue spool does not
-        exist yet — callers poll until the coordinator creates it.
+        exist yet — callers poll until the coordinator's attach creates
+        it.
         """
         with self._mutex:
             if not self.opened:

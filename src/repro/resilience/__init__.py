@@ -24,8 +24,9 @@ pipeline layers share:
   worker containment (kill-and-respawn, circuit breaker) and graceful
   SIGTERM/SIGINT shutdown for the campaign engine.
 * :mod:`repro.resilience.taskqueue` — the durable on-disk task queue
-  behind ``--scheduler queue``: CRC-framed spool events, lease-based
-  claims with fencing tokens, crash-safe multi-worker work stealing.
+  that ``repro broker serve`` owns: CRC-framed spool events, one
+  crash-proof replay (:func:`replay_line`), lease-based claims with
+  fencing tokens, crash-safe multi-worker work stealing.
 """
 
 from repro.resilience.chaos import (
@@ -71,6 +72,7 @@ from repro.resilience.taskqueue import (
     QueueStats,
     TaskQueueError,
     TaskRecord,
+    replay_line,
 )
 from repro.resilience.supervision import (
     CircuitBreaker,
@@ -132,6 +134,7 @@ __all__ = [
     "execute_with_retry",
     "graceful_shutdown",
     "parent_wait_budget",
+    "replay_line",
     "run_chaos_campaign",
     "trace_digest",
 ]

@@ -29,10 +29,11 @@ reload captures rather than redrive an area.
   checkpoint can vanish entirely on power loss even though every line
   in it was fsynced (the directory entry itself was still volatile).
 
-The CRC line framing (:func:`frame_line` / :func:`unframe_line`) and
-the directory barrier (:func:`fsync_directory`) are shared with the
-durable task-queue spool (:mod:`repro.resilience.taskqueue`), which
-persists campaign work items with the same durability contract.
+The CRC line framing (:func:`frame_line` / :func:`unframe_line` /
+:func:`load_framed_line`) and the directory barrier
+(:func:`fsync_directory`) are shared with the durable task-queue spool
+(:mod:`repro.resilience.taskqueue`), which persists campaign work
+items with the same durability contract.
 
 The reader is corruption-tolerant and backward compatible: headerless
 bare-JSON *v0* files still load (no CRC/identity verification), corrupt
@@ -273,6 +274,25 @@ def unframe_line(stripped: str) -> tuple[str, bool | None]:
             crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
             return payload, crc == int(prefix, 16)
     return stripped, None
+
+
+def load_framed_line(line: str) -> dict | None:
+    """The JSON object one framed line carries, or ``None``.
+
+    ``None`` unless the CRC matches and the payload decodes to a JSON
+    object: a CRC-valid payload that is not JSON, nests past the
+    recursion limit or holds an integer past the digit limit is as
+    undecodable as a torn one.  Broker wire frames and task-queue spool
+    lines both decode here.
+    """
+    payload, crc_ok = unframe_line(line.strip())
+    if crc_ok is not True:
+        return None
+    try:
+        value = json.loads(payload)
+    except (ValueError, RecursionError):
+        return None
+    return value if isinstance(value, dict) else None
 
 
 def _decode_header(payload: str) -> tuple[int, str | None] | None:

@@ -166,7 +166,7 @@ class CircuitBreaker:
         """Open the breaker now, whatever the thresholds say.
 
         For supervision layers with their own systemic-failure signal —
-        the queue scheduler trips on a stalled spool with no live
+        the broker scheduler trips on a stalled queue with no live
         workers — so every fail-fast path raises the same
         :class:`CircuitBreakerOpen` with the same diagnostic summary.
         """

@@ -1,14 +1,11 @@
 """Durable on-disk task queue with lease-based, crash-safe work claims.
 
-The process-pool campaign engine is single-host by construction: its
-work items live in an executor's in-memory queue and die with the
-parent.  This module is the second :class:`~repro.campaign.scheduler`
-backend — a spool directory that makes *campaign completion a
-durability property*: every work item, lease and completion is an
-append-only, CRC-framed, fsynced event, so N independent ``repro
-worker`` processes can drain one sharded campaign and any of them (or
-the coordinator itself) can be SIGKILLed at any instant without losing
-or double-counting a run.
+The queue behind ``repro broker serve`` (:mod:`repro.campaign.broker`):
+a spool directory that makes *campaign completion a durability
+property*.  Every work item, lease and completion is an append-only,
+CRC-framed, fsynced event, so the broker, any ``repro worker`` and the
+coordinator can be SIGKILLed at any instant without losing or
+double-counting a run.
 
 **Spool layout** (one directory per campaign queue)::
 
@@ -31,21 +28,21 @@ instead of silently merging two campaigns.  Then, in any order::
     {"ev": "complete",  "seq": n, "token": t, "payload": "..."}
 
 **Lease state machine** (:class:`LeaseState`) is a pure replay of that
-log; every process — coordinator and workers alike — holds its own
-instance and catches up incrementally before acting.  The rules that
-make work stealing crash-safe:
+log.  :func:`replay_line` is the one replay: the queue runs it over its
+own spool and the coordinator's broker client over the lines the
+broker streams it, so both sides decide claims, steals and fences
+identically.  The rules that make work stealing crash-safe:
 
 * A *claim* takes the lowest-``seq`` submitted, unfinished, unleased
   task and stamps it with a **fencing token** — ``task.token + 1``,
   strictly monotonic per task — plus a **monotonic-clock deadline**
-  (``CLOCK_MONOTONIC`` is system-wide on one host, so deadlines written
-  by one process are comparable in another; cross-host skew can only
-  make a steal *early*, never unsafe, because of the fencing check).
+  (the clock of the process that owns the queue; broker clients send
+  lease durations, never deadlines).
 * A *heartbeat* extends the deadline iff the token is still current.
 * An *expire* requeues a lease whose deadline passed; whoever observes
-  the overdue lease first (a worker wanting work, or the coordinator's
-  poll loop) appends it.  Replay is idempotent: a second expire for the
-  same token is a no-op.
+  the overdue lease first (a claim, or the coordinator's sync) appends
+  it.  Replay is idempotent: a second expire for the same token is a
+  no-op.
 * A re-*claim* of a requeued task by a *different* worker is a
   **steal**; the original holder's token is now stale, so even if that
   worker is merely slow rather than dead, its late ``heartbeat`` /
@@ -55,20 +52,25 @@ make work stealing crash-safe:
   fenced completions are counted (:class:`QueueStats`) but ignored.
 
 **Durability.**  Mutating appends happen under an ``flock`` (claims
-are read-modify-append, so they must serialize), are flushed and
-fsynced, and creating the spool fsyncs the directory
+are read-modify-append, and two queue instances may share a spool —
+a restarted broker beside its predecessor), are flushed and fsynced,
+and creating the spool fsyncs the directory
 (:func:`~repro.resilience.checkpoint.fsync_directory`).  A writer
 killed mid-append leaves a torn tail line; the next writer repairs the
 framing by prefixing a newline, and replay skips the CRC-invalid
 fragment — the lost event degrades to "never happened", which every
 event kind tolerates (a lost claim re-claims, a lost complete re-runs
-deterministically).
+deterministically).  A CRC-valid event whose fields are not what its
+writer puts there is counted in :attr:`QueueStats.invalid` and changes
+nothing; only a ``seq`` re-used for a different key
+(:class:`TaskQueueError`) stops a replay.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -81,7 +83,7 @@ from repro.resilience.checkpoint import (
     CheckpointMismatchError,
     frame_line,
     fsync_directory,
-    unframe_line,
+    load_framed_line,
 )
 
 logger = logging.getLogger(__name__)
@@ -91,11 +93,10 @@ __all__ = [
     "DurableTaskQueue",
     "LeaseState",
     "QueueStats",
-    "QueueTransport",
     "TaskRecord",
     "TaskQueueError",
     "WorkerHeartbeat",
-    "enrich_disposition",
+    "replay_line",
 ]
 
 #: The spool format this writer produces (shares the checkpoint lineage).
@@ -121,9 +122,9 @@ class TaskRecord:
 
     seq: int
     key: tuple
-    payload: object = None  # opaque submit payload (or a disk ref)
+    payload: object = None  # opaque submit payload
     done: bool = False
-    outcome: object = None  # opaque completion payload (or a disk ref)
+    outcome: object = None  # opaque completion payload
     worker: str | None = None  # current / last lease holder
     token: int = 0  # fencing token of the current / last lease
     deadline: float | None = None  # monotonic deadline of an active lease
@@ -147,15 +148,49 @@ class QueueStats:
     invalid: int = 0  # structurally invalid events skipped on replay
 
 
+def _int(value: object) -> int:
+    """An integer event field (``bool`` is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _seq(value: object) -> int:
+    seq = _int(value)
+    if seq < 0:
+        raise ValueError(f"negative seq {seq}")
+    return seq
+
+
+def _finite(value: object) -> float:
+    """A finite number event field (``float()`` of a huge int raises
+    ``OverflowError``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite number {value!r}")
+    return number
+
+
+def _run_key(value: object) -> tuple:
+    """A run key: a list of JSON scalars, so the tuple is hashable."""
+    if not isinstance(value, list) or not all(
+            part is None or isinstance(part, (str, int, float))
+            for part in value):
+        raise TypeError(f"expected a run key list, got {value!r}")
+    return tuple(value)
+
+
 class LeaseState:
     """In-memory lease state: a pure, deterministic replay of events.
 
-    ``apply`` returns a *disposition* string — ``"submit"``,
-    ``"close"``, ``"claim"``, ``"steal"``, ``"heartbeat"``,
-    ``"expire"``, ``"complete"``, ``"fenced"``, ``"noop"`` or
-    ``"invalid"`` — so observers (the coordinator's counter/breaker
-    routing, the property tests) can react to each event exactly once,
-    in log order, without re-deriving it.
+    ``apply`` returns a *disposition* string — ``"header"``,
+    ``"submit"``, ``"close"``, ``"claim"``, ``"steal"``,
+    ``"heartbeat"``, ``"expire"``, ``"complete"``, ``"fenced"``,
+    ``"noop"`` or ``"invalid"`` — so observers (the coordinator's
+    counter/breaker routing, the property tests) can react to each
+    event exactly once, in log order, without re-deriving it.
     """
 
     def __init__(self) -> None:
@@ -168,10 +203,6 @@ class LeaseState:
         self.stats = QueueStats()
 
     # -- queries --------------------------------------------------------
-
-    @property
-    def done_count(self) -> int:
-        return self.stats.completed
 
     def depth(self) -> int:
         """Tasks not yet completed (pending + leased)."""
@@ -186,16 +217,6 @@ class LeaseState:
         return self.closed and self.total is not None \
             and self.stats.completed >= self.total
 
-    def claimable_seq(self, now: float) -> int | None:
-        """Lowest seq immediately claimable (unleased, not done)."""
-        best: int | None = None
-        for seq, task in self.tasks.items():
-            if task.done or task.active:
-                continue
-            if best is None or seq < best:
-                best = seq
-        return best
-
     def expired_leases(self, now: float) -> list[tuple[int, int]]:
         """``(seq, token)`` of every overdue active lease."""
         return sorted((task.seq, task.token) for task in self.tasks.values()
@@ -203,41 +224,41 @@ class LeaseState:
 
     # -- replay ---------------------------------------------------------
 
-    def apply(self, event: dict, payload: object = None) -> str:
+    def apply(self, event: dict) -> str:
         """Fold one decoded event in; returns its disposition.
 
-        ``payload`` overrides the event's own ``payload`` field (the
-        disk-backed queue passes ``(offset, length)`` refs so large
-        completion payloads never live in memory twice).
+        Every field is parsed before anything changes, so an event
+        whose fields have the wrong types or values is ``"invalid"``
+        (counted) and leaves the state exactly as it was.
         """
         kind = event.get("ev")
-        if kind == "header":
-            self.version = int(event.get("version", 0))
-            identity = event.get("identity")
-            self.identity = None if identity is None else str(identity)
-            lease = event.get("lease_s")
-            self.default_lease_s = None if lease is None else float(lease)
-            return "header"
-        if kind == "submit":
-            return self._apply_submit(event, payload)
-        if kind == "close":
-            total = event.get("total")
-            if self.closed or not isinstance(total, int):
-                return "noop"
-            self.closed, self.total = True, total
-            return "close"
-        if kind in ("claim", "heartbeat", "expire", "complete"):
-            return self._apply_lease_event(kind, event, payload)
+        try:
+            if kind == "header":
+                return self._apply_header(event)
+            if kind == "submit":
+                return self._apply_submit(event)
+            if kind == "close":
+                return self._apply_close(event)
+            if kind in ("claim", "heartbeat", "expire", "complete"):
+                return self._apply_lease_event(kind, event)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            pass
         self.stats.invalid += 1
         return "invalid"
 
-    def _apply_submit(self, event: dict, payload: object) -> str:
-        try:
-            seq = int(event["seq"])
-            key = tuple(event["key"])
-        except (KeyError, TypeError, ValueError):
-            self.stats.invalid += 1
-            return "invalid"
+    def _apply_header(self, event: dict) -> str:
+        version = _int(event.get("version", 0))
+        identity = event.get("identity")
+        lease = event.get("lease_s")
+        lease_s = None if lease is None else _finite(lease)
+        self.version = version
+        self.identity = None if identity is None else str(identity)
+        self.default_lease_s = lease_s
+        return "header"
+
+    def _apply_submit(self, event: dict) -> str:
+        seq = _seq(event["seq"])
+        key = _run_key(event["key"])
         existing = self.tasks.get(seq)
         if existing is not None:
             if existing.key != key:
@@ -246,25 +267,27 @@ class LeaseState:
                     f"key ({existing.key} != {key}); the spool mixes two "
                     f"schedules — use a fresh queue directory")
             return "noop"  # idempotent resubmit (coordinator restart)
-        self.tasks[seq] = TaskRecord(
-            seq=seq, key=key,
-            payload=payload if payload is not None else event.get("payload"))
+        self.tasks[seq] = TaskRecord(seq=seq, key=key,
+                                     payload=event.get("payload"))
         self.stats.submitted += 1
         return "submit"
 
-    def _apply_lease_event(self, kind: str, event: dict,
-                           payload: object) -> str:
-        try:
-            seq = int(event["seq"])
-            token = int(event["token"])
-        except (KeyError, TypeError, ValueError):
-            self.stats.invalid += 1
-            return "invalid"
+    def _apply_close(self, event: dict) -> str:
+        total = _int(event.get("total"))
+        if self.closed:
+            return "noop"
+        self.closed, self.total = True, total
+        return "close"
+
+    def _apply_lease_event(self, kind: str, event: dict) -> str:
+        seq = _seq(event["seq"])
+        token = _int(event["token"])
         task = self.tasks.get(seq)
         if task is None:
             self.stats.invalid += 1
             return "invalid"
         if kind == "claim":
+            deadline = _finite(event.get("deadline", 0.0))
             # Writers compute token = task.token + 1 under the lock, so
             # a mismatched token on replay is a fenced/duplicated write.
             if task.done or task.active or token != task.token + 1:
@@ -272,7 +295,7 @@ class LeaseState:
                 return "fenced"
             task.token = token
             task.worker = str(event.get("worker", ""))
-            task.deadline = float(event.get("deadline", 0.0))
+            task.deadline = deadline
             task.active = True
             stolen_from, task.requeued_from = task.requeued_from, None
             if stolen_from is not None and stolen_from != task.worker:
@@ -280,10 +303,13 @@ class LeaseState:
                 return "steal"
             return "claim"
         if kind == "heartbeat":
+            deadline = event.get("deadline")
+            deadline = None if deadline is None else _finite(deadline)
             if not task.active or token != task.token:
                 self.stats.fenced += 1
                 return "fenced"
-            task.deadline = float(event.get("deadline", task.deadline or 0.0))
+            if deadline is not None:
+                task.deadline = deadline
             return "heartbeat"
         if kind == "expire":
             if not task.active or token != task.token:
@@ -298,96 +324,37 @@ class LeaseState:
             return "fenced"
         task.done = True
         task.active = False
-        task.outcome = payload if payload is not None \
-            else event.get("payload")
+        task.outcome = event.get("payload")
         self.stats.completed += 1
         return "complete"
 
 
-def enrich_disposition(state: LeaseState, event: dict,
-                       disposition: str) -> tuple[str, int, str]:
-    """One ``(disposition, seq, worker)`` tuple for observers.
+def replay_line(state: LeaseState, line: str) -> tuple[str, int, str] | None:
+    """Fold one spool line into ``state``: the one spool replay.
 
-    ``expire`` and ``steal`` name the *previous* lease holder (the
-    worker whose lease was lost), not the event's own ``worker`` field;
-    this is the attribution both the on-disk replay and the broker
-    client's network mirror must agree on, so it lives here once.
+    :meth:`DurableTaskQueue.catch_up` runs it over the spool on disk
+    and the coordinator's broker client over the lines the broker
+    streams it, so both replays agree by construction.  Returns
+    ``None`` when the line carries no framed JSON object (a torn or
+    corrupt line, skipped); otherwise ``(disposition, seq, worker)``
+    for observers, where ``seq`` is ``-1`` for events without a valid
+    one and ``expire``/``steal`` name the *previous* lease holder (the
+    worker whose lease was lost), not the event's own ``worker`` field.
+    Only :class:`TaskQueueError` escapes.
     """
+    event = load_framed_line(line)
+    if event is None:
+        return None
+    disposition = state.apply(event)
+    seq = event.get("seq")
+    if isinstance(seq, bool) or not isinstance(seq, int):
+        seq = -1
     worker = str(event.get("worker") or "")
     if disposition in ("expire", "steal"):
-        task = state.tasks.get(int(event.get("seq", -1)))
-        if task is not None:
-            worker = (task.requeued_from if disposition == "expire"
-                      else task.worker) or ""
-        else:
-            worker = ""
-    return disposition, int(event.get("seq", -1)), worker
-
-
-# ----------------------------------------------------------------------
-# Pluggable transport contract
-# ----------------------------------------------------------------------
-
-
-class QueueTransport:
-    """The verb surface a campaign task-queue transport must provide.
-
-    Two implementations exist: :class:`DurableTaskQueue` (same-host —
-    every process appends to and replays one flock-serialized spool)
-    and :class:`~repro.campaign.broker_client.BrokerClient` (cross-host
-    — the verbs travel over HTTP to a ``repro broker serve`` process
-    that owns the spool and is the *single authoritative clock* for
-    lease deadlines).  :class:`~repro.campaign.scheduler.QueueScheduler`
-    and :class:`~repro.campaign.worker.QueueWorker` are written against
-    this surface only, which is what makes the backend pluggable.
-
-    Coordinator verbs: ``open(create=True)``, ``submit``, ``close``,
-    ``take_completion``, ``expire_overdue``, ``drain_dispositions``,
-    ``live_workers``.  Worker verbs: ``open()``, ``claim``,
-    ``heartbeat``, ``complete``, ``write_worker_heartbeat``.  Both
-    sides read ``state`` (a replayed :class:`LeaseState`, or a mirror
-    of the broker's) and ``clock`` (local monotonic time — only ever
-    compared against itself; cross-host deadline arithmetic is the
-    broker's job).
-    """
-
-    state: LeaseState
-    clock: Callable[[], float]
-
-    def open(self, create: bool = False) -> bool:
-        raise NotImplementedError
-
-    def submit(self, key: tuple, payload: str) -> int:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-    def take_completion(self, seq: int) -> str | None:
-        raise NotImplementedError
-
-    def expire_overdue(self) -> list[tuple[int, str]]:
-        raise NotImplementedError
-
-    def drain_dispositions(self) -> list[tuple[str, int, str]]:
-        raise NotImplementedError
-
-    def claim(self, worker: str, lease_s: float) -> "Claim | None":
-        raise NotImplementedError
-
-    def heartbeat(self, claim: "Claim", lease_s: float) -> bool:
-        raise NotImplementedError
-
-    def complete(self, claim: "Claim", payload: str) -> bool:
-        raise NotImplementedError
-
-    def write_worker_heartbeat(self, worker: str, ttl_s: float,
-                               run_key: tuple | None = None,
-                               token: int | None = None) -> None:
-        raise NotImplementedError
-
-    def live_workers(self) -> list[str]:
-        raise NotImplementedError
+        task = state.tasks[seq]
+        worker = (task.requeued_from if disposition == "expire"
+                  else task.worker) or ""
+    return disposition, seq, worker
 
 
 # ----------------------------------------------------------------------
@@ -441,15 +408,7 @@ class Claim:
     token: int
     worker: str
     key: tuple
-    payload: str  # decoded submit payload (opaque to the queue)
-
-
-@dataclass
-class _PayloadRef:
-    """Where a payload string lives inside ``events.spool``."""
-
-    offset: int
-    length: int
+    payload: str  # the submit payload (opaque to the queue)
 
 
 class _FlockHandle:
@@ -507,46 +466,41 @@ class _FlockHandle:
         self.path.with_suffix(".spin").unlink(missing_ok=True)
 
 
-class DurableTaskQueue(QueueTransport):
+class DurableTaskQueue:
     """The disk-backed queue: event-log append + incremental replay.
 
-    One instance per process; the coordinator opens it with the
-    campaign ``identity`` (verified against the spool header) and
-    ``payload_mode="ref"`` (completion payloads stay on disk until
-    consumed), workers open it anonymously with ``payload_mode="drop"``
-    (they never read completions).  ``clock`` must be the same
-    monotonic clock in every process sharing the spool.
+    The broker owns one instance per queue directory and opens it with
+    the campaign ``identity`` (verified against the spool header);
+    ``repro status`` opens a read-only one beside it.  ``clock`` is the
+    owner's monotonic clock: every lease deadline in the spool is on
+    it.
     """
 
     def __init__(self, root: str | Path, identity: str | None = None,
                  clock: Callable[[], float] = time.monotonic,
-                 payload_mode: str = "ref", fsync: bool = True,
+                 fsync: bool = True,
                  default_lease_s: float | None = None):
-        if payload_mode not in ("ref", "drop", "inline"):
-            raise ValueError(f"unknown payload_mode {payload_mode!r}")
         self.root = Path(root)
         self.identity = identity
         self.default_lease_s = default_lease_s  # advertised in the header
         self.clock = clock
-        self.payload_mode = payload_mode
         self.fsync = fsync
         self.state = LeaseState()
         self.events_path = self.root / "events.spool"
         self.workers_dir = self.root / "workers"
         self._lock = _FlockHandle(self.root / "queue.lock")
-        self._mutex = threading.RLock()  # heartbeat-thread safety
+        self._mutex = threading.RLock()  # handler-thread safety
         self._offset = 0  # replay position into events.spool
         self._skipped_lines = 0
         self._dispositions: list[tuple[str, int, str]] = []
-        self._next_seq = 0
 
     # -- lifecycle ------------------------------------------------------
 
     def open(self, create: bool = False) -> bool:
         """Attach to the spool; ``create=True`` initialises a new one.
 
-        Returns False when the spool does not exist yet (workers poll
-        until the coordinator creates it).  Raises
+        Returns False when the spool does not exist yet (the broker
+        answers "not ready" until the coordinator creates it).  Raises
         ``CheckpointMismatchError`` when the header identity and this
         queue's identity both exist and disagree.
         """
@@ -569,45 +523,29 @@ class DurableTaskQueue(QueueTransport):
             # liveness views never show long-dead workers.
             self.prune_stale_worker_heartbeats()
         self.catch_up()
-        self._check_identity()
+        self.check_identity(self.identity)
         return True
 
-    def _check_identity(self) -> None:
-        if self.identity is None or self.state.identity is None:
-            return
-        if self.identity != self.state.identity:
+    def check_identity(self, identity: str | None) -> None:
+        """Raise ``CheckpointMismatchError`` when ``identity`` and the
+        spool header's both exist and disagree."""
+        spool = self.state.identity
+        if identity is not None and spool is not None and identity != spool:
             raise CheckpointMismatchError(
                 f"task queue {self.root} belongs to a different campaign "
-                f"(spool identity {self.state.identity}, this campaign "
-                f"{self.identity}); use a fresh --queue-dir or rerun with "
+                f"(spool identity {spool}, this campaign {identity}); "
+                f"point the broker at a fresh --queue-dir or rerun with "
                 f"the original seed/config/operators")
 
     # -- coordinator API ------------------------------------------------
 
-    def submit(self, key: tuple, payload: str) -> int:
-        """Durably enqueue one task; idempotent across restarts.
-
-        Tasks are numbered in submit order, which the coordinator calls
-        in schedule order — so draining completions by ascending seq
-        *is* the schedule-order merge.  A restarted coordinator
-        re-submitting the same schedule is a no-op per existing seq
-        (the key is verified), so resuming against a half-drained spool
-        is safe.
-        """
-        with self._mutex:
-            seq = self._next_seq
-            self._next_seq += 1
-            return self.submit_at(seq, key, payload)
-
     def submit_at(self, seq: int, key: tuple, payload: str) -> int:
         """Durably enqueue one task at an explicit ``seq``.
 
-        The broker path: a restarted broker does not re-enumerate the
-        schedule the way a restarted coordinator does, so it assigns
-        seqs from its replayed state (``max + 1``) instead of a
-        process-local counter.  Same idempotency contract as
-        :meth:`submit` — a re-submit of an existing ``(seq, key)`` is a
-        no-op, a key mismatch raises.
+        The broker assigns seqs from its replayed state (``max + 1``),
+        so a restarted broker keeps numbering where the spool left
+        off.  A re-submit of an existing ``(seq, key)`` is a no-op; a
+        key mismatch raises :class:`TaskQueueError`.
         """
         with self._mutex:
             self.catch_up()
@@ -639,54 +577,30 @@ class DurableTaskQueue(QueueTransport):
                     self._append_events([{"ev": "close",
                                           "total": len(self.state.tasks)}])
 
-    def take_completion(self, seq: int) -> str | None:
-        """Pop task ``seq``'s completion payload, or None if unfinished.
+    def expire_overdue(self) -> None:
+        """Append expire events for every overdue lease.
 
-        In ``ref`` mode the payload is read back from the spool only
-        now, and the in-memory ref is dropped after — the coordinator
-        holds at most one completion payload at a time regardless of
-        how far ahead of the merge the workers have raced.
-        """
-        with self._mutex:
-            task = self.state.tasks.get(seq)
-            if task is None or not task.done:
-                return None
-            outcome, task.outcome = task.outcome, None
-            if isinstance(outcome, _PayloadRef):
-                return self._read_payload_ref(outcome)
-            return outcome  # inline payload, or None if already taken
-
-    def expire_overdue(self) -> list[tuple[int, str]]:
-        """Append expire events for every overdue lease (coordinator poll).
-
-        Returns ``(seq, worker)`` for each lease actually expired here.
-        Workers do the same opportunistically inside :meth:`claim`, so
-        whichever side looks first requeues the work.
+        :meth:`claim` does the same on its way to a claim, so whichever
+        verb looks first requeues the work.
         """
         with self._mutex:
             self.catch_up()
-            overdue = self.state.expired_leases(self.clock())
-            if not overdue:
-                return []
-            expired: list[tuple[int, str]] = []
+            if not self.state.expired_leases(self.clock()):
+                return
             with self._locked():
                 self.catch_up()
-                events = []
-                for seq, token in self.state.expired_leases(self.clock()):
-                    task = self.state.tasks[seq]
-                    events.append({"ev": "expire", "seq": seq,
-                                   "token": token})
-                    expired.append((seq, task.worker or "?"))
+                events = [{"ev": "expire", "seq": seq, "token": token}
+                          for seq, token
+                          in self.state.expired_leases(self.clock())]
                 if events:
                     self._append_events(events)
-            return expired
 
     def drain_dispositions(self) -> list[tuple[str, int, str]]:
         """New ``(disposition, seq, worker)`` tuples since the last call.
 
-        Each replayed event is reported exactly once per process, in
-        log order — the coordinator's counter/breaker routing consumes
-        this.
+        Each replayed event is reported exactly once per instance, in
+        log order — the broker's telemetry routing and ``repro
+        status``'s event synthesis consume this.
         """
         with self._mutex:
             self.catch_up()
@@ -704,9 +618,9 @@ class DurableTaskQueue(QueueTransport):
         """
         with self._mutex:
             self.catch_up()
-            now = self.clock()
-            if self.state.claimable_seq(now) is None \
-                    and not self.state.expired_leases(now):
+            if not self.state.expired_leases(self.clock()) and all(
+                    task.done or task.active
+                    for task in self.state.tasks.values()):
                 return None  # cheap lock-free fast path
             with self._locked():
                 self.catch_up()
@@ -736,11 +650,8 @@ class DurableTaskQueue(QueueTransport):
                 events.append({"ev": "claim", "seq": seq, "worker": worker,
                                "token": token, "deadline": now + lease_s})
                 self._append_events(events)
-                payload = task.payload
-                if isinstance(payload, _PayloadRef):
-                    payload = self._read_payload_ref(payload)
                 return Claim(seq=seq, token=token, worker=worker,
-                             key=task.key, payload=payload)
+                             key=task.key, payload=task.payload)
 
     def heartbeat(self, claim: Claim, lease_s: float) -> bool:
         """Extend a held lease; False when the lease was fenced off."""
@@ -782,21 +693,21 @@ class DurableTaskQueue(QueueTransport):
 
     # -- worker liveness ------------------------------------------------
 
-    def write_worker_heartbeat(self, worker: str, ttl_s: float,
-                               run_key: tuple | None = None,
+    def write_worker_heartbeat(self, worker: str, ttl_s: float, *,
+                               pid: int, run_key: tuple | None = None,
                                token: int | None = None) -> None:
-        """Refresh this worker's liveness file (atomic replace).
+        """Refresh a worker's liveness file (atomic replace).
 
-        ``run_key``/``token`` name the claim the worker is currently
-        executing (``None`` between claims), so ``repro status`` can
-        show not just *that* a worker is alive but *what* it holds and
-        under which lease generation.
+        ``pid`` is the worker's own process id (the broker writes these
+        files on its workers' behalf).  ``run_key``/``token`` name the
+        claim the worker is currently executing (``None`` between
+        claims), so ``repro status`` can show not just *that* a worker
+        is alive but *what* it holds and under which lease generation.
         """
         self.workers_dir.mkdir(parents=True, exist_ok=True)
         path = self.workers_dir / f"{worker}.hb"
         tmp = path.with_suffix(".hb.tmp")
-        record: dict = {"pid": os.getpid(), "mono": self.clock(),
-                        "ttl": ttl_s}
+        record: dict = {"pid": pid, "mono": self.clock(), "ttl": ttl_s}
         if run_key is not None:
             record["run_key"] = list(run_key)
         if token is not None:
@@ -887,8 +798,8 @@ class DurableTaskQueue(QueueTransport):
 
         Only whole, newline-terminated lines are consumed; a torn tail
         (a writer died mid-append) is left unread until a later writer
-        repairs the framing.  CRC-invalid lines are skipped and
-        counted, never fatal.
+        repairs the framing.  Lines without a framed JSON object are
+        skipped and counted, never fatal.
         """
         with self._mutex:
             if not self.events_path.exists():
@@ -896,70 +807,27 @@ class DurableTaskQueue(QueueTransport):
             with self.events_path.open("rb") as handle:
                 handle.seek(self._offset)
                 data = handle.read()
-            if not data:
-                return
             end = data.rfind(b"\n")
             if end < 0:
-                return  # only a torn tail so far
-            consumed = data[:end + 1]
+                return  # nothing new, or only a torn tail so far
             offset = self._offset
-            self._offset += len(consumed)
-            for raw in consumed.split(b"\n")[:-1]:
+            self._offset += end + 1
+            for raw in data[:end].split(b"\n"):
                 line_offset = offset
                 offset += len(raw) + 1
-                stripped = raw.decode("utf-8", errors="replace").strip()
-                if not stripped:
+                line = raw.decode("utf-8", errors="replace")
+                if not line.strip():
                     continue
-                payload_text, crc_ok = unframe_line(stripped)
-                if crc_ok is not True:
-                    self._skipped_lines += 1
-                    get_instrumentation().events.emit(
-                        "queue.spool_corrupt_line", severity="warning",
-                        queue=str(self.root), offset=line_offset)
-                    logger.warning("task queue %s: skipped corrupt spool "
-                                   "line at byte %d", self.root, line_offset)
+                observed = replay_line(self.state, line)
+                if observed is not None:
+                    self._dispositions.append(observed)
                     continue
-                self._replay_line(payload_text, line_offset, len(raw))
-
-    def _replay_line(self, payload_text: str, line_offset: int,
-                     line_length: int) -> None:
-        try:
-            event = json.loads(payload_text)
-        except json.JSONDecodeError:
-            self._skipped_lines += 1
-            return
-        if not isinstance(event, dict):
-            self._skipped_lines += 1
-            return
-        payload_override = None
-        if self.payload_mode != "inline" and isinstance(
-                event.get("payload"), str):
-            if self.payload_mode == "drop" and event.get("ev") == "complete":
-                payload_override = ""  # workers never read completions
-            else:
-                # The payload is the JSON string field; rather than hold
-                # it, remember where the framed line lives and re-read
-                # on demand.
-                payload_override = _PayloadRef(offset=line_offset,
-                                               length=line_length)
-        disposition = self.state.apply(event, payload=payload_override)
-        self._dispositions.append(
-            enrich_disposition(self.state, event, disposition))
-
-    def _read_payload_ref(self, ref: _PayloadRef) -> str | None:
-        with self.events_path.open("rb") as handle:
-            handle.seek(ref.offset)
-            raw = handle.read(ref.length)
-        payload_text, crc_ok = unframe_line(
-            raw.decode("utf-8", errors="replace").strip())
-        if crc_ok is not True:
-            return None
-        try:
-            event = json.loads(payload_text)
-            value = event.get("payload")
-            return value if isinstance(value, str) else None
-        except json.JSONDecodeError:
-            return None
+                self._skipped_lines += 1
+                get_instrumentation().events.emit(
+                    "queue.spool_corrupt_line", severity="warning",
+                    queue=str(self.root), offset=line_offset)
+                logger.warning("task queue %s: skipped corrupt spool "
+                               "line at byte %d", self.root, line_offset)
 
     def _append_events(self, events: list[dict]) -> None:
         """Append framed events; caller must hold the flock.

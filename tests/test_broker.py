@@ -15,9 +15,13 @@ Three layers, no sockets except where sockets are the point:
   per-request socket timeout).
 """
 
+import json
+import os
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign.broker import (
     BROKER_PROTOCOL_VERSION,
@@ -36,7 +40,7 @@ from repro.campaign.broker_client import (
 )
 from repro.campaign.scheduler import BrokerScheduler
 from repro.campaign.worker import QueueWorker, WorkerConfig
-from repro.resilience.checkpoint import CheckpointMismatchError
+from repro.resilience.checkpoint import CheckpointMismatchError, frame_line
 from repro.resilience.memo import sha256_digest
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.supervision import CircuitBreaker, CircuitBreakerOpen
@@ -108,12 +112,73 @@ class TestFraming:
         assert decode_framed(bytes(body)) is None
 
     def test_non_dict_and_garbage_rejected(self):
-        from repro.resilience.checkpoint import frame_line
         framed_list = (frame_line("[1, 2]") + "\n").encode()
         assert decode_framed(framed_list) is None
         assert decode_framed(b"") is None
         assert decode_framed(b"\xff\xfe not utf8 \xff") is None
         assert decode_framed(b"deadbeef not-json") is None
+
+
+#: Framed bodies whose CRC is fine but whose JSON cannot be decoded:
+#: an integer past the int digit limit, and nesting past the
+#: recursion limit.
+HUGE_INT_BODY = (frame_line('{"seq": ' + "1" * 5000 + "}") + "\n").encode()
+DEEP_BODY = (frame_line('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}")
+             + "\n").encode()
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8)
+
+#: Payload text a CRC frame may carry: JSON of any shape, plus the
+#: shapes ``json.loads`` rejects with something other than
+#: ``JSONDecodeError``.
+_FRAMED_PAYLOADS = st.one_of(
+    _JSON.map(json.dumps),
+    st.integers(4_301, 20_000).map(lambda digits: "1" * digits),
+    st.integers(1_000, 200_000).map(lambda depth: "[" * depth + "]" * depth),
+    st.text(max_size=40))
+
+
+class TestFramingDecodesOrNone:
+    """``decode_framed`` answers a dict or ``None``, for any body."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.binary(max_size=200) | _FRAMED_PAYLOADS.map(
+        lambda payload: (frame_line(payload) + "\n").encode()))
+    def test_arbitrary_bytes_and_framed_json(self, body):
+        decoded = decode_framed(body)
+        assert decoded is None or isinstance(decoded, dict)
+
+    @pytest.mark.parametrize("body", [HUGE_INT_BODY, DEEP_BODY],
+                             ids=["int-digit-limit", "recursion-limit"])
+    def test_undecodable_crc_valid_bodies(self, tmp_path, body):
+        assert decode_framed(body) is None
+        broker = make_broker(tmp_path)
+        status, _ctype, payload = broker.handle("POST", "/v1/claim", body)
+        assert status == 400  # a malformed request, not an internal error
+        assert "not a CRC-framed JSON object" in \
+            decode_framed(payload)["error"]
+
+    @pytest.mark.parametrize("body", [HUGE_INT_BODY, DEEP_BODY],
+                             ids=["int-digit-limit", "recursion-limit"])
+    def test_client_retries_an_undecodable_response(self, tmp_path, body):
+        inner = direct_send(make_broker(tmp_path))
+        garbled = {"left": 1}
+
+        def send(method, path, request):
+            status, payload = inner(method, path, request)
+            if garbled["left"]:
+                garbled["left"] -= 1
+                return status, body
+            return status, payload
+
+        client = make_client(send, role="coordinator", identity="c")
+        assert client.open(create=True)  # retried like a CRC failure
+        assert garbled["left"] == 0
 
 
 class TestBrokerProtocol:
@@ -279,6 +344,17 @@ class TestBrokerProtocol:
         status, _ctype, payload = broker.handle("GET", "/v1/status", b"")
         assert status == 200 and decode_framed(payload)["draining"] is True
         assert broker.handle("GET", f"/v1/artifacts/{digest}", b"")[0] == 200
+
+    def test_worker_heartbeat_records_the_workers_pid(self, tmp_path):
+        broker = make_broker(tmp_path)
+        attach(broker)
+        status, response = post(broker, "/v1/worker_heartbeat", {
+            "worker": "w0", "ttl_s": 30.0, "pid": 4242,
+            "run_key": ["r0"], "token": 1})
+        assert status == 200 and response["ok"] is True
+        [beat] = broker._queue.worker_heartbeats()
+        assert (beat.worker, beat.pid, beat.run_key, beat.token) \
+            == ("w0", 4242, ("r0",), 1)
 
     def test_metrics_endpoint_is_prometheus_text(self, tmp_path):
         broker = make_broker(tmp_path)
@@ -473,6 +549,24 @@ class TestBrokerClient:
             client._call("POST", "/v1/nope", {})
         assert calls["count"] == 1
 
+    def test_worker_heartbeat_sends_the_clients_pid(self, tmp_path):
+        broker = make_broker(tmp_path)
+        attach(broker)
+        inner = direct_send(broker)
+        sent = []
+
+        def recording(method, path, body):
+            sent.append((path, decode_framed(body)))
+            return inner(method, path, body)
+
+        client = make_client(recording, role="worker", worker_id="w0")
+        client.write_worker_heartbeat("w0", ttl_s=30.0)
+        assert sent == [("/v1/worker_heartbeat",
+                         {"worker": "w0", "ttl_s": 30.0,
+                          "pid": os.getpid()})]
+        [beat] = broker._queue.worker_heartbeats()
+        assert beat.pid == os.getpid()
+
     def test_rejects_unknown_role(self):
         with pytest.raises(ValueError):
             BrokerClient("http://x", role="observer")
@@ -566,7 +660,6 @@ class TestBrokerScheduler:
             dead, role="coordinator", identity="c",
             retry=RetryPolicy(max_retries=1, backoff_base_s=0.0))
         scheduler = BrokerScheduler(client, CircuitBreaker())
-        assert "repro worker --broker" in scheduler.worker_hint
         with pytest.raises(CircuitBreakerOpen) as excinfo:
             scheduler.start()
         assert "unreachable" in str(excinfo.value)
@@ -583,17 +676,10 @@ class TestBrokerScheduler:
 
 
 class TestWorkerBrokerMode:
-    def test_exactly_one_transport_must_be_selected(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            QueueWorker(WorkerConfig(queue_dir="q",
-                                     broker_url="http://x:1"))
-        with pytest.raises(ValueError, match="exactly one"):
-            QueueWorker(WorkerConfig(queue_dir=None, broker_url=None))
-
     def test_unreachable_broker_is_resumable_exit_75(self, tmp_path):
         worker = QueueWorker(WorkerConfig(
-            queue_dir=None, broker_url="http://127.0.0.1:9",
-            worker_id="w0", attach_timeout_s=1.0))
+            broker_url="http://127.0.0.1:9", worker_id="w0",
+            attach_timeout_s=1.0))
         worker.queue = make_client(
             lambda method, path, body: (_ for _ in ()).throw(
                 BrokerTransportError("refused")),

@@ -25,7 +25,6 @@ module global.
 import signal
 import subprocess
 import sys
-import threading
 from types import SimpleNamespace
 
 import pytest
@@ -46,6 +45,7 @@ from tests.test_scheduler_queue import (
     counter_total,
     load_counters,
     run_cli,
+    start_broker,
 )
 
 #: Coordinator-side counters that exist only on the broker path, over
@@ -291,27 +291,6 @@ def sequential(tmp_path_factory):
                            counters=load_counters(metrics))
 
 
-def start_broker(queue_dir):
-    """``repro broker serve`` on a free port; returns (proc, url)."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "broker", "serve",
-         "--queue-dir", str(queue_dir), "--port", "0", "--no-fsync"],
-        env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    url = {}
-
-    def read_url():
-        url["value"] = proc.stdout.readline().strip()
-
-    reader = threading.Thread(target=read_url, daemon=True)
-    reader.start()
-    reader.join(timeout=60)
-    if not url.get("value"):
-        proc.kill()
-        proc.communicate()
-        raise AssertionError("broker never printed its URL")
-    return proc, url["value"]
-
-
 def run_broker_campaign(tmp_path, worker_extra_args, fault_rate="0.25",
                         lease_timeout="10"):
     queue_dir = tmp_path / "qdir"
@@ -330,7 +309,7 @@ def run_broker_campaign(tmp_path, worker_extra_args, fault_rate="0.25",
                 text=True)
             for index, extra in enumerate(worker_extra_args)]
         coordinator = run_cli(["campaign", *CAMPAIGN_ARGS,
-                               "--scheduler", "broker", "--broker", url,
+                               "--broker", url,
                                "--broker-fault-rate", fault_rate,
                                "--broker-fault-seed", "5",
                                "--lease-timeout", lease_timeout,

@@ -181,7 +181,7 @@ class TestSequentialFreshRun:
         campaign = "4e9c6097"
         assert fresh.events == [
             ("campaign.started", "info", campaign, None,
-             {"scheduler": "pool", "workers": 1, "seed": 0}),
+             {"scheduler": "inline", "workers": 1, "seed": 0}),
             ("run.completed", "debug", campaign, K0, {"attempts": 1}),
             ("run.retry", "warning", campaign, K1,
              {"attempt": 1, "backoff_s": 0.0,
@@ -257,7 +257,7 @@ class TestSequentialResume:
         campaign = "4e9c6097"
         assert resumed.events == [
             ("campaign.started", "info", campaign, None,
-             {"scheduler": "pool", "workers": 1, "seed": 0}),
+             {"scheduler": "inline", "workers": 1, "seed": 0}),
             ("parse.records_quarantined", "warning", campaign, None,
              {"total_lines": 1, "skipped": 1,
               "errors": {"TraceDecodeError": 1}}),

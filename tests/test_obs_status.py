@@ -33,7 +33,7 @@ VOLATILE_VIEW_KEYS = ("generated_wall_s", "throughput")
 
 def make_queue(root, clock, identity="cafe0123"):
     queue = DurableTaskQueue(root, identity=identity, clock=clock,
-                             payload_mode="ref", fsync=False)
+                             fsync=False)
     assert queue.open(create=True)
     return queue
 
@@ -59,18 +59,18 @@ class TestHeartbeatEnrichment:
     def test_heartbeat_carries_pid_run_key_and_token(self, tmp_path):
         clock = FakeClock()
         queue = make_queue(tmp_path / "q", clock)
-        queue.write_worker_heartbeat("w0", ttl_s=10.0,
+        queue.write_worker_heartbeat("w0", ttl_s=10.0, pid=4242,
                                      run_key=KEYS[0], token=3)
         [beat] = queue.worker_heartbeats()
         assert beat.worker == "w0"
-        assert beat.pid > 0
+        assert beat.pid == 4242
         assert beat.run_key == KEYS[0]
         assert beat.token == 3
         assert beat.live
 
     def test_idle_heartbeat_has_no_claim_fields(self, tmp_path):
         queue = make_queue(tmp_path / "q", FakeClock())
-        queue.write_worker_heartbeat("w0", ttl_s=10.0)
+        queue.write_worker_heartbeat("w0", ttl_s=10.0, pid=1)
         [beat] = queue.worker_heartbeats()
         assert beat.run_key is None
         assert beat.token is None
@@ -78,9 +78,9 @@ class TestHeartbeatEnrichment:
     def test_stale_and_future_heartbeats_are_pruned(self, tmp_path):
         clock = FakeClock()
         queue = make_queue(tmp_path / "q", clock)
-        queue.write_worker_heartbeat("dead", ttl_s=5.0)
+        queue.write_worker_heartbeat("dead", ttl_s=5.0, pid=1)
         clock.advance(100.0)
-        queue.write_worker_heartbeat("alive", ttl_s=5.0)
+        queue.write_worker_heartbeat("alive", ttl_s=5.0, pid=1)
         assert queue.prune_stale_worker_heartbeats() == ["dead"]
         assert queue.live_workers() == ["alive"]
         assert not (queue.workers_dir / "dead.hb").exists()
@@ -88,7 +88,7 @@ class TestHeartbeatEnrichment:
     def test_coordinator_open_prunes_a_reused_queue_dir(self, tmp_path):
         clock = FakeClock()
         queue = make_queue(tmp_path / "q", clock)
-        queue.write_worker_heartbeat("old", ttl_s=5.0)
+        queue.write_worker_heartbeat("old", ttl_s=5.0, pid=1)
         clock.advance(100.0)
         reopened = DurableTaskQueue(tmp_path / "q", identity="cafe0123",
                                     clock=clock, fsync=False)
@@ -101,7 +101,7 @@ class TestHeartbeatEnrichment:
         clock = FakeClock()
         clock.advance(500.0)
         queue = make_queue(tmp_path / "q", clock)
-        queue.write_worker_heartbeat("prereboot", ttl_s=10.0)
+        queue.write_worker_heartbeat("prereboot", ttl_s=10.0, pid=1)
         fresh = DurableTaskQueue(tmp_path / "q", clock=FakeClock(),
                                  fsync=False)
         [beat] = fresh.worker_heartbeats()
@@ -115,14 +115,14 @@ class TestAggregator:
         clock = FakeClock()
         queue = make_queue(tmp_path, clock)
         for seq, key in enumerate(KEYS):
-            queue.submit(key, payload=f"task-{seq}")
+            queue.submit_at(seq, key, payload=f"task-{seq}")
         victim_spool(tmp_path, clock, worker="w0")
         queue.claim("w0", lease_s=5.0)  # the victim's doomed claim
         # ttl 2 → at +6s w0 is past ttl*grace and reads as dead.
-        queue.write_worker_heartbeat("w0", ttl_s=2.0)
+        queue.write_worker_heartbeat("w0", ttl_s=2.0, pid=1)
         clock.advance(6.0)  # w0 is now silent past its lease
         thief = queue.claim("w1", lease_s=5.0)  # expires + steals seq 0
-        queue.write_worker_heartbeat("w1", ttl_s=5.0, run_key=thief.key,
+        queue.write_worker_heartbeat("w1", ttl_s=5.0, pid=1, run_key=thief.key,
                                      token=thief.token)
         queue.complete(thief, payload="done-0")
         second = queue.claim("w1", lease_s=5.0)
@@ -182,7 +182,7 @@ class TestAggregator:
     def test_merged_counters_union_worker_sessions(self, tmp_path):
         clock = FakeClock()
         queue = make_queue(tmp_path, clock)
-        queue.submit(KEYS[0], payload="t")
+        queue.submit_at(0, KEYS[0], payload="t")
         for worker, runs in (("w0", 2), ("w1", 3)):
             obs = make_instrumentation(clock=clock)
             obs.registry.counter("campaign_runs_completed_total").inc(runs)
@@ -223,7 +223,7 @@ class TestHTTPSurface:
     def serve(self, tmp_path):
         clock = FakeClock()
         queue = make_queue(tmp_path, clock)
-        queue.submit(KEYS[0], payload="t")
+        queue.submit_at(0, KEYS[0], payload="t")
         aggregator = make_aggregator(tmp_path, clock)
         server = serve_status(aggregator, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -289,7 +289,7 @@ class TestStatusCLI:
     def populated_queue(self, tmp_path):
         clock = FakeClock()
         queue = make_queue(tmp_path / "q", clock)
-        queue.submit(KEYS[0], payload="t")
+        queue.submit_at(0, KEYS[0], payload="t")
         victim_spool(tmp_path / "q", clock)
         return tmp_path / "q"
 
@@ -320,7 +320,8 @@ class TestLogFlags:
 
     def test_campaign_worker_profile_accept_log_flags(self):
         for argv in (["campaign", "--log-level", "warning"],
-                     ["worker", "--queue-dir", "q", "--log-json"],
+                     ["worker", "--broker", "http://127.0.0.1:1",
+                      "--log-json"],
                      ["profile", "--log-level", "debug"]):
             args = self.parse(argv)
             assert hasattr(args, "log_level") and hasattr(args, "log_json")

@@ -4,17 +4,21 @@ Three layers under test:
 
 * the disk-backed :class:`DurableTaskQueue` verbs — claim order,
   idempotent submits, heartbeat extension, lease expiry and work
-  stealing, fenced completions, payload refs, identity checking and
-  torn-tail repair of the CRC-framed spool,
+  stealing, fenced completions, identity checking and torn-tail repair
+  of the CRC-framed spool,
 * multi-instance replay: two queue instances over one spool (each with
   its own replay offset, serialized by the flock) must observe each
   other's events and agree,
-* a hypothesis property suite driving random
+* hypothesis property suites: random
   claim/heartbeat/expire/steal/complete interleavings against an
-  in-memory oracle: no run is ever completed twice, and no claimed run
-  is ever lost — after enough clock, every submitted task drains.
+  in-memory oracle (no run is ever completed twice, no claimed run is
+  ever lost — after enough clock, every submitted task drains), and
+  arbitrary JSON in every field of every event kind through both
+  spool replays — the queue's own and the broker client's mirror —
+  which must agree and never crash.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -22,7 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.campaign.broker import decode_framed, encode_framed
+from repro.campaign.broker_client import BrokerClient
 from repro.resilience.checkpoint import CheckpointMismatchError, frame_line
+from repro.resilience.retry import RetryPolicy
 from repro.resilience.taskqueue import (
     DurableTaskQueue,
     LeaseState,
@@ -32,7 +39,6 @@ from tests.test_obs_metrics import FakeClock
 
 
 def make_queue(root, clock=None, **kwargs):
-    kwargs.setdefault("payload_mode", "inline")
     kwargs.setdefault("fsync", False)
     queue = DurableTaskQueue(root, clock=clock or FakeClock(), **kwargs)
     return queue
@@ -62,7 +68,8 @@ class TestSubmitAndClaim:
         queue = make_queue(tmp_path / "q", clock)
         queue.open(create=True)
         for index in range(3):
-            assert queue.submit((f"k{index}",), f"p{index}") == index
+            assert queue.submit_at(index, (f"k{index}",), f"p{index}") \
+                == index
         first = queue.claim("w1", lease_s=10.0)
         second = queue.claim("w2", lease_s=10.0)
         assert (first.seq, first.payload) == (0, "p0")
@@ -73,24 +80,23 @@ class TestSubmitAndClaim:
         clock = FakeClock()
         queue = make_queue(tmp_path / "q", clock)
         queue.open(create=True)
-        queue.submit(("k0",), "p0")
-        # A restarted coordinator re-submits the same schedule: the
-        # second instance starts its own seq counter from zero and the
-        # matching keys make every submit a no-op.
+        queue.submit_at(0, ("k0",), "p0")
+        # A restarted broker re-submits a key it already holds: the
+        # matching key makes the submit a no-op.
         resumed = make_queue(tmp_path / "q", clock)
         resumed.open()
-        assert resumed.submit(("k0",), "p0") == 0
+        assert resumed.submit_at(0, ("k0",), "p0") == 0
         assert resumed.state.stats.submitted == 1
 
     def test_mismatched_resubmit_key_is_structural_error(self, tmp_path):
         clock = FakeClock()
         queue = make_queue(tmp_path / "q", clock)
         queue.open(create=True)
-        queue.submit(("k0",), "p0")
+        queue.submit_at(0, ("k0",), "p0")
         resumed = make_queue(tmp_path / "q", clock)
         resumed.open()
         with pytest.raises(TaskQueueError, match="mixes two schedules"):
-            resumed.submit(("other",), "p0")
+            resumed.submit_at(0, ("other",), "p0")
 
     def test_nothing_claimable_returns_none(self, tmp_path):
         queue = make_queue(tmp_path / "q")
@@ -100,7 +106,7 @@ class TestSubmitAndClaim:
     def test_drained_requires_close_and_all_completions(self, tmp_path):
         queue = make_queue(tmp_path / "q")
         queue.open(create=True)
-        queue.submit(("k0",), "p0")
+        queue.submit_at(0, ("k0",), "p0")
         assert not queue.state.drained()
         queue.close()
         assert not queue.state.drained()
@@ -114,7 +120,7 @@ class TestLeaseLifecycle:
         clock = FakeClock()
         queue = make_queue(tmp_path / "q", clock)
         queue.open(create=True)
-        queue.submit(("k0",), "p0")
+        queue.submit_at(0, ("k0",), "p0")
         claim = queue.claim("w1", lease_s=10.0)
         clock.advance(8.0)
         assert queue.heartbeat(claim, lease_s=10.0) is True
@@ -126,17 +132,19 @@ class TestLeaseLifecycle:
         clock = FakeClock()
         queue = make_queue(tmp_path / "q", clock)
         queue.open(create=True)
-        queue.submit(("k0",), "p0")
+        queue.submit_at(0, ("k0",), "p0")
         claim = queue.claim("w1", lease_s=10.0)
         clock.advance(10.1)
-        assert queue.expire_overdue() == [(0, "w1")]
-        assert queue.expire_overdue() == []  # idempotent
+        queue.expire_overdue()
+        queue.expire_overdue()  # idempotent: nothing left to expire
+        assert queue.state.stats.expired == 1
+        assert queue.state.tasks[0].requeued_from == "w1"
         assert queue.heartbeat(claim, lease_s=10.0) is False  # fenced
 
     def test_steal_fences_off_the_original_holder(self, tmp_path):
         clock = FakeClock()
         coordinator, thief = open_pair(tmp_path / "q", clock)
-        coordinator.submit(("k0",), "p0")
+        coordinator.submit_at(0, ("k0",), "p0")
         victim_claim = coordinator.claim("victim", lease_s=5.0)
         clock.advance(5.1)
         # The thief's claim expires the overdue lease and re-claims in
@@ -152,13 +160,13 @@ class TestLeaseLifecycle:
         coordinator.catch_up()
         assert coordinator.state.stats.completed == 1
         assert coordinator.state.stats.stolen == 1
-        assert coordinator.take_completion(0) == "won"
+        assert coordinator.state.tasks[0].outcome == "won"
 
     def test_reclaim_by_same_worker_is_not_a_steal(self, tmp_path):
         clock = FakeClock()
         queue = make_queue(tmp_path / "q", clock)
         queue.open(create=True)
-        queue.submit(("k0",), "p0")
+        queue.submit_at(0, ("k0",), "p0")
         queue.claim("w1", lease_s=5.0)
         clock.advance(5.1)
         reclaimed = queue.claim("w1", lease_s=5.0)
@@ -172,7 +180,7 @@ class TestDispositionsAndPayloads:
         clock = FakeClock()
         coordinator, worker = open_pair(tmp_path / "q", clock)
         coordinator.drain_dispositions()  # swallow header/open noise
-        coordinator.submit(("k0",), "p0")
+        coordinator.submit_at(0, ("k0",), "p0")
         claim = worker.claim("w1", lease_s=5.0)
         worker.complete(claim, "done")
         kinds = [kind for kind, _seq, _worker
@@ -180,30 +188,6 @@ class TestDispositionsAndPayloads:
         assert kinds == ["submit", "claim", "complete"]
         assert coordinator.drain_dispositions() == []  # consumed exactly once
 
-    def test_take_completion_pops_the_payload_ref(self, tmp_path):
-        clock = FakeClock()
-        root = tmp_path / "q"
-        coordinator = make_queue(root, clock, payload_mode="ref")
-        coordinator.open(create=True)
-        coordinator.submit(("k0",), "p0")
-        claim = coordinator.claim("w1", lease_s=5.0)
-        assert coordinator.take_completion(0) is None  # not done yet
-        coordinator.complete(claim, "big-outcome")
-        assert coordinator.take_completion(0) == "big-outcome"
-        assert coordinator.take_completion(0) is None  # popped
-
-    def test_drop_mode_discards_completion_payloads(self, tmp_path):
-        clock = FakeClock()
-        root = tmp_path / "q"
-        coordinator = make_queue(root, clock)
-        coordinator.open(create=True)
-        coordinator.submit(("k0",), "p0")
-        worker = make_queue(root, clock, payload_mode="drop")
-        worker.open()
-        claim = worker.claim("w1", lease_s=5.0)
-        assert claim.payload == "p0"  # submits still decode
-        worker.complete(claim, "outcome")
-        assert worker.take_completion(0) == ""  # completions dropped
 
 
 class TestSpoolDurability:
@@ -227,7 +211,7 @@ class TestSpoolDurability:
         clock = FakeClock()
         queue = make_queue(tmp_path / "q", clock)
         queue.open(create=True)
-        queue.submit(("k0",), "p0")
+        queue.submit_at(0, ("k0",), "p0")
         # A writer SIGKILLed mid-append leaves an unterminated fragment.
         with queue.events_path.open("ab") as handle:
             handle.write(b'deadbeef {"ev": "compl')
@@ -235,7 +219,7 @@ class TestSpoolDurability:
         late = make_queue(tmp_path / "q", clock)
         late.open()
         assert late.state.stats.submitted == 1
-        queue.submit(("k1",), "p1")  # repairs: newline isolates the fragment
+        queue.submit_at(1, ("k1",), "p1")  # repairs: newline isolates it
         late.catch_up()
         assert late.state.stats.submitted == 2
         assert late._skipped_lines == 1  # the fragment, CRC-invalid
@@ -245,7 +229,7 @@ class TestSpoolDurability:
         clock = FakeClock()
         queue = make_queue(tmp_path / "q", clock)
         queue.open(create=True)
-        queue.submit(("k0",), "p0")
+        queue.submit_at(0, ("k0",), "p0")
         with queue.events_path.open("ab") as handle:
             handle.write(b"00000000 {garbage}\n")
             handle.write((frame_line('{"ev": "close", "total": 1}')
@@ -259,7 +243,7 @@ class TestSpoolDurability:
         clock = FakeClock()
         queue = make_queue(tmp_path / "q", clock)
         queue.open(create=True)
-        queue.write_worker_heartbeat("w1", ttl_s=5.0)
+        queue.write_worker_heartbeat("w1", ttl_s=5.0, pid=1)
         assert queue.live_workers() == ["w1"]
         clock.advance(9.0)  # within ttl * grace (5 * 2)
         assert queue.live_workers() == ["w1"]
@@ -304,7 +288,8 @@ class TestLeaseProperty:
         submitted = 0
         for op, arg in ops:
             if op == "submit":
-                queue_a.submit((f"k{submitted}",), f"p{submitted}")
+                queue_a.submit_at(submitted, (f"k{submitted}",),
+                                  f"p{submitted}")
                 submitted += 1
             elif op.startswith("claim"):
                 name = op[-1]
@@ -352,7 +337,7 @@ class TestLeaseProperty:
         assert fresh.state.stats.submitted == submitted
         assert fresh.state.drained()
         for seq in range(submitted):
-            assert fresh.take_completion(seq) == f"done{seq}"
+            assert fresh.state.tasks[seq].outcome == f"done{seq}"
 
 
 # A raw replay event against a single-task spool: the kind, a token
@@ -420,3 +405,156 @@ class TestLeaseStateReplayProperty:
         assert accepted_tokens == sorted(set(accepted_tokens))
         assert all(later > earlier for earlier, later
                    in zip(accepted_tokens, accepted_tokens[1:]))
+
+
+# ----------------------------------------------------------------------
+# Replay robustness: CRC-valid lines with arbitrary field values
+# ----------------------------------------------------------------------
+
+
+def spool_with_task_0(root, lines=()):
+    """A spool holding a header and task 0, then ``lines`` framed."""
+    queue = make_queue(root, identity="camp")
+    queue.open(create=True)
+    queue.submit_at(0, ("k0",), "p0")
+    with queue.events_path.open("a", encoding="utf-8") as handle:
+        for line in lines:
+            handle.write(frame_line(line) + "\n")
+
+
+def disk_replay(root):
+    """The queue's own replay of the spool (what the broker runs)."""
+    queue = make_queue(root)
+    assert queue.open()
+    return queue
+
+
+def mirror_replay(root):
+    """The coordinator's broker-client mirror of the same spool bytes."""
+    spool = root / "events.spool"
+
+    def send(method, path, body):
+        if path == "/v1/attach":
+            return 200, encode_framed({"ready": True})
+        offset = decode_framed(body)["offset"]
+        data = spool.read_bytes()
+        return 200, encode_framed({
+            "events": data[offset:].decode("utf-8", "replace"),
+            "next_offset": len(data), "status": {}})
+
+    client = BrokerClient("http://spool", role="coordinator", send=send,
+                          sleep=lambda _s: None,
+                          retry=RetryPolicy(max_retries=0))
+    assert client.open()
+    return client
+
+
+#: One framed line each, appended after task 0, that used to crash the
+#: replay (ValueError, TypeError or OverflowError out of apply or the
+#: disposition attribution).
+CRASHERS = [
+    '{"ev": "claim", "seq": "x", "token": 1}',
+    '{"ev": "bogus", "seq": "x"}',
+    '{"ev": "claim", "seq": 0, "token": 1, "worker": "w0", '
+    '"deadline": "soon"}',
+    '{"ev": "header", "version": "v1"}',
+    '{"ev": "header", "lease_s": [1]}',
+    '{"ev": "submit", "seq": 1e400, "key": ["k1"], "payload": "p1"}',
+]
+
+
+class TestReplayRobustness:
+    @pytest.mark.parametrize("replay", [disk_replay, mirror_replay],
+                             ids=["disk", "mirror"])
+    @pytest.mark.parametrize("line", CRASHERS)
+    def test_crc_valid_line_is_counted_invalid(self, tmp_path, replay,
+                                               line):
+        spool_with_task_0(tmp_path / "q", [line])
+        queue = replay(tmp_path / "q")
+        state = queue.state
+        assert state.stats.invalid == 1
+        assert state.stats.submitted == 1 and list(state.tasks) == [0]
+        assert not state.tasks[0].active  # the bad claim changed nothing
+        assert (state.identity, state.version, state.default_lease_s) \
+            == ("camp", 1, None)  # nor did the bad header
+        assert queue._skipped_lines == 0
+
+    @pytest.mark.parametrize("replay", [disk_replay, mirror_replay],
+                             ids=["disk", "mirror"])
+    def test_seq_reused_for_another_key_still_raises(self, tmp_path,
+                                                     replay):
+        spool_with_task_0(tmp_path / "q", [
+            '{"ev": "submit", "seq": 0, "key": ["other"], "payload": "p"}'])
+        with pytest.raises(TaskQueueError, match="mixes two schedules"):
+            replay(tmp_path / "q")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([10 ** 400, -1, 2 ** 63]) | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6)
+
+#: Every event kind's fields, and values its writer could put there
+#: (so arbitrary values meet live tasks and leases, not just misses).
+_FIELDS = {
+    "header": ("version", "identity", "lease_s"),
+    "submit": ("seq", "key", "payload"),
+    "close": ("total",),
+    "claim": ("seq", "token", "worker", "deadline"),
+    "heartbeat": ("seq", "token", "deadline"),
+    "expire": ("seq", "token"),
+    "complete": ("seq", "token", "payload"),
+}
+_PLAUSIBLE = {
+    "version": st.just(1),
+    "identity": st.just("camp"),
+    "lease_s": st.just(10.0),
+    "seq": st.integers(0, 2),
+    "key": st.sampled_from([["k0"], ["k1"], ["k2"]]),
+    "payload": st.just("p"),
+    "total": st.integers(0, 3),
+    "token": st.integers(0, 3),
+    "worker": st.sampled_from(["w0", "w1"]),
+    "deadline": st.floats(-10.0, 10.0),
+}
+
+
+@st.composite
+def _events(draw):
+    kind = draw(st.sampled_from(sorted(_FIELDS)) | _JSON)
+    fields = _FIELDS.get(kind, ("seq",)) if isinstance(kind, str) \
+        else ("seq",)
+    event = {"ev": kind}
+    for name in fields:
+        source = draw(st.sampled_from(["absent", "plausible", "arbitrary"]))
+        if source == "plausible":
+            event[name] = draw(_PLAUSIBLE[name])
+        elif source == "arbitrary":
+            event[name] = draw(_JSON)
+    return event
+
+
+class TestReplayFuzzProperty:
+    """Arbitrary JSON in every field of every event kind: both replays
+    either raise ``TaskQueueError`` (a seq re-used for another key) or
+    finish, and then agree on the state, dispositions and skip count."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(events=st.lists(_events(), max_size=12))
+    def test_both_replays_survive_and_agree(self, events):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "q"
+            spool_with_task_0(root, [json.dumps(event) for event in events])
+            outcomes = []
+            for replay in (disk_replay, mirror_replay):
+                try:
+                    queue = replay(root)
+                except TaskQueueError:
+                    outcomes.append("TaskQueueError")
+                    continue
+                outcomes.append((repr(vars(queue.state)),
+                                 queue.drain_dispositions(),
+                                 queue._skipped_lines))
+            assert outcomes[0] == outcomes[1]
