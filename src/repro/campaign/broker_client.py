@@ -152,8 +152,7 @@ class BrokerClient:
     worker's status snapshot) and ``clock()``.
 
     ``send`` is injectable — production wires :class:`HTTPTransport`,
-    the chaos suite wraps it in a
-    :class:`~repro.resilience.netfaults.NetworkFaultInjector`, unit
+    the chaos tests wrap it in a seeded network fault injector, unit
     tests talk straight to ``CampaignBroker.handle``.  Thread-safe for
     the worker's main-loop + lease-heartbeat-thread sharing.
     """

@@ -254,10 +254,6 @@ class CampaignConfig:
     #: serve`` process at this URL.  An execution knob like the rest —
     #: excluded from campaign_identity.
     broker_url: str | None = None
-    #: Seeded client-side network fault injection (chaos testing): the
-    #: probability each broker request/response is faulted (0 disables).
-    broker_fault_rate: float = 0.0
-    broker_fault_seed: int = 0
 
     def locations_for(self, area_name: str) -> int:
         return self.a1_locations if area_name == "A1" else self.locations_per_area
@@ -352,7 +348,6 @@ def _worker_deployment(profile: OperatorProfile,
 
 def _run_task(task: _WorkerTask, deployment: AreaDeployment,
               run_fn: Callable[..., RunResult] | None = None,
-              sleep: Callable[[float], None] | None = None,
               **span_attributes) -> _WorkerOutcome:
     """One run through the retry loop, reported into the active bundle.
 
@@ -360,11 +355,12 @@ def _run_task(task: _WorkerTask, deployment: AreaDeployment,
     unrestorable-checkpoint fallback) or under
     :func:`_execute_worker_task`.  It records the ``run`` span and the
     retry/quarantine counters; the terminal event, checkpoint, progress
-    and result stay with the schedule-order merge.  ``run_fn``/``sleep``
-    are the runner's hooks (``None``: :func:`run_once`, looked up at
-    call time, and no backoff waits); ``span_attributes`` extend the
-    ``run`` span (a worker's pid).  ``timed_out`` flags a quarantine
-    caused by the run's wall-clock budget (own tally and counter).
+    and result stay with the schedule-order merge.  ``run_fn`` is the
+    runner's hook (``None``: :func:`run_once`, looked up at call time);
+    retry backoff is recorded, never waited out; ``span_attributes``
+    extend the ``run`` span (a worker's pid).  ``timed_out`` flags a
+    quarantine caused by the run's wall-clock budget (own tally and
+    counter).
     """
     obs = get_instrumentation()
     registry = obs.registry
@@ -395,8 +391,7 @@ def _run_task(task: _WorkerTask, deployment: AreaDeployment,
                          area=task.area_name, location=task.location_name,
                          run_index=task.run_index,
                          **span_attributes) as span:
-        outcome = execute_with_retry(attempt, task.policy, key=task.key,
-                                     sleep=sleep)
+        outcome = execute_with_retry(attempt, task.policy, key=task.key)
         span.set_attribute("attempts", outcome.attempts)
         retries = outcome.attempts - 1
         if retries:
@@ -485,10 +480,10 @@ def _mp_context():
 class CampaignRunner:
     """Run a full campaign over one or more operator profiles.
 
-    ``run_fn`` defaults to :func:`run_once`; the chaos harness swaps in
-    a wrapper that injects run failures and trace corruption.  ``sleep``
-    is the retry pacing function (``None`` records backoff without
-    waiting, which simulations want).
+    ``run_fn`` defaults to :func:`run_once`; tests swap in wrappers
+    (the chaos harness injects run failures and trace corruption), and
+    a custom ``run_fn`` keeps the campaign in this process.  Retry
+    backoff is recorded, never waited out.
 
     ``obs`` is the observability bundle the campaign reports into: a
     ``campaign`` → ``run`` → ``simulate``/``analyze`` span hierarchy,
@@ -503,7 +498,6 @@ class CampaignRunner:
     profiles: list[OperatorProfile]
     config: CampaignConfig = field(default_factory=CampaignConfig)
     run_fn: Callable[..., RunResult] | None = None
-    sleep: Callable[[float], None] | None = None
     obs: Instrumentation | None = None
 
     def schedule(self) -> Iterator[ScheduledRun]:
@@ -555,17 +549,16 @@ class CampaignRunner:
         scheduler = None
         if backend == "broker":
             scheduler = self._broker_scheduler(breaker)
-        elif workers > 1 and self.run_fn is None and self.sleep is None:
+        elif workers > 1 and self.run_fn is None:
             scheduler = self._pool_scheduler(workers, breaker, policy)
         if scheduler is None:
-            # Sequential execution in this process.  Custom run_fn /
-            # sleep hooks force it: they are closures over local state
-            # (the chaos harness counts attempts in-process), so
-            # shipping them to workers would be both unpicklable and
-            # semantically wrong.
+            # Sequential execution in this process.  A custom run_fn
+            # forces it: it is a closure over local state (the chaos
+            # harness counts attempts in-process), so shipping it to
+            # workers would be both unpicklable and semantically wrong.
             workers = 1
             scheduler = InlineScheduler(lambda item: _run_task(
-                item.task, item.scheduled.deployment, self.run_fn, self.sleep))
+                item.task, item.scheduled.deployment, self.run_fn))
         obs.events.emit("campaign.started", scheduler=scheduler.name,
                         workers=workers, seed=self.config.seed)
         return self._run_scheduled(obs, scheduler, breaker, policy, workers)
@@ -616,22 +609,15 @@ class CampaignRunner:
         """
         if self.config.broker_url is None:
             raise ValueError("scheduler='broker' requires broker_url")
-        if self.run_fn is not None or self.sleep is not None:
+        if self.run_fn is not None:
             raise ValueError(
-                "scheduler='broker' cannot ship custom run_fn/sleep hooks "
+                "scheduler='broker' cannot ship a custom run_fn hook "
                 "to independent worker processes; use the pool scheduler")
-        from repro.campaign.broker_client import BrokerClient, HTTPTransport
+        from repro.campaign.broker_client import BrokerClient
 
-        send = HTTPTransport(self.config.broker_url)
-        if self.config.broker_fault_rate > 0.0:
-            from repro.resilience.netfaults import NetworkFaultInjector
-            send = NetworkFaultInjector(
-                send, seed=self.config.broker_fault_seed,
-                rate=self.config.broker_fault_rate)
         client = BrokerClient(self.config.broker_url, role="coordinator",
                               identity=self.campaign_identity(),
-                              default_lease_s=self.config.lease_timeout_s,
-                              send=send)
+                              default_lease_s=self.config.lease_timeout_s)
         scheduler = BrokerScheduler(client, breaker,
                                     poll_s=self.config.queue_poll_s,
                                     stall_s=self.config.queue_stall_s)
@@ -705,7 +691,7 @@ class CampaignRunner:
                 # Unrestorable (corrupt or trace-less entry): re-execute
                 # in-process, where it stays in schedule order.
                 outcome = _run_task(task_for(scheduled), scheduled.deployment,
-                                    self.run_fn, self.sleep)
+                                    self.run_fn)
             else:
                 drained = scheduler.drain(item)
                 if drained.error is not None:

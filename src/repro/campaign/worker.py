@@ -12,7 +12,7 @@ mid-run and the survivors steal its expired lease.
 
 The loop per claim::
 
-    worker heartbeat  →  claim  →  [fault injection]  →
+    worker heartbeat  →  claim  →  telemetry flush  →
     decode task  →  execute under a lease-heartbeat thread  →
     complete (a fenced completion is discarded: the run was stolen)
 
@@ -21,18 +21,12 @@ SIGTERM/SIGINT raise :class:`ShutdownRequested` between stages (the
 outstanding lease, if any, simply expires and is stolen) and map to
 exit ``128 + signum``; a broker that stays unreachable through the
 client's retry budget maps to exit 75.
-
-``fail_after=N`` is deterministic fault injection for the steal tests:
-the worker SIGKILLs itself immediately after its N-th successful claim
-— before executing it — leaving exactly one orphaned lease for the
-survivors.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import signal
 import socket
 import threading
 import time
@@ -65,14 +59,10 @@ class WorkerConfig:
     expires when the worker is genuinely dead or wedged for most of a
     lease window.  ``attach_timeout_s`` bounds how long the worker
     waits for the coordinator to create the queue before giving up
-    (workers are routinely started first).  ``fail_after`` is the
-    deterministic self-SIGKILL fault injection described in the module
-    docstring (``None`` disables).  ``broker_fault_rate`` /
-    ``broker_fault_seed`` wrap the broker transport in the seeded
-    network fault injector (chaos testing; 0.0 disables).
-    ``telemetry_dir`` is where the durable telemetry spool lives
-    (``<queue-dir>/telemetry`` is where ``repro status <queue-dir>``
-    reads it); without it the worker's telemetry stays in-process.
+    (workers are routinely started first).  ``telemetry_dir`` is where
+    the durable telemetry spool lives (``<queue-dir>/telemetry`` is
+    where ``repro status <queue-dir>`` reads it); without it the
+    worker's telemetry stays in-process.
     """
 
     broker_url: str
@@ -82,9 +72,6 @@ class WorkerConfig:
     lease_s: float | None = None
     poll_s: float = 0.05
     attach_timeout_s: float = 60.0
-    fail_after: int | None = None
-    broker_fault_rate: float = 0.0
-    broker_fault_seed: int = 0
     telemetry_dir: str | Path | None = None
 
 
@@ -98,22 +85,18 @@ class QueueWorker:
     heartbeat and every completion, so a SIGKILLed worker's partial
     telemetry survives on disk and stays attributable after the run is
     stolen.  The claim-time flush deliberately happens *before* the
-    ``fail_after`` fault injection — that ordering is what the steal
-    tests (and the paper's crash-forensics story) rely on.
+    claim executes, so a worker killed mid-run has already left its
+    claim on disk — the steal tests (and the paper's crash-forensics
+    story) rely on that ordering.
     """
 
     def __init__(self, config: WorkerConfig,
                  obs: Instrumentation | None = None):
-        from repro.campaign.broker_client import BrokerClient, HTTPTransport
+        from repro.campaign.broker_client import BrokerClient
 
         self.config = config
-        send = HTTPTransport(config.broker_url)
-        if config.broker_fault_rate > 0.0:
-            from repro.resilience.netfaults import NetworkFaultInjector
-            send = NetworkFaultInjector(send, seed=config.broker_fault_seed,
-                                        rate=config.broker_fault_rate)
         self.queue = BrokerClient(config.broker_url, role="worker",
-                                  worker_id=config.worker_id, send=send)
+                                  worker_id=config.worker_id)
         self.lease_s = config.lease_s or 30.0
         self.claims = 0
         self.completed = 0
@@ -193,10 +176,9 @@ class QueueWorker:
             self.queue.write_worker_heartbeat(
                 self.config.worker_id, self.lease_s,
                 run_key=claim.key, token=claim.token)
-            # Flush *before* the fault-injection point: the victim's
-            # claim event must already be durable when SIGKILL lands.
+            # Flush *before* executing: a worker SIGKILLed mid-run
+            # must already have its claim event on disk.
             self._flush_telemetry()
-            self._maybe_fail_injected()
             self._execute_claim(claim)
 
     def _attach(self) -> bool:
@@ -207,16 +189,6 @@ class QueueWorker:
             if time.monotonic() >= deadline:
                 return False
             time.sleep(self.config.poll_s)
-
-    def _maybe_fail_injected(self) -> None:
-        fail_after = self.config.fail_after
-        if fail_after is not None and self.claims >= fail_after:
-            self.obs.events.emit("worker.fail_injection", severity="warning",
-                                 claims=self.claims)
-            self._flush_telemetry()
-            logger.warning("worker %s: fault injection — SIGKILL after "
-                           "claim %d", self.config.worker_id, self.claims)
-            os.kill(os.getpid(), signal.SIGKILL)
 
     def _execute_claim(self, claim: Claim) -> None:
         task = decode_payload(claim.payload)

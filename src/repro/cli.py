@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Five subcommands mirror the reproduction's main workflows::
+The subcommands mirror the reproduction's main workflows::
 
     python -m repro campaign --operator OP_T --areas A1 --locations 6 --runs 3
         Run a scaled measurement campaign and print the summary report.
@@ -25,11 +25,6 @@ Five subcommands mirror the reproduction's main workflows::
 
     python -m repro simulate --operator OP_V --area A9 --out trace.jsonl
         Simulate one stationary run and save its signaling trace.
-
-    python -m repro faults trace.jsonl --out corrupted.jsonl --rate 0.05
-        Deterministically corrupt a saved trace (the field-capture fault
-        model: truncation, drops, duplicates, reordering, mangling) and
-        optionally verify that recover-mode ingestion absorbs it.
 
     python -m repro profile --seed 42
         Run a seeded, instrumented mini-campaign and print the
@@ -121,7 +116,6 @@ from repro.obs import (
 )
 from repro.obs.profile import run_profile
 from repro.resilience.checkpoint import CheckpointMismatchError
-from repro.resilience.faults import FAULT_KINDS, FaultInjector
 from repro.resilience.memo import AnalysisMemo, trace_digest
 from repro.resilience.supervision import (
     CircuitBreakerOpen,
@@ -175,7 +169,6 @@ def _add_campaign_parser(subparsers) -> None:
                              "broker serve` at this URL (e.g. "
                              "http://127.0.0.1:8737) and its `repro "
                              "worker` processes instead of --workers")
-    _add_broker_fault_flags(parser)
     parser.add_argument("--lease-timeout", type=float, default=30.0,
                         metavar="SECONDS",
                         help="work-claim lease duration; a worker silent "
@@ -195,18 +188,6 @@ def _add_campaign_parser(subparsers) -> None:
     _add_observability_flags(parser)
 
 
-def _add_broker_fault_flags(parser) -> None:
-    parser.add_argument("--broker-fault-rate", type=float, default=0.0,
-                        metavar="RATE",
-                        help="chaos testing: probability each broker "
-                             "request/response is dropped, duplicated, "
-                             "delayed, 503'd or mangled client-side "
-                             "(seeded; default 0 = off)")
-    parser.add_argument("--broker-fault-seed", type=int, default=0,
-                        metavar="SEED",
-                        help="seed for --broker-fault-rate (default 0)")
-
-
 def _add_worker_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "worker", help="drain a campaign broker's task queue (start N "
@@ -218,7 +199,6 @@ def _add_worker_parser(subparsers) -> None:
                              "<queue-dir>/telemetry of the broker is "
                              "where `repro status` reads it (default: "
                              "none)")
-    _add_broker_fault_flags(parser)
     parser.add_argument("--worker-id", default=None,
                         help="stable worker identity "
                              "(default: <hostname>-<pid>)")
@@ -235,9 +215,6 @@ def _add_worker_parser(subparsers) -> None:
                         help="how long to wait for the coordinator to "
                              "create the queue before exiting 1 "
                              "(default 60)")
-    parser.add_argument("--fail-after", type=int, default=None, metavar="N",
-                        help="fault injection: SIGKILL this worker right "
-                             "after its N-th claim (steal/chaos testing)")
     _add_log_flags(parser)
 
 
@@ -369,27 +346,6 @@ def _add_simulate_parser(subparsers) -> None:
     parser.add_argument("--out", required=True, help="output .jsonl path")
 
 
-def _add_faults_parser(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "faults", help="deterministically corrupt a saved trace "
-                       "(fault-injection harness)")
-    parser.add_argument("trace", help="path to a clean trace .jsonl file")
-    parser.add_argument("--out", default=None,
-                        help="where to write the corrupted trace "
-                             "(default: dry run)")
-    parser.add_argument("--rate", type=float, default=0.05,
-                        help="per-record corruption probability (default 0.05)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="fault-injection seed (default 0)")
-    parser.add_argument("--kinds", nargs="*", choices=FAULT_KINDS,
-                        default=None,
-                        help=f"fault kinds to inject (default: all of "
-                             f"{', '.join(FAULT_KINDS)})")
-    parser.add_argument("--verify", action="store_true",
-                        help="re-parse the corrupted trace in recover mode "
-                             "and print the ingestion report")
-
-
 def _add_profile_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "profile", help="run a seeded instrumented mini-campaign and "
@@ -485,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_campaign_parser(subparsers)
     _add_analyze_parser(subparsers)
     _add_simulate_parser(subparsers)
-    _add_faults_parser(subparsers)
     _add_profile_parser(subparsers)
     _add_worker_parser(subparsers)
     _add_broker_parser(subparsers)
@@ -585,8 +540,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         queue_stall_s=args.queue_stall,
         memo_dir=args.memo_dir,
         broker_url=args.broker,
-        broker_fault_rate=args.broker_fault_rate,
-        broker_fault_seed=args.broker_fault_seed,
     )
     obs = _build_instrumentation(args)
     try:
@@ -627,20 +580,12 @@ def _print_resume_hint(args: argparse.Namespace, what: str) -> None:
               "make campaigns resumable)", file=sys.stderr)
 
 
-def _read_trace_text(path_arg: str) -> str | None:
-    """Read a trace file, printing a one-line diagnostic on failure."""
-    try:
-        return Path(path_arg).read_text(encoding="utf-8")
-    except OSError as error:
-        reason = error.strerror or error
-        print(f"error: cannot read trace {path_arg}: {reason}",
-              file=sys.stderr)
-        return None
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    text = _read_trace_text(args.trace)
-    if text is None:
+    try:
+        text = Path(args.trace).read_text(encoding="utf-8")
+    except OSError as error:
+        print(f"error: cannot read trace {args.trace}: "
+              f"{error.strerror or error}", file=sys.stderr)
         return 1
     try:
         parsed = parse_trace(text, errors=args.errors)
@@ -681,23 +626,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    text = _read_trace_text(args.trace)
-    if text is None:
-        return 1
-    kinds = tuple(args.kinds) if args.kinds else FAULT_KINDS
-    injector = FaultInjector(seed=args.seed, rate=args.rate, kinds=kinds)
-    corrupted, report = injector.corrupt(text)
-    print(report.summary())
-    if args.out:
-        Path(args.out).write_text(corrupted, encoding="utf-8")
-        print(f"wrote corrupted trace to {args.out}")
-    if args.verify:
-        parsed = parse_trace(corrupted, errors="recover")
-        print(f"recover-mode parse: {parsed.report.summary()}")
-    return 0
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     obs = make_instrumentation()
     _attach_event_stream(obs, args)
@@ -728,9 +656,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
     kwargs = {"broker_url": args.broker, "lease_s": args.lease,
               "poll_s": args.poll, "attach_timeout_s": args.attach_timeout,
-              "fail_after": args.fail_after,
-              "broker_fault_rate": args.broker_fault_rate,
-              "broker_fault_seed": args.broker_fault_seed,
               "telemetry_dir": args.telemetry_dir}
     if args.worker_id:
         kwargs["worker_id"] = args.worker_id
@@ -761,7 +686,7 @@ def _cmd_broker(args: argparse.Namespace) -> int:
     server = serve_broker(broker, args.port, host=args.host,
                           request_timeout_s=args.request_timeout)
     host, port = server.server_address[:2]
-    # The URL goes to stdout so scripts (CI smoke) can capture it; the
+    # The URL goes to stdout so scripts can capture it; the
     # human-facing chatter stays on stderr.
     print(f"http://{host}:{port}", flush=True)
     print(f"broker serving http://{host}:{port} "
@@ -950,7 +875,6 @@ _COMMANDS = {
     "campaign": _cmd_campaign,
     "analyze": _cmd_analyze,
     "simulate": _cmd_simulate,
-    "faults": _cmd_faults,
     "profile": _cmd_profile,
     "worker": _cmd_worker,
     "broker": _cmd_broker,

@@ -188,13 +188,24 @@ class CampaignAggregator:
 
     # -- derived views ---------------------------------------------------
 
-    def merged_registry(self) -> MetricsRegistry:
-        """Union of every worker session's latest metrics snapshot."""
-        registry = MetricsRegistry(clock=self._clock)
+    def merged_registry(self, registry: MetricsRegistry | None = None,
+                        ) -> MetricsRegistry:
+        """Union of every worker session's latest metrics snapshot,
+        folded into ``registry`` (default: a fresh one).
+
+        A snapshot that conflicts with what is already folded (one
+        name as two instrument kinds, other histogram bounds) is left
+        out whole; the spools only ever hold well-typed snapshots.
+        """
+        if registry is None:
+            registry = MetricsRegistry(clock=self._clock)
         with self._mutex:
             for content in self._spools.values():
                 for session in sorted(content.metrics):
-                    registry.merge(content.metrics[session])
+                    try:
+                        registry.merge(content.metrics[session])
+                    except ValueError:
+                        continue
         return registry
 
     def all_events(self) -> list[Event]:
@@ -287,8 +298,8 @@ class CampaignAggregator:
     # -- exporters -------------------------------------------------------
 
     def to_prometheus(self) -> str:
-        """Merged worker metrics plus queue-level gauges, scrape-ready."""
-        registry = self.merged_registry()
+        """Queue-level gauges plus merged worker metrics, scrape-ready."""
+        registry = MetricsRegistry(clock=self._clock)
         state = self.queue.state
         now = self._clock()
         stats = state.stats
@@ -303,7 +314,7 @@ class CampaignAggregator:
         registry.counter("leases_expired_total").inc(stats.expired)
         registry.counter("runs_stolen_total").inc(stats.stolen)
         registry.counter("completions_fenced_total").inc(stats.fenced)
-        return registry.to_prometheus()
+        return self.merged_registry(registry).to_prometheus()
 
 
 def _worker_dict(beat: WorkerHeartbeat,

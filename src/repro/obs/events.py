@@ -101,23 +101,42 @@ class Event:
 
     @classmethod
     def from_dict(cls, record: dict[str, Any]) -> "Event":
-        run_key = record.get("run_key")
-        return cls(
-            name=record["name"],
+        """Rebuild an event from :meth:`to_dict` output.
+
+        Raises ``ValueError`` when a field does not have the type
+        :meth:`to_dict` gives it, so readers can skip the record.
+        """
+        if not isinstance(record, dict):
+            raise ValueError("an event record must be an object")
+        event = cls(
+            name=record.get("name"),
             severity=record.get("severity", "info"),
             seq=record.get("seq", 0),
             wall_s=record.get("wall_s", 0.0),
             mono_s=record.get("mono_s", 0.0),
             campaign=record.get("campaign"),
             worker=record.get("worker"),
-            run_key=tuple(run_key) if run_key is not None else None,
+            run_key=record.get("run_key"),
             token=record.get("token"),
             fields=record.get("fields", {}),
         )
+        if not (isinstance(event.name, str)
+                and isinstance(event.severity, str)
+                and all(isinstance(value, (int, float)) for value
+                        in (event.seq, event.wall_s, event.mono_s))
+                and isinstance(event.run_key, (list, type(None)))
+                and isinstance(event.fields, dict)):
+            raise ValueError("malformed event record")
+        if event.run_key is not None:
+            event.run_key = tuple(event.run_key)
+        return event
 
     def render(self) -> str:
         """One human-readable line (the non-JSON stderr format)."""
-        stamp = time.strftime("%H:%M:%S", time.localtime(self.wall_s))
+        try:
+            stamp = time.strftime("%H:%M:%S", time.localtime(self.wall_s))
+        except (OverflowError, OSError, ValueError):  # outside time_t
+            stamp = "--:--:--"
         parts = [stamp, f"{self.severity.upper():<7}", self.name]
         if self.worker:
             parts.append(f"worker={self.worker}")

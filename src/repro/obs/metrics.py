@@ -24,6 +24,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 import json
+import sys
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -352,7 +353,13 @@ class MetricsRegistry:
         telemetry back into the parent registry: merging worker
         snapshots in schedule order reproduces exactly the counter
         values sequential execution would have produced.
+
+        All or nothing: a snapshot that is not shaped like
+        :meth:`snapshot` output, names an instrument of another kind or
+        carries other histogram bucket bounds than this registry's
+        raises ``ValueError`` before anything is folded.
         """
+        bounds = self._check_snapshot(snapshot)
         for name, series in snapshot.get("counters", {}).items():
             counter = self.counter(name)
             for key, value in series.items():
@@ -362,25 +369,47 @@ class MetricsRegistry:
             for key, value in series.items():
                 gauge.series[key] = gauge.series.get(key, 0.0) + value
         for name, series in snapshot.get("histograms", {}).items():
+            if not series:
+                continue
+            histogram = self.histogram(name, buckets=bounds[name])
+            label_to_index = {histogram.bucket_label(index): index
+                              for index in range(len(histogram.buckets) + 1)}
             for key, data in series.items():
-                bounds = tuple(data.get("bounds", DEFAULT_TIME_BUCKETS))
-                histogram = self.histogram(name, buckets=bounds)
-                if tuple(histogram.buckets) != bounds:
-                    raise ValueError(
-                        f"histogram {name!r} bucket bounds differ: "
-                        f"{histogram.buckets} != {bounds}")
                 entry = histogram.series.get(key)
                 if entry is None:
                     entry = _HistogramSeries(
                         bucket_counts=[0] * (len(histogram.buckets) + 1))
                     histogram.series[key] = entry
-                label_to_index = {histogram.bucket_label(index): index
-                                  for index in
-                                  range(len(histogram.buckets) + 1)}
                 for label, count in data.get("buckets", {}).items():
                     entry.bucket_counts[label_to_index[label]] += count
                 entry.total += data.get("sum", 0.0)
                 entry.count += data.get("count", 0)
+
+    def _check_snapshot(self, snapshot: object) -> dict[str, tuple]:
+        """Raise ``ValueError`` unless :meth:`merge` can fold
+        ``snapshot`` whole; returns each histogram's bucket bounds."""
+        if not isinstance(snapshot, dict):
+            raise ValueError("a metrics snapshot must be an object")
+        kinds: dict[str, type] = {}
+        bounds: dict[str, tuple] = {}
+        for section, cls in (("counters", Counter), ("gauges", Gauge),
+                             ("histograms", Histogram)):
+            group = snapshot.get(section, {})
+            if not isinstance(group, dict):
+                raise ValueError(f"snapshot {section} must be an object")
+            for name, series in group.items():
+                registered = self._metrics.get(name)
+                if kinds.setdefault(name, cls) is not cls or not (
+                        registered is None or isinstance(registered, cls)):
+                    raise ValueError(f"metric {name!r} is not a {cls.kind}")
+                if not isinstance(series, dict):
+                    raise ValueError(f"metric {name!r} series must be an "
+                                     "object")
+                if cls is Histogram:
+                    bounds[name] = _check_histogram(name, series, registered)
+                elif not all(map(_is_number, series.values())):
+                    raise ValueError(f"metric {name!r} has a non-number")
+        return bounds
 
     # -- exporters ------------------------------------------------------
 
@@ -425,6 +454,45 @@ class MetricsRegistry:
 
     def export_prometheus(self, path: str | Path) -> None:
         Path(path).write_text(self.to_prometheus(), encoding="utf-8")
+
+
+def _is_number(value: object) -> bool:
+    """A snapshot value: an int or float that a float can hold."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and _is_number(value)
+
+
+def _check_histogram(name: str, series: dict,
+                     registered: Histogram | None) -> tuple:
+    """Validate one histogram's snapshot series for merging; returns
+    the sorted bucket bounds they all share (the registered ones if
+    the registry has the histogram already)."""
+    shared = None if registered is None else registered.buckets
+    for data in series.values():
+        bounds = data.get("bounds", DEFAULT_TIME_BUCKETS) \
+            if isinstance(data, dict) else None
+        if not (isinstance(bounds, (list, tuple))
+                and all(map(_is_number, bounds))):
+            raise ValueError(f"histogram {name!r} has a malformed series")
+        bounds = tuple(bounds)
+        if shared is None:
+            shared = bounds
+        if bounds != shared or sorted(bounds) != list(bounds):
+            raise ValueError(f"histogram {name!r} bucket bounds differ: "
+                             f"{shared} != {bounds}")
+        labels = {repr(bound) for bound in shared} | {"+Inf"}
+        buckets = data.get("buckets", {})
+        if not (isinstance(buckets, dict) and set(buckets) <= labels
+                and all(map(_is_count, buckets.values()))
+                and _is_number(data.get("sum", 0.0))
+                and _is_count(data.get("count", 0))):
+            raise ValueError(f"histogram {name!r} has a malformed series")
+    return shared
 
 
 class _NullTimer:

@@ -30,8 +30,12 @@ Durability is ``flush``-only by default (``fsync=False``): the frames
 survive SIGKILL — the failure mode workers actually have — without
 paying a per-flush fsync on the campaign hot path; pass ``fsync=True``
 for power-loss durability.  The reader tolerates a torn tail (the line
-a killed writer was mid-append on) and CRC-corrupt lines exactly like
-the checkpoint loader: skip, count, carry on.
+a killed writer was mid-append on) and corrupt lines exactly like the
+checkpoint loader: every line goes through
+:func:`~repro.resilience.checkpoint.load_framed_line`, and a line that
+is not a CRC-valid JSON object — or a frame, event, span or metrics
+snapshot without the types the writer gives it — is skipped and
+counted.
 """
 
 from __future__ import annotations
@@ -45,11 +49,12 @@ from typing import Any, Callable
 
 from repro.obs.context import Instrumentation
 from repro.obs.events import Event
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span
 from repro.resilience.checkpoint import (
     frame_line,
     fsync_directory,
-    unframe_line,
+    load_framed_line,
 )
 
 __all__ = [
@@ -185,8 +190,9 @@ def read_spool_frames(path: str | Path, offset: int = 0,
     newline-terminated lines are consumed — ``new_offset`` stops before
     a torn tail, so an aggregator polling a live spool picks the rest
     up next refresh.  ``torn`` reports whether a partial tail exists
-    right now; ``skipped`` counts CRC-invalid or undecodable complete
-    lines (real corruption, not in-flight appends).
+    right now; ``skipped`` counts complete lines that are not a
+    CRC-valid JSON object with a ``t`` field (real corruption, not
+    in-flight appends).
     """
     path = Path(path)
     try:
@@ -206,19 +212,11 @@ def read_spool_frames(path: str | Path, offset: int = 0,
         line = blob[cursor:newline]
         cursor = newline + 1
         consumed = cursor
-        stripped = line.decode("utf-8", errors="replace").strip()
-        if not stripped:
+        text = line.decode("utf-8", errors="replace")
+        if not text.strip():
             continue
-        payload, crc_ok = unframe_line(stripped)
-        if crc_ok is False:
-            skipped += 1
-            continue
-        try:
-            frame = json.loads(payload)
-        except json.JSONDecodeError:
-            skipped += 1
-            continue
-        if isinstance(frame, dict) and "t" in frame:
+        frame = load_framed_line(text)
+        if frame is not None and "t" in frame:
             frames.append(frame)
         else:
             skipped += 1
@@ -237,8 +235,6 @@ class SpoolContent:
     spans: list[Span] = field(default_factory=list)
     #: session → latest cumulative registry snapshot (latest-wins).
     metrics: dict[str, dict] = field(default_factory=dict)
-    #: session → mono timestamp of that latest snapshot.
-    metrics_mono: dict[str, float] = field(default_factory=dict)
     frames_total: int = 0
     skipped: int = 0
     torn: bool = False
@@ -250,32 +246,44 @@ class SpoolContent:
 
 def fold_frames(content: SpoolContent, frames: list[dict]) -> SpoolContent:
     """Fold freshly read frames into ``content`` (idempotent per frame:
-    each frame must be folded exactly once — offsets guarantee that)."""
+    each frame must be folded exactly once — offsets guarantee that).
+
+    Only well-typed pieces are folded: a frame without a string
+    ``session``, a meta frame whose ``worker`` is not a string, an
+    events/spans frame whose records are not a list, each event or
+    span record that does not decode, and a metrics snapshot that
+    :meth:`MetricsRegistry.merge` refuses are counted in ``skipped``.
+    """
     for frame in frames:
-        kind = frame.get("t")
-        session = frame.get("session", "")
+        kind, session = frame.get("t"), frame.get("session")
         content.frames_total += 1
-        if kind == "meta":
+        if not isinstance(session, str) or kind == "meta" and not \
+                isinstance(frame.get("worker"), (str, type(None))):
+            content.skipped += 1
+        elif kind == "meta":
             content.sessions.append(frame)
             if content.worker is None:
                 content.worker = frame.get("worker")
-        elif kind == "events":
-            for record in frame.get("events", []):
+        elif kind in ("events", "spans"):
+            records = frame.get(kind)
+            if not isinstance(records, list):
+                content.skipped += 1
+                continue
+            decode = Event.from_dict if kind == "events" else Span.from_dict
+            folded = content.events if kind == "events" else content.spans
+            for record in records:
                 try:
-                    content.events.append(Event.from_dict(record))
-                except (KeyError, TypeError, ValueError):
-                    content.skipped += 1
-        elif kind == "spans":
-            for record in frame.get("spans", []):
-                try:
-                    content.spans.append(Span.from_dict(record))
-                except (KeyError, TypeError, ValueError):
+                    folded.append(decode(record))
+                except (KeyError, TypeError, ValueError, OverflowError):
                     content.skipped += 1
         elif kind == "metrics":
             snapshot = frame.get("snapshot")
-            if isinstance(snapshot, dict):
-                content.metrics[session] = snapshot
-                content.metrics_mono[session] = frame.get("mono_s", 0.0)
+            try:
+                MetricsRegistry().merge(snapshot)  # the shape check
+            except ValueError:
+                content.skipped += 1
+                continue
+            content.metrics[session] = snapshot
         else:
             content.skipped += 1
     return content

@@ -77,14 +77,21 @@ class Span:
 
     @staticmethod
     def from_dict(data: dict) -> "Span":
-        return Span(name=str(data["name"]), span_id=int(data["span_id"]),
+        """Rebuild a span from :meth:`to_dict` output; a record without
+        those fields and types raises ``KeyError``, ``TypeError``,
+        ``ValueError`` or ``OverflowError``."""
+        name, status = data["name"], data["status"]
+        attributes = data.get("attributes", {})
+        if not (isinstance(name, str) and isinstance(status, str)
+                and isinstance(attributes, dict)):
+            raise TypeError("malformed span record")
+        return Span(name=name, span_id=int(data["span_id"]),
                     parent_id=(None if data["parent_id"] is None
                                else int(data["parent_id"])),
                     start_s=float(data["start_s"]),
                     end_s=(None if data["end_s"] is None
                            else float(data["end_s"])),
-                    status=str(data["status"]),
-                    attributes=dict(data.get("attributes", {})))
+                    status=status, attributes=dict(attributes))
 
 
 class _SpanContext:

@@ -16,10 +16,6 @@ pipeline layers share:
 * :mod:`repro.resilience.memo` — the content-addressed analysis cache
   (campaign identity + trace digest), so resume and repeated profiling
   skip re-analysis of unchanged traces.
-* :mod:`repro.resilience.faults` — the seeded :class:`FaultInjector`
-  that corrupts serialized traces the way real captures go bad.
-* :mod:`repro.resilience.chaos` — the chaos harness running the full
-  campaign→analyze pipeline under injected faults.
 * :mod:`repro.resilience.supervision` — run deadlines, hung/crashed
   worker containment (kill-and-respawn, circuit breaker) and graceful
   SIGTERM/SIGINT shutdown for the campaign engine.
@@ -27,16 +23,11 @@ pipeline layers share:
   that ``repro broker serve`` owns: CRC-framed spool events, one
   crash-proof replay (:func:`replay_line`), lease-based claims with
   fencing tokens, crash-safe multi-worker work stealing.
+
+The fault injectors and the chaos harness that attack these pieces
+live with the tests, in ``tests/chaos``.
 """
 
-from repro.resilience.chaos import (
-    ChaosConfig,
-    ChaosHarness,
-    ChaosReport,
-    ChaosRunError,
-    SimulatedInterrupt,
-    run_chaos_campaign,
-)
 from repro.resilience.checkpoint import (
     CampaignCheckpoint,
     CheckpointEntry,
@@ -51,12 +42,6 @@ from repro.resilience.errors import (
     TraceDecodeError,
     TraceParseError,
     UnknownRecordKindError,
-)
-from repro.resilience.faults import (
-    FAULT_KINDS,
-    FaultEvent,
-    FaultInjector,
-    InjectionReport,
 )
 from repro.resilience.ingest import ParseReport, QuarantinedLine
 from repro.resilience.memo import AnalysisMemo, trace_digest
@@ -93,10 +78,6 @@ __all__ = [
     "AnalysisMemo",
     "AttemptOutcome",
     "CampaignCheckpoint",
-    "ChaosConfig",
-    "ChaosHarness",
-    "ChaosReport",
-    "ChaosRunError",
     "CheckpointEntry",
     "CheckpointLoadReport",
     "CheckpointMismatchError",
@@ -109,10 +90,6 @@ __all__ = [
     "QueueStats",
     "TaskQueueError",
     "TaskRecord",
-    "FAULT_KINDS",
-    "FaultEvent",
-    "FaultInjector",
-    "InjectionReport",
     "MalformedHeaderError",
     "MalformedRecordError",
     "OutOfOrderRecordError",
@@ -123,7 +100,6 @@ __all__ = [
     "RunKey",
     "RunTimeoutError",
     "ShutdownRequested",
-    "SimulatedInterrupt",
     "TraceDecodeError",
     "TraceParseError",
     "UnknownRecordKindError",
@@ -135,6 +111,5 @@ __all__ = [
     "graceful_shutdown",
     "parent_wait_budget",
     "replay_line",
-    "run_chaos_campaign",
     "trace_digest",
 ]

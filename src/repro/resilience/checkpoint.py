@@ -30,17 +30,19 @@ reload captures rather than redrive an area.
   in it was fsynced (the directory entry itself was still volatile).
 
 The CRC line framing (:func:`frame_line` / :func:`unframe_line` /
-:func:`load_framed_line`) and the directory barrier
+:func:`load_framed_line`), the JSON-object decode behind it
+(:func:`decode_object`) and the directory barrier
 (:func:`fsync_directory`) are shared with the durable task-queue spool
-(:mod:`repro.resilience.taskqueue`), which persists campaign work
-items with the same durability contract.
+(:mod:`repro.resilience.taskqueue`), the broker's wire frames and the
+workers' telemetry spools.
 
 The reader is corruption-tolerant and backward compatible: headerless
 bare-JSON *v0* files still load (no CRC/identity verification), corrupt
-lines are skipped, counted into the ``checkpoint_lines_skipped_total``
-metric and reported in a single warning naming the line numbers.  Later
-entries for the same key win, so re-running a previously failed run
-overwrites its quarantine entry.
+lines — a bad CRC, an undecodable payload, or a CRC-valid payload whose
+fields do not have the writer's types — are skipped, counted into the
+``checkpoint_lines_skipped_total`` metric and reported in a single
+warning naming the line numbers.  Later entries for the same key win,
+so re-running a previously failed run overwrites its quarantine entry.
 """
 
 from __future__ import annotations
@@ -185,10 +187,10 @@ class CampaignCheckpoint:
         checkpoint can reach hundreds of MB and must never be held in
         memory twice (once as text, once decoded).
 
-        Corrupt lines (bad CRC, undecodable payload) are skipped and
-        reported — once, with line numbers — plus counted into the
-        ``checkpoint_lines_skipped_total`` metric; the affected runs
-        simply re-execute on resume.  Raises
+        Corrupt lines (bad CRC, undecodable payload, ill-typed fields)
+        are skipped and reported — once, with line numbers — plus
+        counted into the ``checkpoint_lines_skipped_total`` metric; the
+        affected runs simply re-execute on resume.  Raises
         :class:`CheckpointMismatchError` when both this checkpoint and
         the file header carry an identity and they disagree.
         """
@@ -207,16 +209,17 @@ class CampaignCheckpoint:
                 if not stripped:
                     continue
                 payload, crc_ok = unframe_line(stripped)
-                if crc_ok is False:
+                data = None if crc_ok is False else decode_object(payload)
+                if data is None:
                     report.skipped_lines.append(number)
                     continue
                 if number == 1:
-                    header = _decode_header(payload)
+                    header = _decode_header(data)
                     if header is not None:
                         report.version, report.identity = header
                         self._check_identity(report.identity)
                         continue
-                entry = _decode_entry(payload)
+                entry = _decode_entry(data)
                 if entry is None:
                     report.skipped_lines.append(number)
                     continue
@@ -276,18 +279,13 @@ def unframe_line(stripped: str) -> tuple[str, bool | None]:
     return stripped, None
 
 
-def load_framed_line(line: str) -> dict | None:
-    """The JSON object one framed line carries, or ``None``.
+def decode_object(payload: str) -> dict | None:
+    """The JSON object ``payload`` holds, or ``None``.
 
-    ``None`` unless the CRC matches and the payload decodes to a JSON
-    object: a CRC-valid payload that is not JSON, nests past the
-    recursion limit or holds an integer past the digit limit is as
-    undecodable as a torn one.  Broker wire frames and task-queue spool
-    lines both decode here.
+    A payload that is not JSON, nests past the recursion limit, holds
+    an integer past the digit limit or is a JSON value other than an
+    object is as undecodable as a torn one.
     """
-    payload, crc_ok = unframe_line(line.strip())
-    if crc_ok is not True:
-        return None
     try:
         value = json.loads(payload)
     except (ValueError, RecursionError):
@@ -295,34 +293,50 @@ def load_framed_line(line: str) -> dict | None:
     return value if isinstance(value, dict) else None
 
 
-def _decode_header(payload: str) -> tuple[int, str | None] | None:
-    """Decode a v1 header line; ``None`` when it is not a header."""
-    try:
-        data = json.loads(payload)
-        if not isinstance(data, dict) or "version" not in data:
-            return None
-        identity = data.get("identity")
-        return int(data["version"]), None if identity is None else str(identity)
-    except (json.JSONDecodeError, TypeError, ValueError):
+def load_framed_line(line: str) -> dict | None:
+    """The JSON object one framed line carries, or ``None``.
+
+    ``None`` unless the CRC matches and the payload passes
+    :func:`decode_object`.  Broker wire frames, task-queue spool lines
+    and telemetry spool lines all decode here.
+    """
+    payload, crc_ok = unframe_line(line.strip())
+    if crc_ok is not True:
         return None
+    return decode_object(payload)
 
 
-def _decode_entry(payload: str) -> CheckpointEntry | None:
-    try:
-        data = json.loads(payload)
-        raw_key = data["key"]
-        key = (str(raw_key[0]), str(raw_key[1]), str(raw_key[2]),
-               int(raw_key[3]))
-        status = str(data["status"])
-        if status == "ok":
-            trace = data["trace"]
-            return CheckpointEntry(key=key, status=status,
-                                   trace_jsonl=(None if trace is None
-                                                else str(trace)))
-        if status == "failed":
-            return CheckpointEntry(key=key, status=status,
-                                   error=str(data.get("error", "")),
-                                   attempts=int(data.get("attempts", 1)))
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError):
+def _is_int(value: object) -> bool:
+    """Whether a decoded field is an integer (``bool`` is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _decode_header(data: dict) -> tuple[int, str | None] | None:
+    """Decode a v1 header; ``None`` when ``data`` is not one."""
+    version, identity = data.get("version"), data.get("identity")
+    if not _is_int(version) \
+            or not (identity is None or isinstance(identity, str)):
         return None
+    return version, identity
+
+
+def _decode_entry(data: dict) -> CheckpointEntry | None:
+    """Decode one entry; ``None`` unless every field has the type the
+    writer gives it."""
+    key = data.get("key")
+    if not (isinstance(key, list) and len(key) == 4
+            and all(isinstance(part, str) for part in key[:3])
+            and _is_int(key[3])):
+        return None
+    key = tuple(key)
+    status = data.get("status")
+    if status == "ok":
+        trace = data.get("trace")
+        if "trace" in data and (trace is None or isinstance(trace, str)):
+            return CheckpointEntry(key=key, status=status, trace_jsonl=trace)
+    elif status == "failed":
+        error, attempts = data.get("error", ""), data.get("attempts", 1)
+        if isinstance(error, str) and _is_int(attempts):
+            return CheckpointEntry(key=key, status=status, error=error,
+                                   attempts=attempts)
     return None

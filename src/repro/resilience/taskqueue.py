@@ -81,6 +81,7 @@ from typing import Callable
 from repro.obs import get_instrumentation
 from repro.resilience.checkpoint import (
     CheckpointMismatchError,
+    decode_object,
     frame_line,
     fsync_directory,
     load_framed_line,
@@ -386,8 +387,9 @@ class WorkerHeartbeat:
 
 
 def _read_heartbeat(path: Path, now: float) -> WorkerHeartbeat | None:
+    """Decode one heartbeat file; ``None`` for anything unreadable."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = decode_object(path.read_text(encoding="utf-8")) or {}
         run_key = data.get("run_key")
         token = data.get("token")
         return WorkerHeartbeat(
@@ -396,7 +398,7 @@ def _read_heartbeat(path: Path, now: float) -> WorkerHeartbeat | None:
             age_s=now - float(data["mono"]),
             run_key=tuple(run_key) if run_key is not None else None,
             token=None if token is None else int(token))
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, OverflowError):
         return None
 
 

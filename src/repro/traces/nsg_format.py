@@ -43,7 +43,9 @@ from repro.traces.records import (
 
 
 class NsgFormatError(ValueError):
-    """Raised on malformed NSG-style text."""
+    """Raised on malformed NSG-style text; the message starts with the
+    number of the offending line (a block's head line for a bad field
+    inside the block)."""
 
 
 def _timestamp(time_s: float) -> str:
@@ -189,7 +191,7 @@ def render_trace(trace: SignalingTrace) -> str:
 _HEADER_RE = re.compile(
     r"^# operator=(?P<operator>\S*) area=(?P<area>\S*) "
     r"location=(?P<location>\S*) device=(?P<device>.*?) "
-    r"run_seed=(?P<seed>\d+)$")
+    r"run_seed=(?P<seed>\d{1,20})$")
 _STAMP_RE = re.compile(r"^(\d{2}:\d{2}:\d{2}\.\d{3}) (.*)$")
 _MEAS_LINE_RE = re.compile(
     r"^(?P<pci>\d+)@(?P<channel>\d+)/(?P<rat>\dG) \((?P<role>\w+)\): "
@@ -312,7 +314,10 @@ def _parse_block(time_s: float, head: str, body: list[str]) -> Record | None:
     if "RRCRelease" in head:
         return RrcReleaseRecord(time_s=time_s)
     if head.startswith("MM5G State"):
-        state = head.split("=", 1)[1].strip()
+        _, equals, state = head.partition("=")
+        if not equals:
+            raise NsgFormatError(f"no state in {head!r}")
+        state = state.strip()
         substate = ""
         for line in body:
             match = re.search(r"Substate = (\w+)", line)
@@ -323,16 +328,26 @@ def _parse_block(time_s: float, head: str, body: list[str]) -> Record | None:
 
 
 def parse_nsg_text(text: str) -> SignalingTrace:
-    """Parse NSG-style text back into a SignalingTrace."""
+    """Parse NSG-style text back into a SignalingTrace.
+
+    Raises :class:`NsgFormatError` — and nothing else — for any text
+    that is not a well-formed rendering: a field a record or cell
+    cannot hold (a PCI outside 0..1007, an integer past the digit
+    limit) and a block that goes back in time included.
+    """
     trace = SignalingTrace()
     current: tuple[float, str, list[str]] | None = None
+    block_line = 0
 
     def flush() -> None:
         if current is None:
             return
-        record = _parse_block(*current)
-        if record is not None:
-            trace.append(record)
+        try:
+            record = _parse_block(*current)
+            if record is not None:
+                trace.append(record)
+        except ValueError as error:
+            raise NsgFormatError(f"line {block_line}: {error}") from error
 
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
@@ -352,6 +367,7 @@ def parse_nsg_text(text: str) -> SignalingTrace:
             flush()
             hours_time = _parse_timestamp(stamped.group(1))
             current = (hours_time, stamped.group(2), [])
+            block_line = line_number
         elif line.startswith("  "):
             if current is None:
                 raise NsgFormatError(

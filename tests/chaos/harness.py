@@ -5,7 +5,7 @@ campaign in which (a) a seeded subset of runs raise — some on every
 attempt (permanent failures that must end up quarantined), some only on
 their first attempt (transient failures that retries must absorb) — and
 (b) every surviving run's serialized trace is corrupted by a seeded
-:class:`~repro.resilience.faults.FaultInjector` before being re-parsed
+:class:`~tests.chaos.faults.FaultInjector` before being re-parsed
 in recover mode and analysed.  The pipeline must complete end-to-end and
 its accounting must reconcile: ``completed + quarantined == scheduled``,
 and identical seeds must yield identical quarantine lists and
@@ -16,16 +16,15 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
+from repro.campaign.dataset import CampaignResult, RunResult
+from repro.campaign.runner import CampaignConfig, CampaignRunner, run_once
+from repro.core.pipeline import analyze_trace
 from repro.core.seeding import stable_seed as _mix
 from repro.resilience.checkpoint import RunKey
-from repro.resilience.faults import FAULT_KINDS, FaultInjector, InjectionReport
 from repro.resilience.ingest import ParseReport
-
-if TYPE_CHECKING:  # the campaign layer is imported lazily to avoid a cycle
-    from repro.campaign.dataset import CampaignResult, RunResult
-    from repro.campaign.runner import CampaignConfig
+from repro.traces.parser import parse_trace
+from tests.chaos.faults import FAULT_KINDS, FaultInjector, InjectionReport
 
 
 class ChaosRunError(RuntimeError):
@@ -110,8 +109,6 @@ class ChaosHarness:
     def run(self) -> ChaosReport:
         """Run the campaign; raises :class:`SimulatedInterrupt` only when
         the chaos config asked for one."""
-        from repro.campaign.runner import CampaignRunner
-
         runner = CampaignRunner(self.profiles, self.config,
                                 run_fn=self._chaotic_run_once)
         result = runner.run()
@@ -125,12 +122,7 @@ class ChaosHarness:
 
     def _chaotic_run_once(self, deployment, profile, device, point,
                           location_name, run_index, duration_s=300,
-                          keep_trace=False) -> "RunResult":
-        from repro.campaign.dataset import RunResult
-        from repro.campaign.runner import run_once
-        from repro.core.pipeline import analyze_trace
-        from repro.traces.parser import parse_trace
-
+                          keep_trace=False) -> RunResult:
         key: RunKey = (profile.name, deployment.area.name, location_name,
                        run_index)
         if self.chaos.interrupt_after is not None \

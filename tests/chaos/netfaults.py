@@ -1,14 +1,16 @@
 """Seeded network fault injection for the campaign broker transport.
 
-The broker chaos tests (and the CI broker smoke) need a *lossy
-network* that is deterministic per seed: requests dropped before they
-reach the broker, responses dropped after the broker committed the
-verb (the at-least-once hazard that makes idempotency keys necessary),
-duplicated deliveries, injected 503s, mangled response bodies (caught
-by the CRC line framing) and sustained partitions.  The injector wraps
-the client's low-level send callable, so every fault exercises the
-exact retry/idempotency path production traffic uses — nothing is
-mocked above the socket boundary.
+The broker chaos tests need a *lossy network* that is deterministic
+per seed: requests dropped before they reach the broker, responses
+dropped after the broker committed the verb (the at-least-once hazard
+that makes idempotency keys necessary), duplicated deliveries,
+injected 503s, mangled response bodies (caught by the CRC line
+framing) and sustained partitions.  The injector wraps the client's
+low-level send callable, so every fault exercises the exact
+retry/idempotency path production traffic uses — nothing is mocked
+above the socket boundary.  :mod:`tests.chaos.launch` installs it
+around ``repro.campaign.broker_client.HTTPTransport`` for the
+end-to-end subprocess tests.
 
 Fault decisions are drawn from one ``random.Random(seed)`` under a
 lock, in request order; a single-threaded client therefore sees an

@@ -15,28 +15,33 @@ Three layers:
   two ``repro worker --broker`` subprocesses (one SIGKILLs itself
   mid-lease), and a coordinator — all three clients under 25 % fault
   injection — must produce a report, checkpoint bytes and counters
-  bit-identical to the same campaign run sequentially.
+  bit-identical to the same campaign run sequentially.  The workers
+  fill the coordinator's analysis memo directory, and a sequential
+  warm rerun against it must be pure cache hits with the same
+  checkpoint bytes: the memo is coherent across transports.
 
 The end-to-end layer uses real subprocesses for the same reason the
 queue suite does: the ``repro.obs`` instrumentation context is a
-module global.
+module global.  Every client starts through ``tests/chaos/launch.py``,
+which wraps its broker transport in a seeded
+:class:`NetworkFaultInjector` (and the victim's claim loop in the
+SIGKILL hook).
 """
 
 import signal
 import subprocess
-import sys
 from types import SimpleNamespace
 
 import pytest
 
 from repro.campaign.broker import CampaignBroker
 from repro.campaign.broker_client import BrokerClient
-from repro.resilience.netfaults import (
+from repro.resilience.retry import RetryPolicy
+from tests.chaos.netfaults import (
     NET_FAULT_KINDS,
     InjectedNetworkFault,
     NetworkFaultInjector,
 )
-from repro.resilience.retry import RetryPolicy
 from tests.test_obs_metrics import FakeClock
 from tests.test_scheduler_queue import (
     CAMPAIGN_ARGS,
@@ -44,13 +49,17 @@ from tests.test_scheduler_queue import (
     QUEUE_ONLY_COUNTERS,
     counter_total,
     load_counters,
+    repro_argv,
     run_cli,
     start_broker,
 )
 
 #: Coordinator-side counters that exist only on the broker path, over
-#: and above the queue-only lease-health ones.
-BROKER_ONLY_COUNTERS = QUEUE_ONLY_COUNTERS | {"broker_client_retries_total"}
+#: and above the queue-only lease-health ones, plus the memo counters
+#: that the drain's ``--memo-dir`` adds and the oracle does not have.
+BROKER_ONLY_COUNTERS = QUEUE_ONLY_COUNTERS | {
+    "broker_client_retries_total", "analysis_memo_hits_total",
+    "analysis_memo_misses_total", "analysis_memo_corrupt_total"}
 
 
 def load_broker_counters(path):
@@ -291,30 +300,35 @@ def sequential(tmp_path_factory):
                            counters=load_counters(metrics))
 
 
-def run_broker_campaign(tmp_path, worker_extra_args, fault_rate="0.25",
+def run_broker_campaign(tmp_path, worker_specs, fault_rate="0.25",
                         lease_timeout="10"):
+    """Broker, workers, then the coordinator, every client under
+    ``fault_rate`` network faults.  Each worker spec is ``(launcher
+    options, worker options)``."""
     queue_dir = tmp_path / "qdir"
     checkpoint = tmp_path / "ck.jsonl"
     metrics = tmp_path / "metrics.json"
+    memo_dir = tmp_path / "memo"
     broker, url = start_broker(queue_dir)
     workers = []
     try:
         workers = [
             subprocess.Popen(
-                [sys.executable, "-m", "repro", "worker",
-                 "--broker", url, "--worker-id", f"w{index}",
-                 "--broker-fault-rate", fault_rate,
-                 "--broker-fault-seed", str(3 + index), *extra],
+                repro_argv(["worker", "--broker", url,
+                            "--worker-id", f"w{index}", *extra],
+                           ["--net-fault-rate", fault_rate,
+                            "--net-fault-seed", str(3 + index), *chaos]),
                 env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                 text=True)
-            for index, extra in enumerate(worker_extra_args)]
+            for index, (chaos, extra) in enumerate(worker_specs)]
         coordinator = run_cli(["campaign", *CAMPAIGN_ARGS,
                                "--broker", url,
-                               "--broker-fault-rate", fault_rate,
-                               "--broker-fault-seed", "5",
                                "--lease-timeout", lease_timeout,
+                               "--memo-dir", str(memo_dir),
                                "--checkpoint", str(checkpoint),
-                               "--metrics-out", str(metrics)])
+                               "--metrics-out", str(metrics)],
+                              chaos=["--net-fault-rate", fault_rate,
+                                     "--net-fault-seed", "5"])
         worker_codes = [worker.wait(timeout=120) for worker in workers]
     finally:
         for worker in workers:
@@ -333,7 +347,8 @@ def run_broker_campaign(tmp_path, worker_extra_args, fault_rate="0.25",
     return SimpleNamespace(coordinator=coordinator,
                            worker_codes=worker_codes,
                            checkpoint=checkpoint, metrics=metrics,
-                           queue_dir=queue_dir, broker_code=broker_code,
+                           memo_dir=memo_dir, queue_dir=queue_dir,
+                           broker_code=broker_code,
                            broker_stderr=broker_stderr)
 
 
@@ -345,7 +360,7 @@ class TestBrokerDrainEndToEnd:
         # included) rides a 25 % fault injector, and the drain must
         # still be bit-identical to the sequential oracle.
         outcome = run_broker_campaign(
-            tmp_path, [["--fail-after", "1", "--lease", "3"], []],
+            tmp_path, [(["--fail-after", "1"], ["--lease", "3"]), ([], [])],
             lease_timeout="3")
         assert outcome.coordinator.returncode == 0, \
             outcome.coordinator.stderr
@@ -370,3 +385,18 @@ class TestBrokerDrainEndToEnd:
         view = json.loads(status.stdout)
         assert view["queue"]["drained"] is True
         assert view["queue"]["depth"] == 0
+        # The workers filled the coordinator's memo directory: a
+        # sequential warm rerun against it analyses nothing anew and
+        # writes the drain's checkpoint bytes.
+        warm_checkpoint = tmp_path / "warm.jsonl"
+        warm_metrics = tmp_path / "warm-metrics.json"
+        warm = run_cli(["campaign", *CAMPAIGN_ARGS,
+                        "--memo-dir", str(outcome.memo_dir),
+                        "--checkpoint", str(warm_checkpoint),
+                        "--metrics-out", str(warm_metrics)])
+        assert warm.returncode == 0, warm.stderr
+        assert counter_total(warm_metrics, "analysis_memo_hits_total") > 0
+        assert counter_total(warm_metrics,
+                             "analysis_memo_misses_total") == 0
+        assert warm_checkpoint.read_bytes() \
+            == outcome.checkpoint.read_bytes()

@@ -183,13 +183,6 @@ class TestInProcessFallback:
         assert len(calls) == result.scheduled == 4
         assert campaign_workers(obs) == 1
 
-    def test_custom_sleep_falls_back_to_in_process(self, no_pool,
-                                                   in_process_runs):
-        obs, result = run_campaign(small_config(workers=4),
-                                   sleep=lambda _delay: None)
-        assert len(in_process_runs) == result.scheduled == 4
-        assert campaign_workers(obs) == 1
-
     def test_missing_multiprocessing_falls_back_to_in_process(
             self, monkeypatch, no_pool, in_process_runs):
         monkeypatch.setattr(runner_module, "_mp_context", lambda: None)

@@ -233,3 +233,95 @@ class TestCorruptionTolerance:
         # (flipping a byte into/out of a newline splits or joins lines).
         assert all(full[key] == entry for key, entry in loaded.items())
         assert len(loaded) >= len(full) - 2
+
+
+def write_framed(path, payloads):
+    """A checkpoint whose lines are ``payloads``, each correctly framed."""
+    path.write_text("".join(frame_line(payload) + "\n"
+                            for payload in payloads), encoding="utf-8")
+
+
+#: A well-formed entry, for files whose other lines are hostile.
+GOOD_ENTRY = json.dumps({"key": ["OP_V", "A9", "A9-P1", 0], "status": "ok",
+                         "trace": "{}"})
+
+#: Nesting far past the recursion limit, in an otherwise valid object.
+DEEP = '{"key": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+class TestFramedLinesDecodeOrSkip:
+    """A correctly framed line is decoded or skipped, never raised on.
+
+    The CRC only proves the bytes are the ones written; what a foreign
+    or buggy writer framed still goes through the one JSON-object
+    decode and typed field checks.
+    """
+
+    @pytest.mark.parametrize("lines, skipped", [
+        (['{"version": 1e400}', GOOD_ENTRY], [1]),
+        ([GOOD_ENTRY, '{"key": ["OP_V", "A9", "A9-P2", 1e400], '
+                      '"status": "ok", "trace": "{}"}'], [2]),
+        ([GOOD_ENTRY, '{"key": ["OP_V", "A9", "A9-P2", 0], '
+                      '"status": "failed", "error": "x", '
+                      '"attempts": 1e400}'], [2]),
+        ([DEEP, GOOD_ENTRY], [1]),
+        ([GOOD_ENTRY, DEEP], [2]),
+    ], ids=["header-version-overflow", "key-overflow", "attempts-overflow",
+            "deep-line-1", "deep-later-line"])
+    def test_hostile_framed_line_is_skipped(self, tmp_path, lines, skipped):
+        path = tmp_path / "c.ckpt"
+        write_framed(path, lines)
+        report = CampaignCheckpoint(path, identity="cafe1234").load_report()
+        assert report.skipped_lines == skipped
+        assert list(report.entries) == [("OP_V", "A9", "A9-P1", 0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_json_fields_give_entries_or_skips(self, data):
+        # Infinities (what ``1e400`` decodes to) get a branch of their
+        # own so that every run meets them; keys keep their four-element
+        # shape often enough to reach the per-element checks.
+        json_values = st.sampled_from([float("inf"), -float("inf")]) \
+            | st.recursive(
+                st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False) | st.text(max_size=8),
+                lambda children: st.lists(children, max_size=4)
+                | st.dictionaries(st.text(max_size=6), children,
+                                  max_size=4),
+                max_leaves=12)
+        keys = json_values | st.lists(json_values, min_size=4, max_size=4)
+
+        def mutate(record):
+            """Replace a random subset of fields with arbitrary JSON."""
+            for name in list(record):
+                if data.draw(st.booleans()):
+                    record[name] = data.draw(
+                        keys if name == "key" else json_values)
+            return json.dumps(record)
+
+        header = {"version": 1, "identity": "cafe1234"}
+        entries = [{"key": ["OP_V", "A9", f"A9-P{index}", index],
+                    "status": status, "trace": "{}", "error": "boom",
+                    "attempts": 2}
+                   for index, status in enumerate(["ok", "failed", "ok"])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.ckpt"
+            write_framed(path, [mutate(header)]
+                         + [mutate(entry) for entry in entries])
+            try:
+                report = CampaignCheckpoint(
+                    path, identity="cafe1234").load_report()
+            except CheckpointMismatchError:
+                return
+        # Every line was read; each one is a header, an entry or a skip
+        # (mutated keys may collide, so entries can be fewer).
+        assert report.lines_total == 4
+        assert len(report.entries) + report.lines_skipped <= 4
+        for key, entry in report.entries.items():
+            assert key == entry.key
+            assert [type(part) for part in key] == [str, str, str, int]
+            assert entry.status in ("ok", "failed")
+            assert entry.trace_jsonl is None \
+                or isinstance(entry.trace_jsonl, str)
+            assert isinstance(entry.error, (str, type(None)))
+            assert type(entry.attempts) is int

@@ -1,11 +1,10 @@
-"""CLI resilience: analyze diagnostics/exit codes, faults subcommand,
-campaign checkpoint flags."""
-
-import json
+"""CLI resilience: analyze diagnostics/exit codes on a seeded corrupt
+trace, campaign checkpoint flags."""
 
 import pytest
 
 from repro.cli import build_parser, main
+from tests.chaos.faults import FaultInjector
 
 
 @pytest.fixture(scope="module")
@@ -20,9 +19,10 @@ def trace_path(tmp_path_factory):
 @pytest.fixture(scope="module")
 def corrupt_path(tmp_path_factory, trace_path):
     path = tmp_path_factory.mktemp("traces") / "corrupt.jsonl"
-    code = main(["faults", str(trace_path), "--out", str(path),
-                 "--rate", "0.1", "--seed", "3"])
-    assert code == 0
+    corrupted, report = FaultInjector(seed=3, rate=0.1).corrupt(
+        trace_path.read_text(encoding="utf-8"))
+    assert report.n_faults > 0
+    path.write_text(corrupted, encoding="utf-8")
     return path
 
 
@@ -63,48 +63,6 @@ class TestAnalyzeDiagnostics:
                                        "--errors", "lenient"])
 
 
-class TestFaultsCommand:
-    def test_dry_run_reports_injections(self, trace_path, capsys):
-        code = main(["faults", str(trace_path), "--rate", "0.2",
-                     "--seed", "5"])
-        assert code == 0
-        assert "injected" in capsys.readouterr().out
-
-    def test_writes_corrupted_trace(self, corrupt_path, trace_path):
-        corrupt = corrupt_path.read_text(encoding="utf-8")
-        clean = trace_path.read_text(encoding="utf-8")
-        assert corrupt != clean
-        # Header survives corruption untouched.
-        assert json.loads(corrupt.splitlines()[0])["meta"] \
-            == json.loads(clean.splitlines()[0])["meta"]
-
-    def test_verify_reports_recover_parse(self, trace_path, capsys):
-        code = main(["faults", str(trace_path), "--rate", "0.2",
-                     "--seed", "5", "--verify"])
-        assert code == 0
-        assert "recover-mode parse:" in capsys.readouterr().out
-
-    def test_deterministic_output(self, trace_path, tmp_path):
-        first = tmp_path / "a.jsonl"
-        second = tmp_path / "b.jsonl"
-        for out in (first, second):
-            assert main(["faults", str(trace_path), "--out", str(out),
-                         "--rate", "0.15", "--seed", "9"]) == 0
-        assert first.read_text() == second.read_text()
-
-    def test_kind_restriction(self, trace_path, capsys):
-        code = main(["faults", str(trace_path), "--rate", "1.0",
-                     "--seed", "2", "--kinds", "drop"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "drop" in out and "truncate" not in out
-
-    def test_missing_input_exits_1(self, capsys):
-        code = main(["faults", "/nope.jsonl"])
-        assert code == 1
-        assert "cannot read trace" in capsys.readouterr().err
-
-
 class TestCampaignFlags:
     def test_parser_accepts_resilience_flags(self):
         args = build_parser().parse_args(
@@ -113,6 +71,15 @@ class TestCampaignFlags:
         assert args.max_retries == 2
         assert args.checkpoint == "c.jsonl"
         assert args.resume
+
+    @pytest.mark.parametrize("argv", [
+        ["faults", "run.jsonl"],
+        ["campaign", "--broker-fault-rate", "0.25"],
+        ["worker", "--broker", "http://127.0.0.1:9", "--fail-after", "1"],
+    ])
+    def test_fault_injection_is_not_a_cli_surface(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_campaign_with_checkpoint_then_resume(self, tmp_path, capsys):
         path = tmp_path / "cli.ckpt"

@@ -18,7 +18,7 @@ from repro.obs import (
     make_instrumentation,
     verify_span_tree,
 )
-from repro.resilience.chaos import ChaosConfig, ChaosHarness
+from tests.chaos.harness import ChaosConfig, ChaosHarness
 from tests.test_obs_metrics import FakeClock
 
 MINI = CampaignConfig(locations_per_area=2, a1_locations=2,

@@ -1,10 +1,18 @@
 """Per-worker telemetry spools: framing, incremental flush, torn tails."""
 
 import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import make_instrumentation
+from repro.obs.aggregate import render_status
 from repro.obs.spool import (
     SPOOL_SUFFIX,
+    TELEMETRY_DIRNAME,
     TelemetrySpool,
     read_spool,
     read_spool_frames,
@@ -12,6 +20,59 @@ from repro.obs.spool import (
 from repro.obs.tracing import verify_span_tree
 from repro.resilience.checkpoint import frame_line
 from tests.test_obs_metrics import FakeClock
+from tests.test_obs_status import make_aggregator, make_queue
+
+#: Arbitrary JSON, NaN and infinities included (the decoder accepts
+#: them), plus integers too large for a float.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6) | st.just(10 ** 400),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=8)
+
+
+def near(valid):
+    """Mostly well-typed values, sometimes arbitrary JSON."""
+    return valid | JSON_VALUES
+
+
+NUMBERS = near(st.integers() | st.floats())
+EVENTS = st.fixed_dictionaries({"name": near(st.sampled_from(["e", "f"]))},
+                               optional={
+    "severity": near(st.sampled_from(["debug", "warning"])),
+    "seq": NUMBERS, "wall_s": NUMBERS, "mono_s": NUMBERS,
+    "worker": near(st.just("w0")), "campaign": near(st.just("c")),
+    "run_key": near(st.just(["OP_V", "A9", "L", 0])),
+    "token": NUMBERS, "fields": near(st.just({"k": 1}))})
+SPANS = st.fixed_dictionaries({
+    "name": near(st.just("run")), "span_id": NUMBERS,
+    "parent_id": near(st.none()), "start_s": NUMBERS,
+    "end_s": NUMBERS, "status": near(st.just("ok"))},
+    optional={"attributes": near(st.just({"a": 1}))})
+METRIC_NAMES = st.sampled_from(["a", "b", "queue_depth",
+                                "runs_stolen_total"])
+SERIES = near(st.dictionaries(st.sampled_from(["", "k=1"]), NUMBERS,
+                              max_size=2))
+HISTOGRAM_SERIES = near(st.fixed_dictionaries({}, optional={
+    "count": NUMBERS, "sum": NUMBERS,
+    "buckets": near(st.dictionaries(
+        st.sampled_from(["1.0", "2.0", "+Inf", "1"]), NUMBERS, max_size=3)),
+    "bounds": near(st.sampled_from([[1.0, 2.0], [1, 2], [2.0, 1.0]]))}))
+SNAPSHOTS = near(st.fixed_dictionaries({}, optional={
+    "counters": near(st.dictionaries(METRIC_NAMES, SERIES, max_size=2)),
+    "gauges": near(st.dictionaries(METRIC_NAMES, SERIES, max_size=2)),
+    "histograms": near(st.dictionaries(
+        METRIC_NAMES, near(st.dictionaries(st.sampled_from(["", "k=1"]),
+                                           HISTOGRAM_SERIES, max_size=2)),
+        max_size=2))}))
+SPOOL_FRAMES = st.fixed_dictionaries(
+    {"t": near(st.sampled_from(["meta", "events", "spans", "metrics"]))},
+    optional={"session": near(st.sampled_from(["s1", "s2"])),
+              "worker": near(st.just("w0")),
+              "events": near(st.lists(EVENTS, max_size=3)),
+              "spans": near(st.lists(SPANS, max_size=3)),
+              "snapshot": SNAPSHOTS, "mono_s": NUMBERS})
 
 
 def make_spool(tmp_path, worker="w0", **kwargs):
@@ -159,3 +220,79 @@ class TestTornAndCorruptSpools:
         fresh, _, _, _ = read_spool_frames(spool.path, offset)
         assert len(fresh) == 1
         assert fresh[0]["t"] == "events"
+
+
+def write_frames(path, payloads):
+    """A spool file whose lines are ``payloads``, each correctly framed."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(frame_line(payload) + "\n"
+                            for payload in payloads), encoding="utf-8")
+
+
+META = json.dumps({"t": "meta", "session": "s1", "worker": "w0", "pid": 7})
+
+
+class TestFramedLinesDecodeOrSkip:
+    """A correctly framed spool line is folded or skipped, never raised
+    on: the CRC only proves the bytes are the ones a writer framed."""
+
+    @pytest.mark.parametrize("payload", [
+        '{"t": "meta", "session": "s2", "pid": ' + "9" * 5000 + "}",
+        '{"t": "events", "session": "s1", "events": '
+        + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"t": "events", "session": "s1", "events": 5}',
+        '{"t": "spans", "session": "s1", "spans": 7}',
+        '{"t": "metrics", "session": [1], "snapshot": {}}',
+        '{"t": "events", "session": "s1", "events": [5]}',
+        '{"t": "meta", "worker": "w0"}',
+    ], ids=["digit-limit", "deep-nesting", "events-int", "spans-int",
+            "session-list", "event-int", "meta-without-session"])
+    def test_hostile_frame_is_skipped(self, tmp_path, payload):
+        path = tmp_path / ("w0" + SPOOL_SUFFIX)
+        write_frames(path, [META, payload])
+        content = read_spool(path)
+        assert content.skipped == 1
+        assert content.latest_session == "s1"
+        assert content.worker == "w0"
+        assert content.events == [] and content.spans == []
+
+    @pytest.mark.parametrize("snapshot", [
+        {"counters": 5},
+        {"counters": {"x": 5}},
+        {"histograms": {"h": {"a": 1}}},
+    ], ids=["counters-int", "series-int", "histogram-series-int"])
+    def test_ill_typed_snapshot_is_skipped_by_status(self, tmp_path,
+                                                     snapshot):
+        clock = FakeClock()
+        make_queue(tmp_path, clock)
+        good = {"t": "metrics", "session": "s1",
+                "snapshot": {"counters": {"runs_total": {"": 2.0}}}}
+        bad = {"t": "metrics", "session": "s2", "snapshot": snapshot}
+        path = tmp_path / TELEMETRY_DIRNAME / ("w0" + SPOOL_SUFFIX)
+        write_frames(path, [META, json.dumps(good), json.dumps(bad)])
+        assert read_spool(path).skipped == 1
+        aggregator = make_aggregator(tmp_path, clock)
+        assert aggregator.refresh()
+        assert aggregator.view().counters == {"runs_total": 2.0}
+        assert "runs_total 2" in aggregator.to_prometheus()
+
+    @settings(max_examples=150, deadline=None)
+    @given(frames=st.lists(SPOOL_FRAMES, max_size=6))
+    def test_arbitrary_framed_json_is_folded_or_skipped(self, frames):
+        clock = FakeClock()
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            make_queue(root, clock)
+            path = root / TELEMETRY_DIRNAME / ("w0" + SPOOL_SUFFIX)
+            write_frames(path, [json.dumps(frame) for frame in frames])
+            content = read_spool(path)
+            aggregator = make_aggregator(root, clock)
+            assert aggregator.refresh()
+            view = aggregator.view(recent_events=100)
+            view.to_json()
+            render_status(view)
+            aggregator.to_prometheus()
+        assert content.latest_session is None \
+            or isinstance(content.latest_session, str)
+        assert all(isinstance(event.name, str) for event in content.events)
+        assert all(isinstance(span.name, str) for span in content.spans)

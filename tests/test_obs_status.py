@@ -14,6 +14,8 @@ import time
 import urllib.error
 import urllib.request
 
+import pytest
+
 from repro.cli import build_parser, main, _build_instrumentation
 from repro.obs import NULL_INSTRUMENTATION, make_instrumentation
 from repro.obs.aggregate import (
@@ -94,6 +96,25 @@ class TestHeartbeatEnrichment:
                                     clock=clock, fsync=False)
         assert reopened.open(create=True)
         assert reopened.worker_heartbeats() == []
+
+    @pytest.mark.parametrize("body", [
+        '{"pid": 1e400, "mono": 0, "ttl": 5}',
+        '{"pid": 1, "mono": 0, "ttl": 5, "token": 1e400}',
+        '{"pid": 1, "mono": ' + "[" * 100_000 + "]" * 100_000
+        + ', "ttl": 5}',
+        "[1]",
+    ], ids=["pid-overflow", "token-overflow", "deep-nesting", "not-object"])
+    def test_undecodable_heartbeat_file_is_ignored(self, tmp_path, body):
+        clock = FakeClock()
+        queue = make_queue(tmp_path, clock)
+        queue.write_worker_heartbeat("w1", ttl_s=10.0, pid=7)
+        (queue.workers_dir / "w0.hb").write_text(body, encoding="utf-8")
+        assert [beat.worker for beat in queue.worker_heartbeats()] \
+            == ["w1"]
+        aggregator = make_aggregator(tmp_path, clock)
+        assert aggregator.refresh()
+        assert [worker["worker"] for worker in aggregator.view().workers] \
+            == ["w1"]
 
     def test_future_stamp_reads_as_dead(self, tmp_path):
         # A heartbeat from before a reboot: CLOCK_MONOTONIC restarted,

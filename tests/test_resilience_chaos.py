@@ -13,13 +13,13 @@ import pytest
 
 from repro.analysis.report import campaign_report
 from repro.campaign import CampaignConfig, operator
-from repro.resilience.chaos import (
+from repro.resilience.checkpoint import CampaignCheckpoint
+from tests.chaos.harness import (
     ChaosConfig,
     ChaosHarness,
     SimulatedInterrupt,
     run_chaos_campaign,
 )
-from repro.resilience.checkpoint import CampaignCheckpoint
 
 #: Seed 1 deterministically marks 1 of the 8 scheduled runs as a
 #: permanent failure and 3 as transient (first-attempt-only) failures.

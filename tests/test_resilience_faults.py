@@ -12,10 +12,10 @@ from repro.resilience.errors import (
     TraceDecodeError,
     TraceParseError,
 )
-from repro.resilience.faults import FAULT_KINDS, FaultInjector
 from repro.resilience.ingest import ParseReport
 from repro.resilience.retry import RetryPolicy, execute_with_retry
 from repro.traces.parser import parse_trace
+from tests.chaos.faults import FAULT_KINDS, FaultInjector
 
 
 @pytest.fixture
@@ -47,6 +47,12 @@ class TestFaultInjector:
         corrupted, report = FaultInjector(seed=0, rate=0.0).corrupt(trace_text)
         assert corrupted == trace_text
         assert report.n_faults == 0
+
+    def test_kind_restriction(self, trace_text):
+        _, report = FaultInjector(seed=2, rate=1.0,
+                                  kinds=("drop",)).corrupt(trace_text)
+        assert report.n_faults > 0
+        assert set(report.counts()) == {"drop"}
 
     def test_header_never_targeted(self, trace_text):
         corrupted, report = FaultInjector(seed=5, rate=1.0).corrupt(trace_text)

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cells.cell import CellIdentity, Rat
-from repro.resilience.faults import FAULT_KINDS, FaultInjector
 from repro.traces.log import SignalingTrace, TraceMetadata
 from repro.traces.parser import parse_trace, record_kinds
 from repro.traces.records import (
@@ -36,6 +35,7 @@ from repro.traces.records import (
     SystemInfoRecord,
     ThroughputSampleRecord,
 )
+from tests.chaos.faults import FAULT_KINDS, FaultInjector
 
 PCELL = CellIdentity(393, 521310, Rat.NR)
 SCELL = CellIdentity(273, 387410, Rat.NR)

@@ -12,7 +12,9 @@ Two layers under test:
   which SIGKILLs itself mid-campaign so the survivor steals its lease,
   while ``repro status --json`` polls the broker's queue directory —
   must produce a report, checkpoint bytes and counters bit-identical
-  to the same campaign run sequentially.
+  to the same campaign run sequentially.  Workers and the coordinator
+  start through ``tests/chaos/launch.py``, which installs the victim's
+  SIGKILL hook (``--fail-after``) from outside ``src/``.
 
 The end-to-end tests must use real subprocesses: the ``repro.obs``
 instrumentation context is a module global, so in-process worker
@@ -59,6 +61,9 @@ CAMPAIGN_ARGS = ["--operator", "OP_V", "--areas", "A9",
 
 ENV = {**os.environ,
        "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+
+#: Runs a ``repro`` command with the chaos tooling installed.
+LAUNCH = str(Path(__file__).parent / "chaos" / "launch.py")
 
 KEY = ("OP_V", "A9", "A9-P0", 0)
 
@@ -196,10 +201,18 @@ class TestSchedulerSelection:
 # ----------------------------------------------------------------------
 
 
-def run_cli(args, timeout=300, **kwargs):
-    return subprocess.run([sys.executable, "-m", "repro", *args],
-                          env=ENV, capture_output=True, text=True,
-                          timeout=timeout, **kwargs)
+def repro_argv(args, chaos=None):
+    """``repro <args>``; through the chaos launcher, with its ``chaos``
+    options (possibly none), unless ``chaos`` is None."""
+    if chaos is None:
+        return [sys.executable, "-m", "repro", *args]
+    return [sys.executable, LAUNCH, *chaos, *args]
+
+
+def run_cli(args, timeout=300, chaos=None, **kwargs):
+    return subprocess.run(repro_argv(args, chaos), env=ENV,
+                          capture_output=True, text=True, timeout=timeout,
+                          **kwargs)
 
 
 def load_counters(path):
@@ -278,9 +291,10 @@ def poll_status_json(queue_dir, views, stop):
         stop.wait(0.25)
 
 
-def run_broker_drain(tmp_path, worker_extra_args, poll_status=False):
+def run_broker_drain(tmp_path, worker_specs, poll_status=False):
     """Broker first, then workers (they poll until the coordinator
-    attaches), then the coordinator."""
+    attaches), then the coordinator.  Each worker spec is ``(launcher
+    options, worker options)``."""
     queue_dir = tmp_path / "qdir"
     checkpoint = tmp_path / "ck.jsonl"
     metrics = tmp_path / "metrics.json"
@@ -294,18 +308,19 @@ def run_broker_drain(tmp_path, worker_extra_args, poll_status=False):
     try:
         workers = [
             subprocess.Popen(
-                [sys.executable, "-m", "repro", "worker",
-                 "--broker", url, "--worker-id", f"w{index}",
-                 "--telemetry-dir", str(queue_dir / "telemetry"), *extra],
+                repro_argv(["worker", "--broker", url,
+                            "--worker-id", f"w{index}",
+                            "--telemetry-dir", str(queue_dir / "telemetry"),
+                            *extra], chaos),
                 env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                 text=True)
-            for index, extra in enumerate(worker_extra_args)]
+            for index, (chaos, extra) in enumerate(worker_specs)]
         if poll_status:
             poller.start()
         coordinator = run_cli(["campaign", *CAMPAIGN_ARGS,
                                "--broker", url, "--lease-timeout", "10",
                                "--checkpoint", str(checkpoint),
-                               "--metrics-out", str(metrics)])
+                               "--metrics-out", str(metrics)], chaos=[])
         worker_codes = [worker.wait(timeout=120) for worker in workers]
     finally:
         stop_polling.set()
@@ -327,7 +342,7 @@ def run_broker_drain(tmp_path, worker_extra_args, poll_status=False):
 class TestBrokerWorkersEndToEnd:
     def test_two_workers_drain_bit_identical_to_sequential(
             self, tmp_path, sequential):
-        outcome = run_broker_drain(tmp_path, [[], []])
+        outcome = run_broker_drain(tmp_path, [([], []), ([], [])])
         assert outcome.coordinator.returncode == 0, \
             outcome.coordinator.stderr
         assert outcome.worker_codes == [0, 0]
@@ -345,7 +360,7 @@ class TestBrokerWorkersEndToEnd:
         # lease and the merge must not show a seam.  `repro status
         # --json` polls the broker's queue directory the whole time.
         outcome = run_broker_drain(
-            tmp_path, [["--fail-after", "1", "--lease", "3"], []],
+            tmp_path, [(["--fail-after", "1"], ["--lease", "3"]), ([], [])],
             poll_status=True)
         assert outcome.coordinator.returncode == 0, \
             outcome.coordinator.stderr

@@ -207,8 +207,7 @@ class TestInProcessDeadline:
         config = small_config(locations_per_area=1, runs_per_location=1,
                               run_timeout_s=0.005, max_retries=2)
         result = CampaignRunner([operator("OP_V")], config, obs=obs,
-                                run_fn=make_slow_run_fn(0.05),
-                                sleep=lambda _delay: None).run()
+                                run_fn=make_slow_run_fn(0.05)).run()
         assert len(result.quarantined) == 1
         assert result.quarantined[0].attempts == 3
 
