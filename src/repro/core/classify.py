@@ -117,7 +117,10 @@ def _classify_sa_exception(rcolumns: RecordColumns,
     cellset = _on_cellset_before(icolumns, t_off)
     if cellset is None or cellset.pcell is None:
         return LoopSubtype.UNKNOWN, None
-    serving_scells = [cell for cell in cellset.mcg_scells if cell.rat is Rat.NR]
+    # Sorted: a frozenset's order follows the per-process string hash
+    # (PYTHONHASHSEED), and the first unseen or poor SCell is the one named.
+    serving_scells = sorted(cell for cell in cellset.mcg_scells
+                            if cell.rat is Rat.NR)
     if not serving_scells:
         return LoopSubtype.UNKNOWN, None
 

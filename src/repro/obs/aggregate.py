@@ -245,11 +245,17 @@ class CampaignAggregator:
                     for metric in registry.metrics()
                     if metric.kind == "counter"}
         with self._mutex:
+            # ``frames`` counts every frame read, folded or not;
+            # ``lines_skipped`` the lines that did not decode and
+            # ``records_skipped`` the frames, event/span records and
+            # metrics snapshots the fold rejected.
             telemetry = {
                 "spools": len(self._spools),
                 "frames": sum(content.frames_total
                               for content in self._spools.values()),
                 "lines_skipped": self.spool_lines_skipped,
+                "records_skipped": sum(content.skipped
+                                       for content in self._spools.values()),
                 "torn": sorted(worker
                                for worker, content in self._spools.items()
                                if content.torn),

@@ -11,45 +11,59 @@ for both deployment modes:
   handover selection with per-channel offsets, the "5G-disabled channel"
   redirect, B1-driven SCG addition and A3-driven SCG change.
 
-All methods are pure decisions over the current tick's observations;
-executing the decision (and failing to execute it, which is where loops
-come from) is the session's job.
+All methods are pure decisions over the current tick's view
+(:class:`~repro.rrc.session.TickView`): cells are indices into the
+run's cell table, which follows ``environment.cells``.  Per-channel
+policy values are resolved per cell once, when the logic is built.
+Only :meth:`SaNetworkLogic.blind_scell_set` and
+:meth:`NsaNetworkLogic.redirect_target`, which run once per setup or
+redirect, take and return identities.  Executing a decision (and
+failing to execute it, which is where loops come from) is the
+session's job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.cells.cell import CellIdentity, Rat
-from repro.radio.environment import CellObservation, RadioEnvironment
+from repro.radio.environment import RadioEnvironment
 from repro.radio.geometry import Point
 from repro.rrc.capabilities import DeviceCapabilities
 from repro.rrc.policies import OperatorPolicy
 
+if TYPE_CHECKING:
+    from repro.rrc.session import TickView
+
 
 @dataclass(frozen=True)
 class ScellModification:
-    """A decided SCell modification: release one index, add one cell."""
+    """A decided SCell modification: release one sCellIndex, add one cell.
+
+    ``release_cell`` and ``add_cell`` are cell indices.
+    """
 
     release_index: int
-    release_identity: CellIdentity
-    add_identity: CellIdentity
+    release_cell: int
+    add_cell: int
 
 
 @dataclass(frozen=True)
 class HandoverDecision:
-    """A decided 4G PCell handover."""
+    """A decided 4G PCell handover to cell index ``target``."""
 
-    target: CellIdentity
+    target: int
     keep_scg: bool
     blind: bool  # True for the policy redirect (target never measured)
 
 
-def _strongest(observations: list[CellObservation]) -> CellObservation | None:
-    best: CellObservation | None = None
-    for observation in observations:
-        if best is None or observation.rsrp_dbm > best.rsrp_dbm:
-            best = observation
+def _strongest(cells, rsrp: list[float]) -> int | None:
+    """The strongest of ``cells`` (the first one wins a tie)."""
+    best: int | None = None
+    for cell in cells:
+        if best is None or rsrp[cell] > rsrp[best]:
+            best = cell
     return best
 
 
@@ -99,38 +113,34 @@ class SaNetworkLogic:
                 break
         return chosen
 
-    def scell_modification(
-        self,
-        serving_scells: dict[int, CellIdentity],
-        observations: dict[CellIdentity, CellObservation],
-    ) -> ScellModification | None:
+    def scell_modification(self, serving_scells: dict[int, int],
+                           view: TickView) -> ScellModification | None:
         """A3-driven intra-channel SCell replacement (at most one per tick).
 
-        For each serving SCell, if a same-channel neighbour measures
+        ``serving_scells`` maps sCellIndex to cell index.  For each
+        serving SCell, if a same-channel neighbour measures
         ``sa_scell_mod_a3_offset_db`` stronger, command the replacement —
         the S1E3 trigger when the replacement then fails.
         """
         offset = self._policy.sa_scell_mod_a3_offset_db
+        table, rsrp, measurable = view.table, view.rsrp, view.measurable
+        channels = table.channels
+        serving_cells = serving_scells.values()
         for index in sorted(serving_scells):
             serving = serving_scells[index]
-            serving_obs = observations.get(serving)
-            if serving_obs is None or not serving_obs.measurable:
+            if not (table.relevant[serving] and measurable[serving]):
                 continue
-            candidates = [
-                obs for identity, obs in observations.items()
-                if identity.channel == serving.channel
-                and identity.rat is Rat.NR
-                and identity != serving
-                and identity not in serving_scells.values()
-                and obs.measurable
-            ]
-            best = _strongest(candidates)
+            channel = channels[serving]
+            best = _strongest((cell for cell in table.relevant_nr
+                               if channels[cell] == channel
+                               and cell != serving
+                               and cell not in serving_cells
+                               and measurable[cell]), rsrp)
             if best is None:
                 continue
-            if best.rsrp_dbm > serving_obs.rsrp_dbm + offset:
+            if rsrp[best] > rsrp[serving] + offset:
                 return ScellModification(release_index=index,
-                                         release_identity=serving,
-                                         add_identity=best.identity)
+                                         release_cell=serving, add_cell=best)
         return None
 
 
@@ -140,6 +150,18 @@ class NsaNetworkLogic:
     def __init__(self, environment: RadioEnvironment, policy: OperatorPolicy) -> None:
         self._environment = environment
         self._policy = policy
+        # Per cell index (read for LTE cells): the A3 offset for handing
+        # over to it, whether a PCell on it may hold an SCG, and whether
+        # entering it keeps an active one.
+        self._a3_offset_db: list[float] = []
+        self._allows_scg: list[bool] = []
+        self._keeps_scg: list[bool] = []
+        for cell in environment.cells:
+            channel_policy = policy.channel_policy(cell.channel, Rat.LTE)
+            self._a3_offset_db.append(channel_policy.handover_a3_offset_db)
+            self._allows_scg.append(channel_policy.allows_scg)
+            self._keeps_scg.append(channel_policy.allows_scg
+                                   and not channel_policy.drops_scg_on_entry)
 
     def redirect_target(self, pcell: CellIdentity) -> CellIdentity | None:
         """The blind redirect twin for a "5G-report" redirect, if configured.
@@ -163,92 +185,75 @@ class NsaNetworkLogic:
                       Point(*cell.site_xy_m).distance_to(pcell_site))
         return nearest.identity
 
-    def handover_decision(
-        self,
-        pcell: CellIdentity,
-        observations: dict[CellIdentity, CellObservation],
-        saw_5g_report: bool,
-        scg_active: bool,
-    ) -> HandoverDecision | None:
+    def handover_decision(self, pcell: int, view: TickView, saw_5g_report: bool,
+                          scg_active: bool) -> HandoverDecision | None:
         """Pick a 4G handover target, if any trigger fires.
 
         The policy redirect takes precedence (it fires "immediately" per
         F15); otherwise the per-target-channel RSRQ A3 applies, with the
         asymmetric offsets that produce the N2E1 ping-pong.
         """
+        table = view.table
         if saw_5g_report:
-            redirect = self.redirect_target(pcell)
+            redirect = self.redirect_target(table.identities[pcell])
             if redirect is not None:
-                redirect_policy = self._policy.channel_policy(redirect.channel, Rat.LTE)
-                keep = (scg_active and redirect_policy.allows_scg
-                        and not redirect_policy.drops_scg_on_entry)
-                return HandoverDecision(target=redirect, keep_scg=keep, blind=True)
+                target = table.index[redirect]
+                return HandoverDecision(target=target,
+                                        keep_scg=scg_active and self._keeps_scg[target],
+                                        blind=True)
 
-        serving_obs = observations.get(pcell)
-        if serving_obs is None:
+        if not table.relevant[pcell]:
             return None
-        best_target: CellIdentity | None = None
+        rsrq, measurable = view.rsrq, view.measurable
+        serving_rsrq = rsrq[pcell]
+        offsets = self._a3_offset_db
+        best_target: int | None = None
         best_margin = 0.0
-        for identity, observation in observations.items():
-            if identity == pcell or identity.rat is not Rat.LTE:
+        for cell in table.relevant_lte:
+            if cell == pcell or not measurable[cell]:
                 continue
-            if not observation.measurable:
-                continue
-            offset = self._policy.channel_policy(identity.channel,
-                                                 Rat.LTE).handover_a3_offset_db
-            margin = observation.rsrq_db - (serving_obs.rsrq_db + offset)
+            margin = rsrq[cell] - (serving_rsrq + offsets[cell])
             if margin > best_margin:
                 best_margin = margin
-                best_target = identity
+                best_target = cell
         if best_target is None:
             return None
-        target_policy = self._policy.channel_policy(best_target.channel, Rat.LTE)
-        keep_scg = (scg_active and target_policy.allows_scg
-                    and not target_policy.drops_scg_on_entry)
-        return HandoverDecision(target=best_target, keep_scg=keep_scg, blind=False)
+        return HandoverDecision(target=best_target,
+                                keep_scg=scg_active and self._keeps_scg[best_target],
+                                blind=False)
 
-    def scg_addition(
-        self,
-        pcell: CellIdentity,
-        nr_observations: dict[CellIdentity, CellObservation],
-    ) -> tuple[CellIdentity, list[CellIdentity]] | None:
+    def scg_addition(self, pcell: int,
+                     view: TickView) -> tuple[int, list[int]] | None:
         """B1-driven SCG addition: strongest qualifying NR cell as PSCell.
 
         A co-sited NR cell on a second 5G channel, if deployed, is added
         as the SCG SCell (matching the paired SCG cells of Figures
         30-33, e.g. ``66@632736+66@658080``).
         """
-        if not self._policy.scg_allowed_on(pcell.channel):
+        if not self._allows_scg[pcell]:
             return None
-        qualifying = [obs for obs in nr_observations.values()
-                      if obs.measurable
-                      and obs.rsrp_dbm > self._policy.nsa_b1_threshold_dbm]
-        best = _strongest(qualifying)
-        if best is None:
+        table, rsrp, measurable = view.table, view.rsrp, view.measurable
+        threshold = self._policy.nsa_b1_threshold_dbm
+        pscell = _strongest((cell for cell in table.relevant_nr
+                             if measurable[cell] and rsrp[cell] > threshold), rsrp)
+        if pscell is None:
             return None
-        pscell = best.identity
-        partners = [identity for identity in nr_observations
-                    if identity.pci == pscell.pci
-                    and identity.channel != pscell.channel
-                    and nr_observations[identity].measurable]
-        partners.sort(key=lambda identity: nr_observations[identity].rsrp_dbm,
-                      reverse=True)
+        pci, channel = table.pcis[pscell], table.channels[pscell]
+        partners = [cell for cell in table.relevant_nr
+                    if table.pcis[cell] == pci and table.channels[cell] != channel
+                    and measurable[cell]]
+        partners.sort(key=rsrp.__getitem__, reverse=True)
         return pscell, partners[:1]
 
-    def scg_change(
-        self,
-        pscell: CellIdentity,
-        nr_observations: dict[CellIdentity, CellObservation],
-    ) -> CellIdentity | None:
+    def scg_change(self, pscell: int, view: TickView) -> int | None:
         """A3-driven PSCell change (the N2E2 trigger when it then fails)."""
-        serving_obs = nr_observations.get(pscell)
-        if serving_obs is None or not serving_obs.measurable:
+        table, rsrp, measurable = view.table, view.rsrp, view.measurable
+        if not (table.relevant[pscell] and measurable[pscell]):
             return None
-        candidates = [obs for identity, obs in nr_observations.items()
-                      if identity != pscell and obs.measurable]
-        best = _strongest(candidates)
+        best = _strongest((cell for cell in table.relevant_nr
+                           if cell != pscell and measurable[cell]), rsrp)
         if best is None:
             return None
-        if best.rsrp_dbm > serving_obs.rsrp_dbm + self._policy.nsa_scg_a3_offset_db:
-            return best.identity
+        if rsrp[best] > rsrp[pscell] + self._policy.nsa_scg_a3_offset_db:
+            return best
         return None

@@ -9,6 +9,14 @@ Network-Signal-Guru capture plus tcpdump would produce in the field.
 Nothing in here "scripts" a loop: loops emerge when the policy's
 inconsistent ON/OFF triggers happen to co-exist at the location, which
 is exactly the paper's F8.
+
+The RRC logic decides over cell *indices* into the run's
+:class:`CellTable` (the environment's cells, in order): the UE context,
+the serving sets, candidate lists and network decisions all hold
+indices.  A :class:`~repro.cells.cell.CellIdentity` is looked up for
+the records a session emits and for the few identity-keyed calls: idle
+cell selection and the throughput sampler (``observe_identity``),
+``fresh_rsrp``, ``blind_scell_set`` and ``redirect_target``.
 """
 
 from __future__ import annotations
@@ -16,11 +24,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.cells.cell import CellIdentity, Rat
+from repro.cells.cell import CellIdentity, DeployedCell, Rat
 from repro.core.seeding import stable_seed
 from repro.radio.environment import CellObservation, RadioEnvironment
 from repro.radio.geometry import Point
@@ -70,16 +78,62 @@ class RunConfig:
     point_provider: Callable[[int], Point] | None = None
 
 
+@dataclass(frozen=True)
+class CellTable:
+    """A run's cells by index: the static columns the RRC logic reads.
+
+    Index ``i`` is ``environment.cells[i]``.  ``relevant[i]`` says
+    whether the cell can matter at the run's location (every cell on a
+    moving run); ``relevant_lte`` and ``relevant_nr`` list the relevant
+    indices of each RAT in index order, which is the order every
+    candidate scan walks them in.
+    """
+
+    cells: list[DeployedCell]
+    identities: list[CellIdentity]
+    rats: list[Rat]
+    channels: list[int]
+    pcis: list[int]
+    relevant: list[bool]
+    relevant_lte: list[int]
+    relevant_nr: list[int]
+    index: dict[CellIdentity, int]
+
+    @classmethod
+    def build(cls, cells: list[DeployedCell], relevant: list[int]) -> "CellTable":
+        identities = [cell.identity for cell in cells]
+        rats = [identity.rat for identity in identities]
+        flags = [False] * len(cells)
+        for index in relevant:
+            flags[index] = True
+        return cls(cells=cells, identities=identities, rats=rats,
+                   channels=[identity.channel for identity in identities],
+                   pcis=[identity.pci for identity in identities],
+                   relevant=flags,
+                   relevant_lte=[i for i in relevant if rats[i] is Rat.LTE],
+                   relevant_nr=[i for i in relevant if rats[i] is Rat.NR],
+                   index={identity: i for i, identity in enumerate(identities)})
+
+
+class TickView(NamedTuple):
+    """One tick's radio over every cell of ``table``, by cell index."""
+
+    table: CellTable
+    rsrp: list[float]
+    rsrq: list[float]
+    measurable: list[bool]
+
+
 class RadioSampler:
     """Per-run radio sampling, computed as per-cell columns when built.
 
-    The environment's cells are interned to indices, and every tick's
-    RSRP (location mean + fading), RSRQ and measurability of every cell
-    is computed up front: each cell's fading over the whole run in one
-    draw, the means once per cell (stationary) or per tick at that
-    tick's point (moving).  The rows are converted to Python lists once,
-    so observations carry Python floats and bools.  Valid ticks are
-    ``0 .. config.duration_s - 1``.
+    The environment's cells are interned to indices (:attr:`table`),
+    and every tick's RSRP (location mean + fading), RSRQ and
+    measurability of every cell is computed up front: each cell's fading
+    over the whole run in one draw, the means once per cell (stationary)
+    or per tick at that tick's point (moving).  The rows are converted
+    to Python lists once, so views and observations carry Python floats
+    and bools.  Valid ticks are ``0 .. config.duration_s - 1``.
     """
 
     def __init__(self, environment: RadioEnvironment, point: Point,
@@ -90,8 +144,6 @@ class RadioSampler:
         propagation = environment.propagation
         cells = environment.cells
         ticks = config.duration_s
-        self._cells = cells
-        self._index = {cell.identity: index for index, cell in enumerate(cells)}
         if config.point_provider is None:
             means = [propagation.mean_rsrp_dbm(cell, point) for cell in cells]
             floor = propagation.noise_floor_dbm - cutoff_margin_db
@@ -101,22 +153,19 @@ class RadioSampler:
             self._mean_rows = [[propagation.mean_rsrp_dbm(cell, self.point_at(tick))
                                 for cell in cells] for tick in range(ticks)]
             relevant = list(range(len(cells)))
-        self._relevant = [(index, cells[index], cells[index].identity)
-                          for index in relevant]
+        self.table = CellTable.build(cells, relevant)
         fading = np.array([propagation.fading_series(cell, config.run_seed, ticks)
                            for cell in cells]).reshape(len(cells), ticks)
         rsrp = np.array(self._mean_rows).reshape(ticks, len(cells)) + fading.T
         margins = np.array([cell.interference_margin_db for cell in cells])
-        self._rows = list(zip(rsrp.tolist(),
-                              propagation.rsrq_db(rsrp, margins).tolist(),
-                              propagation.is_measurable(rsrp).tolist()))
+        self._views = [TickView(self.table, *row) for row in zip(
+            rsrp.tolist(), propagation.rsrq_db(rsrp, margins).tolist(),
+            propagation.is_measurable(rsrp).tolist())]
 
-    def _row(self, tick: int) -> tuple[list[float], list[float], list[bool]]:
-        """This tick's (RSRP, RSRQ, measurable) lists, indexed by cell."""
+    def _check(self, tick: int) -> None:
         if not 0 <= tick < self._config.duration_s:
             raise ValueError(f"tick {tick} outside the run's "
                              f"0..{self._config.duration_s - 1}")
-        return self._rows[tick]
 
     def point_at(self, tick: int) -> Point:
         if self._config.point_provider is not None:
@@ -125,24 +174,25 @@ class RadioSampler:
 
     def observe_identity(self, identity: CellIdentity, tick: int) -> CellObservation:
         """Observation of one specific cell (even if very weak)."""
-        index = self._index[identity]
-        rsrp, rsrq, measurable = self._row(tick)
-        return CellObservation(self._cells[index], rsrp[index], rsrq[index],
-                               measurable[index])
+        index = self.table.index[identity]
+        self._check(tick)
+        view = self._views[tick]
+        return CellObservation(self.table.cells[index], view.rsrp[index],
+                               view.rsrq[index], view.measurable[index])
 
-    def observe(self, tick: int) -> dict[CellIdentity, CellObservation]:
-        """Observations of every radio-relevant cell this tick."""
-        rsrp, rsrq, measurable = self._row(tick)
-        return {identity: CellObservation(cell, rsrp[index], rsrq[index],
-                                          measurable[index])
-                for index, cell, identity in self._relevant}
+    def observe(self, tick: int) -> TickView:
+        """This tick's view of every cell; the RRC logic reads the
+        radio-relevant ones (``table.relevant``)."""
+        self._check(tick)
+        return self._views[tick]
 
     def fresh_rsrp(self, identity: CellIdentity, tick: int,
                    label: str = "exec") -> float:
         """Execution-time re-sample of one cell (independent fading draw)."""
-        index = self._index[identity]
+        index = self.table.index[identity]
+        self._check(tick)
         fading = self._environment.propagation.fresh_fading_db(
-            self._cells[index], self._config.run_seed, tick, label)
+            self.table.cells[index], self._config.run_seed, tick, label)
         return self._mean_rows[tick][index] + fading
 
 
@@ -156,6 +206,7 @@ class _SessionBase:
         self.device = device
         self.config = config
         self.sampler = RadioSampler(environment, point, config)
+        self.table = self.sampler.table
         self.ue = UeContext()
         self.trace = SignalingTrace(metadata=config.metadata)
         self.rng = np.random.RandomState(stable_seed(config.run_seed, policy.name,
@@ -173,26 +224,52 @@ class _SessionBase:
         mean = self.policy.idle_reselection_delay_s
         return float(np.clip(self.rng.normal(mean, 1.2), mean - 3.0, mean + 3.5))
 
-    def _measurements_for_report(
-        self,
-        observations: dict[CellIdentity, CellObservation],
-        serving: list[CellIdentity],
-        extra_candidates: list[CellObservation],
-    ) -> tuple[CellMeasurement, ...]:
-        measurements: list[CellMeasurement] = []
-        for identity in serving:
-            observation = observations.get(identity)
-            if observation is None or not observation.measurable:
-                continue  # an unmeasurable serving cell never appears (S1E1)
-            measurements.append(CellMeasurement(identity, observation.rsrp_dbm,
-                                                observation.rsrq_db, is_serving=True))
-        for observation in extra_candidates:
-            if observation.identity in serving:
+    def _best_to_camp_on(self, identities: list[CellIdentity], tick: int,
+                         threshold_dbm: float) -> CellObservation | None:
+        """The strongest of ``identities`` above ``threshold_dbm`` (first
+        wins a tie)."""
+        best: CellObservation | None = None
+        for identity in identities:
+            observation = self.sampler.observe_identity(identity, tick)
+            if observation.rsrp_dbm <= threshold_dbm:
                 continue
-            measurements.append(CellMeasurement(observation.identity,
-                                                observation.rsrp_dbm,
-                                                observation.rsrq_db))
+            if best is None or observation.rsrp_dbm > best.rsrp_dbm:
+                best = observation
+        return best
+
+    def _strongest_first(self, view: TickView, cells: list[int],
+                         floor_dbm: float) -> list[int]:
+        """The measurable ``cells`` above ``floor_dbm``, strongest first
+        (a stable sort: equal RSRPs keep index order)."""
+        rsrp, measurable = view.rsrp, view.measurable
+        chosen = [i for i in cells if measurable[i] and rsrp[i] > floor_dbm]
+        chosen.sort(key=rsrp.__getitem__, reverse=True)
+        return chosen
+
+    def _measurements_for_report(self, view: TickView, serving: list[int],
+                                 extra_candidates: list[int],
+                                 ) -> tuple[CellMeasurement, ...]:
+        identities, relevant = self.table.identities, self.table.relevant
+        rsrp, rsrq, measurable = view.rsrp, view.rsrq, view.measurable
+        measurements: list[CellMeasurement] = []
+        for cell in serving:
+            if not (relevant[cell] and measurable[cell]):
+                continue  # an unmeasurable serving cell never appears (S1E1)
+            measurements.append(CellMeasurement(identities[cell], rsrp[cell],
+                                                rsrq[cell], is_serving=True))
+        for cell in extra_candidates:
+            if cell in serving:
+                continue
+            measurements.append(CellMeasurement(identities[cell], rsrp[cell],
+                                                rsrq[cell]))
         return tuple(measurements)
+
+    def _serving_observations(self, tick: int) -> list[CellObservation]:
+        """The measurable serving cells, in serving order."""
+        identities = self.table.identities
+        serving = [self.sampler.observe_identity(identities[cell], tick)
+                   for cell in self.ue.serving_cells()]
+        return [obs for obs in serving if obs.measurable]
 
     def _emit_throughput(self, t: float, mbps: float) -> None:
         jitter = float(self.rng.lognormal(mean=0.0, sigma=0.08)) if mbps > 0 else 1.0
@@ -208,6 +285,26 @@ class SaSession(_SessionBase):
         self.network = SaNetworkLogic(environment, policy)
         self._pending_blind_add_s: float | None = None
         self._scell_mod_cooldown_until_s = 0.0
+        self._pcell_candidates = [cell.identity for channel in self._pcell_channels()
+                                  for cell in environment.cells_on_channel(channel, Rat.NR)]
+        table = self.table
+        report_channels = set(policy.sa_pcell_channels)
+        report_channels.update(policy.sa_scell_channels)
+        self._report_cells = [i for i in table.relevant_nr
+                              if table.channels[i] in report_channels]
+        # Per-cell policy, resolved once: is an SCell on this cell on the
+        # device's fragile path (S1E1/S1E2), and does a modification
+        # adding it fail there (S1E3)?
+        self._fragile_scell = [False] * len(table.cells)
+        self._fragile_scell_mod = [False] * len(table.cells)
+        for i, identity in enumerate(table.identities):
+            if identity.rat is not Rat.NR:
+                continue  # SA SCells are NR cells
+            channel_policy = policy.channel_policy(identity.channel, Rat.NR)
+            fragile = (channel_policy.downlink_only_scell_config
+                       and device.handles_scell_band_fragile(identity.band.name))
+            self._fragile_scell[i] = fragile
+            self._fragile_scell_mod[i] = fragile and channel_policy.scell_mod_fragile
 
     def run(self) -> SignalingTrace:
         for tick in range(self.config.duration_s):
@@ -237,15 +334,8 @@ class SaSession(_SessionBase):
     def _step_idle(self, t: float, tick: int) -> None:
         if t < self.ue.idle_until_s:
             return
-        channels = self._pcell_channels()
-        best: CellObservation | None = None
-        for channel in channels:
-            for cell in self.environment.cells_on_channel(channel, Rat.NR):
-                observation = self.sampler.observe_identity(cell.identity, tick)
-                if observation.rsrp_dbm <= self.policy.selection_threshold_dbm:
-                    continue
-                if best is None or observation.rsrp_dbm > best.rsrp_dbm:
-                    best = observation
+        best = self._best_to_camp_on(self._pcell_candidates, tick,
+                                     self.policy.selection_threshold_dbm)
         if best is None:
             return
         self._emit(SystemInfoRecord(time_s=t, cell=best.identity,
@@ -253,122 +343,106 @@ class SaSession(_SessionBase):
         self._emit(RrcSetupRequestRecord(time_s=t + 0.05, cell=best.identity))
         self._emit(RrcSetupRecord(time_s=t + 0.15, cell=best.identity))
         self._emit(RrcSetupCompleteRecord(time_s=t + 0.2, cell=best.identity))
-        self.ue.establish(best.identity)
+        self.ue.establish(self.table.index[best.identity])
         if self.device.sa_carrier_aggregation:
             self._pending_blind_add_s = t + self.policy.sa_blind_scell_addition_delay_s
 
     def _step_connected(self, t: float, tick: int) -> None:
-        observations = self.sampler.observe(tick)
+        view = self.sampler.observe(tick)
         pcell = self.ue.pcell
         assert pcell is not None
-        pcell_obs = observations.get(pcell) or self.sampler.observe_identity(pcell, tick)
 
         if self._pending_blind_add_s is not None and t >= self._pending_blind_add_s:
             self._blind_scell_addition(t)
             self._pending_blind_add_s = None
 
-        self._emit_periodic_report(t, observations)
+        self._emit_periodic_report(t, view)
 
-        if self._fragile_scell_check(t, observations):
+        if self._fragile_scell_check(t, view):
             return
-        if self._scell_modification_step(t, tick, observations):
+        if self._scell_modification_step(t, tick, view):
             return
 
-        weak_ticks = self.ue.note_pcell_strength(pcell_obs.rsrp_dbm,
+        weak_ticks = self.ue.note_pcell_strength(view.rsrp[pcell],
                                                  self.policy.rlf_rsrp_threshold_dbm)
         if weak_ticks >= self.policy.rlf_time_to_trigger_s:
             self._emit(RrcReleaseRecord(time_s=t + 0.5))
             self.ue.release_all(idle_until_s=t + self._idle_duration_s())
 
     def _blind_scell_addition(self, t: float) -> None:
-        scells = self.network.blind_scell_set(self.ue.pcell, self.device)
+        pcell = self.table.identities[self.ue.pcell]
+        scells = self.network.blind_scell_set(pcell, self.device)
         if not scells:
             return
         entries = []
         for identity in scells:
-            index = self.ue.add_scell(identity)
+            index = self.ue.add_scell(self.table.index[identity])
             entries.append(ScellAddMod(scell_index=index, identity=identity))
-        self._emit(RrcReconfigurationRecord(time_s=t + 0.3, pcell=self.ue.pcell,
+        self._emit(RrcReconfigurationRecord(time_s=t + 0.3, pcell=pcell,
                                             scell_add_mod=tuple(entries)))
-        self._emit(RrcReconfigurationCompleteRecord(time_s=t + 0.35,
-                                                    pcell=self.ue.pcell))
+        self._emit(RrcReconfigurationCompleteRecord(time_s=t + 0.35, pcell=pcell))
 
-    def _emit_periodic_report(self, t: float,
-                              observations: dict[CellIdentity, CellObservation]) -> None:
-        candidate_channels = set(self.policy.sa_pcell_channels)
-        candidate_channels.update(self.policy.sa_scell_channels)
-        candidates = [obs for identity, obs in observations.items()
-                      if identity.rat is Rat.NR
-                      and identity.channel in candidate_channels
-                      and obs.measurable
-                      and obs.rsrp_dbm > NEIGHBOUR_REPORT_FLOOR_DBM]
-        candidates.sort(key=lambda obs: obs.rsrp_dbm, reverse=True)
+    def _emit_periodic_report(self, t: float, view: TickView) -> None:
+        candidates = self._strongest_first(view, self._report_cells,
+                                           NEIGHBOUR_REPORT_FLOOR_DBM)
         measurements = self._measurements_for_report(
-            observations, self.ue.serving_identities(), candidates[:8])
+            view, self.ue.serving_cells(), candidates[:8])
         if measurements:
             self._emit(MeasurementReportRecord(time_s=t + 0.1, event="periodic",
                                                measurements=measurements))
 
-    def _fragile_scell_check(self, t: float,
-                             observations: dict[CellIdentity, CellObservation]) -> bool:
+    def _fragile_scell_check(self, t: float, view: TickView) -> bool:
         """OnePlus-12R-style modem exceptions on fragile SCells (S1E1/S1E2).
 
         Returns True if the whole MCG was released.
         """
+        relevant = self.table.relevant
         for index in sorted(self.ue.scells):
-            identity = self.ue.scells[index]
-            channel_policy = self.policy.channel_policy(identity.channel, Rat.NR)
-            fragile = (channel_policy.downlink_only_scell_config
-                       and self.device.handles_scell_band_fragile(identity.band.name))
-            if not fragile:
+            cell = self.ue.scells[index]
+            if not self._fragile_scell[cell]:
                 continue
-            observation = observations.get(identity)
-            measurable = observation is not None and observation.measurable
-            unmeasurable_count = self.ue.note_scell_measurability(identity, measurable)
+            measurable = relevant[cell] and view.measurable[cell]
+            unmeasurable_count = self.ue.note_scell_measurability(cell, measurable)
             if unmeasurable_count >= UNMEASURABLE_LIMIT_TICKS:
                 self._modem_exception_release(t)  # S1E1
                 return True
             if measurable:
-                poor_count = self.ue.note_scell_rsrq(identity, observation.rsrq_db,
+                poor_count = self.ue.note_scell_rsrq(cell, view.rsrq[cell],
                                                      POOR_RSRQ_THRESHOLD_DB)
                 if poor_count >= POOR_RSRQ_LIMIT_TICKS:
                     self._modem_exception_release(t)  # S1E2
                     return True
         return False
 
-    def _scell_modification_step(self, t: float, tick: int,
-                                 observations: dict[CellIdentity, CellObservation]) -> bool:
+    def _scell_modification_step(self, t: float, tick: int, view: TickView) -> bool:
         """Network-commanded SCell modification; True if it failed (S1E3)."""
         if t < self._scell_mod_cooldown_until_s:
             return False
-        decision = self.network.scell_modification(self.ue.scells, observations)
+        decision = self.network.scell_modification(self.ue.scells, view)
         if decision is None:
             return False
         # No time-to-trigger: the network commands the modification on
         # the first tick the replacement is warranted.
+        identities = self.table.identities
+        pcell = identities[self.ue.pcell]
+        added = identities[decision.add_cell]
         new_index = self.ue.next_scell_index
         self._emit(RrcReconfigurationRecord(
             time_s=t + 0.4,
-            pcell=self.ue.pcell,
-            scell_add_mod=(ScellAddMod(new_index, decision.add_identity),),
+            pcell=pcell,
+            scell_add_mod=(ScellAddMod(new_index, added),),
             scell_release_indices=(decision.release_index,),
         ))
-        self._emit(RrcReconfigurationCompleteRecord(time_s=t + 0.45,
-                                                    pcell=self.ue.pcell))
-        channel_policy = self.policy.channel_policy(decision.add_identity.channel, Rat.NR)
-        fragile = (channel_policy.scell_mod_fragile
-                   and channel_policy.downlink_only_scell_config
-                   and self.device.handles_scell_band_fragile(
-                       decision.add_identity.band.name))
-        exec_gap = (self.sampler.fresh_rsrp(decision.add_identity, tick)
-                    - self.sampler.fresh_rsrp(decision.release_identity, tick,
-                                              label="exec-old"))
+        self._emit(RrcReconfigurationCompleteRecord(time_s=t + 0.45, pcell=pcell))
+        exec_gap = (self.sampler.fresh_rsrp(added, tick)
+                    - self.sampler.fresh_rsrp(identities[decision.release_cell],
+                                              tick, label="exec-old"))
         failure_bar = (self.policy.sa_scell_mod_a3_offset_db
                        + self.policy.sa_scell_mod_exec_margin_db)
-        if fragile and exec_gap < failure_bar:
+        if self._fragile_scell_mod[decision.add_cell] and exec_gap < failure_bar:
             self._modem_exception_release(t + 0.46)  # S1E3
             return True
-        self.ue.replace_scell(decision.release_index, decision.add_identity)
+        self.ue.replace_scell(decision.release_index, decision.add_cell)
         self._scell_mod_cooldown_until_s = t + SCELL_MOD_COOLDOWN_S
         return False
 
@@ -382,10 +456,8 @@ class SaSession(_SessionBase):
         if self.ue.state is RrcState.IDLE:
             self._emit_throughput(t, 0.0)
             return
-        serving = [self.sampler.observe_identity(identity, tick)
-                   for identity in self.ue.serving_identities()]
-        serving = [obs for obs in serving if obs.measurable]
-        primary, secondaries = self.config.rate_model.split_primary(serving)
+        primary, secondaries = self.config.rate_model.split_primary(
+            self._serving_observations(tick))
         mbps = self.config.rate_model.rate_mbps(primary, secondaries,
                                                 self.device.mimo_layers)
         self._emit_throughput(t, mbps)
@@ -402,11 +474,13 @@ class NsaSession(_SessionBase):
         self._b1_config_pending_s: float | None = None
         self._handover_cooldown_until_s = 0.0
         self._scg_change_cooldown_until_s = 0.0
-        self._a3_streak_target: CellIdentity | None = None
+        self._a3_streak_target: int | None = None
         self._a3_streak = 0
         self._broadcast_phase = int(self.rng.randint(0, max(
             1, int(policy.scg_recovery_config_period_s) or 1)))
         self._nsa_capable = device.supports_nsa_with(policy.name)
+        self._lte_identities = [cell.identity
+                                for cell in environment.cells_of_rat(Rat.LTE)]
 
     def run(self) -> SignalingTrace:
         for tick in range(self.config.duration_s):
@@ -423,13 +497,8 @@ class NsaSession(_SessionBase):
     def _step_idle(self, t: float, tick: int) -> None:
         if t < self.ue.idle_until_s:
             return
-        best: CellObservation | None = None
-        for cell in self.environment.cells_of_rat(Rat.LTE):
-            observation = self.sampler.observe_identity(cell.identity, tick)
-            if observation.rsrp_dbm <= LTE_SELECTION_THRESHOLD_DBM:
-                continue
-            if best is None or observation.rsrp_dbm > best.rsrp_dbm:
-                best = observation
+        best = self._best_to_camp_on(self._lte_identities, tick,
+                                     LTE_SELECTION_THRESHOLD_DBM)
         if best is None:
             return
         self._emit(SystemInfoRecord(time_s=t, cell=best.identity,
@@ -437,97 +506,89 @@ class NsaSession(_SessionBase):
         self._emit(RrcSetupRequestRecord(time_s=t + 0.05, cell=best.identity))
         self._emit(RrcSetupRecord(time_s=t + 0.15, cell=best.identity))
         self._emit(RrcSetupCompleteRecord(time_s=t + 0.2, cell=best.identity))
-        self.ue.establish(best.identity)
+        self.ue.establish(self.table.index[best.identity])
         if self._nsa_capable:
             self._b1_config_pending_s = t + 0.5
 
     def _step_connected(self, t: float, tick: int) -> None:
-        observations = self.sampler.observe(tick)
+        view = self.sampler.observe(tick)
         pcell = self.ue.pcell
         assert pcell is not None
-        pcell_obs = observations.get(pcell) or self.sampler.observe_identity(pcell, tick)
 
         if self._b1_config_pending_s is not None and t >= self._b1_config_pending_s:
             self._emit_b1_config(t)
 
-        saw_5g = self._emit_periodic_report(t, observations)
+        saw_5g = self._emit_periodic_report(t, view)
 
-        if self._pcell_rlf_check(t, tick, pcell_obs, observations):
+        if self._pcell_rlf_check(t, tick, pcell, view):
             return
-        if self._handover_step(t, tick, observations, saw_5g):
+        if self._handover_step(t, tick, view, saw_5g):
             return
-        self._scg_step(t, tick, observations)
+        self._scg_step(t, tick, view)
 
     def _emit_b1_config(self, t: float) -> None:
         events = tuple(("B1", channel, self.policy.nsa_b1_threshold_dbm)
                        for channel in self.environment.channels_of_rat(Rat.NR))
-        self._emit(RrcReconfigurationRecord(time_s=t, pcell=self.ue.pcell,
-                                            meas_events=events))
+        self._emit(RrcReconfigurationRecord(
+            time_s=t, pcell=self.table.identities[self.ue.pcell], meas_events=events))
         self._b1_active = True
         self._b1_config_pending_s = None
 
-    def _emit_periodic_report(self, t: float,
-                              observations: dict[CellIdentity, CellObservation]) -> bool:
-        lte_neighbours = [obs for identity, obs in observations.items()
-                          if identity.rat is Rat.LTE and obs.measurable
-                          and obs.rsrp_dbm > NEIGHBOUR_REPORT_FLOOR_DBM]
-        lte_neighbours.sort(key=lambda obs: obs.rsrp_dbm, reverse=True)
-        candidates = lte_neighbours[:6]
+    def _emit_periodic_report(self, t: float, view: TickView) -> bool:
+        candidates = self._strongest_first(view, self.table.relevant_lte,
+                                           NEIGHBOUR_REPORT_FLOOR_DBM)[:6]
         saw_5g = False
         if self._b1_active and self._nsa_capable:
-            nr_candidates = [obs for identity, obs in observations.items()
-                             if identity.rat is Rat.NR and obs.measurable
-                             and obs.rsrp_dbm > self.policy.nsa_b1_threshold_dbm]
-            nr_candidates.sort(key=lambda obs: obs.rsrp_dbm, reverse=True)
+            nr_candidates = self._strongest_first(view, self.table.relevant_nr,
+                                                  self.policy.nsa_b1_threshold_dbm)
             saw_5g = bool(nr_candidates)
             candidates = candidates + nr_candidates[:4]
         measurements = self._measurements_for_report(
-            observations, self.ue.serving_identities(), candidates)
+            view, self.ue.serving_cells(), candidates)
         if measurements:
             event = "B1" if saw_5g and self.ue.scg_pscell is None else "periodic"
             self._emit(MeasurementReportRecord(time_s=t + 0.1, event=event,
                                                measurements=measurements))
         return saw_5g
 
-    def _pcell_rlf_check(self, t: float, tick: int, pcell_obs: CellObservation,
-                         observations: dict[CellIdentity, CellObservation]) -> bool:
-        weak_ticks = self.ue.note_pcell_strength(pcell_obs.rsrp_dbm,
+    def _pcell_rlf_check(self, t: float, tick: int, pcell: int,
+                         view: TickView) -> bool:
+        weak_ticks = self.ue.note_pcell_strength(view.rsrp[pcell],
                                                  self.policy.rlf_rsrp_threshold_dbm)
         if weak_ticks < self.policy.rlf_time_to_trigger_s:
             return False
-        self._emit(RrcReestablishmentRequestRecord(time_s=t + 0.3,
-                                                   cause="otherFailure",
-                                                   cell=pcell_obs.identity))
-        self._reestablish(t, tick, observations)
+        self._emit(RrcReestablishmentRequestRecord(
+            time_s=t + 0.3, cause="otherFailure", cell=self.table.identities[pcell]))
+        self._reestablish(t, tick, view)
         return True
 
-    def _reestablish(self, t: float, tick: int,
-                     observations: dict[CellIdentity, CellObservation]) -> None:
+    def _reestablish(self, t: float, tick: int, view: TickView) -> None:
         """Reestablish the 4G connection on the strongest cell, or go IDLE."""
-        candidates = [obs for identity, obs in observations.items()
-                      if identity.rat is Rat.LTE and obs.measurable
-                      and obs.rsrp_dbm > self.policy.rlf_rsrp_threshold_dbm]
+        rsrp, measurable = view.rsrp, view.measurable
+        threshold = self.policy.rlf_rsrp_threshold_dbm
+        candidates = [i for i in self.table.relevant_lte
+                      if measurable[i] and rsrp[i] > threshold]
         if not candidates:
             self._emit(RrcReleaseRecord(time_s=t + 0.5))
             self.ue.release_all(idle_until_s=t + self._idle_duration_s())
             self._b1_active = False
             self._b1_config_pending_s = None
             return
-        best = max(candidates, key=lambda obs: obs.rsrp_dbm)
-        self._emit(RrcReestablishmentCompleteRecord(time_s=t + 0.6, cell=best.identity))
-        self.ue.establish(best.identity)
+        best = max(candidates, key=rsrp.__getitem__)
+        self._emit(RrcReestablishmentCompleteRecord(time_s=t + 0.6,
+                                                    cell=self.table.identities[best]))
+        self.ue.establish(best)
         self._b1_active = False
         if self._nsa_capable:
             self._b1_config_pending_s = t + 1.5
         self._handover_cooldown_until_s = t + HANDOVER_COOLDOWN_S
 
-    def _handover_step(self, t: float, tick: int,
-                       observations: dict[CellIdentity, CellObservation],
+    def _handover_step(self, t: float, tick: int, view: TickView,
                        saw_5g: bool) -> bool:
         if t < self._handover_cooldown_until_s:
             return False
         decision = self.network.handover_decision(
-            self.ue.pcell, observations, saw_5g_report=saw_5g,
+            self.ue.pcell, view, saw_5g_report=saw_5g,
             scg_active=self.ue.scg_pscell is not None)
         if decision is None:
             self._a3_streak_target = None
@@ -546,33 +607,30 @@ class NsaSession(_SessionBase):
                 return False
             self._a3_streak = 0
             self._a3_streak_target = None
+        target = self.table.identities[decision.target]
         self._emit(RrcReconfigurationRecord(
-            time_s=t + 0.3, pcell=self.ue.pcell,
-            handover_target=decision.target,
+            time_s=t + 0.3, pcell=self.table.identities[self.ue.pcell],
+            handover_target=target,
             release_scg=self.ue.scg_pscell is not None and not decision.keep_scg))
-        target_rsrp = self.sampler.fresh_rsrp(decision.target, tick, label="ho")
+        target_rsrp = self.sampler.fresh_rsrp(target, tick, label="ho")
         if target_rsrp < self.policy.handover_failure_threshold_dbm:
             self._emit(RrcReestablishmentRequestRecord(time_s=t + 0.6,
                                                        cause="handoverFailure",
-                                                       cell=decision.target))
-            self._reestablish(t + 0.3, tick, observations)
+                                                       cell=target))
+            self._reestablish(t + 0.3, tick, view)
             return True
         self.ue.handover(decision.target, keep_scg=decision.keep_scg)
-        self._emit(RrcReconfigurationCompleteRecord(time_s=t + 0.5,
-                                                    pcell=decision.target))
+        self._emit(RrcReconfigurationCompleteRecord(time_s=t + 0.5, pcell=target))
         self._handover_cooldown_until_s = t + HANDOVER_COOLDOWN_S
         return True
 
-    def _scg_step(self, t: float, tick: int,
-                  observations: dict[CellIdentity, CellObservation]) -> None:
+    def _scg_step(self, t: float, tick: int, view: TickView) -> None:
         if not self._nsa_capable:
             return
-        nr_observations = {identity: obs for identity, obs in observations.items()
-                           if identity.rat is Rat.NR}
         if self.ue.scg_pscell is None:
             if not self._b1_active:
                 return
-            addition = self.network.scg_addition(self.ue.pcell, nr_observations)
+            addition = self.network.scg_addition(self.ue.pcell, view)
             if addition is None:
                 return
             pscell, partners = addition
@@ -580,15 +638,14 @@ class NsaSession(_SessionBase):
             return
 
         pscell = self.ue.scg_pscell
-        pscell_obs = nr_observations.get(pscell)
-        pscell_rsrp = (pscell_obs.rsrp_dbm if pscell_obs is not None
-                       else self.sampler.observe_identity(pscell, tick).rsrp_dbm)
+        pscell_rsrp = view.rsrp[pscell]
 
         if self.policy.legacy_a2b1 and pscell_rsrp < self.policy.legacy_a2_threshold_dbm:
             # The prior-work A2-B1 loop (F12): A2-triggered SCG release
             # with an A2 threshold above the B1 add threshold.
-            self._emit(RrcReconfigurationRecord(time_s=t + 0.4, pcell=self.ue.pcell,
-                                                release_scg=True))
+            self._emit(RrcReconfigurationRecord(
+                time_s=t + 0.4, pcell=self.table.identities[self.ue.pcell],
+                release_scg=True))
             self.ue.release_scg()
             return
 
@@ -598,33 +655,38 @@ class NsaSession(_SessionBase):
 
         if t < self._scg_change_cooldown_until_s:
             return
-        change = self.network.scg_change(pscell, nr_observations)
+        change = self.network.scg_change(pscell, view)
         if change is not None:
-            partners = [identity for identity in nr_observations
-                        if identity.pci == change.pci and identity.channel != change.channel
-                        and nr_observations[identity].measurable][:1]
+            table = self.table
+            pci, channel = table.pcis[change], table.channels[change]
+            partners = [i for i in table.relevant_nr
+                        if table.pcis[i] == pci and table.channels[i] != channel
+                        and view.measurable[i]][:1]
             self._execute_scg_setup(t, tick, change, partners, is_change=True)
 
-    def _execute_scg_setup(self, t: float, tick: int, pscell: CellIdentity,
-                           partners: list[CellIdentity], is_change: bool = False) -> None:
-        self._emit(RrcReconfigurationRecord(time_s=t + 0.5, pcell=self.ue.pcell,
-                                            scg_pscell=pscell,
-                                            scg_scells=tuple(partners)))
-        ra_rsrp = self.sampler.fresh_rsrp(pscell, tick, label="scg-ra")
+    def _execute_scg_setup(self, t: float, tick: int, pscell: int,
+                           partners: list[int], is_change: bool = False) -> None:
+        identities = self.table.identities
+        self._emit(RrcReconfigurationRecord(
+            time_s=t + 0.5, pcell=identities[self.ue.pcell],
+            scg_pscell=identities[pscell],
+            scg_scells=tuple(identities[cell] for cell in partners)))
+        ra_rsrp = self.sampler.fresh_rsrp(identities[pscell], tick, label="scg-ra")
         if ra_rsrp < self.policy.scg_ra_failure_threshold_dbm:
             self._scg_failure(t, "randomAccessProblem")
             return
         self.ue.attach_scg(pscell, partners)
         self._emit(RrcReconfigurationCompleteRecord(time_s=t + 0.7,
-                                                    pcell=self.ue.pcell))
+                                                    pcell=identities[self.ue.pcell]))
         if is_change:
             self._scg_change_cooldown_until_s = t + SCG_CHANGE_COOLDOWN_S
 
     def _scg_failure(self, t: float, kind: str) -> None:
         failure_type = "randomAccessProblem" if kind == "randomAccessProblem" else "rlf"
         self._emit(ScgFailureRecord(time_s=t + 0.75, failure_type=failure_type))
-        self._emit(RrcReconfigurationRecord(time_s=t + 0.85, pcell=self.ue.pcell,
-                                            release_scg=True))
+        self._emit(RrcReconfigurationRecord(
+            time_s=t + 0.85, pcell=self.table.identities[self.ue.pcell],
+            release_scg=True))
         self.ue.release_scg()
         self._b1_active = False
         self._b1_config_pending_s = self._next_scg_config_time(t)
@@ -649,16 +711,15 @@ class NsaSession(_SessionBase):
         if self.ue.state is RrcState.IDLE:
             self._emit_throughput(t, 0.0)
             return
-        pcell_obs = self.sampler.observe_identity(self.ue.pcell, tick)
+        pcell_obs = self.sampler.observe_identity(
+            self.table.identities[self.ue.pcell], tick)
         if self.ue.scg_pscell is None:
             mbps = self.config.rate_model.lte_only_rate_mbps(pcell_obs,
                                                              self.device.mimo_layers)
             self._emit_throughput(t, mbps)
             return
-        serving = [self.sampler.observe_identity(identity, tick)
-                   for identity in self.ue.serving_identities()]
-        serving = [obs for obs in serving if obs.measurable]
-        primary, secondaries = self.config.rate_model.split_primary(serving)
+        primary, secondaries = self.config.rate_model.split_primary(
+            self._serving_observations(tick))
         mbps = self.config.rate_model.rate_mbps(primary, secondaries,
                                                 self.device.mimo_layers)
         self._emit_throughput(t, mbps)

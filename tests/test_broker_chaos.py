@@ -45,9 +45,9 @@ from tests.chaos.netfaults import (
 from tests.test_obs_metrics import FakeClock
 from tests.test_scheduler_queue import (
     CAMPAIGN_ARGS,
-    ENV,
     QUEUE_ONLY_COUNTERS,
     counter_total,
+    drain_processes,
     load_counters,
     repro_argv,
     run_cli,
@@ -302,39 +302,31 @@ def sequential(tmp_path_factory):
 
 def run_broker_campaign(tmp_path, worker_specs, fault_rate="0.25",
                         lease_timeout="10"):
-    """Broker, workers, then the coordinator, every client under
-    ``fault_rate`` network faults.  Each worker spec is ``(launcher
-    options, worker options)``."""
+    """Broker, workers, then the coordinator (see
+    :func:`~tests.test_scheduler_queue.drain_processes`), every client
+    under ``fault_rate`` network faults.  Each worker spec is
+    ``(launcher options, worker options)``."""
     queue_dir = tmp_path / "qdir"
     checkpoint = tmp_path / "ck.jsonl"
     metrics = tmp_path / "metrics.json"
     memo_dir = tmp_path / "memo"
     broker, url = start_broker(queue_dir)
-    workers = []
     try:
-        workers = [
-            subprocess.Popen(
-                repro_argv(["worker", "--broker", url,
-                            "--worker-id", f"w{index}", *extra],
-                           ["--net-fault-rate", fault_rate,
-                            "--net-fault-seed", str(3 + index), *chaos]),
-                env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                text=True)
-            for index, (chaos, extra) in enumerate(worker_specs)]
-        coordinator = run_cli(["campaign", *CAMPAIGN_ARGS,
-                               "--broker", url,
-                               "--lease-timeout", lease_timeout,
-                               "--memo-dir", str(memo_dir),
-                               "--checkpoint", str(checkpoint),
-                               "--metrics-out", str(metrics)],
-                              chaos=["--net-fault-rate", fault_rate,
-                                     "--net-fault-seed", "5"])
-        worker_codes = [worker.wait(timeout=120) for worker in workers]
+        coordinator, _, worker_codes = drain_processes(
+            [repro_argv(["worker", "--broker", url,
+                         "--worker-id", f"w{index}", *extra],
+                        ["--net-fault-rate", fault_rate,
+                         "--net-fault-seed", str(3 + index), *chaos])
+             for index, (chaos, extra) in enumerate(worker_specs)],
+            repro_argv(["campaign", *CAMPAIGN_ARGS,
+                        "--broker", url,
+                        "--lease-timeout", lease_timeout,
+                        "--memo-dir", str(memo_dir),
+                        "--checkpoint", str(checkpoint),
+                        "--metrics-out", str(metrics)],
+                       ["--net-fault-rate", fault_rate,
+                        "--net-fault-seed", "5"]))
     finally:
-        for worker in workers:
-            if worker.poll() is None:
-                worker.kill()
-            worker.communicate()
         broker.send_signal(signal.SIGTERM)
         try:
             broker_code = broker.wait(timeout=60)

@@ -1,5 +1,11 @@
 """Tests for loop sub-type classification from crafted record lists."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 from repro.cells.cell import Rat
 from repro.core.cellset import extract_cellset_sequence
 from repro.core.classify import LoopSubtype, classify_loop
@@ -90,6 +96,59 @@ class TestS1Classification:
                    CellMeasurement(S25A, -85.0, -12.0, is_serving=True))
         records = self._sa_records_with_reports(reports)
         assert off_transition_at(records, 10.0).subtype is LoopSubtype.UNKNOWN
+
+    def test_problem_scell_is_independent_of_the_hash_seed(self):
+        # One S1E1 OFF (neither NR SCell reported) and one S1E2 OFF (both
+        # reported poor): the SCell named must not follow the frozenset
+        # order of the serving set, which PYTHONHASHSEED decides.  Seeds
+        # 0 and 5 named different SCells when the set was not sorted.
+        script = textwrap.dedent("""
+            from repro.cells.cell import CellIdentity
+            from repro.core.cellset import extract_cellset_sequence
+            from repro.core.classify import classify_loop
+            from repro.core.columnar import IntervalColumns, RecordColumns
+            from repro.traces.log import SignalingTrace
+            from repro.traces.records import (
+                CellMeasurement, MeasurementReportRecord, MmStateRecord,
+                RrcReconfigurationRecord, RrcSetupCompleteRecord, ScellAddMod)
+
+            pcell = CellIdentity(393, 521310)
+            first, second = CellIdentity(273, 387410), CellIdentity(371, 398410)
+            records = []
+            for t0, reported in ((0.0, ()), (20.0, (first, second))):
+                records += [
+                    RrcSetupCompleteRecord(time_s=t0 + 0.2, cell=pcell),
+                    RrcReconfigurationRecord(time_s=t0 + 3.0, pcell=pcell,
+                                             scell_add_mod=(ScellAddMod(1, first),
+                                                            ScellAddMod(2, second)))]
+                for tick in range(4, 10):
+                    records.append(MeasurementReportRecord(
+                        time_s=t0 + tick, measurements=(
+                            CellMeasurement(pcell, -82.0, -10.5, is_serving=True),
+                            *(CellMeasurement(cell, -108.5, -25.5, is_serving=True)
+                              for cell in reported))))
+                records.append(MmStateRecord(time_s=t0 + 10.0, state="DEREGISTERED",
+                                             substate="NO_CELL_AVAILABLE"))
+            intervals = extract_cellset_sequence(records, end_time_s=40.0)
+            _, transitions = classify_loop(
+                RecordColumns.from_trace(SignalingTrace(records=records)),
+                IntervalColumns.from_intervals(intervals))
+            for transition in transitions:
+                print(transition.time_s, transition.subtype.value,
+                      transition.problem_cell)
+        """)
+        src = Path(__file__).parent.parent / "src"
+        outputs = []
+        for hash_seed in (0, 5):
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(src),
+                     "PYTHONHASHSEED": str(hash_seed)}, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines() == ["10.0 S1E1 273@387410",
+                                           "30.0 S1E2 273@387410"]
 
     def test_unknown_without_scells(self):
         records = [

@@ -273,7 +273,13 @@ class TestFramedLinesDecodeOrSkip:
         assert read_spool(path).skipped == 1
         aggregator = make_aggregator(tmp_path, clock)
         assert aggregator.refresh()
-        assert aggregator.view().counters == {"runs_total": 2.0}
+        view = aggregator.view()
+        assert view.counters == {"runs_total": 2.0}
+        # The rejected snapshot decoded as a line, so status reports it
+        # as a skipped record, not a skipped line.
+        assert view.telemetry["records_skipped"] == 1
+        assert view.telemetry["lines_skipped"] == 0
+        assert view.telemetry["frames"] == 3
         assert "runs_total 2" in aggregator.to_prometheus()
 
     @settings(max_examples=150, deadline=None)

@@ -8,6 +8,7 @@ from repro.radio.propagation import PropagationModel
 from repro.rrc.capabilities import DeviceCapabilities
 from repro.rrc.network import NsaNetworkLogic, SaNetworkLogic
 from repro.rrc.policies import ChannelPolicy, OperatorPolicy
+from repro.rrc.session import CellTable, TickView
 from tests.conftest import lte_cell, nr_cell
 
 
@@ -19,6 +20,25 @@ def obs(environment, pci, channel, rsrp, rat=Rat.NR, rsrq=None):
         rsrq = environment.propagation.rsrq_db(rsrp, cell.interference_margin_db)
     return CellObservation(cell=cell, rsrp_dbm=rsrp, rsrq_db=rsrq,
                            measurable=rsrp > environment.propagation.noise_floor_dbm)
+
+
+def view(environment, *observations):
+    """A tick view in which exactly the observed cells are relevant."""
+    cells = environment.cells
+    index = {cell.identity: i for i, cell in enumerate(cells)}
+    rsrp, rsrq = [-200.0] * len(cells), [-40.0] * len(cells)
+    measurable = [False] * len(cells)
+    for observation in observations:
+        i = index[observation.identity]
+        rsrp[i], rsrq[i] = observation.rsrp_dbm, observation.rsrq_db
+        measurable[i] = observation.measurable
+    relevant = sorted(index[observation.identity] for observation in observations)
+    return TickView(CellTable.build(cells, relevant), rsrp, rsrq, measurable)
+
+
+def at(tick, identity):
+    """The cell index of ``identity`` in ``tick``'s table."""
+    return tick.table.index[identity]
 
 
 @pytest.fixture
@@ -86,43 +106,36 @@ class TestBlindScellSet:
 class TestScellModification:
     def test_intra_channel_replacement(self, sa_environment, sa_policy):
         logic = SaNetworkLogic(sa_environment, sa_policy)
-        serving = {1: CellIdentity(273, 387410, Rat.NR)}
-        observations = {
-            CellIdentity(273, 387410, Rat.NR): obs(sa_environment, 273, 387410, -90.0),
-            CellIdentity(371, 387410, Rat.NR): obs(sa_environment, 371, 387410, -82.0),
-        }
-        decision = logic.scell_modification(serving, observations)
+        tick = view(sa_environment, obs(sa_environment, 273, 387410, -90.0),
+                    obs(sa_environment, 371, 387410, -82.0))
+        serving = {1: at(tick, CellIdentity(273, 387410, Rat.NR))}
+        decision = logic.scell_modification(serving, tick)
         assert decision is not None
         assert decision.release_index == 1
-        assert decision.add_identity == CellIdentity(371, 387410, Rat.NR)
+        assert tick.table.identities[decision.add_cell] == \
+            CellIdentity(371, 387410, Rat.NR)
 
     def test_no_replacement_below_offset(self, sa_environment, sa_policy):
         logic = SaNetworkLogic(sa_environment, sa_policy)
-        serving = {1: CellIdentity(273, 387410, Rat.NR)}
-        observations = {
-            CellIdentity(273, 387410, Rat.NR): obs(sa_environment, 273, 387410, -90.0),
-            CellIdentity(371, 387410, Rat.NR): obs(sa_environment, 371, 387410, -85.0),
-        }
-        assert logic.scell_modification(serving, observations) is None
+        tick = view(sa_environment, obs(sa_environment, 273, 387410, -90.0),
+                    obs(sa_environment, 371, 387410, -85.0))
+        serving = {1: at(tick, CellIdentity(273, 387410, Rat.NR))}
+        assert logic.scell_modification(serving, tick) is None
 
     def test_unmeasurable_serving_cell_not_modified(self, sa_environment,
                                                     sa_policy):
         logic = SaNetworkLogic(sa_environment, sa_policy)
-        serving = {1: CellIdentity(273, 387410, Rat.NR)}
-        observations = {
-            CellIdentity(273, 387410, Rat.NR): obs(sa_environment, 273, 387410, -130.0),
-            CellIdentity(371, 387410, Rat.NR): obs(sa_environment, 371, 387410, -85.0),
-        }
-        assert logic.scell_modification(serving, observations) is None
+        tick = view(sa_environment, obs(sa_environment, 273, 387410, -130.0),
+                    obs(sa_environment, 371, 387410, -85.0))
+        serving = {1: at(tick, CellIdentity(273, 387410, Rat.NR))}
+        assert logic.scell_modification(serving, tick) is None
 
     def test_cross_channel_neighbours_ignored(self, sa_environment, sa_policy):
         logic = SaNetworkLogic(sa_environment, sa_policy)
-        serving = {1: CellIdentity(273, 387410, Rat.NR)}
-        observations = {
-            CellIdentity(273, 387410, Rat.NR): obs(sa_environment, 273, 387410, -90.0),
-            CellIdentity(273, 398410, Rat.NR): obs(sa_environment, 273, 398410, -70.0),
-        }
-        assert logic.scell_modification(serving, observations) is None
+        tick = view(sa_environment, obs(sa_environment, 273, 387410, -90.0),
+                    obs(sa_environment, 273, 398410, -70.0))
+        serving = {1: at(tick, CellIdentity(273, 387410, Rat.NR))}
+        assert logic.scell_modification(serving, tick) is None
 
 
 @pytest.fixture
@@ -180,18 +193,18 @@ class TestHandoverDecision:
     def test_redirect_fires_on_5g_report(self, nsa_environment, nsa_policy):
         logic = NsaNetworkLogic(nsa_environment, nsa_policy)
         pcell = CellIdentity(380, 5815, Rat.LTE)
-        observations = {pcell: obs(nsa_environment, 380, 5815, -90.0, Rat.LTE)}
-        decision = logic.handover_decision(pcell, observations,
+        tick = view(nsa_environment, obs(nsa_environment, 380, 5815, -90.0, Rat.LTE))
+        decision = logic.handover_decision(at(tick, pcell), tick,
                                            saw_5g_report=True, scg_active=False)
         assert decision is not None
         assert decision.blind
-        assert decision.target.channel == 5145
+        assert tick.table.channels[decision.target] == 5145
 
     def test_no_redirect_without_5g_report(self, nsa_environment, nsa_policy):
         logic = NsaNetworkLogic(nsa_environment, nsa_policy)
         pcell = CellIdentity(380, 5815, Rat.LTE)
-        observations = {pcell: obs(nsa_environment, 380, 5815, -90.0, Rat.LTE)}
-        assert logic.handover_decision(pcell, observations,
+        tick = view(nsa_environment, obs(nsa_environment, 380, 5815, -90.0, Rat.LTE))
+        assert logic.handover_decision(at(tick, pcell), tick,
                                        saw_5g_report=False,
                                        scg_active=False) is None
 
@@ -201,11 +214,11 @@ class TestHandoverDecision:
         serving = obs(nsa_environment, 222, 66661, -100.0, Rat.LTE, rsrq=-18.0)
         # 5815 has a 6 dB offset: an 8 dB better RSRQ triggers the handover.
         low_band = obs(nsa_environment, 380, 5815, -95.0, Rat.LTE, rsrq=-10.0)
-        decision = logic.handover_decision(pcell, {pcell: serving,
-                                                   low_band.identity: low_band},
+        tick = view(nsa_environment, serving, low_band)
+        decision = logic.handover_decision(at(tick, pcell), tick,
                                            saw_5g_report=False, scg_active=True)
         assert decision is not None
-        assert decision.target.channel == 5815
+        assert tick.table.channels[decision.target] == 5815
         assert not decision.keep_scg  # 5815 never works with an SCG
 
     def test_a3_default_offset_is_stricter(self, nsa_environment, nsa_policy):
@@ -214,8 +227,8 @@ class TestHandoverDecision:
         serving = obs(nsa_environment, 380, 5145, -100.0, Rat.LTE, rsrq=-18.0)
         mid_band = obs(nsa_environment, 222, 66661, -95.0, Rat.LTE, rsrq=-10.0)
         # 8 dB better, but the default offset is 10 dB: no handover.
-        assert logic.handover_decision(pcell, {pcell: serving,
-                                               mid_band.identity: mid_band},
+        tick = view(nsa_environment, serving, mid_band)
+        assert logic.handover_decision(at(tick, pcell), tick,
                                        saw_5g_report=False,
                                        scg_active=False) is None
 
@@ -224,8 +237,8 @@ class TestHandoverDecision:
         pcell = CellIdentity(380, 5145, Rat.LTE)
         serving = obs(nsa_environment, 380, 5145, -110.0, Rat.LTE, rsrq=-25.0)
         mid_band = obs(nsa_environment, 222, 66661, -80.0, Rat.LTE, rsrq=-9.0)
-        decision = logic.handover_decision(pcell, {pcell: serving,
-                                                   mid_band.identity: mid_band},
+        tick = view(nsa_environment, serving, mid_band)
+        decision = logic.handover_decision(at(tick, pcell), tick,
                                            saw_5g_report=False, scg_active=True)
         assert decision is not None
         assert decision.keep_scg
@@ -235,49 +248,42 @@ class TestScgManagement:
     def test_addition_picks_strongest_above_b1(self, nsa_environment, nsa_policy):
         logic = NsaNetworkLogic(nsa_environment, nsa_policy)
         pcell = CellIdentity(380, 5145, Rat.LTE)
-        nr_observations = {
-            CellIdentity(380, 174770, Rat.NR): obs(nsa_environment, 380, 174770, -100.0),
-            CellIdentity(380, 632736, Rat.NR): obs(nsa_environment, 380, 632736, -95.0),
-            CellIdentity(380, 658080, Rat.NR): obs(nsa_environment, 380, 658080, -97.0),
-        }
-        addition = logic.scg_addition(pcell, nr_observations)
+        tick = view(nsa_environment,
+                    obs(nsa_environment, 380, 174770, -100.0),
+                    obs(nsa_environment, 380, 632736, -95.0),
+                    obs(nsa_environment, 380, 658080, -97.0))
+        addition = logic.scg_addition(at(tick, pcell), tick)
         assert addition is not None
         pscell, partners = addition
-        assert pscell == CellIdentity(380, 632736, Rat.NR)
-        assert partners == [CellIdentity(380, 658080, Rat.NR)]
+        identities = tick.table.identities
+        assert identities[pscell] == CellIdentity(380, 632736, Rat.NR)
+        assert [identities[cell] for cell in partners] == \
+            [CellIdentity(380, 658080, Rat.NR)]
 
     def test_addition_blocked_on_disabled_channel(self, nsa_environment,
                                                   nsa_policy):
         logic = NsaNetworkLogic(nsa_environment, nsa_policy)
         pcell = CellIdentity(380, 5815, Rat.LTE)
-        nr_observations = {
-            CellIdentity(380, 632736, Rat.NR): obs(nsa_environment, 380, 632736, -95.0),
-        }
-        assert logic.scg_addition(pcell, nr_observations) is None
+        tick = view(nsa_environment, obs(nsa_environment, 380, 632736, -95.0))
+        assert logic.scg_addition(at(tick, pcell), tick) is None
 
     def test_addition_none_below_b1(self, nsa_environment, nsa_policy):
         logic = NsaNetworkLogic(nsa_environment, nsa_policy)
         pcell = CellIdentity(380, 5145, Rat.LTE)
-        nr_observations = {
-            CellIdentity(380, 632736, Rat.NR): obs(nsa_environment, 380, 632736, -117.0),
-        }
-        assert logic.scg_addition(pcell, nr_observations) is None
+        tick = view(nsa_environment, obs(nsa_environment, 380, 632736, -117.0))
+        assert logic.scg_addition(at(tick, pcell), tick) is None
 
     def test_change_requires_a3_offset(self, nsa_environment, nsa_policy):
         logic = NsaNetworkLogic(nsa_environment, nsa_policy)
         pscell = CellIdentity(380, 632736, Rat.NR)
-        nr_observations = {
-            pscell: obs(nsa_environment, 380, 632736, -100.0),
-            CellIdentity(380, 658080, Rat.NR): obs(nsa_environment, 380, 658080, -94.0),
-        }
-        change = logic.scg_change(pscell, nr_observations)
-        assert change == CellIdentity(380, 658080, Rat.NR)
+        tick = view(nsa_environment, obs(nsa_environment, 380, 632736, -100.0),
+                    obs(nsa_environment, 380, 658080, -94.0))
+        change = logic.scg_change(at(tick, pscell), tick)
+        assert tick.table.identities[change] == CellIdentity(380, 658080, Rat.NR)
 
     def test_change_none_when_close(self, nsa_environment, nsa_policy):
         logic = NsaNetworkLogic(nsa_environment, nsa_policy)
         pscell = CellIdentity(380, 632736, Rat.NR)
-        nr_observations = {
-            pscell: obs(nsa_environment, 380, 632736, -100.0),
-            CellIdentity(380, 658080, Rat.NR): obs(nsa_environment, 380, 658080, -98.0),
-        }
-        assert logic.scg_change(pscell, nr_observations) is None
+        tick = view(nsa_environment, obs(nsa_environment, 380, 632736, -100.0),
+                    obs(nsa_environment, 380, 658080, -98.0))
+        assert logic.scg_change(at(tick, pscell), tick) is None

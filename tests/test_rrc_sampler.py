@@ -10,7 +10,7 @@ import pytest
 from repro.campaign import build_deployment, device, operator
 from repro.campaign.runner import run_once
 from repro.cells.cell import CellIdentity, Rat
-from repro.radio.environment import RadioEnvironment
+from repro.radio.environment import CellObservation, RadioEnvironment
 from repro.radio.geometry import Point
 from repro.radio.propagation import PropagationModel
 from repro.rrc.session import RadioSampler, RunConfig, simulate_run
@@ -31,6 +31,14 @@ def environment():
     return RadioEnvironment(cells, model)
 
 
+def observations(view):
+    """A tick view's relevant cells as observations, by identity."""
+    table = view.table
+    return {table.identities[i]: CellObservation(table.cells[i], view.rsrp[i],
+                                                 view.rsrq[i], view.measurable[i])
+            for i, relevant in enumerate(table.relevant) if relevant}
+
+
 @pytest.fixture
 def sampler(environment):
     return RadioSampler(environment, Point(200.0, 200.0),
@@ -39,9 +47,19 @@ def sampler(environment):
 
 class TestStationarySampling:
     def test_observe_drops_irrelevant_cells(self, sampler):
-        observations = sampler.observe(0)
-        assert CellIdentity(3, 387410, Rat.NR) not in observations
-        assert len(observations) == 2
+        relevant = observations(sampler.observe(0))
+        assert CellIdentity(3, 387410, Rat.NR) not in relevant
+        assert len(relevant) == 2
+
+    def test_view_columns_follow_the_environment(self, environment, sampler):
+        table = sampler.observe(0).table
+        assert table.identities == [cell.identity for cell in environment.cells]
+        assert table.channels == [521310, 501390, 387410]
+        assert table.pcis == [1, 2, 3]
+        assert table.rats == [Rat.NR] * 3
+        assert table.relevant == [True, True, False]
+        assert (table.relevant_nr, table.relevant_lte) == ([0, 1], [])
+        assert table.index[CellIdentity(2, 501390, Rat.NR)] == 1
 
     def test_observe_identity_covers_weak_cells(self, sampler):
         weak = sampler.observe_identity(CellIdentity(3, 387410, Rat.NR), 0)
@@ -73,22 +91,25 @@ class TestStationarySampling:
         sampler = RadioSampler(RadioEnvironment([clean, loaded], propagation),
                                Point(150.0, 0.0),
                                RunConfig(duration_s=10, run_seed=1))
-        observations = {identity.pci: obs
-                        for identity, obs in sampler.observe(0).items()}
+        by_pci = {identity.pci: obs
+                  for identity, obs in observations(sampler.observe(0)).items()}
         # Each cell's RSRQ is the propagation model's map of its own
         # RSRP, shifted down by its channel's interference margin.
-        assert observations[1].rsrq_db == \
-            propagation.rsrq_db(observations[1].rsrp_dbm)
-        assert observations[2].rsrq_db == \
-            propagation.rsrq_db(observations[2].rsrp_dbm, 4.0)
-        assert observations[2].rsrq_db == pytest.approx(
-            propagation.rsrq_db(observations[2].rsrp_dbm) - 4.0)
+        assert by_pci[1].rsrq_db == \
+            propagation.rsrq_db(by_pci[1].rsrp_dbm)
+        assert by_pci[2].rsrq_db == \
+            propagation.rsrq_db(by_pci[2].rsrp_dbm, 4.0)
+        assert by_pci[2].rsrq_db == pytest.approx(
+            propagation.rsrq_db(by_pci[2].rsrp_dbm) - 4.0)
 
     def test_observations_are_python_scalars(self, sampler):
-        for observation in sampler.observe(0).values():
+        for observation in observations(sampler.observe(0)).values():
             assert type(observation.rsrp_dbm) is float
             assert type(observation.rsrq_db) is float
             assert type(observation.measurable) is bool
+        view = sampler.observe(0)
+        assert {type(value) for value in view.rsrp + view.rsrq} == {float}
+        assert {type(value) for value in view.measurable} == {bool}
 
     def test_ticks_outside_the_run_raise(self, sampler):
         identity = CellIdentity(1, 521310, Rat.NR)
@@ -98,6 +119,11 @@ class TestStationarySampling:
             sampler.observe(-1)
         with pytest.raises(ValueError):
             sampler.observe(60)
+        for tick in (-1, 60):
+            with pytest.raises(ValueError, match="outside the run's 0..59"):
+                sampler.observe_identity(identity, tick)
+            with pytest.raises(ValueError, match="outside the run's 0..59"):
+                sampler.fresh_rsrp(identity, tick)
 
     def test_observation_str(self, sampler):
         observation = sampler.observe_identity(CellIdentity(1, 521310, Rat.NR), 0)
@@ -132,7 +158,7 @@ class TestMovingSampling:
         config = RunConfig(run_seed=5,
                            point_provider=lambda tick: Point(200.0, 200.0))
         sampler = RadioSampler(environment, Point(200.0, 200.0), config)
-        assert len(sampler.observe(0)) == 3  # no stationary cutoff
+        assert len(observations(sampler.observe(0))) == 3  # no stationary cutoff
 
 
 class TestRunCost:

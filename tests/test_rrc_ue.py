@@ -12,6 +12,11 @@ S25B = cell_id(371, 387410)
 LTE_P = cell_id(380, 5145, Rat.LTE)
 NR_PS = cell_id(66, 632736)
 
+# The context takes any hashable cell; these tests use identities, so
+# the per-cell columns are keyed by identity.
+RATS = {cell: cell.rat for cell in (P41, S25, S25B, LTE_P, NR_PS)}
+CHANNELS = {cell: cell.channel for cell in (P41, S25, S25B, LTE_P, NR_PS)}
+
 
 @pytest.fixture
 def ue():
@@ -21,23 +26,23 @@ def ue():
 class TestStates:
     def test_starts_idle(self, ue):
         assert ue.state is RrcState.IDLE
-        assert ue.five_g_state() is FiveGState.OFF_IDLE
+        assert ue.five_g_state(RATS) is FiveGState.OFF_IDLE
         assert not ue.connected
 
     def test_sa_connection_is_on(self, ue):
         ue.establish(P41)
-        assert ue.five_g_state() is FiveGState.ON_SA
-        assert ue.five_g_state().is_on
+        assert ue.five_g_state(RATS) is FiveGState.ON_SA
+        assert ue.five_g_state(RATS).is_on
 
     def test_lte_only_is_off(self, ue):
         ue.establish(LTE_P)
-        assert ue.five_g_state() is FiveGState.OFF_LTE_ONLY
-        assert not ue.five_g_state().is_on
+        assert ue.five_g_state(RATS) is FiveGState.OFF_LTE_ONLY
+        assert not ue.five_g_state(RATS).is_on
 
     def test_nsa_with_scg_is_on(self, ue):
         ue.establish(LTE_P)
         ue.attach_scg(NR_PS, [])
-        assert ue.five_g_state() is FiveGState.ON_NSA
+        assert ue.five_g_state(RATS) is FiveGState.ON_NSA
 
 
 class TestScellTable:
@@ -78,15 +83,15 @@ class TestScellTable:
     def test_serving_scell_on_channel(self, ue):
         ue.establish(P41)
         ue.add_scell(S25)
-        assert ue.serving_scell_on_channel(387410) == S25
-        assert ue.serving_scell_on_channel(398410) is None
+        assert ue.serving_scell_on_channel(387410, CHANNELS) == S25
+        assert ue.serving_scell_on_channel(398410, CHANNELS) is None
 
 
 class TestServingSet:
     def test_serving_identities_order(self, ue):
         ue.establish(LTE_P)
         ue.attach_scg(NR_PS, [S25])
-        identities = ue.serving_identities()
+        identities = ue.serving_cells()
         assert identities[0] == LTE_P
         assert NR_PS in identities and S25 in identities
 

@@ -21,6 +21,7 @@ instrumentation context is a module global, so in-process worker
 threads would share (and corrupt) the coordinator's registry.
 """
 
+import functools
 import json
 import os
 import signal
@@ -291,45 +292,76 @@ def poll_status_json(queue_dir, views, stop):
         stop.wait(0.25)
 
 
+def drain_processes(worker_argvs, coordinator_argv, after_workers=None):
+    """Start the workers, then run the coordinator; returns its
+    ``CompletedProcess``, the worker processes and their exit codes.
+
+    A worker launched with ``--fail-after`` runs alone until it has
+    SIGKILLed itself, and the others start only then: started beside
+    it, a worker can drain every run before the victim makes the claim
+    it is to be killed on.  ``after_workers`` runs once the first
+    workers are started.
+    """
+    victims = [index for index, argv in enumerate(worker_argvs)
+               if "--fail-after" in argv] or range(len(worker_argvs))
+    spawn = functools.partial(subprocess.Popen, env=ENV, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    workers = {index: spawn(worker_argvs[index]) for index in victims}
+    coordinator = None
+    try:
+        if after_workers is not None:
+            after_workers()
+        coordinator = spawn(coordinator_argv)
+        for index in victims:
+            workers[index].wait(timeout=120)
+        for index, argv in enumerate(worker_argvs):
+            if index not in workers:
+                workers[index] = spawn(argv)
+        stdout, stderr = coordinator.communicate(timeout=300)
+        codes = [workers[index].wait(timeout=120)
+                 for index in range(len(worker_argvs))]
+    finally:
+        for proc in [coordinator, *workers.values()]:
+            if proc is not None and proc.poll() is None:
+                proc.kill()
+        for proc in workers.values():
+            proc.communicate()
+        if coordinator is not None:
+            coordinator.communicate()
+    return (subprocess.CompletedProcess(coordinator_argv, coordinator.returncode,
+                                        stdout, stderr),
+            [workers[index] for index in range(len(worker_argvs))], codes)
+
+
 def run_broker_drain(tmp_path, worker_specs, poll_status=False):
     """Broker first, then workers (they poll until the coordinator
-    attaches), then the coordinator.  Each worker spec is ``(launcher
-    options, worker options)``."""
+    attaches), then the coordinator (see :func:`drain_processes`).
+    Each worker spec is ``(launcher options, worker options)``."""
     queue_dir = tmp_path / "qdir"
     checkpoint = tmp_path / "ck.jsonl"
     metrics = tmp_path / "metrics.json"
     broker, url = start_broker(queue_dir)
-    workers = []
     status_views = []
     stop_polling = threading.Event()
     poller = threading.Thread(target=poll_status_json,
                               args=(queue_dir, status_views, stop_polling),
                               daemon=True)
     try:
-        workers = [
-            subprocess.Popen(
-                repro_argv(["worker", "--broker", url,
-                            "--worker-id", f"w{index}",
-                            "--telemetry-dir", str(queue_dir / "telemetry"),
-                            *extra], chaos),
-                env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                text=True)
-            for index, (chaos, extra) in enumerate(worker_specs)]
-        if poll_status:
-            poller.start()
-        coordinator = run_cli(["campaign", *CAMPAIGN_ARGS,
-                               "--broker", url, "--lease-timeout", "10",
-                               "--checkpoint", str(checkpoint),
-                               "--metrics-out", str(metrics)], chaos=[])
-        worker_codes = [worker.wait(timeout=120) for worker in workers]
+        coordinator, workers, worker_codes = drain_processes(
+            [repro_argv(["worker", "--broker", url,
+                         "--worker-id", f"w{index}",
+                         "--telemetry-dir", str(queue_dir / "telemetry"),
+                         *extra], chaos)
+             for index, (chaos, extra) in enumerate(worker_specs)],
+            repro_argv(["campaign", *CAMPAIGN_ARGS,
+                        "--broker", url, "--lease-timeout", "10",
+                        "--checkpoint", str(checkpoint),
+                        "--metrics-out", str(metrics)], []),
+            after_workers=poller.start if poll_status else None)
     finally:
         stop_polling.set()
-        if poll_status:
+        if poll_status and poller.is_alive():
             poller.join(timeout=120)
-        for worker in workers:
-            if worker.poll() is None:
-                worker.kill()
-            worker.communicate()
         broker_code, broker_stderr = stop_broker(broker)
     return SimpleNamespace(coordinator=coordinator, worker_codes=worker_codes,
                            worker_pids=[worker.pid for worker in workers],

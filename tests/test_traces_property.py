@@ -201,3 +201,105 @@ def test_parse_record_decodes_or_raises_from_the_taxonomy(data):
         return
     assert isinstance(record, Record)
     assert all(math.isfinite(value) for value in _floats(record))
+
+
+# ----------------------------------------------------------------------
+# to_jsonl's per-kind encoders write exactly json.dumps(record.to_dict())
+# ----------------------------------------------------------------------
+
+#: Any number a record field may carry: non-finite and integer-valued
+#: floats, ints, and the floats whose shortest repr is unusual.
+any_numbers = st.one_of(
+    st.floats(),
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+    st.sampled_from([0.0, -0.0, 1.0, -120.0, 1e16, 1e308, 5e-324, 0.1,
+                     -103.865, 2.675, float("inf"), float("-inf"),
+                     float("nan")]),
+)
+any_flags = st.one_of(st.booleans(), st.integers(0, 1), st.none())
+any_texts = st.one_of(
+    st.text(),
+    st.sampled_from(["periodic", "B1", "é", "日本語", " ", "\ud800",
+                     '"\\', "\x00\x1f", ""]),
+)
+#: A few identities drawn over and over, so a trace reuses identity
+#: objects and also holds equal but distinct ones.
+shared_identities = st.sampled_from([CellIdentity(273, 387410),
+                                     CellIdentity(273, 387410),
+                                     CellIdentity(1007, 5815, Rat.LTE),
+                                     CellIdentity(0, 0)])
+any_identities = st.one_of(shared_identities, identities)
+#: Floats as the simulator writes them, and the non-finite ones.
+float_values = st.one_of(st.floats(),
+                         st.sampled_from([float("nan"), float("inf"),
+                                          float("-inf")]))
+#: A report's measurements: all of the types the simulator writes
+#: (floats, non-finite ones included, and bools), or any values at all.
+any_measurement_lists = st.one_of(
+    st.lists(st.builds(CellMeasurement, identity=any_identities,
+                       rsrp_dbm=float_values, rsrq_db=float_values,
+                       is_serving=st.booleans()), max_size=12),
+    st.lists(st.builds(CellMeasurement, identity=any_identities,
+                       rsrp_dbm=any_numbers, rsrq_db=any_numbers,
+                       is_serving=any_flags), max_size=12),
+).map(tuple)
+any_times = st.one_of(st.floats(min_value=0.0, max_value=1e6), any_numbers)
+
+
+_time, _cell = any_times, any_identities
+#: One strategy per record class, with arbitrary values in every field.
+ANY_RECORD = {
+    SystemInfoRecord: st.builds(SystemInfoRecord, time_s=_time, cell=_cell,
+                                selection_threshold_dbm=any_numbers),
+    RrcSetupRequestRecord: st.builds(RrcSetupRequestRecord, time_s=_time,
+                                     cell=_cell),
+    RrcSetupRecord: st.builds(RrcSetupRecord, time_s=_time, cell=_cell),
+    RrcSetupCompleteRecord: st.builds(RrcSetupCompleteRecord, time_s=_time,
+                                      cell=_cell),
+    MeasurementReportRecord: st.builds(
+        MeasurementReportRecord, time_s=_time, event=any_texts,
+        measurements=any_measurement_lists),
+    RrcReconfigurationRecord: st.builds(
+        RrcReconfigurationRecord, time_s=_time, pcell=_cell,
+        scell_add_mod=st.lists(st.builds(ScellAddMod,
+                                         scell_index=st.integers(0, 31),
+                                         identity=_cell),
+                               max_size=3).map(tuple),
+        scell_release_indices=st.lists(st.integers(0, 31),
+                                       max_size=2).map(tuple),
+        handover_target=st.one_of(st.none(), _cell),
+        scg_pscell=st.one_of(st.none(), _cell),
+        scg_scells=st.lists(_cell, max_size=2).map(tuple),
+        release_scg=any_flags,
+        meas_events=st.lists(st.tuples(any_texts, st.integers(0, 10 ** 6),
+                                       any_numbers), max_size=2).map(tuple)),
+    RrcReconfigurationCompleteRecord: st.builds(
+        RrcReconfigurationCompleteRecord, time_s=_time, pcell=_cell),
+    ScgFailureRecord: st.builds(ScgFailureRecord, time_s=_time,
+                                failure_type=any_texts),
+    RrcReestablishmentRequestRecord: st.builds(
+        RrcReestablishmentRequestRecord, time_s=_time, cause=any_texts,
+        cell=st.one_of(st.none(), _cell)),
+    RrcReestablishmentCompleteRecord: st.builds(
+        RrcReestablishmentCompleteRecord, time_s=_time, cell=_cell),
+    RrcReleaseRecord: st.builds(RrcReleaseRecord, time_s=_time),
+    MmStateRecord: st.builds(MmStateRecord, time_s=_time, state=any_texts,
+                             substate=any_texts),
+    ThroughputSampleRecord: st.builds(ThroughputSampleRecord, time_s=_time,
+                                      mbps=st.one_of(float_values, any_numbers)),
+}
+
+
+def test_any_record_strategies_cover_every_kind():
+    assert {cls.kind for cls in ANY_RECORD} == set(record_kinds())
+
+
+@given(records=st.lists(st.one_of(*ANY_RECORD.values()), max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_to_jsonl_lines_equal_json_dumps_of_to_dict(records):
+    trace = SignalingTrace(metadata=TraceMetadata(operator="OP_é", run_seed=7),
+                           records=records)
+    lines = trace.to_jsonl().split("\n")
+    assert lines[-1] == ""
+    assert lines[0] == json.dumps({"meta": trace.metadata.to_dict()})
+    assert lines[1:-1] == [json.dumps(record.to_dict()) for record in records]
