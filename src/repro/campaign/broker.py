@@ -4,11 +4,12 @@
 completion a durability property; :class:`CampaignBroker` is the one
 way work reaches it.  The broker is the only process touching the
 spool, and every verb — attach / submit / seal / claim / heartbeat /
-complete / worker_heartbeat / sync — travels as one CRC-framed JSON
-line over a stdlib ``ThreadingHTTPServer`` (the v1 checkpoint framing,
-verified again on the far side), so workers and the coordinator can
-live on any machine that can reach the broker's port, this one
-included.
+complete / worker_heartbeat / sync / outcome — is one CRC-framed JSON
+request line answered by one CRC-framed JSON response line (the v1
+checkpoint framing, verified again on the far side) over the
+hardened stdlib server of :mod:`repro.obs.httpd`, so workers and the
+coordinator can live on any machine that can reach the broker's port,
+this one included.
 
 **Broker-authoritative clock.**  All lease deadlines are computed from
 the *broker's* monotonic clock: clients send lease *durations*, never
@@ -24,23 +25,26 @@ keys; the broker remembers each key's full response (bounded LRU) and
 replays it verbatim when a retried or duplicated request arrives, so a
 response lost to the network never claims a second task or turns a
 committed completion into a phantom fence.  ``submit`` is idempotent by
-schedule key, ``seal``/``heartbeat``/``worker_heartbeat`` are naturally
-idempotent, and artifact uploads are content-addressed.
+schedule key, and ``seal``/``heartbeat``/``worker_heartbeat`` are
+naturally idempotent.
 
-**Artifact plane.**  Task and completion payloads never ride inside
-spool events.  Clients ``PUT /v1/artifacts/<sha256>`` (the broker
-re-hashes and refuses a mangled body) and reference payloads by digest;
-``GET`` re-verifies on the way out.  A stolen run's thief reproduces
+**Payloads ride inside the verbs.**  ``submit`` carries the task
+payload, ``claim`` returns it, ``complete`` carries the outcome and
+``outcome`` reads one back by digest.  The broker keeps each payload
+in its content-addressed
+:class:`~repro.resilience.memo.ArtifactStore` — written outside the
+request lock, and before the spool event that names it — so spool
+events carry digests, never payloads.  A stolen run's thief reproduces
 the identical deterministic outcome, hashes to the identical digest,
-and the store dedupes the blob — the artifact plane is idempotent by
-construction (:class:`~repro.resilience.memo.ArtifactStore`).
+and the store keeps one blob.
 
 **Graceful degradation.**  ``begin_drain()`` (wired to SIGTERM in
 ``repro broker serve``) flips the broker into drain mode: mutating
-verbs answer 503 with ``Retry-After`` while status/metrics/sync stay
-readable, the fsynced spool needs no further flushing, and a restarted
-broker against the same queue directory resumes mid-campaign — clients
-retry through the outage and re-attach to the same replayed state.
+verbs answer 503 with ``Retry-After`` while status/metrics/sync/outcome
+stay readable, the fsynced spool needs no further flushing, and a
+restarted broker against the same queue directory resumes mid-campaign
+— clients retry through the outage and re-attach to the same replayed
+state.
 """
 
 from __future__ import annotations
@@ -50,11 +54,11 @@ import logging
 import threading
 import time
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable
 
 from repro.obs import Instrumentation, make_instrumentation
+from repro.obs.httpd import PROMETHEUS_TYPE, HardenedHTTPServer, serve_http
 from repro.resilience.checkpoint import (
     CheckpointMismatchError,
     frame_line,
@@ -65,25 +69,31 @@ from repro.resilience.taskqueue import (
     Claim,
     DurableTaskQueue,
     TaskQueueError,
+    _finite,
+    _int,
+    _run_key,
+    _seq,
 )
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "BROKER_PROTOCOL_VERSION",
-    "BrokerHTTPServer",
     "CampaignBroker",
     "serve_broker",
 ]
 
-#: Version tag advertised in every status snapshot.
-BROKER_PROTOCOL_VERSION = 1
+#: Version tag advertised in every status snapshot.  Version 2 carries
+#: task and outcome payloads inside the framed verbs.
+BROKER_PROTOCOL_VERSION = 2
 
 #: How many idempotency-key responses the broker remembers.
 _IDEMPOTENCY_CACHE_SIZE = 4096
 
 _FRAMED_TYPE = "application/x-repro-framed-json"
-_BINARY_TYPE = "application/octet-stream"
+
+#: Verbs still answered in drain mode: they only read.
+_DRAIN_READABLE = ("/v1/sync", "/v1/outcome")
 
 
 def encode_framed(obj: dict) -> bytes:
@@ -103,6 +113,22 @@ def decode_framed(body: bytes) -> dict | None:
     return load_framed_line(text)
 
 
+def _text(value: object) -> str:
+    """A payload field: task and outcome payloads are text."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string payload, got {value!r}")
+    return value
+
+
+def _worker_id(value: object) -> str:
+    """A worker id: it names the broker-written ``workers/<id>.hb``
+    file, so it must be one short path component."""
+    if not isinstance(value, str) or not value or "/" in value \
+            or "\x00" in value or len(value.encode("utf-8", "replace")) > 200:
+        raise ValueError(f"invalid worker id {value!r}")
+    return value
+
+
 class CampaignBroker:
     """HTTP-facing owner of one campaign queue directory.
 
@@ -110,9 +136,10 @@ class CampaignBroker:
     the spool plus the content-addressed :class:`ArtifactStore`; every
     request is serialized under one lock (queue verbs are append +
     replay, microseconds each), which also makes the idempotency cache
-    race-free.  ``handle`` is pure request → response, so the protocol
-    is fully unit-testable without sockets; :func:`serve_broker` adds
-    the HTTP layer.
+    race-free.  Payload blobs are written before that lock is taken.
+    ``handle`` is pure request → response, so the protocol is fully
+    unit-testable without sockets; :func:`serve_broker` adds the HTTP
+    layer.
     """
 
     def __init__(self, queue_dir: str | Path,
@@ -182,9 +209,8 @@ class CampaignBroker:
                body: bytes) -> tuple[int, str, bytes]:
         """One verb in, ``(status, content_type, body)`` out."""
         path = path.split("?", 1)[0]
-        verb = f"{method} {path.rsplit('/', 1)[0]}" \
-            if path.startswith("/v1/artifacts/") else f"{method} {path}"
-        self.obs.registry.counter("broker_requests_total").inc(verb=verb)
+        self.obs.registry.counter("broker_requests_total").inc(
+            verb=f"{method} {path}")
         try:
             response = self._route(method, path, body)
         except CheckpointMismatchError as error:
@@ -206,20 +232,12 @@ class CampaignBroker:
 
     def _route(self, method: str, path: str,
                body: bytes) -> tuple[int, str, bytes]:
-        if path.startswith("/v1/artifacts/"):
-            digest = path.rsplit("/", 1)[1]
-            if method == "PUT":
-                return self._handle_artifact_put(digest, body)
-            if method == "GET":
-                return self._handle_artifact_get(digest)
-            return self._error(405, f"{method} not supported on artifacts")
         if method == "GET":
             if path == "/v1/status":
                 return self._ok(self._status_response())
             if path == "/v1/metrics":
                 text = self.obs.registry.to_prometheus()
-                return (200, "text/plain; version=0.0.4; charset=utf-8",
-                        text.encode("utf-8"))
+                return 200, PROMETHEUS_TYPE, text.encode("utf-8")
             return self._error(404, f"unknown path {path}")
         if method != "POST":
             return self._error(405, f"{method} not supported")
@@ -232,6 +250,7 @@ class CampaignBroker:
             "/v1/complete": self._handle_complete,
             "/v1/worker_heartbeat": self._handle_worker_heartbeat,
             "/v1/sync": self._handle_sync,
+            "/v1/outcome": self._handle_outcome,
         }.get(path)
         if handler is None:
             return self._error(404, f"unknown path {path}")
@@ -239,7 +258,7 @@ class CampaignBroker:
         if request is None:
             return self._error(400, "request body is not a CRC-framed JSON "
                                     "object")
-        if self.draining and path != "/v1/sync":
+        if self.draining and path not in _DRAIN_READABLE:
             return self._error(503, "broker draining (shutting down); "
                                     "retry against the restarted broker")
         return handler(request)
@@ -322,6 +341,32 @@ class CampaignBroker:
             state.active_leases(self.clock()))
         registry.gauge("broker_artifacts_stored").set(self._artifacts_stored)
 
+    # -- payload blobs ----------------------------------------------------
+
+    def _store(self, payload: str) -> str:
+        """Write one payload blob; returns its digest.  Called before
+        the request lock is taken, and before the spool event that
+        names the blob is appended."""
+        data = payload.encode("utf-8")
+        digest, stored = self.store.put(data)
+        if stored:
+            with self._mutex:
+                self._artifacts_stored += 1
+            self.obs.registry.counter("broker_artifacts_stored_total").inc()
+            self.obs.registry.counter("broker_artifact_bytes_total").inc(
+                len(data))
+        return digest
+
+    def _load(self, digest: object, what: str) -> str:
+        """The payload stored under ``digest``; a missing or corrupt
+        blob is a :class:`TaskQueueError` (409, never retried)."""
+        data = self.store.get(digest) if isinstance(digest, str) else None
+        if data is None:
+            raise TaskQueueError(
+                f"{what} {digest} is missing from the broker's artifact "
+                f"store (lost or corrupt on disk)")
+        return data.decode("utf-8")
+
     # -- idempotency ----------------------------------------------------
 
     def _idem_lookup(self, request: dict) -> tuple[int, str, bytes] | None:
@@ -353,13 +398,13 @@ class CampaignBroker:
             self._ensure_queue(
                 create=create,
                 identity=None if identity is None else str(identity),
-                lease_s=None if lease_s is None else float(lease_s))
+                lease_s=None if lease_s is None else _finite(lease_s))
             # Until a coordinator creates the spool: "ready": False.
             return self._ok(self._snapshot())
 
     def _handle_submit(self, request: dict) -> tuple[int, str, bytes]:
-        key = tuple(request["key"])
-        digest = str(request["payload_digest"])
+        key = _run_key(request["key"])
+        digest = self._store(_text(request["payload"]))
         with self._mutex:
             queue = self._ensure_queue()
             if queue is None:
@@ -368,10 +413,6 @@ class CampaignBroker:
             existing = self._key_to_seq.get(key)
             if existing is not None:
                 return self._ok({"seq": existing, **self._snapshot()})
-            if not self.store.has(digest):
-                return self._error(
-                    409, f"task payload artifact {digest} was never "
-                         f"uploaded; PUT /v1/artifacts/{digest} first")
             queue.catch_up()
             seq = max(queue.state.tasks, default=-1) + 1
             queue.submit_at(seq, key, digest)
@@ -389,8 +430,8 @@ class CampaignBroker:
             return self._ok(self._snapshot())
 
     def _handle_claim(self, request: dict) -> tuple[int, str, bytes]:
-        worker = str(request["worker"])
-        lease_s = float(request["lease_s"])
+        worker = _worker_id(request["worker"])
+        lease_s = _finite(request["lease_s"])
         with self._mutex:
             cached = self._idem_lookup(request)
             if cached is not None:
@@ -404,7 +445,7 @@ class CampaignBroker:
                 payload["claim"] = {
                     "seq": claim.seq, "token": claim.token,
                     "worker": claim.worker, "key": list(claim.key),
-                    "payload_digest": claim.payload,
+                    "payload": self._load(claim.payload, "task payload"),
                 }
                 self.obs.events.emit("broker.claim", severity="debug",
                                      run_key=claim.key, worker=worker,
@@ -414,21 +455,25 @@ class CampaignBroker:
 
     def _claim_handle(self, request: dict) -> Claim:
         """A fencing-credentials-only claim for heartbeat/complete."""
-        return Claim(seq=int(request["seq"]), token=int(request["token"]),
-                     worker=str(request.get("worker", "")),
-                     key=tuple(request.get("key") or ()), payload="")
+        return Claim(seq=_seq(request["seq"]), token=_int(request["token"]),
+                     worker=str(request.get("worker", "")), key=(),
+                     payload="")
 
     def _handle_heartbeat(self, request: dict) -> tuple[int, str, bytes]:
-        lease_s = float(request["lease_s"])
+        claim = self._claim_handle(request)
+        lease_s = _finite(request["lease_s"])
         with self._mutex:
             queue = self._ensure_queue()
             if queue is None:
                 return self._ok({"ok": False})
-            ok = queue.heartbeat(self._claim_handle(request), lease_s)
+            ok = queue.heartbeat(claim, lease_s)
             return self._ok({"ok": ok, "now": self.clock()})
 
     def _handle_complete(self, request: dict) -> tuple[int, str, bytes]:
-        digest = str(request["payload_digest"])
+        claim = self._claim_handle(request)
+        # Stored before the complete event is appended: no spool event
+        # ever names a blob the store lacks.
+        digest = self._store(_text(request["payload"]))
         with self._mutex:
             cached = self._idem_lookup(request)
             if cached is not None:
@@ -436,7 +481,6 @@ class CampaignBroker:
             queue = self._ensure_queue()
             if queue is None:
                 return self._error(409, "no spool yet; nothing to complete")
-            claim = self._claim_handle(request)
             task = queue.state.tasks.get(claim.seq)
             if task is not None and task.done and task.token == claim.token:
                 # State-derived replay: this very lease already committed
@@ -444,12 +488,6 @@ class CampaignBroker:
                 # flight); acknowledging again is the exactly-once
                 # contract, not a new event.
                 return self._idem_store(request, self._ok({"ok": True}))
-            if not self.store.has(digest):
-                return self._idem_store(request, self._ok({
-                    "ok": False,
-                    "reason": f"completion artifact {digest} missing; "
-                              f"outcome discarded (the run will be "
-                              f"re-leased)"}))
             ok = queue.complete(claim, digest)
             if not ok:
                 self.obs.registry.counter(
@@ -462,23 +500,23 @@ class CampaignBroker:
 
     def _handle_worker_heartbeat(self,
                                  request: dict) -> tuple[int, str, bytes]:
-        worker = str(request["worker"])
-        ttl_s = float(request["ttl_s"])
-        pid = int(request.get("pid", 0))
+        worker = _worker_id(request["worker"])
+        ttl_s = _finite(request["ttl_s"])
+        pid = _int(request.get("pid", 0))
         run_key = request.get("run_key")
+        run_key = None if run_key is None else _run_key(run_key)
         token = request.get("token")
+        token = None if token is None else _int(token)
         with self._mutex:
             queue = self._ensure_queue()
             if queue is None:
                 return self._ok({"ok": False})
-            queue.write_worker_heartbeat(
-                worker, ttl_s, pid=pid,
-                run_key=tuple(run_key) if run_key is not None else None,
-                token=None if token is None else int(token))
+            queue.write_worker_heartbeat(worker, ttl_s, pid=pid,
+                                         run_key=run_key, token=token)
             return self._ok({"ok": True, "now": self.clock()})
 
     def _handle_sync(self, request: dict) -> tuple[int, str, bytes]:
-        offset = int(request.get("offset", 0))
+        offset = _seq(request.get("offset", 0))
         with self._mutex:
             queue = self._ensure_queue()
             if queue is None:
@@ -492,84 +530,18 @@ class CampaignBroker:
                              "next_offset": next_offset,
                              "status": self._snapshot()})
 
-    # -- artifact plane -------------------------------------------------
-
-    def _handle_artifact_put(self, digest: str,
-                             body: bytes) -> tuple[int, str, bytes]:
-        if self.draining:
-            return self._error(503, "broker draining (shutting down)")
-        stored_before = self.store.has(digest)
-        try:
-            self.store.put(body, digest=digest)
-        except ValueError as error:
-            # The body does not hash to its name: mangled in flight.
-            # 400 is retryable client-side — resending the intact blob
-            # succeeds.
-            return self._error(400, str(error))
-        if not stored_before:
-            with self._mutex:
-                self._artifacts_stored += 1
-            self.obs.registry.counter("broker_artifacts_stored_total").inc()
-            self.obs.registry.counter("broker_artifact_bytes_total").inc(
-                len(body))
-        return self._ok({"ok": True, "stored": not stored_before})
-
-    def _handle_artifact_get(self, digest: str) -> tuple[int, str, bytes]:
-        data = self.store.get(digest)
-        if data is None:
-            return self._error(404, f"no artifact {digest}")
-        return 200, _BINARY_TYPE, data
-
-
-# ----------------------------------------------------------------------
-# HTTP layer
-# ----------------------------------------------------------------------
-
-
-class BrokerHTTPServer(ThreadingHTTPServer):
-    """Hardened threading server: daemon handler threads (a stalled
-    client never wedges ``server_close``) + per-request socket timeouts
-    set on the handler class by :func:`serve_broker`."""
-
-    daemon_threads = True
+    def _handle_outcome(self, request: dict) -> tuple[int, str, bytes]:
+        # A read of the content-addressed store: no request lock.
+        return self._ok({"payload": self._load(_text(request["digest"]),
+                                               "outcome")})
 
 
 def serve_broker(broker: CampaignBroker, port: int, host: str = "127.0.0.1",
-                 request_timeout_s: float = 30.0) -> BrokerHTTPServer:
+                 request_timeout_s: float = 30.0) -> HardenedHTTPServer:
     """Bind ``broker`` to an HTTP server (``port=0`` picks a free one).
 
     The caller owns the returned server (``serve_forever()`` /
     ``shutdown()``); ``repro broker serve`` blocks on it, tests run it
     in a thread.
     """
-
-    class _BrokerHandler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        timeout = request_timeout_s  # stalled sockets release the thread
-
-        def _dispatch(self) -> None:
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-                body = self.rfile.read(length) if length > 0 else b""
-                status, content_type, payload = broker.handle(
-                    self.command, self.path, body)
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(payload)))
-                if status == 503:
-                    self.send_header("Retry-After", "1")
-                self.end_headers()
-                self.wfile.write(payload)
-            except (BrokenPipeError, ConnectionResetError):
-                # The client gave up mid-response (its own timeout or a
-                # fault injector); it will retry — nothing to do here.
-                self.close_connection = True
-
-        do_GET = _dispatch
-        do_POST = _dispatch
-        do_PUT = _dispatch
-
-        def log_message(self, format: str, *args: object) -> None:
-            pass  # request logs go through broker.obs, not stderr
-
-    return BrokerHTTPServer((host, port), _BrokerHandler)
+    return serve_http(broker.handle, port, host, request_timeout_s)

@@ -16,11 +16,12 @@ its worker verbs.  What the network adds:
   claiming twice or fencing a committed completion — exactly-once over
   an at-least-once network.
 
-* **Payloads ride the artifact plane.**  Task and outcome payloads are
-  ``PUT``/``GET`` by SHA-256 digest; the digest in a spool event is the
-  only thing that crosses the event stream, and both ends re-hash every
-  blob (a mangled upload is refused broker-side, a mangled download is
-  re-fetched).
+* **Payloads ride inside the verbs.**  ``submit`` carries the task
+  payload, ``claim`` returns it, ``complete`` carries the outcome, and
+  the coordinator reads an outcome back with ``POST /v1/outcome`` by
+  the digest its spool mirror holds.  The CRC framing covers payload
+  and verb alike, so a mangled payload is re-sent like any other
+  mangled line.
 
 * **The broker's clock is the clock.**  The client sends lease
   *durations* only; :meth:`clock` estimates broker time (local
@@ -58,7 +59,6 @@ from typing import Callable
 from repro.campaign.broker import decode_framed, encode_framed
 from repro.obs import get_instrumentation
 from repro.resilience.checkpoint import CheckpointMismatchError
-from repro.resilience.memo import sha256_digest
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.taskqueue import Claim, LeaseState, replay_line
 
@@ -204,26 +204,20 @@ class BrokerClient:
             return f"{self._idem_prefix}-{self._idem_counter}"
 
     def _call(self, method: str, path: str, obj: dict | None = None, *,
-              raw_body: bytes | None = None, idem: str | None = None,
-              framed_response: bool = True,
-              retryable_statuses: tuple[int, ...] = (503,)):
-        """Send one verb with the full retry/backoff/framing treatment.
+              idem: str | None = None) -> dict:
+        """Send one verb with the full retry/backoff/framing treatment
+        and return the decoded response.
 
-        Framed calls return the decoded response dict; raw calls return
-        ``(status, body)`` with only the retryable statuses consumed.
         The idempotency key, when given, was generated by the caller
         *once* — every retry resends it, which is the whole point.
         """
         with self._lock:
             if self._down is not None:
                 raise BrokerUnavailableError(self._down)
-        if raw_body is not None:
-            body = raw_body
-        else:
-            request = dict(obj or {})
-            if idem is not None:
-                request["idem"] = idem
-            body = encode_framed(request)
+        request = dict(obj or {})
+        if idem is not None:
+            request["idem"] = idem
+        body = encode_framed(request)
         attempts = self.retry.max_retries + 1
         last_error = "no attempt made"
         for attempt in range(attempts):
@@ -238,11 +232,9 @@ class BrokerClient:
             except OSError as error:  # incl. transport + injected faults
                 last_error = f"{type(error).__name__}: {error}"
                 continue
-            if status in retryable_statuses:
+            if status == 503:
                 last_error = f"HTTP {status}"
                 continue
-            if not framed_response:
-                return status, payload
             decoded = decode_framed(payload)
             if decoded is None:
                 # Bit-flipped/truncated in flight: the CRC framing caught
@@ -289,42 +281,6 @@ class BrokerClient:
                 state.total = None if total is None else int(total)
                 state.stats.completed = int(status.get("completed") or 0)
                 state.stats.submitted = int(status.get("submitted") or 0)
-
-    # -- artifact plane -------------------------------------------------
-
-    def _artifact_put(self, data: bytes) -> str:
-        """Upload one blob; returns its digest.  Idempotent by content;
-        a 400 (the body mangled in flight) is retried like a transport
-        fault."""
-        digest = sha256_digest(data)
-        self._call("PUT", f"/v1/artifacts/{digest}", raw_body=data,
-                   retryable_statuses=(503, 400))
-        return digest
-
-    def _artifact_get(self, digest: str) -> bytes:
-        """Download one blob, re-verified against its digest; a
-        mismatch (mangled in flight) re-fetches under the same backoff
-        schedule as any other transport fault."""
-        attempts = self.retry.max_retries + 1
-        for attempt in range(attempts):
-            if attempt:
-                delay = self.retry.backoff_s((digest,), attempt - 1)
-                if delay > 0:
-                    self.sleep(delay)
-            status, payload = self._call(
-                "GET", f"/v1/artifacts/{digest}", framed_response=False)
-            if status == 404:
-                raise BrokerError(
-                    f"artifact {digest} is missing on the broker; the "
-                    f"spool references a blob that was never stored or "
-                    f"was lost to disk corruption")
-            if status == 200 and sha256_digest(payload) == digest:
-                return payload
-        message = (f"broker {self.base_url}: artifact {digest} failed "
-                   f"digest verification {attempts} times")
-        with self._lock:
-            self._down = message
-        raise BrokerUnavailableError(message)
 
     # -- spool mirror (coordinator) -------------------------------------
 
@@ -373,9 +329,8 @@ class BrokerClient:
     # -- coordinator verbs -----------------------------------------------
 
     def submit(self, key: tuple, payload: str) -> int:
-        digest = self._artifact_put(payload.encode("utf-8"))
         response = self._call("POST", "/v1/submit",
-                              {"key": list(key), "payload_digest": digest})
+                              {"key": list(key), "payload": payload})
         self._absorb(response)
         return int(response["seq"])
 
@@ -389,7 +344,8 @@ class BrokerClient:
         outcome, task.outcome = task.outcome, None
         if not isinstance(outcome, str) or not outcome:
             return None  # already taken
-        return self._artifact_get(outcome).decode("utf-8")
+        return str(self._call("POST", "/v1/outcome",
+                              {"digest": outcome})["payload"])
 
     def expire_overdue(self) -> None:
         # Expiry is the broker's decision (its clock, its spool); the
@@ -411,11 +367,10 @@ class BrokerClient:
         claimed = response.get("claim")
         if claimed is None:
             return None
-        payload = self._artifact_get(
-            str(claimed["payload_digest"])).decode("utf-8")
         return Claim(seq=int(claimed["seq"]), token=int(claimed["token"]),
                      worker=str(claimed.get("worker", worker)),
-                     key=tuple(claimed.get("key") or ()), payload=payload)
+                     key=tuple(claimed.get("key") or ()),
+                     payload=str(claimed["payload"]))
 
     def heartbeat(self, claim: Claim, lease_s: float) -> bool:
         response = self._call("POST", "/v1/heartbeat",
@@ -424,11 +379,9 @@ class BrokerClient:
         return bool(response.get("ok"))
 
     def complete(self, claim: Claim, payload: str) -> bool:
-        digest = self._artifact_put(payload.encode("utf-8"))
         response = self._call("POST", "/v1/complete",
                               {"seq": claim.seq, "token": claim.token,
-                               "worker": claim.worker,
-                               "payload_digest": digest},
+                               "worker": claim.worker, "payload": payload},
                               idem=self._next_idem())
         return bool(response.get("ok"))
 

@@ -217,8 +217,6 @@ class QueueWorker:
                                  run_key=claim.key, token=claim.token,
                                  attempts=outcome.attempts,
                                  quarantined=outcome.quarantined is not None)
-            self.queue.write_worker_heartbeat(self.config.worker_id,
-                                              self.lease_s)
         else:
             # The lease expired mid-run and another worker stole (and
             # will deterministically reproduce) it; discarding here is

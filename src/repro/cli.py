@@ -33,9 +33,9 @@ The subcommands mirror the reproduction's main workflows::
 
     python -m repro broker serve --queue-dir QDIR [--port N]
         Own a campaign queue directory and serve the task-queue verbs
-        (submit/seal/claim/heartbeat/complete/status) over HTTP with a
-        broker-authoritative lease clock, plus a content-addressed
-        artifact plane for task/outcome payloads.  Point the
+        (submit/seal/claim/heartbeat/complete/outcome/status) over HTTP
+        with a broker-authoritative lease clock; every verb, payloads
+        included, is one CRC-framed JSON line each way.  Point the
         coordinator (``repro campaign --broker URL``) and any number of
         workers, on this host or others (``repro worker --broker
         URL``), at it.  The bound URL is printed on stdout (``--port
@@ -88,6 +88,7 @@ signum`` — 130 for SIGINT, 143 for SIGTERM.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -123,6 +124,15 @@ from repro.resilience.supervision import (
     graceful_shutdown,
 )
 from repro.traces.parser import TraceParseError, parse_trace
+
+
+def _lease_seconds(text: str) -> float:
+    """A lease duration: a finite number of seconds above zero."""
+    value = float(text)
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds > 0, got {text!r}")
+    return value
 
 
 def _add_campaign_parser(subparsers) -> None:
@@ -169,8 +179,8 @@ def _add_campaign_parser(subparsers) -> None:
                              "broker serve` at this URL (e.g. "
                              "http://127.0.0.1:8737) and its `repro "
                              "worker` processes instead of --workers")
-    parser.add_argument("--lease-timeout", type=float, default=30.0,
-                        metavar="SECONDS",
+    parser.add_argument("--lease-timeout", type=_lease_seconds,
+                        default=30.0, metavar="SECONDS",
                         help="work-claim lease duration; a worker silent "
                              "for this long has its run stolen "
                              "(default 30)")
@@ -202,7 +212,7 @@ def _add_worker_parser(subparsers) -> None:
     parser.add_argument("--worker-id", default=None,
                         help="stable worker identity "
                              "(default: <hostname>-<pid>)")
-    parser.add_argument("--lease", type=float, default=None,
+    parser.add_argument("--lease", type=_lease_seconds, default=None,
                         metavar="SECONDS",
                         help="lease duration per claim; heartbeats renew "
                              "it every lease/3 (default: the campaign's "
@@ -224,10 +234,10 @@ def _add_broker_parser(subparsers) -> None:
     actions = parser.add_subparsers(dest="broker_command", required=True)
     serve = actions.add_parser(
         "serve", help="own a queue directory and serve the queue verbs "
-                      "+ artifact plane over HTTP")
+                      "over HTTP")
     serve.add_argument("--queue-dir", required=True, metavar="DIR",
                        help="queue directory this broker owns (spool + "
-                            "artifacts); restarting against the same "
+                            "payload store); restarting against the same "
                             "directory resumes the campaign")
     serve.add_argument("--port", type=int, default=0, metavar="PORT",
                        help="TCP port to bind (default 0 = pick a free "

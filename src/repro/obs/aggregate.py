@@ -30,8 +30,8 @@ byte offset, queue replay by the existing :meth:`catch_up` cursor, so
 calling :meth:`refresh` twice without new writes yields an identical
 view — the merge-idempotence property the tests pin down.
 
-:func:`serve_status` wraps the aggregator in a stdlib
-:class:`ThreadingHTTPServer` exposing ``/metrics`` (Prometheus text
+:func:`serve_status` serves the aggregator over the shared hardened
+HTTP server (:mod:`repro.obs.httpd`): ``/metrics`` (Prometheus text
 exposition, scrapeable mid-campaign) and ``/status`` (the JSON view).
 """
 
@@ -42,11 +42,11 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable
 
 from repro.obs.events import Event, severity_rank
+from repro.obs.httpd import PROMETHEUS_TYPE, HardenedHTTPServer, serve_http
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spool import (
     SPOOL_SUFFIX,
@@ -398,23 +398,9 @@ def render_status(view: CampaignView) -> str:
 # ----------------------------------------------------------------------
 
 
-class _StatusHTTPServer(ThreadingHTTPServer):
-    """Hardened threading server for ``repro status --serve``.
-
-    ``daemon_threads`` keeps a stalled handler thread from wedging
-    ``server_close()`` (``ThreadingHTTPServer`` joins non-daemon
-    handler threads on close, so one client that connects and then
-    goes silent would otherwise hang Ctrl-C forever); the per-request
-    socket ``timeout`` on the handler class bounds how long that silent
-    client can hold its thread at all.
-    """
-
-    daemon_threads = True
-
-
 def serve_status(aggregator: CampaignAggregator, port: int,
                  host: str = "127.0.0.1",
-                 request_timeout_s: float = 30.0) -> ThreadingHTTPServer:
+                 request_timeout_s: float = 30.0) -> HardenedHTTPServer:
     """An OpenMetrics/JSON status server over ``aggregator``.
 
     ``GET /metrics`` refreshes and returns the Prometheus text
@@ -423,31 +409,18 @@ def serve_status(aggregator: CampaignAggregator, port: int,
     the CLI blocks on it, tests run it in a thread.
     """
 
-    class _StatusHandler(BaseHTTPRequestHandler):
-        timeout = request_timeout_s  # stalled sockets release the thread
+    def handle(method: str, path: str, body: bytes) -> tuple[int, str, bytes]:
+        path = path.split("?", 1)[0].rstrip("/") or "/"
+        if path not in ("/metrics", "/", "/status", "/status.json"):
+            return (404, "text/plain",
+                    b"unknown path (try /status, /metrics)\n")
+        opened = aggregator.refresh()
+        if path == "/metrics":
+            return (200, PROMETHEUS_TYPE,
+                    aggregator.to_prometheus().encode("utf-8"))
+        payload = aggregator.view().to_dict()
+        payload["opened"] = opened
+        return (200, "application/json",
+                (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
 
-        def do_GET(self) -> None:  # noqa: N802 - stdlib interface
-            path = self.path.split("?", 1)[0].rstrip("/") or "/"
-            opened = aggregator.refresh()
-            if path == "/metrics":
-                body = aggregator.to_prometheus().encode("utf-8")
-                content_type = "text/plain; version=0.0.4; charset=utf-8"
-            elif path in ("/", "/status", "/status.json"):
-                payload = aggregator.view().to_dict()
-                payload["opened"] = opened
-                body = (json.dumps(payload, sort_keys=True) + "\n") \
-                    .encode("utf-8")
-                content_type = "application/json"
-            else:
-                self.send_error(404, "unknown path (try /status, /metrics)")
-                return
-            self.send_response(200)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, format: str, *args: object) -> None:
-            pass  # scrapes must not spam the campaign's stderr
-
-    return _StatusHTTPServer((host, port), _StatusHandler)
+    return serve_http(handle, port, host, request_timeout_s)

@@ -30,6 +30,8 @@ import hashlib
 import logging
 import os
 import pickle
+import re
+import threading
 import zlib
 from pathlib import Path
 
@@ -42,6 +44,9 @@ __all__ = ["AnalysisMemo", "ArtifactStore", "sha256_digest", "trace_digest"]
 #: Entry header: magic + newline, then 8 hex CRC chars + newline.
 _MAGIC = b"RMEMO1\n"
 _CRC_LEN = 9  # 8 hex digits + "\n"
+
+#: The names an :class:`ArtifactStore` holds: lowercase SHA-256 hex.
+_SHA256_HEX = re.compile("[0-9a-f]{64}")
 
 
 def sha256_digest(data: bytes) -> str:
@@ -135,13 +140,16 @@ class AnalysisMemo:
 class ArtifactStore:
     """A directory of content-addressed raw blobs, keyed by SHA-256.
 
-    The campaign broker's artifact plane: workers ``PUT`` completion
-    payloads and ``GET`` task payloads by digest instead of shipping
-    them inline through the event spool.  Same durability discipline as
-    the memo cache — atomic temp-file + ``os.replace`` writes, and
-    every read is re-verified against its own digest (a blob that does
-    not hash to its name is treated as absent and unlinked), so a
-    half-written or bit-rotted artifact can never be served.
+    The campaign broker keeps task and outcome payloads here, and its
+    spool events name them by digest: the payloads themselves travel
+    inside the framed ``submit``/``claim``/``complete``/``outcome``
+    verbs.  Same durability discipline as the memo cache — atomic
+    temp-file + ``os.replace`` writes, and every read is re-verified
+    against its own digest (a blob that does not hash to its name is
+    treated as absent and unlinked), so a half-written or bit-rotted
+    blob can never be served.  A name that is not a SHA-256 hex digest
+    is absent, so no request field can address a path outside the
+    store.
 
     Layout: ``<directory>/<digest[:2]>/<digest>`` (fan-out keeps any
     one directory small at campaign scale).
@@ -154,11 +162,10 @@ class ArtifactStore:
     def _path(self, digest: str) -> Path:
         return self.directory / digest[:2] / digest
 
-    def has(self, digest: str) -> bool:
-        return self._path(digest).exists()
-
     def get(self, digest: str) -> bytes | None:
         """The blob for ``digest``, or ``None`` (absent or corrupt)."""
+        if not _SHA256_HEX.fullmatch(digest):
+            return None
         path = self._path(digest)
         try:
             data = path.read_bytes()
@@ -174,26 +181,23 @@ class ArtifactStore:
             return None
         return data
 
-    def put(self, data: bytes, digest: str | None = None) -> str:
-        """Store ``data`` under its digest; idempotent, returns the digest.
+    def put(self, data: bytes) -> tuple[str, bool]:
+        """Store ``data`` under its digest; idempotent.
 
-        When the caller supplies the ``digest`` it expects (the broker
-        verifying an upload), a mismatch raises ``ValueError`` — the
-        blob was mangled in flight and must not be stored.
+        Returns the digest and whether this call wrote the blob
+        (``False``: the store already held it).
         """
-        actual = sha256_digest(data)
-        if digest is not None and digest != actual:
-            raise ValueError(
-                f"artifact digest mismatch: body hashes to {actual}, "
-                f"caller claimed {digest}")
-        path = self._path(actual)
+        digest = sha256_digest(data)
+        path = self._path(digest)
         if path.exists():
-            return actual
+            return digest, False
         path.parent.mkdir(parents=True, exist_ok=True)
-        temp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+        # Per thread: the broker writes blobs outside its request lock.
+        temp = path.with_name(
+            f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
         temp.write_bytes(data)
         os.replace(temp, path)
-        return actual
+        return digest, True
 
     def count(self) -> int:
         """How many blobs the store currently holds."""

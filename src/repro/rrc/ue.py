@@ -8,21 +8,14 @@ failure detection (radio-link failure, the fragile-SCell exceptions of
 the OnePlus 12R).
 
 The context never looks inside a cell: a session hands it the run's
-cell indices (see :class:`repro.rrc.session.CellTable`), and the two
-helpers that need a cell's RAT or channel take that column as an
-argument.
+cell indices (see :class:`repro.rrc.session.CellTable`), and the
+network logic reads each cell's RAT and channel from that table.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
-
-from repro.cells.cell import Rat
-
-#: A per-cell column: a list by cell index, or a mapping by cell.
-Column = Union[Sequence, Mapping]
 
 
 class RrcState(enum.Enum):
@@ -30,19 +23,6 @@ class RrcState(enum.Enum):
 
     IDLE = "IDLE"
     CONNECTED = "CONNECTED"
-
-
-class FiveGState(enum.Enum):
-    """The paper's ON/OFF abstraction of the serving configuration."""
-
-    OFF_IDLE = "IDLE"
-    OFF_LTE_ONLY = "4G"
-    ON_SA = "5G SA"
-    ON_NSA = "5G NSA"
-
-    @property
-    def is_on(self) -> bool:
-        return self in (FiveGState.ON_SA, FiveGState.ON_NSA)
 
 
 @dataclass
@@ -69,17 +49,6 @@ class UeContext:
     def connected(self) -> bool:
         return self.state is RrcState.CONNECTED
 
-    def five_g_state(self, rats: Column) -> FiveGState:
-        """Classify the current configuration into the paper's four states
-        (``rats`` gives each cell's RAT)."""
-        if not self.connected or self.pcell is None:
-            return FiveGState.OFF_IDLE
-        if rats[self.pcell] is Rat.NR:
-            return FiveGState.ON_SA
-        if self.scg_pscell is not None:
-            return FiveGState.ON_NSA
-        return FiveGState.OFF_LTE_ONLY
-
     def serving_cells(self) -> list[int]:
         """Every serving cell: PCell, MCG SCells, then the SCG."""
         cells: list[int] = []
@@ -90,20 +59,6 @@ class UeContext:
             cells.append(self.scg_pscell)
         cells.extend(self.scg_scells)
         return cells
-
-    def scell_index_of(self, cell: int) -> int | None:
-        for index, serving in self.scells.items():
-            if serving == cell:
-                return index
-        return None
-
-    def serving_scell_on_channel(self, channel: int, channels: Column) -> int | None:
-        """The lowest-indexed SCell on ``channel`` (``channels`` gives
-        each cell's channel)."""
-        for index in sorted(self.scells):
-            if channels[self.scells[index]] == channel:
-                return self.scells[index]
-        return None
 
     # ------------------------------------------------------------------
     # Transitions

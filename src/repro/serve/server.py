@@ -48,10 +48,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.core.incremental import IncrementalAnalyzer, StreamVerdict
 from repro.obs import Instrumentation, get_instrumentation, instrumented
+from repro.obs.httpd import PROMETHEUS_TYPE, HardenedHTTPServer, serve_http
 from repro.resilience.errors import TraceParseError
 from repro.traces.parser import parse_metadata, parse_record
 from repro.traces.records import finite_float
@@ -325,12 +325,8 @@ class StreamIngestServer:
 # ----------------------------------------------------------------------
 
 
-class _MetricsHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True  # a stalled scraper must not wedge shutdown
-
-
 def serve_metrics(registry, port: int, host: str = "127.0.0.1",
-                  request_timeout_s: float = 30.0) -> ThreadingHTTPServer:
+                  request_timeout_s: float = 30.0) -> HardenedHTTPServer:
     """``GET /metrics`` -> the registry's live Prometheus exposition.
 
     Same contract as :func:`repro.obs.aggregate.serve_status`: the
@@ -339,23 +335,9 @@ def serve_metrics(registry, port: int, host: str = "127.0.0.1",
     ingest loop.
     """
 
-    class _MetricsHandler(BaseHTTPRequestHandler):
-        timeout = request_timeout_s
+    def handle(method: str, path: str, body: bytes) -> tuple[int, str, bytes]:
+        if path.split("?", 1)[0].rstrip("/") not in ("", "/metrics"):
+            return 404, "text/plain", b"unknown path (try /metrics)\n"
+        return 200, PROMETHEUS_TYPE, registry.to_prometheus().encode("utf-8")
 
-        def do_GET(self) -> None:  # noqa: N802 - stdlib interface
-            path = self.path.split("?", 1)[0].rstrip("/") or "/"
-            if path not in ("/", "/metrics"):
-                self.send_error(404, "unknown path (try /metrics)")
-                return
-            body = registry.to_prometheus().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type",
-                             "text/plain; version=0.0.4; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, format: str, *args: object) -> None:
-            pass  # scrapes must not spam the server's stderr
-
-    return _MetricsHTTPServer((host, port), _MetricsHandler)
+    return serve_http(handle, port, host, request_timeout_s)

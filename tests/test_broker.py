@@ -3,9 +3,9 @@
 Three layers, no sockets except where sockets are the point:
 
 * ``CampaignBroker.handle`` is pure request → response, so the verb
-  protocol (attach/submit/seal/claim/heartbeat/complete/sync, the
-  artifact plane, drain mode, idempotency-key replay) is tested
-  directly against framed bodies.
+  protocol (attach/submit/seal/claim/heartbeat/complete/sync/outcome,
+  payload storage, drain mode, idempotency-key replay, the decoding of
+  every request field) is tested directly against framed bodies.
 * :class:`BrokerClient` is tested with an injected ``send`` that talks
   straight to ``handle`` — retries, CRC re-framing, the unavailability
   latch and the exactly-once guarantees under lost responses all
@@ -16,7 +16,9 @@ Three layers, no sockets except where sockets are the point:
 """
 
 import json
+import math
 import os
+import tempfile
 import threading
 
 import pytest
@@ -40,10 +42,12 @@ from repro.campaign.broker_client import (
 )
 from repro.campaign.scheduler import BrokerScheduler
 from repro.campaign.worker import QueueWorker, WorkerConfig
+from repro.cli import build_parser
 from repro.resilience.checkpoint import CheckpointMismatchError, frame_line
 from repro.resilience.memo import sha256_digest
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.supervision import CircuitBreaker, CircuitBreakerOpen
+from repro.resilience.taskqueue import LeaseState, replay_line
 from tests.test_obs_metrics import FakeClock
 
 
@@ -60,15 +64,6 @@ def post(broker, path, obj):
     return status, decode_framed(payload)
 
 
-def put_artifact(broker, text):
-    data = text.encode("utf-8")
-    digest = sha256_digest(data)
-    status, _ctype, _body = broker.handle(
-        "PUT", f"/v1/artifacts/{digest}", data)
-    assert status == 200
-    return digest
-
-
 def attach(broker, identity="camp-1", lease_s=30.0):
     status, response = post(broker, "/v1/attach", {
         "create": True, "identity": identity, "lease_s": lease_s})
@@ -77,11 +72,19 @@ def attach(broker, identity="camp-1", lease_s=30.0):
 
 
 def submit(broker, key, text):
-    digest = put_artifact(broker, text)
     status, response = post(broker, "/v1/submit",
-                            {"key": list(key), "payload_digest": digest})
+                            {"key": list(key), "payload": text})
     assert status == 200
     return response["seq"]
+
+
+def replay_spool(broker) -> LeaseState:
+    """A fresh replay of everything the broker wrote to its spool."""
+    state = LeaseState()
+    spool = broker.queue_dir / "events.spool"
+    for line in spool.read_text(encoding="utf-8").splitlines():
+        assert replay_line(state, line) is not None
+    return state
 
 
 def direct_send(broker):
@@ -184,9 +187,8 @@ class TestFramingDecodesOrNone:
 class TestBrokerProtocol:
     def test_not_ready_before_coordinator_attaches(self, tmp_path):
         broker = make_broker(tmp_path)
-        digest = put_artifact(broker, "payload")
         status, response = post(broker, "/v1/submit",
-                                {"key": ["k"], "payload_digest": digest})
+                                {"key": ["k"], "payload": "payload"})
         assert status == 409
         status, response = post(broker, "/v1/claim",
                                 {"worker": "w0", "lease_s": 5.0})
@@ -214,13 +216,15 @@ class TestBrokerProtocol:
         assert response["code"] == "identity_mismatch"
         assert "different campaign" in response["error"]
 
-    def test_submit_requires_uploaded_artifact(self, tmp_path):
+    def test_submit_stores_the_payload_and_spools_its_digest(self, tmp_path):
         broker = make_broker(tmp_path)
         attach(broker)
-        status, response = post(broker, "/v1/submit", {
-            "key": ["k"], "payload_digest": "0" * 64})
-        assert status == 409
-        assert "never uploaded" in response["error"]
+        submit(broker, ("k",), "task-payload")
+        digest = sha256_digest(b"task-payload")
+        assert broker.store.get(digest) == b"task-payload"
+        assert replay_spool(broker).tasks[0].payload == digest
+        assert b"task-payload" not in \
+            (broker.queue_dir / "events.spool").read_bytes()
 
     def test_submit_is_idempotent_across_broker_restart(self, tmp_path):
         broker = make_broker(tmp_path)
@@ -246,14 +250,18 @@ class TestBrokerProtocol:
         claim = response["claim"]
         assert claim["seq"] == 0 and claim["token"] == 1
         assert claim["key"] == ["r0"]
+        assert claim["payload"] == "task-payload"
         status, response = post(broker, "/v1/heartbeat", {
             "seq": 0, "token": 1, "worker": "w0", "lease_s": 5.0})
         assert response["ok"] is True
-        outcome = put_artifact(broker, "outcome-bytes")
         status, response = post(broker, "/v1/complete", {
             "seq": 0, "token": 1, "worker": "w0",
-            "payload_digest": outcome})
+            "payload": "outcome-bytes"})
         assert response["ok"] is True
+        outcome = sha256_digest(b"outcome-bytes")
+        assert replay_spool(broker).tasks[0].outcome == outcome
+        status, response = post(broker, "/v1/outcome", {"digest": outcome})
+        assert status == 200 and response["payload"] == "outcome-bytes"
         status, _ctype, payload = broker.handle("GET", "/v1/status", b"")
         final = decode_framed(payload)
         assert final["drained"] is True and final["depth"] == 0
@@ -285,9 +293,7 @@ class TestBrokerProtocol:
         submit(broker, ("a",), "pa")
         status, response = post(broker, "/v1/claim",
                                 {"worker": "w0", "lease_s": 5.0})
-        outcome = put_artifact(broker, "done")
-        request = {"seq": 0, "token": 1, "worker": "w0",
-                   "payload_digest": outcome}
+        request = {"seq": 0, "token": 1, "worker": "w0", "payload": "done"}
         _, first = post(broker, "/v1/complete", {**request, "idem": "k-1"})
         assert first["ok"] is True
         _, retried = post(broker, "/v1/complete", {**request, "idem": "k-2"})
@@ -296,18 +302,75 @@ class TestBrokerProtocol:
         final = decode_framed(payload)
         assert final["completed"] == 1 and final["fenced"] == 0
 
-    def test_complete_with_missing_artifact_is_refused(self, tmp_path):
-        broker = make_broker(tmp_path)
+    def test_two_completes_of_one_outcome_store_one_blob(self, tmp_path):
+        # A stolen run's victim completes late with the outcome its
+        # thief already committed: the store keeps one blob, and the
+        # victim's complete is fenced.
+        clock = FakeClock()
+        broker = make_broker(tmp_path, clock=clock)
         attach(broker)
         submit(broker, ("a",), "pa")
         post(broker, "/v1/claim", {"worker": "w0", "lease_s": 5.0})
-        _, response = post(broker, "/v1/complete", {
-            "seq": 0, "token": 1, "worker": "w0",
-            "payload_digest": "f" * 64})
-        assert response["ok"] is False
-        assert "missing" in response["reason"]
-        status, _ctype, payload = broker.handle("GET", "/v1/status", b"")
-        assert decode_framed(payload)["completed"] == 0
+        clock.advance(6.0)
+        _, stolen = post(broker, "/v1/claim", {"worker": "w1", "lease_s": 5.0})
+        assert stolen["claim"]["token"] == 2
+        blobs = broker.store.count()
+        _, thief = post(broker, "/v1/complete", {
+            "seq": 0, "token": 2, "worker": "w1", "payload": "outcome"})
+        _, victim = post(broker, "/v1/complete", {
+            "seq": 0, "token": 1, "worker": "w0", "payload": "outcome"})
+        assert thief["ok"] is True and victim["ok"] is False
+        assert broker.store.count() == blobs + 1
+        state = replay_spool(broker)
+        assert state.stats.completed == 1 and state.stats.fenced == 0
+
+    def test_non_finite_lease_timeout_keeps_the_campaign_identity(
+            self, tmp_path):
+        # A NaN lease in the spool header made its own replay count the
+        # header invalid, so the queue lost its identity and a
+        # different campaign could attach.
+        broker = make_broker(tmp_path)
+        for lease in (math.nan, math.inf):
+            status, response = post(broker, "/v1/attach", {
+                "create": True, "identity": "camp-a", "lease_s": lease})
+            assert status == 400 and "malformed" in response["error"]
+        assert not (broker.queue_dir / "events.spool").exists()
+        attach(broker, identity="camp-a")
+        status, response = post(broker, "/v1/attach",
+                                {"create": True, "identity": "camp-b"})
+        assert status == 409 and response["code"] == "identity_mismatch"
+        assert replay_spool(broker).identity == "camp-a"
+
+    def test_non_finite_claim_lease_leases_nothing(self, tmp_path):
+        # An infinite claim lease used to return a claim whose spool
+        # event replay rejected, leaving the task unleased for the next
+        # worker to take at once.
+        broker = make_broker(tmp_path)
+        attach(broker)
+        submit(broker, ("a",), "pa")
+        status, _response = post(broker, "/v1/claim",
+                                 {"worker": "w0", "lease_s": math.inf})
+        assert status == 400
+        _, response = post(broker, "/v1/claim",
+                           {"worker": "w1", "lease_s": 5.0})
+        assert response["claim"]["token"] == 1
+        state = replay_spool(broker)
+        assert state.tasks[0].active and state.tasks[0].worker == "w1"
+        assert state.stats.invalid == 0
+
+    def test_cli_rejects_non_finite_and_non_positive_leases(self, capsys):
+        parser = build_parser()
+        for value in ("nan", "inf", "-inf", "0", "-5", "soon"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["campaign", "--broker", "http://b:1",
+                                   "--lease-timeout", value])
+            with pytest.raises(SystemExit):
+                parser.parse_args(["worker", "--broker", "http://b:1",
+                                   "--lease", value])
+        assert "--lease" in capsys.readouterr().err
+        args = parser.parse_args(["worker", "--broker", "http://b:1",
+                                  "--lease", "2.5"])
+        assert args.lease == 2.5
 
     def test_malformed_requests_are_400(self, tmp_path):
         broker = make_broker(tmp_path)
@@ -324,26 +387,41 @@ class TestBrokerProtocol:
         assert broker.handle("GET", "/v1/nope", b"")[0] == 404
         assert post(broker, "/v1/nope", {})[0] == 404
         assert broker.handle("DELETE", "/v1/claim", b"")[0] == 405
-        assert broker.handle("DELETE", "/v1/artifacts/ab", b"")[0] == 405
+        # Payloads ride inside the verbs: no raw artifact routes.
+        digest = sha256_digest(b"blob")
+        assert broker.handle("GET", f"/v1/artifacts/{digest}", b"")[0] == 404
+        assert broker.handle("PUT", f"/v1/artifacts/{digest}",
+                             b"blob")[0] == 405
 
     def test_drain_mode_refuses_mutations_keeps_reads(self, tmp_path):
         broker = make_broker(tmp_path)
         attach(broker)
-        digest = put_artifact(broker, "pa")
         broker.begin_drain()
         broker.begin_drain()  # idempotent
         status, _response = post(broker, "/v1/submit",
-                                 {"key": ["a"], "payload_digest": digest})
+                                 {"key": ["a"], "payload": "pa"})
         assert status == 503
         assert post(broker, "/v1/claim",
                     {"worker": "w", "lease_s": 5.0})[0] == 503
-        assert broker.handle("PUT", f"/v1/artifacts/{digest}",
-                             b"pa")[0] == 503
         # Reads and the coordinator's mirror sync stay available.
         assert post(broker, "/v1/sync", {"offset": 0})[0] == 200
         status, _ctype, payload = broker.handle("GET", "/v1/status", b"")
         assert status == 200 and decode_framed(payload)["draining"] is True
-        assert broker.handle("GET", f"/v1/artifacts/{digest}", b"")[0] == 200
+        assert broker.store.count() == 0  # the refused submit stored nothing
+
+    def test_outcome_is_answered_in_drain_mode(self, tmp_path):
+        broker = make_broker(tmp_path)
+        attach(broker)
+        submit(broker, ("a",), "pa")
+        post(broker, "/v1/claim", {"worker": "w0", "lease_s": 5.0})
+        post(broker, "/v1/complete", {"seq": 0, "token": 1, "worker": "w0",
+                                      "payload": "the outcome"})
+        broker.begin_drain()
+        status, response = post(broker, "/v1/outcome",
+                                {"digest": sha256_digest(b"the outcome")})
+        assert status == 200 and response["payload"] == "the outcome"
+        status, response = post(broker, "/v1/outcome", {"digest": "0" * 64})
+        assert status == 409 and "missing" in response["error"]
 
     def test_worker_heartbeat_records_the_workers_pid(self, tmp_path):
         broker = make_broker(tmp_path)
@@ -365,33 +443,98 @@ class TestBrokerProtocol:
         assert b"broker_requests_total" in payload
 
 
-class TestArtifactPlane:
-    def test_roundtrip_and_dedup(self, tmp_path):
-        broker = make_broker(tmp_path)
-        data = b"blob-bytes"
-        digest = sha256_digest(data)
-        status, _ctype, payload = broker.handle(
-            "PUT", f"/v1/artifacts/{digest}", data)
-        assert decode_framed(payload)["stored"] is True
-        status, _ctype, payload = broker.handle(
-            "PUT", f"/v1/artifacts/{digest}", data)
-        assert decode_framed(payload)["stored"] is False  # content dedup
-        status, _ctype, fetched = broker.handle(
-            "GET", f"/v1/artifacts/{digest}", b"")
-        assert status == 200 and fetched == data
+#: JSON text for one request field: the non-finite and overflowing
+#: numbers ``json.loads`` accepts, plus JSON of any shape.
+_FIELD_TEXT = st.one_of(
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                     "1" * 400, "-" + "9" * 4000, "0", "-1", "true",
+                     "null", '""', '"w/../x"', '"../../events.spool"']),
+    _JSON.map(json.dumps))
 
-    def test_mangled_upload_refused(self, tmp_path):
-        broker = make_broker(tmp_path)
-        digest = sha256_digest(b"intact")
-        status, _ctype, payload = broker.handle(
-            "PUT", f"/v1/artifacts/{digest}", b"mangled in flight")
-        assert status == 400
-        assert broker.handle("GET", f"/v1/artifacts/{digest}", b"")[0] == 404
+#: Every verb's valid request, against the queue ``fuzz_broker``
+#: builds: seq 0 is leased by w0 (token 1), seq 1 is complete with
+#: outcome "done".
+_VERB_REQUESTS = {
+    "/v1/attach": {"create": True, "identity": "camp", "lease_s": 30.0},
+    "/v1/submit": {"key": ["r9"], "payload": "p9"},
+    "/v1/seal": {"extra": 0},
+    "/v1/claim": {"worker": "w1", "lease_s": 30.0, "idem": "i-1"},
+    "/v1/heartbeat": {"seq": 0, "token": 1, "worker": "w0",
+                      "lease_s": 30.0},
+    "/v1/complete": {"seq": 0, "token": 1, "worker": "w0",
+                     "payload": "o", "idem": "i-2"},
+    "/v1/worker_heartbeat": {"worker": "w0", "ttl_s": 30.0, "pid": 7,
+                             "run_key": ["r0"], "token": 1},
+    "/v1/sync": {"offset": 0},
+    "/v1/outcome": {"digest": sha256_digest(b"done")},
+}
 
-    def test_missing_artifact_404(self, tmp_path):
-        broker = make_broker(tmp_path)
-        assert broker.handle("GET", f"/v1/artifacts/{'0' * 64}",
-                             b"")[0] == 404
+_VERB_FIELDS = [(path, field) for path, request in _VERB_REQUESTS.items()
+                for field in request]
+
+
+def fuzz_broker(root, path):
+    """A broker whose queue has every state the verbs act on (the
+    attach case starts from an empty directory, so its header is the
+    one written)."""
+    broker = CampaignBroker(root, clock=FakeClock(), fsync=False)
+    if path == "/v1/attach":
+        return broker
+    attach(broker, identity="camp")
+    for key in ("r0", "r1", "r2"):
+        submit(broker, (key,), f"task-{key}")
+    post(broker, "/v1/claim", {"worker": "w0", "lease_s": 30.0})
+    post(broker, "/v1/claim", {"worker": "w0", "lease_s": 30.0})
+    post(broker, "/v1/complete", {"seq": 1, "token": 1, "worker": "w0",
+                                  "payload": "done"})
+    return broker
+
+
+def with_field(request, field, text):
+    """The framed request with ``field`` set to the JSON ``text``
+    (``None``: the field is left out)."""
+    rest = json.dumps({key: value for key, value in request.items()
+                       if key != field})
+    if text is None:
+        return (frame_line(rest) + "\n").encode()
+    inner = rest[1:-1]
+    body = "{" + json.dumps(field) + ": " + text \
+        + (", " + inner if inner else "") + "}"
+    return (frame_line(body) + "\n").encode()
+
+
+class TestRequestFieldsDecodeOr400:
+    """Any JSON in any field of any verb's request: the broker answers
+    200, 400 or 409 — never 500 — and its spool still replays clean."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(verb_field=st.sampled_from(_VERB_FIELDS),
+           text=st.none() | _FIELD_TEXT)
+    def test_any_json_in_any_field(self, verb_field, text):
+        path, field = verb_field
+        with tempfile.TemporaryDirectory() as root:
+            broker = fuzz_broker(os.path.join(root, "q"), path)
+            status, _ctype, payload = broker.handle(
+                "POST", path, with_field(_VERB_REQUESTS[path], field, text))
+            assert status in (200, 400, 409), decode_framed(payload)
+            assert decode_framed(payload) is not None
+            if (broker.queue_dir / "events.spool").exists():
+                state = replay_spool(broker)
+                assert state.stats.invalid == 0
+                if path != "/v1/attach":
+                    assert state.identity == "camp"
+            # Nothing written beside the queue directory, nor outside
+            # its own layout.
+            assert os.listdir(root) == ["q"]
+            assert {entry.name for entry in broker.queue_dir.iterdir()} \
+                <= {"events.spool", "queue.lock", "workers", "artifacts"}
+
+    @pytest.mark.parametrize("path", sorted(_VERB_REQUESTS))
+    def test_the_valid_requests_succeed(self, tmp_path, path):
+        broker = fuzz_broker(tmp_path / "q", path)
+        status, _ctype, payload = broker.handle(
+            "POST", path, encode_framed(_VERB_REQUESTS[path]))
+        assert status == 200, decode_framed(payload)
 
 
 class TestBrokerClient:
@@ -489,26 +632,53 @@ class TestBrokerClient:
         client = make_client(noisy, role="coordinator", identity="c")
         assert client.open(create=True)  # CRC caught it; retry succeeded
 
-    def test_artifact_download_reverified(self, tmp_path):
+    def test_mangled_claim_response_resent_with_the_same_key(self, tmp_path):
         broker = make_broker(tmp_path)
         coordinator = make_client(broker, role="coordinator", identity="c")
         assert coordinator.open(create=True)
         coordinator.submit(("a",), "precious payload")
+        coordinator.submit(("b",), "other payload")
         coordinator.close()
         inner = direct_send(broker)
-        mangle = {"armed": True}
+        sent = []
 
         def noisy(method, path, body):
             status, payload = inner(method, path, body)
-            if mangle["armed"] and path.startswith("/v1/artifacts/") \
-                    and method == "GET":
-                mangle["armed"] = False
-                return status, payload[:-1] + b"X"
+            if path == "/v1/claim":
+                sent.append(decode_framed(body))
+                if len(sent) == 1:  # the payload itself is hit in flight
+                    at = payload.index(b"precious")
+                    return status, payload[:at] + b"P" + payload[at + 1:]
             return status, payload
 
         worker = make_client(noisy, role="worker", worker_id="w0")
         claim = worker.claim("w0", lease_s=10.0)
+        assert len(sent) == 2 and sent[0]["idem"] == sent[1]["idem"]
+        assert (claim.seq, claim.token) == (0, 1)
         assert claim.payload == "precious payload"
+        # The re-send replayed the first claim: one lease, one event.
+        state = replay_spool(broker)
+        assert [task.token for task in state.tasks.values()] == [1, 0]
+
+    def test_missing_task_blob_is_a_protocol_error(self, tmp_path):
+        broker = make_broker(tmp_path)
+        coordinator = make_client(broker, role="coordinator", identity="c")
+        assert coordinator.open(create=True)
+        coordinator.submit(("a",), "task payload")
+        digest = sha256_digest(b"task payload")
+        blob = broker.queue_dir / "artifacts" / digest[:2] / digest
+        blob.write_bytes(b"bit-rotted on disk")
+        calls = {"count": 0}
+        inner = direct_send(broker)
+
+        def counting(method, path, body):
+            calls["count"] += 1
+            return inner(method, path, body)
+
+        worker = make_client(counting, role="worker", worker_id="w0")
+        with pytest.raises(BrokerError, match="missing"):
+            worker.claim("w0", lease_s=10.0)
+        assert calls["count"] == 1  # answered, not retried
 
     def test_unavailability_latches(self, tmp_path):
         calls = {"count": 0}

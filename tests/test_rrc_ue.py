@@ -3,19 +3,15 @@
 import pytest
 
 from repro.cells.cell import Rat
-from repro.rrc.ue import FiveGState, RrcState, UeContext
+from repro.rrc.ue import RrcState, UeContext
 from tests.conftest import cell_id
 
+# The context takes any hashable cell; these tests use identities.
 P41 = cell_id(393, 521310)
 S25 = cell_id(273, 387410)
 S25B = cell_id(371, 387410)
 LTE_P = cell_id(380, 5145, Rat.LTE)
 NR_PS = cell_id(66, 632736)
-
-# The context takes any hashable cell; these tests use identities, so
-# the per-cell columns are keyed by identity.
-RATS = {cell: cell.rat for cell in (P41, S25, S25B, LTE_P, NR_PS)}
-CHANNELS = {cell: cell.channel for cell in (P41, S25, S25B, LTE_P, NR_PS)}
 
 
 @pytest.fixture
@@ -26,23 +22,7 @@ def ue():
 class TestStates:
     def test_starts_idle(self, ue):
         assert ue.state is RrcState.IDLE
-        assert ue.five_g_state(RATS) is FiveGState.OFF_IDLE
         assert not ue.connected
-
-    def test_sa_connection_is_on(self, ue):
-        ue.establish(P41)
-        assert ue.five_g_state(RATS) is FiveGState.ON_SA
-        assert ue.five_g_state(RATS).is_on
-
-    def test_lte_only_is_off(self, ue):
-        ue.establish(LTE_P)
-        assert ue.five_g_state(RATS) is FiveGState.OFF_LTE_ONLY
-        assert not ue.five_g_state(RATS).is_on
-
-    def test_nsa_with_scg_is_on(self, ue):
-        ue.establish(LTE_P)
-        ue.attach_scg(NR_PS, [])
-        assert ue.five_g_state(RATS) is FiveGState.ON_NSA
 
 
 class TestScellTable:
@@ -73,18 +53,6 @@ class TestScellTable:
         new_index = ue.replace_scell(first, S25B)
         assert new_index == 2
         assert ue.scells == {2: S25B}
-
-    def test_scell_index_of(self, ue):
-        ue.establish(P41)
-        index = ue.add_scell(S25)
-        assert ue.scell_index_of(S25) == index
-        assert ue.scell_index_of(S25B) is None
-
-    def test_serving_scell_on_channel(self, ue):
-        ue.establish(P41)
-        ue.add_scell(S25)
-        assert ue.serving_scell_on_channel(387410, CHANNELS) == S25
-        assert ue.serving_scell_on_channel(398410, CHANNELS) is None
 
 
 class TestServingSet:

@@ -425,3 +425,9 @@ class TestKillAndResume:
         assert result.scheduled == 9
         assert result.completed == 9
         assert result.reconciles()
+        # The exported counters reconcile too: restored + re-executed
+        # runs account for the whole schedule.
+        counter = obs.registry.counter
+        assert counter("campaign_runs_scheduled_total").total() == 9
+        assert counter("campaign_runs_completed_total").total() \
+            + counter("campaign_runs_quarantined_total").total() == 9
