@@ -6,14 +6,13 @@ synthetic stream (every record is a state change — the worst realistic
 case, since dedup elements only appear on cell-set changes), plus a
 bookkeeping comparison against batch ``analyze_trace`` re-run per
 chunk, which is what a live verdict would cost without the incremental
-plane.  Timings append to ``BENCH_stream.json``.
+plane.  Timings are printed; repo-level throughput numbers live in the
+perfbench ledger (``BENCH_perfbench.json``).
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -26,21 +25,10 @@ from benchmarks.conftest import print_header
 
 pytestmark = pytest.mark.perf
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_stream.json"
-
 LOOP_CELL = CellIdentity(500, 521310)
 
 #: The acceptance floor (records per second, single stream, one core).
 MIN_RECORDS_PER_S = 10_000
-
-
-def _record_timing(case: str, **fields) -> None:
-    data = {}
-    if BENCH_PATH.exists():
-        data = json.loads(BENCH_PATH.read_text())
-    data[case] = {key: round(value, 3) if isinstance(value, float) else value
-                  for key, value in fields.items()}
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _loop_stream(n_records: int) -> SignalingTrace:
@@ -81,8 +69,6 @@ def test_live_ingest_sustains_10k_records_per_second():
     print_header("Stream ingest — live mode, worst-case state churn")
     print(f"{len(records)} records in {best * 1e3:.1f} ms "
           f"-> {rate / 1e3:.1f}k records/s")
-    _record_timing("live_ingest_50k", records=len(records),
-                   seconds=best, records_per_s=rate)
     assert rate >= MIN_RECORDS_PER_S, \
         f"live ingest {rate:.0f} records/s < {MIN_RECORDS_PER_S}"
 
@@ -121,7 +107,5 @@ def test_incremental_verdict_beats_batch_reanalysis():
     print_header("Stream ingest — incremental vs per-chunk batch re-analysis")
     print(f"incremental {incremental_s * 1e3:.1f} ms, "
           f"batch-per-chunk {batch_s * 1e3:.1f} ms -> {speedup:.1f}x")
-    _record_timing("live_vs_batch_reanalysis_5k", incremental_s=incremental_s,
-                   batch_s=batch_s, speedup=speedup)
     assert speedup >= 3.0, \
         f"incremental ingest only {speedup:.1f}x faster than re-analysis"

@@ -5,11 +5,11 @@ completion a durability property; :class:`CampaignBroker` is the one
 way work reaches it.  The broker is the only process touching the
 spool, and every verb — attach / submit / seal / claim / heartbeat /
 complete / worker_heartbeat / sync / outcome — is one CRC-framed JSON
-request line answered by one CRC-framed JSON response line (the v1
-checkpoint framing, verified again on the far side) over the
-hardened stdlib server of :mod:`repro.obs.httpd`, so workers and the
-coordinator can live on any machine that can reach the broker's port,
-this one included.
+request line answered by one CRC-framed JSON response line (the
+:mod:`repro.resilience.framing` frame, verified again on the far
+side) over the hardened stdlib server of :mod:`repro.obs.httpd`, so
+workers and the coordinator can live on any machine that can reach
+the broker's port, this one included.
 
 **Broker-authoritative clock.**  All lease deadlines are computed from
 the *broker's* monotonic clock: clients send lease *durations*, never
@@ -33,10 +33,11 @@ payload, ``claim`` returns it, ``complete`` carries the outcome and
 ``outcome`` reads one back by digest.  The broker keeps each payload
 in its content-addressed
 :class:`~repro.resilience.memo.ArtifactStore` — written outside the
-request lock, and before the spool event that names it — so spool
-events carry digests, never payloads.  A stolen run's thief reproduces
-the identical deterministic outcome, hashes to the identical digest,
-and the store keeps one blob.
+request lock, and durable (under the broker's ``fsync`` setting)
+before the spool event that names it — so spool events carry digests,
+never payloads.  A stolen run's thief reproduces the identical
+deterministic outcome, hashes to the identical digest, and the store
+keeps one blob.
 
 **Graceful degradation.**  ``begin_drain()`` (wired to SIGTERM in
 ``repro broker serve``) flips the broker into drain mode: mutating
@@ -49,7 +50,6 @@ state.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 import time
@@ -59,11 +59,8 @@ from typing import Callable
 
 from repro.obs import Instrumentation, make_instrumentation
 from repro.obs.httpd import PROMETHEUS_TYPE, HardenedHTTPServer, serve_http
-from repro.resilience.checkpoint import (
-    CheckpointMismatchError,
-    frame_line,
-    load_framed_line,
-)
+from repro.resilience.checkpoint import CheckpointMismatchError
+from repro.resilience.framing import LineReader, frame_object, load_framed_line
 from repro.resilience.memo import ArtifactStore
 from repro.resilience.taskqueue import (
     Claim,
@@ -95,22 +92,8 @@ _FRAMED_TYPE = "application/x-repro-framed-json"
 #: Verbs still answered in drain mode: they only read.
 _DRAIN_READABLE = ("/v1/sync", "/v1/outcome")
 
-
-def encode_framed(obj: dict) -> bytes:
-    """One CRC-framed JSON line — the wire format of every verb."""
-    return (frame_line(json.dumps(obj, sort_keys=True)) + "\n") \
-        .encode("utf-8")
-
-
-def decode_framed(body: bytes) -> dict | None:
-    """Verify and decode one framed line; ``None`` for any body that
-    is not a CRC-valid JSON object (corrupt, truncated, too deep, or an
-    integer past the digit limit)."""
-    try:
-        text = body.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    return load_framed_line(text)
+#: The most spool bytes one ``sync`` answer carries.
+_SYNC_MAX_BYTES = 1 << 20
 
 
 def _text(value: object) -> str:
@@ -150,7 +133,8 @@ class CampaignBroker:
         self.clock = clock
         self.fsync = fsync
         self.obs = obs if obs is not None else make_instrumentation()
-        self.store = ArtifactStore(self.queue_dir / "artifacts")
+        self.store = ArtifactStore(self.queue_dir / "artifacts",
+                                   fsync=fsync)
         self.draining = False
         self._queue: DurableTaskQueue | None = None
         self._key_to_seq: dict[tuple, int] = {}
@@ -254,7 +238,7 @@ class CampaignBroker:
         }.get(path)
         if handler is None:
             return self._error(404, f"unknown path {path}")
-        request = decode_framed(body)
+        request = load_framed_line(body)
         if request is None:
             return self._error(400, "request body is not a CRC-framed JSON "
                                     "object")
@@ -266,14 +250,14 @@ class CampaignBroker:
     # -- response helpers ----------------------------------------------
 
     def _ok(self, obj: dict) -> tuple[int, str, bytes]:
-        return 200, _FRAMED_TYPE, encode_framed(obj)
+        return 200, _FRAMED_TYPE, frame_object(obj, sort_keys=True)
 
     def _error(self, status: int, message: str,
                code: str | None = None) -> tuple[int, str, bytes]:
         payload: dict = {"error": message}
         if code is not None:
             payload["code"] = code
-        return status, _FRAMED_TYPE, encode_framed(payload)
+        return status, _FRAMED_TYPE, frame_object(payload, sort_keys=True)
 
     def _snapshot(self) -> dict:
         """The status block stapled onto attach/claim/seal/sync replies."""
@@ -344,9 +328,9 @@ class CampaignBroker:
     # -- payload blobs ----------------------------------------------------
 
     def _store(self, payload: str) -> str:
-        """Write one payload blob; returns its digest.  Called before
-        the request lock is taken, and before the spool event that
-        names the blob is appended."""
+        """Write one payload blob (durably, when the broker fsyncs);
+        returns its digest.  Called before the request lock is taken,
+        and before the spool event that names the blob is appended."""
         data = payload.encode("utf-8")
         digest, stored = self.store.put(data)
         if stored:
@@ -523,11 +507,12 @@ class CampaignBroker:
                 return self._ok({"events": "", "next_offset": offset,
                                  "status": self._snapshot()})
             queue.expire_overdue()
-            chunk, next_offset = queue.read_raw(offset)
-            # Undecodable bytes become U+FFFD, which fails the line's
-            # CRC on the mirror exactly as it does in a local replay.
+            # Whole lines, verbatim: undecodable bytes become U+FFFD,
+            # which fails the line's CRC on the mirror as on disk.
+            lines = LineReader(queue.events_path, offset, _SYNC_MAX_BYTES)
+            chunk = b"".join(lines)
             return self._ok({"events": chunk.decode("utf-8", "replace"),
-                             "next_offset": next_offset,
+                             "next_offset": lines.offset,
                              "status": self._snapshot()})
 
     def _handle_outcome(self, request: dict) -> tuple[int, str, bytes]:

@@ -56,9 +56,9 @@ import time
 import urllib.parse
 from typing import Callable
 
-from repro.campaign.broker import decode_framed, encode_framed
 from repro.obs import get_instrumentation
 from repro.resilience.checkpoint import CheckpointMismatchError
+from repro.resilience.framing import frame_object, load_framed_line
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.taskqueue import Claim, LeaseState, replay_line
 
@@ -217,7 +217,7 @@ class BrokerClient:
         request = dict(obj or {})
         if idem is not None:
             request["idem"] = idem
-        body = encode_framed(request)
+        body = frame_object(request, sort_keys=True)
         attempts = self.retry.max_retries + 1
         last_error = "no attempt made"
         for attempt in range(attempts):
@@ -235,7 +235,7 @@ class BrokerClient:
             if status == 503:
                 last_error = f"HTTP {status}"
                 continue
-            decoded = decode_framed(payload)
+            decoded = load_framed_line(payload)
             if decoded is None:
                 # Bit-flipped/truncated in flight: the CRC framing caught
                 # it, and the verb is safe to re-send (idempotency keys
@@ -292,7 +292,7 @@ class BrokerClient:
         text = response.get("events")
         next_offset = response.get("next_offset", self._offset)
         if isinstance(text, str):
-            for line in text.split("\n"):
+            for line in text.encode("utf-8").split(b"\n"):
                 if not line.strip():
                     continue
                 observed = replay_line(self.state, line)

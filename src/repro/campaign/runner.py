@@ -199,7 +199,7 @@ class CampaignConfig:
     ``breaker_max_consecutive_failures`` bound supervision-level
     recovery before the campaign fails fast (``0`` disables the
     consecutive-failure check).  ``checkpoint_fsync=False`` trades the
-    per-append ``os.fsync`` durability guarantee for throughput, and
+    per-append fsync durability guarantee for throughput, and
     ``shutdown_grace_s`` caps how long a graceful SIGTERM/SIGINT stop
     waits to drain in-flight worker futures into the checkpoint.
 

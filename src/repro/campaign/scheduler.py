@@ -333,13 +333,14 @@ class BrokerScheduler(Scheduler):
     """Coordinator over a ``repro broker serve`` through a
     :class:`~repro.campaign.broker_client.BrokerClient`.
 
-    Pumping (every ``drain``/``poll`` iteration) does three things:
-    sync the client's mirror of the broker's spool (which also drives
-    broker-side lease expiry), route the new dispositions into the
-    ``leases_expired_total`` / ``runs_stolen_total`` counters and the
-    circuit breaker (a steal counts as a rebuild, so steal storms trip
-    the breaker like crash storms do), and refresh the ``queue_depth`` /
-    ``leases_active`` gauges.
+    Pumping (each ``drain``/``poll`` wait, and ``shutdown``) does three
+    things: sync the client's mirror of the broker's spool (which also
+    drives broker-side lease expiry), route the new dispositions into
+    the ``leases_expired_total`` / ``runs_stolen_total`` counters and
+    the circuit breaker (a steal counts as a rebuild, so steal storms
+    trip the breaker like crash storms do), and refresh the
+    ``queue_depth`` / ``leases_active`` gauges.  A completion the mirror
+    already holds merges without a pump.
 
     ``stall_s`` bounds how long the coordinator waits with zero queue
     activity *and* zero live workers before tripping the breaker with a
@@ -401,9 +402,12 @@ class BrokerScheduler(Scheduler):
             self.client.close()
 
     def _outcome(self, item: PendingRun) -> Any:
-        """Pump, then the slot's decoded outcome (``None``: not yet)."""
-        self._pump()
+        """The slot's decoded outcome (``None``: not yet); pumps only
+        when the mirror does not hold it yet."""
         payload = self.client.take_completion(item.handle)
+        if payload is None:
+            self._pump()
+            payload = self.client.take_completion(item.handle)
         return None if payload is None else decode_payload(payload)
 
     def drain(self, item: PendingRun) -> DrainResult:

@@ -255,8 +255,9 @@ def _add_broker_parser(subparsers) -> None:
                             "mutating verbs for this long before "
                             "stopping (default 1)")
     serve.add_argument("--no-fsync", action="store_true",
-                       help="skip the per-append fsync on the spool "
-                            "(faster, weaker durability)")
+                       help="skip the per-append fsync on the spool and "
+                            "the fsync of each payload blob (faster, "
+                            "weaker durability)")
     _add_log_flags(serve)
 
 

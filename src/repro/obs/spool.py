@@ -5,9 +5,9 @@ process memory until the coordinator merged its completion payloads —
 so a SIGKILLed worker took its partial telemetry with it, and the run
 it was holding reappeared (stolen, re-executed) with no trace of the
 first attempt.  The spool closes that gap: each worker appends frames
-to its own ``<worker_id>.tspool`` file, reusing the v1 CRC line frame
-(:func:`repro.resilience.checkpoint.frame_line`), so whatever was
-flushed before the kill survives on disk, attributable to the victim.
+to its own ``<worker_id>.tspool`` file, one CRC-framed line each (the
+checkpoint's line format), so whatever was flushed before the kill
+survives on disk, attributable to the victim.
 
 **Frame types** (one JSON object per CRC-framed line)::
 
@@ -29,18 +29,17 @@ flushed before the kill survives on disk, attributable to the victim.
 Durability is ``flush``-only by default (``fsync=False``): the frames
 survive SIGKILL — the failure mode workers actually have — without
 paying a per-flush fsync on the campaign hot path; pass ``fsync=True``
-for power-loss durability.  The reader tolerates a torn tail (the line
-a killed writer was mid-append on) and corrupt lines exactly like the
-checkpoint loader: every line goes through
-:func:`~repro.resilience.checkpoint.load_framed_line`, and a line that
-is not a CRC-valid JSON object — or a frame, event, span or metrics
+for power-loss durability.  A torn tail (the line a killed previous
+incarnation was mid-append on) is never read as a line and is
+terminated before the next session's meta frame, and a line that is
+not a CRC-valid JSON object — or a frame, event, span or metrics
 snapshot without the types the writer gives it — is skipped and
-counted.
+counted, as in the checkpoint loader (:mod:`repro.resilience.framing`
+does both).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -51,9 +50,10 @@ from repro.obs.context import Instrumentation
 from repro.obs.events import Event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span
-from repro.resilience.checkpoint import (
-    frame_line,
-    fsync_directory,
+from repro.resilience.framing import (
+    LineReader,
+    append_lines,
+    frame_object,
     load_framed_line,
 )
 
@@ -97,8 +97,8 @@ class TelemetrySpool:
         self.frames_written = 0
 
     def open(self) -> None:
-        """Create the directory, repair any torn tail a previous
-        incarnation left, and append this session's meta frame."""
+        """Create the directory and append this session's meta frame
+        (after any torn tail a previous incarnation left)."""
         self.directory.mkdir(parents=True, exist_ok=True)
         wall = self._wall_clock()
         self.session = f"{os.getpid()}-{int(wall * 1000):x}"
@@ -107,28 +107,9 @@ class TelemetrySpool:
                 "wall_s": round(wall, 6), "mono_s": round(self._clock(), 6)}
         if self.campaign is not None:
             meta["campaign"] = self.campaign
-        created = not self.path.exists()
-        with self.path.open("a", encoding="utf-8") as handle:
-            if self._tail_is_torn(handle):
-                handle.write("\n")
-            handle.write(frame_line(json.dumps(meta, sort_keys=True)) + "\n")
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        if created and self.fsync:
-            fsync_directory(self.directory)
+        append_lines(self.path, [frame_object(meta, sort_keys=True)],
+                     fsync=self.fsync)
         self.frames_written += 1
-
-    @staticmethod
-    def _tail_is_torn(handle) -> bool:
-        end = handle.tell()
-        if end == 0:
-            return False
-        # The append handle is text-mode; peek at the underlying byte
-        # stream so a multi-byte tail cannot confuse the check.
-        with open(handle.name, "rb") as raw:
-            raw.seek(end - 1)
-            return raw.read(1) != b"\n"
 
     def flush(self, obs: Instrumentation) -> int:
         """Append everything new in ``obs`` since the last flush.
@@ -166,13 +147,9 @@ class TelemetrySpool:
                 self._last_snapshot = snapshot
         if not frames:
             return 0
-        text = "".join(frame_line(json.dumps(frame, sort_keys=True)) + "\n"
-                       for frame in frames)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+        append_lines(self.path,
+                     [frame_object(frame, sort_keys=True) for frame in frames],
+                     fsync=self.fsync)
         self.frames_written += len(frames)
         return len(frames)
 
@@ -194,34 +171,18 @@ def read_spool_frames(path: str | Path, offset: int = 0,
     CRC-valid JSON object with a ``t`` field (real corruption, not
     in-flight appends).
     """
-    path = Path(path)
-    try:
-        with path.open("rb") as handle:
-            handle.seek(offset)
-            blob = handle.read()
-    except OSError:
-        return [], offset, 0, False
+    lines = LineReader(path, offset)
     frames: list[dict] = []
     skipped = 0
-    consumed = 0
-    cursor = 0
-    while True:
-        newline = blob.find(b"\n", cursor)
-        if newline < 0:
-            break
-        line = blob[cursor:newline]
-        cursor = newline + 1
-        consumed = cursor
-        text = line.decode("utf-8", errors="replace")
-        if not text.strip():
+    for line in lines:
+        if not line.strip():
             continue
-        frame = load_framed_line(text)
+        frame = load_framed_line(line)
         if frame is not None and "t" in frame:
             frames.append(frame)
         else:
             skipped += 1
-    torn = cursor < len(blob)
-    return frames, offset + consumed, skipped, torn
+    return frames, lines.offset, skipped, lines.torn
 
 
 @dataclass

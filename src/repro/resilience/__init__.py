@@ -11,6 +11,8 @@ pipeline layers share:
   accounting of what was kept, skipped and why.
 * :mod:`repro.resilience.retry` — seeded deterministic retry/backoff for
   campaign runs.
+* :mod:`repro.resilience.framing` — the CRC frame, appender, tail
+  reader and atomic writer every durable record goes through.
 * :mod:`repro.resilience.checkpoint` — append-only JSONL campaign
   checkpointing for interrupt/resume.
 * :mod:`repro.resilience.memo` — the content-addressed analysis cache

@@ -22,39 +22,37 @@ reload captures rather than redrive an area.
   *mid-file* corruption (a flipped bit, a mangled range) is detected
   and the affected entry quarantined — not just the truncated tail a
   killed writer leaves.
-* Appends are ``flush`` + ``os.fsync`` by default (opt out with
-  ``fsync=False`` / ``--no-fsync``), so an acknowledged run survives
-  power loss, not merely process death.  Creating the file also fsyncs
-  the parent *directory* once: without that, a freshly created
-  checkpoint can vanish entirely on power loss even though every line
-  in it was fsynced (the directory entry itself was still volatile).
-
-The CRC line framing (:func:`frame_line` / :func:`unframe_line` /
-:func:`load_framed_line`), the JSON-object decode behind it
-(:func:`decode_object`) and the directory barrier
-(:func:`fsync_directory`) are shared with the durable task-queue spool
-(:mod:`repro.resilience.taskqueue`), the broker's wire frames and the
-workers' telemetry spools.
+* Appends (:func:`~repro.resilience.framing.append_lines`) flush and
+  fsync by default (opt out with ``fsync=False`` / ``--no-fsync``), so
+  an acknowledged run survives power loss; creating the file fsyncs its
+  directory too.  A torn tail from a coordinator killed mid-append is
+  terminated before the next entry, so it stays one skipped line and
+  the first run recorded on resume is not lost with it.
 
 The reader is corruption-tolerant and backward compatible: headerless
 bare-JSON *v0* files still load (no CRC/identity verification), corrupt
 lines — a bad CRC, an undecodable payload, or a CRC-valid payload whose
-fields do not have the writer's types — are skipped, counted into the
-``checkpoint_lines_skipped_total`` metric and reported in a single
-warning naming the line numbers.  Later entries for the same key win,
-so re-running a previously failed run overwrites its quarantine entry.
+fields do not have the writer's types — and a torn final line are
+skipped, counted into the ``checkpoint_lines_skipped_total`` metric and
+reported in a single warning naming the line numbers.  Later entries
+for the same key win, so re-running a previously failed run overwrites
+its quarantine entry.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import os
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs import get_instrumentation
+from repro.resilience.framing import (
+    LineReader,
+    append_lines,
+    decode_object,
+    frame_object,
+    unframe_line,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -67,33 +65,9 @@ CHECKPOINT_VERSION = 1
 #: How many corrupt line numbers the single load() warning names.
 _WARN_LINE_LIMIT = 20
 
-#: ``<8 hex chars><space>`` CRC frame prefix length.
-_FRAME_PREFIX = 9
-
 
 class CheckpointMismatchError(ValueError):
     """Resume attempted against a checkpoint from a different campaign."""
-
-
-def fsync_directory(path: str | Path) -> None:
-    """One-shot fsync of a directory, so a new file's entry is durable.
-
-    ``os.fsync`` on a file makes its *contents* durable; the directory
-    entry pointing at a freshly created file needs its own fsync or the
-    whole file can be gone after power loss.  Best-effort: platforms
-    (or filesystems) that refuse to open/fsync directories simply skip
-    the barrier rather than fail the append.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
-    except OSError:  # pragma: no cover - platform specific
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform specific
-        pass
-    finally:
-        os.close(fd)
 
 
 @dataclass(frozen=True)
@@ -132,7 +106,7 @@ class CampaignCheckpoint:
     ``identity`` is the campaign identity hash written into the v1
     header (``None`` writes headerless CRC-framed lines and skips the
     resume identity check — the direct-manipulation mode tests use).
-    ``fsync=False`` drops the per-append ``os.fsync`` for callers that
+    ``fsync=False`` drops the per-append fsync for callers that
     prefer throughput over power-loss durability.
     """
 
@@ -158,18 +132,10 @@ class CampaignCheckpoint:
                       "error": error, "attempts": attempts})
 
     def _append(self, entry: dict) -> None:
-        created = not self.path.exists()
-        with self.path.open("a", encoding="utf-8") as handle:
-            if handle.tell() == 0 and self.identity is not None:
-                header = json.dumps({"version": CHECKPOINT_VERSION,
-                                     "identity": self.identity})
-                handle.write(frame_line(header) + "\n")
-            handle.write(frame_line(json.dumps(entry)) + "\n")
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        if created and self.fsync:
-            fsync_directory(self.path.parent)
+        header = None if self.identity is None else frame_object(
+            {"version": CHECKPOINT_VERSION, "identity": self.identity})
+        append_lines(self.path, [frame_object(entry)], fsync=self.fsync,
+                     header=header)
 
     # ------------------------------------------------------------------
     # Loading
@@ -188,42 +154,39 @@ class CampaignCheckpoint:
         memory twice (once as text, once decoded).
 
         Corrupt lines (bad CRC, undecodable payload, ill-typed fields)
-        are skipped and reported — once, with line numbers — plus
-        counted into the ``checkpoint_lines_skipped_total`` metric; the
-        affected runs simply re-execute on resume.  Raises
+        and a torn final line are skipped and reported — once, with
+        line numbers — plus counted into the
+        ``checkpoint_lines_skipped_total`` metric; the affected runs
+        simply re-execute on resume.  Raises
         :class:`CheckpointMismatchError` when both this checkpoint and
         the file header carry an identity and they disagree.
         """
         report = CheckpointLoadReport()
-        if not self.path.exists():
-            return report
-        # errors="replace": a bit flip can make a byte invalid UTF-8,
-        # and the loader must skip that line, not raise mid-stream.
-        # The replacement character changes the payload, so the CRC
-        # check catches it like any other corruption.
-        with self.path.open("r", encoding="utf-8",
-                            errors="replace") as handle:
-            for number, line in enumerate(handle, start=1):
-                report.lines_total = number
-                stripped = line.strip()
-                if not stripped:
+        lines = LineReader(self.path)
+        for number, line in enumerate(lines, start=1):
+            report.lines_total = number
+            stripped = line.strip()
+            if not stripped:
+                continue
+            payload, crc_ok = unframe_line(stripped)
+            data = None if crc_ok is False else decode_object(payload)
+            if data is None:
+                report.skipped_lines.append(number)
+                continue
+            if number == 1:
+                header = _decode_header(data)
+                if header is not None:
+                    report.version, report.identity = header
+                    self._check_identity(report.identity)
                     continue
-                payload, crc_ok = unframe_line(stripped)
-                data = None if crc_ok is False else decode_object(payload)
-                if data is None:
-                    report.skipped_lines.append(number)
-                    continue
-                if number == 1:
-                    header = _decode_header(data)
-                    if header is not None:
-                        report.version, report.identity = header
-                        self._check_identity(report.identity)
-                        continue
-                entry = _decode_entry(data)
-                if entry is None:
-                    report.skipped_lines.append(number)
-                    continue
-                report.entries[entry.key] = entry
+            entry = _decode_entry(data)
+            if entry is None:
+                report.skipped_lines.append(number)
+                continue
+            report.entries[entry.key] = entry
+        if lines.torn:
+            report.lines_total += 1
+            report.skipped_lines.append(report.lines_total)
         self._report_skipped(report)
         return report
 
@@ -254,56 +217,6 @@ class CampaignCheckpoint:
             "checkpoint %s: skipped %d corrupt line(s) (line %s); "
             "the affected runs will re-execute on resume",
             self.path, report.lines_skipped, shown)
-
-
-def frame_line(payload: str) -> str:
-    """``<crc32 hex8> <payload>`` — the v1 line frame."""
-    crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-    return f"{crc:08x} {payload}"
-
-
-def unframe_line(stripped: str) -> tuple[str, bool | None]:
-    """Split a line into payload + CRC verdict.
-
-    Returns ``(payload, True)`` for a framed line whose CRC matches,
-    ``(payload, False)`` for a framed line whose CRC does not, and
-    ``(line, None)`` for an unframed (legacy v0) line, which gets no
-    integrity verification.
-    """
-    if len(stripped) > _FRAME_PREFIX and stripped[_FRAME_PREFIX - 1] == " ":
-        prefix = stripped[:_FRAME_PREFIX - 1]
-        if len(prefix) == 8 and all(c in "0123456789abcdef" for c in prefix):
-            payload = stripped[_FRAME_PREFIX:]
-            crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-            return payload, crc == int(prefix, 16)
-    return stripped, None
-
-
-def decode_object(payload: str) -> dict | None:
-    """The JSON object ``payload`` holds, or ``None``.
-
-    A payload that is not JSON, nests past the recursion limit, holds
-    an integer past the digit limit or is a JSON value other than an
-    object is as undecodable as a torn one.
-    """
-    try:
-        value = json.loads(payload)
-    except (ValueError, RecursionError):
-        return None
-    return value if isinstance(value, dict) else None
-
-
-def load_framed_line(line: str) -> dict | None:
-    """The JSON object one framed line carries, or ``None``.
-
-    ``None`` unless the CRC matches and the payload passes
-    :func:`decode_object`.  Broker wire frames, task-queue spool lines
-    and telemetry spool lines all decode here.
-    """
-    payload, crc_ok = unframe_line(line.strip())
-    if crc_ok is not True:
-        return None
-    return decode_object(payload)
 
 
 def _is_int(value: object) -> bool:

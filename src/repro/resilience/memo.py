@@ -12,11 +12,13 @@ re-analysis of unchanged traces entirely.
 
 The cache is strictly best-effort and self-verifying:
 
-* entries are written atomically (temp file + ``os.replace``), so a
-  killed writer never leaves a partial entry behind;
-* every entry carries a magic tag and a CRC32 of its pickle payload; a
-  corrupt entry (bit rot, truncation, foreign file) is discarded with a
-  warning and the analysis recomputed — never a crash;
+* entries are written atomically, so a killed writer never leaves a
+  partial entry behind;
+* every entry is one :mod:`repro.resilience.framing` frame around its
+  pickle, ``<crc32:8 hex> <pickle>``; a corrupt entry (bit rot,
+  truncation, a foreign file or an older ``RMEMO1`` entry, a pickle of
+  anything but a ``RunAnalysis``) is discarded with a warning and the
+  analysis recomputed — never a crash;
 * hits, misses and corrupt entries are counted into the ambient
   instrumentation (``analysis_memo_hits_total`` /
   ``analysis_memo_misses_total`` / ``analysis_memo_corrupt_total``), so
@@ -28,22 +30,16 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import os
 import pickle
 import re
-import threading
-import zlib
 from pathlib import Path
 
 from repro.obs import get_instrumentation
+from repro.resilience.framing import frame_line, unframe_line, write_atomic
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["AnalysisMemo", "ArtifactStore", "sha256_digest", "trace_digest"]
-
-#: Entry header: magic + newline, then 8 hex CRC chars + newline.
-_MAGIC = b"RMEMO1\n"
-_CRC_LEN = 9  # 8 hex digits + "\n"
 
 #: The names an :class:`ArtifactStore` holds: lowercase SHA-256 hex.
 _SHA256_HEX = re.compile("[0-9a-f]{64}")
@@ -122,19 +118,11 @@ class AnalysisMemo:
         not a store of record.
         """
         payload = pickle.dumps(analysis, protocol=pickle.HIGHEST_PROTOCOL)
-        crc = zlib.crc32(payload) & 0xFFFFFFFF
-        blob = _MAGIC + f"{crc:08x}\n".encode("ascii") + payload
         path = self._path(digest)
-        temp = path.with_name(f"{path.name}.tmp{os.getpid()}")
         try:
-            temp.write_bytes(blob)
-            os.replace(temp, path)
+            write_atomic(path, frame_line(payload))
         except OSError as error:
             logger.debug("memo cache write %s failed: %s", path, error)
-            try:
-                temp.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
 
 
 class ArtifactStore:
@@ -143,21 +131,24 @@ class ArtifactStore:
     The campaign broker keeps task and outcome payloads here, and its
     spool events name them by digest: the payloads themselves travel
     inside the framed ``submit``/``claim``/``complete``/``outcome``
-    verbs.  Same durability discipline as the memo cache — atomic
-    temp-file + ``os.replace`` writes, and every read is re-verified
-    against its own digest (a blob that does not hash to its name is
-    treated as absent and unlinked), so a half-written or bit-rotted
-    blob can never be served.  A name that is not a SHA-256 hex digest
-    is absent, so no request field can address a path outside the
-    store.
+    verbs.  Blobs are written atomically, and with ``fsync`` (the
+    broker's setting) the blob and the directory entries its write
+    created are synced before :meth:`put` returns, so the spool event
+    appended next never names a blob a power cut can take.  Every read
+    is re-verified against its own digest (a blob that does not hash
+    to its name is treated as absent and unlinked), so a half-written
+    or bit-rotted blob can never be served.  A name that is not a
+    SHA-256 hex digest is absent, so no request field can address a
+    path outside the store.
 
     Layout: ``<directory>/<digest[:2]>/<digest>`` (fan-out keeps any
     one directory small at campaign scale).
     """
 
-    def __init__(self, directory: str | Path):
+    def __init__(self, directory: str | Path, fsync: bool = False):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.fsync = fsync
 
     def _path(self, digest: str) -> Path:
         return self.directory / digest[:2] / digest
@@ -191,12 +182,7 @@ class ArtifactStore:
         path = self._path(digest)
         if path.exists():
             return digest, False
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Per thread: the broker writes blobs outside its request lock.
-        temp = path.with_name(
-            f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
-        temp.write_bytes(data)
-        os.replace(temp, path)
+        write_atomic(path, data, fsync=self.fsync)
         return digest, True
 
     def count(self) -> int:
@@ -207,20 +193,15 @@ class ArtifactStore:
 
 def _decode(blob: bytes):
     """Verify and unpickle one entry; ``None`` on any corruption."""
-    if not blob.startswith(_MAGIC):
-        return None
-    header_end = len(_MAGIC) + _CRC_LEN
-    crc_field = blob[len(_MAGIC):header_end]
-    payload = blob[header_end:]
-    if len(crc_field) != _CRC_LEN or not crc_field.endswith(b"\n"):
-        return None
-    try:
-        expected = int(crc_field[:-1], 16)
-    except ValueError:
-        return None
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != expected:
+    # Late: repro.core imports the trace parser, which imports this
+    # package.
+    from repro.core.pipeline import RunAnalysis
+
+    payload, crc_ok = unframe_line(blob)
+    if not crc_ok:
         return None
     try:
-        return pickle.loads(payload)
+        analysis = pickle.loads(payload)
     except Exception:  # noqa: BLE001 - any unpickling failure is corruption
         return None
+    return analysis if isinstance(analysis, RunAnalysis) else None

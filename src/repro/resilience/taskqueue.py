@@ -13,11 +13,11 @@ double-counting a run.
     <dir>/queue.lock       flock serializing mutating appends
     <dir>/workers/<id>.hb  per-worker heartbeat files (atomic replace)
 
-**Event log.**  Every line reuses the v1 checkpoint framing
-(:func:`~repro.resilience.checkpoint.frame_line`): ``<crc32:8 hex>
-<json>``.  The first event is a header carrying the campaign identity
-hash — opening a spool whose identity names a different campaign
-raises :class:`~repro.resilience.checkpoint.CheckpointMismatchError`
+**Event log.**  Every line is one :mod:`repro.resilience.framing`
+frame, ``<crc32:8 hex> <json>``.  The first event is a header carrying
+the campaign identity hash — opening a spool whose identity names a
+different campaign raises
+:class:`~repro.resilience.checkpoint.CheckpointMismatchError`
 instead of silently merging two campaigns.  Then, in any order::
 
     {"ev": "submit",    "seq": n, "key": [...], "payload": "..."}
@@ -54,12 +54,11 @@ identically.  The rules that make work stealing crash-safe:
 **Durability.**  Mutating appends happen under an ``flock`` (claims
 are read-modify-append, and two queue instances may share a spool —
 a restarted broker beside its predecessor), are flushed and fsynced,
-and creating the spool fsyncs the directory
-(:func:`~repro.resilience.checkpoint.fsync_directory`).  A writer
-killed mid-append leaves a torn tail line; the next writer repairs the
-framing by prefixing a newline, and replay skips the CRC-invalid
-fragment — the lost event degrades to "never happened", which every
-event kind tolerates (a lost claim re-claims, a lost complete re-runs
+and creating the spool fsyncs the directory.  A writer killed
+mid-append leaves a torn tail, which replay never reads as a line; the
+next append terminates it and replay skips the CRC-invalid fragment —
+the lost event degrades to "never happened", which every event kind
+tolerates (a lost claim re-claims, a lost complete re-runs
 deterministically).  A CRC-valid event whose fields are not what its
 writer puts there is counted in :attr:`QueueStats.invalid` and changes
 nothing; only a ``seq`` re-used for a different key
@@ -79,12 +78,14 @@ from pathlib import Path
 from typing import Callable
 
 from repro.obs import get_instrumentation
-from repro.resilience.checkpoint import (
-    CheckpointMismatchError,
+from repro.resilience.checkpoint import CheckpointMismatchError
+from repro.resilience.framing import (
+    LineReader,
+    append_lines,
     decode_object,
-    frame_line,
-    fsync_directory,
+    frame_object,
     load_framed_line,
+    write_atomic,
 )
 
 logger = logging.getLogger(__name__)
@@ -330,7 +331,8 @@ class LeaseState:
         return "complete"
 
 
-def replay_line(state: LeaseState, line: str) -> tuple[str, int, str] | None:
+def replay_line(state: LeaseState,
+                line: bytes) -> tuple[str, int, str] | None:
     """Fold one spool line into ``state``: the one spool replay.
 
     :meth:`DurableTaskQueue.catch_up` runs it over the spool on disk
@@ -387,17 +389,17 @@ class WorkerHeartbeat:
 
 
 def _read_heartbeat(path: Path, now: float) -> WorkerHeartbeat | None:
-    """Decode one heartbeat file; ``None`` for anything unreadable."""
+    """Decode one heartbeat file; ``None`` for anything unreadable,
+    including any field without the type the broker writes there."""
     try:
-        data = decode_object(path.read_text(encoding="utf-8")) or {}
-        run_key = data.get("run_key")
-        token = data.get("token")
+        data = decode_object(path.read_bytes()) or {}
+        mono = _finite(data["mono"])
+        run_key, token = data.get("run_key"), data.get("token")
         return WorkerHeartbeat(
-            worker=path.stem, pid=int(data.get("pid", 0)),
-            mono=float(data["mono"]), ttl=float(data["ttl"]),
-            age_s=now - float(data["mono"]),
-            run_key=tuple(run_key) if run_key is not None else None,
-            token=None if token is None else int(token))
+            worker=path.stem, pid=_int(data.get("pid", 0)), mono=mono,
+            ttl=_finite(data["ttl"]), age_s=now - mono,
+            run_key=None if run_key is None else _run_key(run_key),
+            token=None if token is None else _int(token))
     except (OSError, ValueError, KeyError, TypeError, OverflowError):
         return None
 
@@ -517,8 +519,6 @@ class DurableTaskQueue:
                         "ev": "header", "version": QUEUE_VERSION,
                         "identity": self.identity,
                         "lease_s": self.default_lease_s}])
-                    if self.fsync:
-                        fsync_directory(self.root)
         if create:
             # Coordinator-side open: clear heartbeat files left by a
             # previous campaign against a reused queue directory, so
@@ -706,16 +706,13 @@ class DurableTaskQueue:
         claims), so ``repro status`` can show not just *that* a worker
         is alive but *what* it holds and under which lease generation.
         """
-        self.workers_dir.mkdir(parents=True, exist_ok=True)
-        path = self.workers_dir / f"{worker}.hb"
-        tmp = path.with_suffix(".hb.tmp")
         record: dict = {"pid": pid, "mono": self.clock(), "ttl": ttl_s}
         if run_key is not None:
             record["run_key"] = list(run_key)
         if token is not None:
             record["token"] = token
-        tmp.write_text(json.dumps(record), encoding="utf-8")
-        os.replace(tmp, path)
+        write_atomic(self.workers_dir / f"{worker}.hb",
+                     json.dumps(record).encode("utf-8"))
 
     def worker_heartbeats(self) -> list["WorkerHeartbeat"]:
         """Decode every readable heartbeat file (live and stale)."""
@@ -765,31 +762,6 @@ class DurableTaskQueue:
                 workers=pruned)
         return pruned
 
-    # -- spool serving ---------------------------------------------------
-
-    def read_raw(self, offset: int, max_bytes: int = 1 << 20,
-                 ) -> tuple[bytes, int]:
-        """Whole framed spool lines from ``offset`` on, verbatim.
-
-        This is how the broker streams its spool to coordinator
-        mirrors: the returned chunk ends at a newline (a torn tail is
-        never served) and keeps the on-disk CRC framing, so the far end
-        verifies line integrity over the network exactly as a local
-        replay would on disk.  Returns ``(chunk, next_offset)``; an
-        empty chunk means nothing new yet.
-        """
-        try:
-            with self.events_path.open("rb") as handle:
-                handle.seek(offset)
-                data = handle.read(max_bytes)
-        except OSError:
-            return b"", offset
-        end = data.rfind(b"\n")
-        if end < 0:
-            return b"", offset
-        chunk = data[:end + 1]
-        return chunk, offset + len(chunk)
-
     # -- replay / append internals --------------------------------------
 
     def _locked(self) -> "_LockScope":
@@ -799,25 +771,14 @@ class DurableTaskQueue:
         """Replay any events appended since the last catch-up.
 
         Only whole, newline-terminated lines are consumed; a torn tail
-        (a writer died mid-append) is left unread until a later writer
-        repairs the framing.  Lines without a framed JSON object are
-        skipped and counted, never fatal.
+        (a writer died mid-append) is left unread until a later append
+        terminates it.  Lines without a framed JSON object are skipped
+        and counted, never fatal.
         """
         with self._mutex:
-            if not self.events_path.exists():
-                return
-            with self.events_path.open("rb") as handle:
-                handle.seek(self._offset)
-                data = handle.read()
-            end = data.rfind(b"\n")
-            if end < 0:
-                return  # nothing new, or only a torn tail so far
-            offset = self._offset
-            self._offset += end + 1
-            for raw in data[:end].split(b"\n"):
-                line_offset = offset
-                offset += len(raw) + 1
-                line = raw.decode("utf-8", errors="replace")
+            lines = LineReader(self.events_path, self._offset)
+            for line in lines:
+                line_offset, self._offset = self._offset, lines.offset
                 if not line.strip():
                     continue
                 observed = replay_line(self.state, line)
@@ -839,25 +800,9 @@ class DurableTaskQueue:
         the lock, so what we read back is exactly what we wrote (plus,
         harmlessly, anything appended before we acquired it).
         """
-        created = not self.events_path.exists()
-        with self.events_path.open("ab") as handle:
-            handle.seek(0, os.SEEK_END)
-            if handle.tell() > 0:
-                # Repair a torn tail left by a writer killed mid-append:
-                # a leading newline isolates the fragment into its own
-                # (CRC-invalid, skipped) line instead of corrupting ours.
-                with self.events_path.open("rb") as reader:
-                    reader.seek(-1, os.SEEK_END)
-                    if reader.read(1) != b"\n":
-                        handle.write(b"\n")
-            for event in events:
-                encoded = frame_line(json.dumps(event)) + "\n"
-                handle.write(encoded.encode("utf-8"))
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        if created and self.fsync:
-            fsync_directory(self.root)
+        append_lines(self.events_path,
+                     [frame_object(event) for event in events],
+                     fsync=self.fsync)
         self.catch_up()
 
 

@@ -28,8 +28,6 @@ from hypothesis import strategies as st
 from repro.campaign.broker import (
     BROKER_PROTOCOL_VERSION,
     CampaignBroker,
-    decode_framed,
-    encode_framed,
     serve_broker,
 )
 from repro.campaign.broker_client import (
@@ -43,7 +41,8 @@ from repro.campaign.broker_client import (
 from repro.campaign.scheduler import BrokerScheduler
 from repro.campaign.worker import QueueWorker, WorkerConfig
 from repro.cli import build_parser
-from repro.resilience.checkpoint import CheckpointMismatchError, frame_line
+from repro.resilience.checkpoint import CheckpointMismatchError
+from repro.resilience.framing import frame_line, frame_object, load_framed_line
 from repro.resilience.memo import sha256_digest
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.supervision import CircuitBreaker, CircuitBreakerOpen
@@ -60,8 +59,8 @@ def make_broker(tmp_path, clock=None, **kwargs):
 
 def post(broker, path, obj):
     """One framed verb against ``handle``; returns (status, decoded)."""
-    status, _ctype, payload = broker.handle("POST", path, encode_framed(obj))
-    return status, decode_framed(payload)
+    status, _ctype, payload = broker.handle("POST", path, frame_object(obj))
+    return status, load_framed_line(payload)
 
 
 def attach(broker, identity="camp-1", lease_s=30.0):
@@ -82,7 +81,7 @@ def replay_spool(broker) -> LeaseState:
     """A fresh replay of everything the broker wrote to its spool."""
     state = LeaseState()
     spool = broker.queue_dir / "events.spool"
-    for line in spool.read_text(encoding="utf-8").splitlines():
+    for line in spool.read_bytes().splitlines():
         assert replay_line(state, line) is not None
     return state
 
@@ -106,28 +105,28 @@ def make_client(broker_or_send, **kwargs):
 
 class TestFraming:
     def test_roundtrip(self):
-        body = encode_framed({"ev": "claim", "seq": 3})
-        assert decode_framed(body) == {"ev": "claim", "seq": 3}
+        body = frame_object({"ev": "claim", "seq": 3})
+        assert load_framed_line(body) == {"ev": "claim", "seq": 3}
 
     def test_flipped_byte_fails_crc(self):
-        body = bytearray(encode_framed({"seq": 3}))
+        body = bytearray(frame_object({"seq": 3}))
         body[-3] ^= 0x20
-        assert decode_framed(bytes(body)) is None
+        assert load_framed_line(bytes(body)) is None
 
     def test_non_dict_and_garbage_rejected(self):
-        framed_list = (frame_line("[1, 2]") + "\n").encode()
-        assert decode_framed(framed_list) is None
-        assert decode_framed(b"") is None
-        assert decode_framed(b"\xff\xfe not utf8 \xff") is None
-        assert decode_framed(b"deadbeef not-json") is None
+        framed_list = frame_line(b"[1, 2]") + b"\n"
+        assert load_framed_line(framed_list) is None
+        assert load_framed_line(b"") is None
+        assert load_framed_line(b"\xff\xfe not utf8 \xff") is None
+        assert load_framed_line(b"deadbeef not-json") is None
 
 
 #: Framed bodies whose CRC is fine but whose JSON cannot be decoded:
 #: an integer past the int digit limit, and nesting past the
 #: recursion limit.
-HUGE_INT_BODY = (frame_line('{"seq": ' + "1" * 5000 + "}") + "\n").encode()
-DEEP_BODY = (frame_line('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}")
-             + "\n").encode()
+HUGE_INT_BODY = frame_line(b'{"seq": ' + b"1" * 5000 + b"}") + b"\n"
+DEEP_BODY = frame_line(b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}") \
+    + b"\n"
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -146,25 +145,57 @@ _FRAMED_PAYLOADS = st.one_of(
     st.text(max_size=40))
 
 
+class TestBlobDurability:
+    """A payload blob is on disk before the spool event that names it:
+    with ``fsync`` the blob, then each directory entry its write
+    created, then the spool append are synced, in that order."""
+
+    @staticmethod
+    def recording_fsync(monkeypatch) -> list[int]:
+        synced: list[int] = []
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: synced.append(os.fstat(fd).st_ino))
+        return synced
+
+    def test_blob_then_its_directories_then_the_spool(self, tmp_path,
+                                                      monkeypatch):
+        broker = make_broker(tmp_path, fsync=True)
+        attach(broker)
+        synced = self.recording_fsync(monkeypatch)
+        submit(broker, ("r0",), "task-r0")
+        blob = broker.store.directory / sha256_digest(b"task-r0")[:2] \
+            / sha256_digest(b"task-r0")
+        assert synced == [path.stat().st_ino for path in (
+            blob, blob.parent, broker.store.directory,
+            broker.queue_dir / "events.spool")]
+
+    def test_no_fsync_broker_syncs_nothing(self, tmp_path, monkeypatch):
+        broker = make_broker(tmp_path)  # fsync=False
+        attach(broker)
+        synced = self.recording_fsync(monkeypatch)
+        submit(broker, ("r0",), "task-r0")
+        assert synced == []
+
+
 class TestFramingDecodesOrNone:
-    """``decode_framed`` answers a dict or ``None``, for any body."""
+    """``load_framed_line`` answers a dict or ``None``, for any body."""
 
     @settings(max_examples=300, deadline=None)
     @given(body=st.binary(max_size=200) | _FRAMED_PAYLOADS.map(
-        lambda payload: (frame_line(payload) + "\n").encode()))
+        lambda payload: frame_line(payload.encode()) + b"\n"))
     def test_arbitrary_bytes_and_framed_json(self, body):
-        decoded = decode_framed(body)
+        decoded = load_framed_line(body)
         assert decoded is None or isinstance(decoded, dict)
 
     @pytest.mark.parametrize("body", [HUGE_INT_BODY, DEEP_BODY],
                              ids=["int-digit-limit", "recursion-limit"])
     def test_undecodable_crc_valid_bodies(self, tmp_path, body):
-        assert decode_framed(body) is None
+        assert load_framed_line(body) is None
         broker = make_broker(tmp_path)
         status, _ctype, payload = broker.handle("POST", "/v1/claim", body)
         assert status == 400  # a malformed request, not an internal error
         assert "not a CRC-framed JSON object" in \
-            decode_framed(payload)["error"]
+            load_framed_line(payload)["error"]
 
     @pytest.mark.parametrize("body", [HUGE_INT_BODY, DEEP_BODY],
                              ids=["int-digit-limit", "recursion-limit"])
@@ -195,7 +226,7 @@ class TestBrokerProtocol:
         assert status == 200
         assert response["claim"] is None and response["ready"] is False
         status, _ctype, payload = broker.handle("GET", "/v1/status", b"")
-        assert decode_framed(payload)["ready"] is False
+        assert load_framed_line(payload)["ready"] is False
 
     def test_attach_create_then_worker_attach(self, tmp_path):
         broker = make_broker(tmp_path)
@@ -263,7 +294,7 @@ class TestBrokerProtocol:
         status, response = post(broker, "/v1/outcome", {"digest": outcome})
         assert status == 200 and response["payload"] == "outcome-bytes"
         status, _ctype, payload = broker.handle("GET", "/v1/status", b"")
-        final = decode_framed(payload)
+        final = load_framed_line(payload)
         assert final["drained"] is True and final["depth"] == 0
         assert final["completed"] == 1 and final["fenced"] == 0
 
@@ -272,12 +303,12 @@ class TestBrokerProtocol:
         attach(broker)
         submit(broker, ("a",), "pa")
         submit(broker, ("b",), "pb")
-        first = broker.handle("POST", "/v1/claim", encode_framed(
+        first = broker.handle("POST", "/v1/claim", frame_object(
             {"worker": "w0", "lease_s": 5.0, "idem": "w0-1"}))
-        replay = broker.handle("POST", "/v1/claim", encode_framed(
+        replay = broker.handle("POST", "/v1/claim", frame_object(
             {"worker": "w0", "lease_s": 5.0, "idem": "w0-1"}))
         assert replay == first  # byte-identical cached response
-        assert decode_framed(first[2])["claim"]["seq"] == 0
+        assert load_framed_line(first[2])["claim"]["seq"] == 0
         # The replay leased nothing: a fresh idempotency key gets the
         # SECOND task, proving the duplicate never consumed one.
         status, response = post(broker, "/v1/claim", {
@@ -299,7 +330,7 @@ class TestBrokerProtocol:
         _, retried = post(broker, "/v1/complete", {**request, "idem": "k-2"})
         assert retried["ok"] is True
         status, _ctype, payload = broker.handle("GET", "/v1/status", b"")
-        final = decode_framed(payload)
+        final = load_framed_line(payload)
         assert final["completed"] == 1 and final["fenced"] == 0
 
     def test_two_completes_of_one_outcome_store_one_blob(self, tmp_path):
@@ -406,7 +437,7 @@ class TestBrokerProtocol:
         # Reads and the coordinator's mirror sync stay available.
         assert post(broker, "/v1/sync", {"offset": 0})[0] == 200
         status, _ctype, payload = broker.handle("GET", "/v1/status", b"")
-        assert status == 200 and decode_framed(payload)["draining"] is True
+        assert status == 200 and load_framed_line(payload)["draining"] is True
         assert broker.store.count() == 0  # the refused submit stored nothing
 
     def test_outcome_is_answered_in_drain_mode(self, tmp_path):
@@ -496,11 +527,11 @@ def with_field(request, field, text):
     rest = json.dumps({key: value for key, value in request.items()
                        if key != field})
     if text is None:
-        return (frame_line(rest) + "\n").encode()
+        return frame_line(rest.encode()) + b"\n"
     inner = rest[1:-1]
     body = "{" + json.dumps(field) + ": " + text \
         + (", " + inner if inner else "") + "}"
-    return (frame_line(body) + "\n").encode()
+    return frame_line(body.encode()) + b"\n"
 
 
 class TestRequestFieldsDecodeOr400:
@@ -516,8 +547,8 @@ class TestRequestFieldsDecodeOr400:
             broker = fuzz_broker(os.path.join(root, "q"), path)
             status, _ctype, payload = broker.handle(
                 "POST", path, with_field(_VERB_REQUESTS[path], field, text))
-            assert status in (200, 400, 409), decode_framed(payload)
-            assert decode_framed(payload) is not None
+            assert status in (200, 400, 409), load_framed_line(payload)
+            assert load_framed_line(payload) is not None
             if (broker.queue_dir / "events.spool").exists():
                 state = replay_spool(broker)
                 assert state.stats.invalid == 0
@@ -533,8 +564,8 @@ class TestRequestFieldsDecodeOr400:
     def test_the_valid_requests_succeed(self, tmp_path, path):
         broker = fuzz_broker(tmp_path / "q", path)
         status, _ctype, payload = broker.handle(
-            "POST", path, encode_framed(_VERB_REQUESTS[path]))
-        assert status == 200, decode_framed(payload)
+            "POST", path, frame_object(_VERB_REQUESTS[path]))
+        assert status == 200, load_framed_line(payload)
 
 
 class TestBrokerClient:
@@ -645,7 +676,7 @@ class TestBrokerClient:
         def noisy(method, path, body):
             status, payload = inner(method, path, body)
             if path == "/v1/claim":
-                sent.append(decode_framed(body))
+                sent.append(load_framed_line(body))
                 if len(sent) == 1:  # the payload itself is hit in flight
                     at = payload.index(b"precious")
                     return status, payload[:at] + b"P" + payload[at + 1:]
@@ -726,7 +757,7 @@ class TestBrokerClient:
         sent = []
 
         def recording(method, path, body):
-            sent.append((path, decode_framed(body)))
+            sent.append((path, load_framed_line(body)))
             return inner(method, path, body)
 
         client = make_client(recording, role="worker", worker_id="w0")
@@ -751,10 +782,10 @@ class TestBrokerClient:
         def corrupting(method, path, body):
             status, payload = inner(method, path, body)
             if path == "/v1/sync":
-                decoded = decode_framed(payload)
+                decoded = load_framed_line(payload)
                 decoded["events"] = ("deadbeef {\"ev\": \"torn\"}\n"
                                      + decoded["events"])
-                return status, encode_framed(decoded)
+                return status, frame_object(decoded)
             return status, payload
 
         fresh = BrokerClient("http://test-broker", role="coordinator",

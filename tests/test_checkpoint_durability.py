@@ -20,14 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import instrumented, make_instrumentation
-from repro.resilience import checkpoint as checkpoint_module
+from repro.resilience import framing
 from repro.resilience.checkpoint import (
     CampaignCheckpoint,
     CheckpointMismatchError,
-    frame_line,
-    fsync_directory,
-    unframe_line,
 )
+from repro.resilience.framing import frame_line, fsync_directory, unframe_line
 from tests.test_obs_metrics import FakeClock
 
 
@@ -114,22 +112,23 @@ class TestIdentityCheck:
 
 
 class TestFramingAndDirectoryFsync:
-    """The public v1 framing helpers and the create-time directory fsync.
+    """The shared frame and the create-time directory fsync.
 
-    ``frame_line``/``unframe_line`` are shared with the task-queue
-    spool, and the directory fsync on file *creation* is what makes a
-    brand-new checkpoint (or spool) survive a power cut — an fsynced
-    file whose directory entry was never flushed simply vanishes.
+    ``frame_line``/``unframe_line`` (:mod:`repro.resilience.framing`)
+    frame every durable store, and the directory fsync on file
+    *creation* is what makes a brand-new checkpoint (or spool) survive
+    a power cut — an fsynced file whose directory entry was never
+    flushed simply vanishes.
     """
 
     def test_frame_round_trip(self):
-        payload = '{"key": ["OP_V", "A9", "A9-P0", 0]}'
+        payload = b'{"key": ["OP_V", "A9", "A9-P0", 0]}'
         text, crc_ok = unframe_line(frame_line(payload))
         assert (text, crc_ok) == (payload, True)
 
     def test_corrupted_frame_fails_the_crc(self):
-        framed = frame_line("payload")
-        _, crc_ok = unframe_line(framed[:-1] + "X")
+        framed = frame_line(b"payload")
+        _, crc_ok = unframe_line(framed[:-1] + b"X")
         assert crc_ok is False
 
     def test_fsync_directory_flushes_a_real_directory(self, tmp_path):
@@ -138,7 +137,7 @@ class TestFramingAndDirectoryFsync:
     def test_directory_fsynced_exactly_once_on_creation(
             self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(checkpoint_module, "fsync_directory",
+        monkeypatch.setattr(framing, "fsync_directory",
                             lambda path: calls.append(Path(path)))
         checkpoint = CampaignCheckpoint(tmp_path / "c.ckpt",
                                         identity="cafe1234")
@@ -150,7 +149,7 @@ class TestFramingAndDirectoryFsync:
     def test_no_fsync_mode_skips_the_directory_fsync(
             self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(checkpoint_module, "fsync_directory",
+        monkeypatch.setattr(framing, "fsync_directory",
                             lambda path: calls.append(Path(path)))
         checkpoint = CampaignCheckpoint(tmp_path / "c.ckpt",
                                         identity="cafe1234", fsync=False)
@@ -235,10 +234,45 @@ class TestCorruptionTolerance:
         assert len(loaded) >= len(full) - 2
 
 
+class TestTornTailOnResume:
+    """A coordinator killed mid-append leaves a torn last line; the
+    next append must not fuse its entry with that fragment."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_runs_recorded_after_a_torn_tail_all_load(self, data):
+        n_entries = data.draw(st.integers(min_value=1, max_value=5))
+        new_keys = [("OP_V", "A9", "A9-P8", 8), ("OP_V", "A9", "A9-P9", 9)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.ckpt"
+            write_checkpoint(path, n_entries=n_entries, fsync=False)
+            written = path.read_bytes()
+            last_line = written.rindex(b"\n", 0, len(written) - 1) + 1
+            # Inside the last line: part of it stays, part of its
+            # payload goes.
+            cut = data.draw(st.integers(min_value=last_line + 1,
+                                        max_value=len(written) - 2))
+            path.write_bytes(written[:cut])
+            torn = CampaignCheckpoint(path, identity="cafe1234") \
+                .load_report()
+            resumed = CampaignCheckpoint(path, identity="cafe1234",
+                                         fsync=False)
+            for key in new_keys:
+                resumed.record_success(key, "{}")
+            report = CampaignCheckpoint(path, identity="cafe1234") \
+                .load_report()
+        # Header + n entries: the fragment is line n + 1, before and
+        # after the appends, and it is the only line skipped.
+        assert torn.skipped_lines == [n_entries + 1]
+        assert report.skipped_lines == [n_entries + 1]
+        assert list(report.entries) == list(torn.entries) + new_keys
+        assert len(torn.entries) == n_entries - 1
+
+
 def write_framed(path, payloads):
     """A checkpoint whose lines are ``payloads``, each correctly framed."""
-    path.write_text("".join(frame_line(payload) + "\n"
-                            for payload in payloads), encoding="utf-8")
+    path.write_bytes(b"".join(frame_line(payload.encode()) + b"\n"
+                              for payload in payloads))
 
 
 #: A well-formed entry, for files whose other lines are hostile.

@@ -188,6 +188,31 @@ class TestProfileCommand:
         assert verify_span_tree(
             parse_spans_jsonl(spans.read_text())) == []
 
+    def test_profile_reconciles_and_workers_2_counters_match(
+            self, tmp_path, capsys):
+        """``repro profile --seed 42`` at its defaults, under
+        ``--workers 1`` and ``--workers 2``: the metrics export
+        reconciles, and the parallel run exports exactly the sequential
+        run's counters."""
+        snapshots = {}
+        for workers in (1, 2):
+            metrics = tmp_path / f"metrics-w{workers}.json"
+            assert main(["profile", "--seed", "42", "--workers",
+                         str(workers), "--metrics-out", str(metrics),
+                         "--trace-out",
+                         str(tmp_path / f"spans-w{workers}.jsonl")]) == 0
+            snapshots[workers] = json.loads(metrics.read_text())
+        counters = snapshots[1]["counters"]
+
+        def total(name):
+            return sum(counters.get(name, {}).values())
+
+        scheduled = total("campaign_runs_scheduled_total")
+        assert scheduled > 0
+        assert scheduled == total("campaign_runs_completed_total") \
+            + total("campaign_runs_quarantined_total")
+        assert snapshots[2]["counters"] == counters
+
     def test_parser_defaults(self):
         args = build_parser().parse_args(["profile"])
         assert args.seed == 42

@@ -1,6 +1,8 @@
 """Per-worker telemetry spools: framing, incremental flush, torn tails."""
 
+import hashlib
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from repro.obs.spool import (
     read_spool_frames,
 )
 from repro.obs.tracing import verify_span_tree
-from repro.resilience.checkpoint import frame_line
+from repro.resilience.framing import frame_line
 from tests.test_obs_metrics import FakeClock
 from tests.test_obs_status import make_aggregator, make_queue
 
@@ -200,8 +202,8 @@ class TestTornAndCorruptSpools:
 
     def test_unframed_garbage_line_is_skipped(self, tmp_path):
         path = tmp_path / ("w9" + SPOOL_SUFFIX)
-        path.write_text(frame_line(json.dumps({"no_type": 1})) + "\n"
-                        "not a frame at all\n")
+        path.write_bytes(frame_line(json.dumps({"no_type": 1}).encode())
+                         + b"\nnot a frame at all\n")
         frames, offset, skipped, torn = read_spool_frames(path)
         assert frames == []
         assert skipped == 2
@@ -225,8 +227,8 @@ class TestTornAndCorruptSpools:
 def write_frames(path, payloads):
     """A spool file whose lines are ``payloads``, each correctly framed."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(frame_line(payload) + "\n"
-                            for payload in payloads), encoding="utf-8")
+    path.write_bytes(b"".join(frame_line(payload.encode()) + b"\n"
+                              for payload in payloads))
 
 
 META = json.dumps({"t": "meta", "session": "s1", "worker": "w0", "pid": 7})
@@ -302,3 +304,37 @@ class TestFramedLinesDecodeOrSkip:
             or isinstance(content.latest_session, str)
         assert all(isinstance(event.name, str) for event in content.events)
         assert all(isinstance(span.name, str) for span in content.spans)
+
+
+#: SHA-256 of the spool ``test_fixed_flush_sequence_writes_pinned_bytes``
+#: writes, recorded from the code before the spool writers shared one
+#: framed-file layer: a change to it is a change of the on-disk format.
+SPOOL_SHA256 = \
+    "4073e449e5bab7a4d1704ba19d3791c991e4a36c893a9ab2156903b29ee01a21"
+
+
+def test_fixed_flush_sequence_writes_pinned_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "getpid", lambda: 4242)
+    clock = FakeClock(50.0)
+    obs = make_instrumentation(clock=clock)
+    obs.events._wall_clock = lambda: 1700000000.0
+    spool = TelemetrySpool(tmp_path, "w1", campaign="cafe1234", clock=clock,
+                           wall_clock=lambda: 1700000000.5)
+    spool.open()
+    obs.events.emit("worker.attach", pid=4242)
+    obs.registry.counter("runs_total").inc(3, op="OP_V")
+    with obs.tracer.span("run", key="a"):
+        clock.advance(0.25)
+    spool.flush(obs)
+    spool.flush(obs)  # nothing new: no bytes
+    obs.registry.counter("runs_total").inc(op="OP_T")
+    obs.events.emit("worker.complete", severity="debug", seq=1)
+    spool.flush(obs)
+    with spool.path.open("ab") as handle:  # a killed incarnation's tear
+        handle.write(b'0123abcd {"t": "ev')
+    again = TelemetrySpool(tmp_path, "w1", clock=clock,
+                           wall_clock=lambda: 1700000100.0)
+    again.open()
+    again.flush(obs)
+    assert hashlib.sha256(spool.path.read_bytes()).hexdigest() \
+        == SPOOL_SHA256

@@ -8,13 +8,18 @@ wiring (``repro status``, ``--log-level``/``--log-json``).
 """
 
 import json
+import math
 import socket
+import tempfile
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import build_parser, main, _build_instrumentation
 from repro.obs import NULL_INSTRUMENTATION, make_instrumentation
@@ -28,6 +33,15 @@ from repro.resilience.taskqueue import DurableTaskQueue
 from tests.test_obs_metrics import FakeClock
 
 KEYS = [("OP_V", "A9", "A9-P1", 0), ("OP_V", "A9", "A9-P1", 1)]
+
+#: Any JSON value, non-finite numbers and huge integers included.
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([10 ** 400, 2 ** 63, "nan", "12"])
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6)
 
 #: View keys that legitimately change between back-to-back refreshes.
 VOLATILE_VIEW_KEYS = ("generated_wall_s", "throughput")
@@ -103,7 +117,15 @@ class TestHeartbeatEnrichment:
         '{"pid": 1, "mono": ' + "[" * 100_000 + "]" * 100_000
         + ', "ttl": 5}',
         "[1]",
-    ], ids=["pid-overflow", "token-overflow", "deep-nesting", "not-object"])
+        '{"pid": 1, "mono": 0, "ttl": 5, "run_key": "ab"}',
+        '{"pid": 1, "mono": 0, "ttl": 5, "run_key": {"x": 1}}',
+        '{"pid": "12", "mono": 0, "ttl": 5}',
+        '{"pid": 1, "mono": 0, "ttl": 5, "token": 1.5}',
+        '{"pid": 1, "mono": "nan", "ttl": 5}',
+        '{"pid": 1, "mono": NaN, "ttl": 5}',
+    ], ids=["pid-overflow", "token-overflow", "deep-nesting", "not-object",
+            "run-key-string", "run-key-object", "pid-string",
+            "token-float", "mono-string", "mono-nan"])
     def test_undecodable_heartbeat_file_is_ignored(self, tmp_path, body):
         clock = FakeClock()
         queue = make_queue(tmp_path, clock)
@@ -115,6 +137,35 @@ class TestHeartbeatEnrichment:
         assert aggregator.refresh()
         assert [worker["worker"] for worker in aggregator.view().workers] \
             == ["w1"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_json_fields_give_writer_types_or_none(self, data):
+        record = {"pid": 7, "mono": 3.0, "ttl": 5.0,
+                  "run_key": ["OP_V", "A9", "A9-P1", 0], "token": 2}
+        for name in list(record):
+            change = data.draw(st.sampled_from(["keep", "drop", "json"]))
+            if change == "drop":
+                del record[name]
+            elif change == "json":
+                record[name] = data.draw(ANY_JSON)
+        with tempfile.TemporaryDirectory() as tmp:
+            queue = DurableTaskQueue(Path(tmp), clock=FakeClock(10.0),
+                                     fsync=False)
+            queue.workers_dir.mkdir()
+            (queue.workers_dir / "w0.hb").write_text(json.dumps(record))
+            beats = queue.worker_heartbeats()
+        if not beats:
+            return
+        [beat] = beats
+        assert type(beat.pid) is int
+        assert type(beat.mono) is float and math.isfinite(beat.mono)
+        assert type(beat.ttl) is float and math.isfinite(beat.ttl)
+        assert not math.isnan(beat.age_s)
+        assert beat.run_key is None or type(beat.run_key) is tuple \
+            and all(part is None or type(part) in (str, int, float)
+                    for part in beat.run_key)
+        assert beat.token is None or type(beat.token) is int
 
     def test_future_stamp_reads_as_dead(self, tmp_path):
         # A heartbeat from before a reboot: CLOCK_MONOTONIC restarted,

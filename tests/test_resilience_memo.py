@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import pickle
 import sys
+import tempfile
 import threading
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign.operators import operator
 from repro.campaign.runner import CampaignConfig, CampaignRunner
 from repro.core.pipeline import analyze_trace
 from repro.obs import instrumented, make_instrumentation
+from repro.resilience.framing import frame_line
 from repro.resilience.memo import (
     AnalysisMemo,
     ArtifactStore,
@@ -79,12 +84,26 @@ class TestMemoStore:
             assert AnalysisMemo(tmp_path, identity="aaaa").get(digest) \
                 is not None
 
+    def test_entry_is_one_frame_around_the_pickle(self, tmp_path):
+        trace = _small_trace()
+        digest = trace_digest(trace.to_jsonl())
+        analysis = analyze_trace(trace)
+        memo = AnalysisMemo(tmp_path)
+        memo.put(digest, analysis)
+        payload = pickle.dumps(analysis, protocol=pickle.HIGHEST_PROTOCOL)
+        assert (memo.directory / f"{digest}.pkl").read_bytes() \
+            == b"%08x " % zlib.crc32(payload) + payload
+
     @pytest.mark.parametrize("corruption", [
-        b"not the memo magic at all",
-        b"RMEMO1\n" + b"00000000\n" + b"payload with a wrong crc",
-        b"RMEMO1\n" + b"zzzzzzzz\n" + b"unparseable crc field",
-        b"RMEMO1\n",  # truncated before the CRC line
-    ])
+        b"not the memo frame at all",
+        b"00000000 payload with a wrong crc",
+        b"zzzzzzzz unparseable crc field",
+        b"0123abc",  # truncated inside the CRC prefix
+        # The older layout: magic line, CRC line, pickle.
+        b"RMEMO1\n" + f"{zlib.crc32(b'N.'):08x}\n".encode() + b"N.",
+        frame_line(pickle.dumps({"not": "an analysis"})),
+    ], ids=["unframed", "wrong-crc", "unparseable-crc", "truncated-prefix",
+            "rmemo1-entry", "not-an-analysis"])
     def test_corrupt_entry_warns_and_recomputes(self, tmp_path, corruption,
                                                 caplog):
         obs = make_instrumentation()
@@ -112,12 +131,71 @@ class TestMemoStore:
         trace = _small_trace()
         digest = trace_digest(trace.to_jsonl())
         payload = pickle.dumps(analyze_trace(trace))[:10]
-        blob = b"RMEMO1\n" + f"{zlib.crc32(payload):08x}\n".encode() + payload
+        blob = frame_line(payload)  # the CRC holds; the pickle is cut
         with instrumented(obs):
             memo = AnalysisMemo(tmp_path)
             (memo.directory / f"{digest}.pkl").write_bytes(blob)
             assert memo.get(digest) is None
         assert _counters(obs)["corrupt"] == 1
+
+
+@functools.lru_cache(maxsize=1)
+def _stored_entry() -> tuple[str, object, bytes]:
+    """A digest, its analysis and the entry file ``put`` writes."""
+    trace = _small_trace()
+    digest = trace_digest(trace.to_jsonl())
+    analysis = analyze_trace(trace)
+    with tempfile.TemporaryDirectory() as tmp:
+        memo = AnalysisMemo(tmp)
+        memo.put(digest, analysis)
+        blob = (memo.directory / f"{digest}.pkl").read_bytes()
+    return digest, analysis, blob
+
+
+def _mutated_entries():
+    """The stored entry cut, bit-flipped or spliced; arbitrary bytes;
+    CRC-valid frames around pickles of values that are not analyses.
+    (No CRC-valid frame around arbitrary bytes: unpickling runs code.)"""
+    blob = _stored_entry()[2]
+    cuts = st.integers(0, len(blob)).map(lambda cut: blob[:cut])
+    flips = st.tuples(st.integers(0, len(blob) - 1),
+                      st.integers(0, 7)).map(
+        lambda hit: blob[:hit[0]] + bytes([blob[hit[0]] ^ 1 << hit[1]])
+        + blob[hit[0] + 1:])
+    splices = st.tuples(st.integers(0, len(blob)), st.binary(max_size=16)) \
+        .map(lambda cut: blob[:cut[0]] + cut[1] + blob[cut[0]:])
+    values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats()
+        | st.text(max_size=8) | st.binary(max_size=8),
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=4), children, max_size=3),
+        max_leaves=6)
+    return st.one_of(
+        st.just(blob), cuts, flips, splices, st.binary(max_size=300),
+        values.map(lambda value: frame_line(pickle.dumps(value))))
+
+
+class TestMemoEntryFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_entry_bytes_hit_or_count_one_corrupt_miss(self, data):
+        digest, analysis, _ = _stored_entry()
+        blob = data.draw(_mutated_entries())
+        obs = make_instrumentation()
+        with tempfile.TemporaryDirectory() as tmp, instrumented(obs):
+            memo = AnalysisMemo(tmp)
+            path = memo.directory / f"{digest}.pkl"
+            path.write_bytes(blob)
+            got = memo.get(digest)
+            evicted = not path.exists()
+        counters = _counters(obs)
+        if got is not None:
+            assert got == analysis
+            assert counters == {"hits": 1, "misses": 0, "corrupt": 0}
+            assert not evicted
+        else:
+            assert counters == {"hits": 0, "misses": 1, "corrupt": 1}
+            assert evicted
 
 
 class TestArtifactStore:

@@ -129,6 +129,35 @@ class TestBrokerSchedulerPump:
         assert registry.gauge("leases_active").value() == 0
         assert registry.counter("leases_expired_total").total() == 0
 
+    def test_completions_already_mirrored_merge_without_a_sync(
+            self, tmp_path):
+        clock = FakeClock()
+        broker = CampaignBroker(tmp_path / "q", clock=clock, fsync=False)
+        coordinator = client_for(broker, clock, role="coordinator",
+                                 identity="camp", default_lease_s=10.0)
+        scheduler = BrokerScheduler(coordinator, CircuitBreaker(),
+                                    stall_s=0.0)
+        assert scheduler.start()
+        worker = client_for(broker, clock, role="worker")
+        keys = [("OP_V", "A9", f"A9-P{index}", 0) for index in range(4)]
+        items = [pending(key) for key in keys]
+        requests = broker.obs.registry.counter("broker_requests_total")
+        with instrumented(make_instrumentation(clock=FakeClock())) as obs:
+            for item in items:
+                scheduler.submit(item)
+            scheduler.seal()
+            for _ in keys:
+                claim = worker.claim("w1", lease_s=10.0)
+                task = decode_payload(claim.payload)
+                worker.complete(claim, encode_payload(("ran", task.key)))
+            syncs = requests.value(verb="POST /v1/sync")
+            outcomes = [scheduler.drain(item).outcome for item in items]
+            # One sync brings all four completions into the mirror.
+            assert requests.value(verb="POST /v1/sync") - syncs == 1
+            scheduler.shutdown()
+        assert outcomes == [("ran", key) for key in keys]
+        assert obs.registry.gauge("queue_depth").value() == 0
+
     def test_expiry_and_steal_route_into_counters_and_breaker(
             self, tmp_path):
         clock = FakeClock()

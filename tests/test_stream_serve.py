@@ -12,12 +12,20 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import urllib.request
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cells.cell import Rat
+from repro.cli import main
 from repro.core.pipeline import analyze_trace
 from repro.obs import make_instrumentation
 from repro.serve import (
@@ -119,6 +127,25 @@ class TestFraming:
     def test_protocol_violations_raise(self, raw):
         with pytest.raises(FrameError):
             _read_raw(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.binary(max_size=120) | st.builds(
+        lambda length, body, rest: str(length).encode() + b"\n" + body + rest,
+        st.integers(-3, 150), st.binary(max_size=100),
+        st.binary(max_size=20)) | st.builds(
+        lambda frame, rest: frame + rest,
+        st.dictionaries(st.text(max_size=5), st.integers() | st.text(
+            max_size=5), max_size=3).map(encode_frame),
+        st.binary(max_size=20)))
+    def test_any_byte_stream_gives_a_dict_none_or_frame_error(self, raw):
+        try:
+            frame = _read_raw(raw, max_bytes=128)
+        except FrameError:
+            return
+        if frame is None:
+            assert raw == b""  # a clean EOF: nothing was sent
+        else:
+            assert isinstance(frame, dict)
 
     def test_oversized_frame_rejected_before_read(self):
         with pytest.raises(FrameError, match="cap"):
@@ -357,3 +384,86 @@ class TestProtocolErrors:
         verdict = results["d"].verdict
         assert json.loads(json.dumps(verdict)) == verdict
         assert verdict["kind"] == batch.kind.value
+
+
+class TestServeCommand:
+    """``repro stream serve`` as its own process, fed by ``repro stream
+    replay``: 20 simulated device traces over 5 connections."""
+
+    def start_server(self, events_out):
+        """The server process and the two lines it prints first: its
+        ``HOST:PORT`` and its ``/metrics`` URL."""
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "stream", "serve",
+             "--metrics-port", "0", "--events-out", str(events_out)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)
+        lines = []
+
+        def read_lines():
+            lines.extend(proc.stdout.readline().strip() for _ in range(2))
+
+        reader = threading.Thread(target=read_lines, daemon=True)
+        reader.start()
+        reader.join(timeout=60)
+        if len(lines) < 2 or not all(lines):
+            proc.kill()
+            raise AssertionError(f"server printed {lines}: "
+                                 f"{proc.communicate()[1]}")
+        return proc, lines[0], lines[1]
+
+    def test_replay_matches_batch_and_sigterm_exits_143(self, tmp_path,
+                                                         capsys):
+        streams = tmp_path / "streams"
+        streams.mkdir()
+        for index in range(20):
+            assert main(["simulate", "--operator",
+                         ("OP_A", "OP_T", "OP_V")[index % 3],
+                         "--duration", "180",
+                         "--location-index", str(index),
+                         "--run-index", str(index),
+                         "--out", str(streams / f"dev-{index}.jsonl")]) == 0
+        capsys.readouterr()
+        events = tmp_path / "events.jsonl"
+        proc, address, metrics_url = self.start_server(events)
+        try:
+            assert main(["stream", "replay", address,
+                         *sorted(map(str, streams.glob("*.jsonl"))),
+                         "--connections", "5"]) == 0
+            live = json.loads(capsys.readouterr().out)
+            with urllib.request.urlopen(metrics_url) as response:
+                prom = response.read().decode("utf-8")
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            try:
+                code = proc.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                code = proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert code == 143  # graceful stop on SIGTERM
+
+        assert len(live) == 20
+        assert all(entry["error"] is None for entry in live.values())
+        batch = {path.stem: analyze_trace(SignalingTrace.load(path))
+                 .detection for path in streams.glob("*.jsonl")}
+        for stream_id, detection in batch.items():
+            verdict = live[stream_id]["verdict"]
+            assert verdict["kind"] == detection.kind.value, stream_id
+            if detection.is_loop:
+                assert verdict["period"] == detection.period
+                assert verdict["repetitions"] == detection.repetitions
+                assert verdict["start_index"] == detection.start_index
+        onsets = {event["fields"]["stream"]
+                  for event in map(json.loads,
+                                   events.read_text().splitlines())
+                  if event["name"] == "stream.loop_onset"}
+        looping = {sid for sid, det in batch.items() if det.is_loop}
+        assert onsets == looping
+        assert len(looping) >= 3
+        assert 'stream_dedup_elements{stream="dev-0"}' in prom
+        assert "stream_verdicts_total" in prom
+        assert "stream_open_streams 0" in prom

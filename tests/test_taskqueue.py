@@ -18,6 +18,7 @@ Three layers under test:
   which must agree and never crash.
 """
 
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -26,9 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.broker import decode_framed, encode_framed
 from repro.campaign.broker_client import BrokerClient
-from repro.resilience.checkpoint import CheckpointMismatchError, frame_line
+from repro.resilience.checkpoint import CheckpointMismatchError
+from repro.resilience.framing import frame_line, frame_object, load_framed_line
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.taskqueue import (
     DurableTaskQueue,
@@ -232,8 +233,7 @@ class TestSpoolDurability:
         queue.submit_at(0, ("k0",), "p0")
         with queue.events_path.open("ab") as handle:
             handle.write(b"00000000 {garbage}\n")
-            handle.write((frame_line('{"ev": "close", "total": 1}')
-                          + "\n").encode())
+            handle.write(frame_line(b'{"ev": "close", "total": 1}') + b"\n")
         fresh = make_queue(tmp_path / "q", clock)
         fresh.open()
         assert fresh.state.closed
@@ -249,6 +249,44 @@ class TestSpoolDurability:
         assert queue.live_workers() == ["w1"]
         clock.advance(2.0)
         assert queue.live_workers() == []
+
+
+#: SHA-256 of the spool and heartbeat file
+#: ``test_fixed_verb_sequence_writes_pinned_bytes`` writes, recorded from
+#: the code before the spool writers shared one framed-file layer: a
+#: change to them is a change of the on-disk format.
+SPOOL_SHA256 = \
+    "94f5f75a43f32f23dbfb3a56202ec2e4a6a7a5f382ff89a3927c3284273af4cc"
+HEARTBEAT_SHA256 = \
+    "62e8d909f83e04f214ffa6ca3de18b82e0480ccec74b7b6e163ae3ce77780e1f"
+
+
+def test_fixed_verb_sequence_writes_pinned_bytes(tmp_path):
+    clock = FakeClock(100.0)
+    queue = make_queue(tmp_path / "q", clock, identity="cafe1234",
+                       default_lease_s=5.0)
+    queue.open(create=True)
+    for seq in range(4):
+        queue.submit_at(seq, ("OP_V", "A9", f"A9-P{seq}", seq),
+                        f"d{seq:063d}")
+    queue.close()
+    first = queue.claim("w1", 5.0)
+    clock.advance(1.0)
+    queue.heartbeat(first, 5.0)
+    queue.complete(first, "c" * 64)
+    second = queue.claim("w1", 5.0)
+    clock.advance(20.0)
+    queue.expire_overdue()
+    stolen = queue.claim("w2", 5.0)
+    assert not queue.complete(second, "f" * 64)  # fenced: no event
+    queue.complete(stolen, "e" * 64)
+    third = queue.claim("w2", 2.5)
+    queue.complete(third, "b" * 64)
+    queue.write_worker_heartbeat("w2", 5.0, pid=7, run_key=third.key,
+                                 token=third.token)
+    digest = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (
+        queue.events_path, queue.workers_dir / "w2.hb")]
+    assert digest == [SPOOL_SHA256, HEARTBEAT_SHA256]
 
 
 # ----------------------------------------------------------------------
@@ -417,9 +455,9 @@ def spool_with_task_0(root, lines=()):
     queue = make_queue(root, identity="camp")
     queue.open(create=True)
     queue.submit_at(0, ("k0",), "p0")
-    with queue.events_path.open("a", encoding="utf-8") as handle:
+    with queue.events_path.open("ab") as handle:
         for line in lines:
-            handle.write(frame_line(line) + "\n")
+            handle.write(frame_line(line.encode()) + b"\n")
 
 
 def disk_replay(root):
@@ -435,10 +473,10 @@ def mirror_replay(root):
 
     def send(method, path, body):
         if path == "/v1/attach":
-            return 200, encode_framed({"ready": True})
-        offset = decode_framed(body)["offset"]
+            return 200, frame_object({"ready": True})
+        offset = load_framed_line(body)["offset"]
         data = spool.read_bytes()
-        return 200, encode_framed({
+        return 200, frame_object({
             "events": data[offset:].decode("utf-8", "replace"),
             "next_offset": len(data), "status": {}})
 
