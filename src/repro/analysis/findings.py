@@ -31,10 +31,6 @@ class FindingResult:
     checked: bool = True
 
 
-def _loop_ratio(result: CampaignResult) -> float:
-    return result.loop_ratio()
-
-
 def check_f1(result: CampaignResult) -> FindingResult:
     """F1: loops occur often and are mostly persistent."""
     ratios = [result.for_operator(op).loop_ratio() for op in result.operators]

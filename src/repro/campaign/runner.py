@@ -17,7 +17,7 @@ their checkpointed traces rather than re-simulated).
 Every run executes through one function, :func:`_run_task` (retry
 loop, ``run`` span, retry/quarantine counters), and every backend feeds
 one schedule-order merge loop, :meth:`CampaignRunner._run_scheduled`
-(checkpoint append, result, progress, breaker, graceful shutdown).
+(checkpoint append, result, terminal event, breaker, graceful shutdown).
 Sequential execution is the :class:`~repro.campaign.scheduler.InlineScheduler`:
 ``_run_task`` in this process, one run at a time.  Runs are
 embarrassingly parallel (every run is seeded per key), so
@@ -27,8 +27,8 @@ processes draining a ``repro broker serve``; workers ship back
 ``(result-or-quarantine, metrics snapshot, spans)`` payloads that the
 parent merges **in schedule order**, so the ``CampaignResult``,
 checkpoint contents and every exported counter are bit-identical to
-sequential execution for the same seed.  Checkpoint appends and
-progress callbacks only ever happen in the parent process.
+sequential execution for the same seed.  Checkpoint appends and the
+campaign's run-outcome events only ever happen in the parent process.
 
 Execution is *supervised* (see :mod:`repro.resilience.supervision`):
 every run gets a cooperative wall-clock budget
@@ -170,6 +170,11 @@ def loop_probability_at(
     return hits / n_runs
 
 
+#: How long a graceful SIGTERM/SIGINT stop waits for finished head runs
+#: to merge into the checkpoint before the backend is killed.
+SHUTDOWN_GRACE_S = 5.0
+
+
 @dataclass
 class CampaignConfig:
     """Scale knobs of a campaign.
@@ -199,9 +204,7 @@ class CampaignConfig:
     ``breaker_max_consecutive_failures`` bound supervision-level
     recovery before the campaign fails fast (``0`` disables the
     consecutive-failure check).  ``checkpoint_fsync=False`` trades the
-    per-append fsync durability guarantee for throughput, and
-    ``shutdown_grace_s`` caps how long a graceful SIGTERM/SIGINT stop
-    waits to drain in-flight worker futures into the checkpoint.
+    per-append fsync durability guarantee for throughput.
 
     The scheduler knobs (see :mod:`repro.campaign.scheduler`):
     ``scheduler="pool"`` keeps the in-host supervised ProcessPool
@@ -209,13 +212,12 @@ class CampaignConfig:
     the schedule to the ``repro broker serve`` at ``broker_url`` and
     merges completions produced by independent ``repro worker``
     processes — ``lease_timeout_s`` is the work-claim lease each worker
-    must heartbeat, ``queue_poll_s`` the coordinator's sync cadence,
-    and ``queue_stall_s`` how long a silent queue with no live workers
-    is tolerated before the circuit breaker fails the campaign fast
-    (``0`` disables).  All of these are execution knobs: they are
-    deliberately excluded from :meth:`CampaignRunner.campaign_identity`,
-    so checkpoints and broker queues interoperate across
-    pool/broker/sequential execution.
+    must heartbeat, and ``queue_stall_s`` how long a silent queue with no
+    live workers is tolerated before the circuit breaker fails the
+    campaign fast (``0`` disables).  All of these are execution knobs:
+    they are deliberately excluded from
+    :meth:`CampaignRunner.campaign_identity`, so checkpoints and broker
+    queues interoperate across pool/broker/sequential execution.
 
     ``memo_dir`` enables the content-addressed analysis cache (see
     :mod:`repro.resilience.memo`): fresh runs digest their simulated
@@ -244,10 +246,8 @@ class CampaignConfig:
     checkpoint_fsync: bool = True
     breaker_max_rebuilds: int = 3
     breaker_max_consecutive_failures: int = 0
-    shutdown_grace_s: float = 5.0
     scheduler: str = "pool"
     lease_timeout_s: float = 30.0
-    queue_poll_s: float = 0.05
     queue_stall_s: float = 60.0
     memo_dir: str | Path | None = None
     #: ``scheduler="broker"``: coordinate through the ``repro broker
@@ -354,8 +354,8 @@ def _run_task(task: _WorkerTask, deployment: AreaDeployment,
     Every run executes here: in the coordinator (inline scheduler,
     unrestorable-checkpoint fallback) or under
     :func:`_execute_worker_task`.  It records the ``run`` span and the
-    retry/quarantine counters; the terminal event, checkpoint, progress
-    and result stay with the schedule-order merge.  ``run_fn`` is the
+    retry/quarantine counters; the terminal event, checkpoint and
+    result stay with the schedule-order merge.  ``run_fn`` is the
     runner's hook (``None``: :func:`run_once`, looked up at call time);
     retry backoff is recorded, never waited out; ``span_attributes``
     extend the ``run`` span (a worker's pid).  ``timed_out`` flags a
@@ -432,9 +432,9 @@ def _emit_outcome(events, outcome: _WorkerOutcome) -> None:
 def _execute_worker_task(task: _WorkerTask) -> _WorkerOutcome:
     """Pool/broker-worker entry point: :func:`_run_task` in a fresh bundle.
 
-    Checkpointing, progress and result accounting stay with the
-    coordinator: the worker ships its metrics snapshot and spans back
-    for an in-schedule-order merge.
+    Checkpointing, result accounting and the campaign's run-outcome
+    events stay with the coordinator: the worker ships its metrics
+    snapshot and spans back for an in-schedule-order merge.
     """
     obs = make_instrumentation() if task.instrument else NULL_INSTRUMENTATION
     ambient_events = get_instrumentation().events
@@ -442,8 +442,9 @@ def _execute_worker_task(task: _WorkerTask) -> _WorkerOutcome:
         # A broker worker keeps one process-wide event log (bound to its
         # worker id, flushed to its telemetry spool); task execution
         # reports events there rather than into the discarded per-task
-        # bundle.  Pool workers have a null ambient log, so nothing
-        # changes for them.
+        # bundle.  A pool worker's ambient log is the null one: the
+        # pool's worker initializer drops the coordinator's bundle a
+        # fork worker inherits, sinks included.
         obs.events = ambient_events
     deployment = _worker_deployment(task.profile, task.area_name)
     with instrumented(obs):
@@ -488,8 +489,9 @@ class CampaignRunner:
     ``obs`` is the observability bundle the campaign reports into: a
     ``campaign`` → ``run`` → ``simulate``/``analyze`` span hierarchy,
     scheduled/completed/quarantined/restored/retry counters that mirror
-    :meth:`CampaignResult.reconciles`, and per-run
-    :class:`~repro.obs.ProgressReporter` callbacks.  It defaults to the
+    :meth:`CampaignResult.reconciles`, and one terminal event per run
+    (what a :class:`~repro.obs.StderrProgressReporter` sink folds into
+    its tallies).  It defaults to the
     ambient bundle (usually the no-op one), and is installed as the
     active bundle for the whole run so the pipeline, parser and retry
     instrumentation report into the same registry.
@@ -559,9 +561,12 @@ class CampaignRunner:
             workers = 1
             scheduler = InlineScheduler(lambda item: _run_task(
                 item.task, item.scheduled.deployment, self.run_fn))
+        schedule = list(self.schedule())
         obs.events.emit("campaign.started", scheduler=scheduler.name,
-                        workers=workers, seed=self.config.seed)
-        return self._run_scheduled(obs, scheduler, breaker, policy, workers)
+                        workers=workers, seed=self.config.seed,
+                        scheduled=len(schedule))
+        return self._run_scheduled(obs, scheduler, schedule, breaker, policy,
+                                   workers)
 
     def _memo(self) -> AnalysisMemo | None:
         """The campaign's analysis memo cache, or ``None`` when disabled."""
@@ -619,24 +624,23 @@ class CampaignRunner:
                               identity=self.campaign_identity(),
                               default_lease_s=self.config.lease_timeout_s)
         scheduler = BrokerScheduler(client, breaker,
-                                    poll_s=self.config.queue_poll_s,
                                     stall_s=self.config.queue_stall_s)
         scheduler.start()  # may raise CheckpointMismatchError
         return scheduler
 
     def _run_scheduled(self, obs: Instrumentation, scheduler: Scheduler,
-                       breaker: CircuitBreaker, policy: RetryPolicy,
-                       workers: int) -> CampaignResult:
+                       schedule: list[ScheduledRun], breaker: CircuitBreaker,
+                       policy: RetryPolicy, workers: int) -> CampaignResult:
         """The schedule-order merge loop every backend feeds.
 
         Ordering contract: runs are *dispatched* as the backend has
         capacity (bounded by ``scheduler.window()``) but *merged*
         strictly in schedule order, and all checkpoint appends and
-        progress callbacks happen here in the parent — so results,
+        run-outcome events happen here in the parent — so results,
         checkpoint contents and exported counters are bit-identical to
         sequential execution for the same seed whenever no worker hangs
         or crashes.  SIGTERM/SIGINT drain already-finished head slots
-        into the checkpoint (within ``shutdown_grace_s``) before
+        into the checkpoint (within :data:`SHUTDOWN_GRACE_S`) before
         re-raising for the CLI's resume hint.
         """
         try:
@@ -647,8 +651,7 @@ class CampaignRunner:
             raise
         result = CampaignResult()
         memo = self._memo()
-        schedule = list(self.schedule())
-        registry, progress = obs.registry, obs.progress
+        registry = obs.registry
         keep_trace = self.config.keep_traces or checkpoint is not None
         instrument = obs.registry.enabled or obs.tracer.enabled
         memo_dir = memo_identity = None
@@ -657,7 +660,6 @@ class CampaignRunner:
         window = scheduler.window()
         pending: deque[PendingRun] = deque()
         campaign_span = None
-        progress.campaign_started(len(schedule))
 
         def task_for(scheduled: ScheduledRun) -> _WorkerTask:
             return _WorkerTask(
@@ -685,7 +687,6 @@ class CampaignRunner:
                         "campaign_runs_completed_total").inc()
                     registry.counter(
                         "campaign_runs_restored_total").inc()
-                    progress.run_restored(scheduled.key)
                     breaker.record_success()
                     return
                 # Unrestorable (corrupt or trace-less entry): re-execute
@@ -728,7 +729,7 @@ class CampaignRunner:
             scheduler.shutdown()
         except (KeyboardInterrupt, ShutdownRequested):
             # Graceful stop: merge the head slots that already finished
-            # (bounded by shutdown_grace_s) so their outcomes reach the
+            # (bounded by SHUTDOWN_GRACE_S) so their outcomes reach the
             # checkpoint, then kill whatever is still running —
             # an orderly shutdown could block on a hung run forever.
             self._drain_on_shutdown(pending, scheduler, checkpoint, result,
@@ -740,8 +741,6 @@ class CampaignRunner:
             # surfaces promptly instead of waiting out the backlog.
             scheduler.kill()
             raise
-        finally:
-            progress.campaign_finished()
         return result
 
     def _supervision_quarantine(self, scheduled: ScheduledRun,
@@ -755,7 +754,6 @@ class CampaignRunner:
         :meth:`CampaignResult.reconciles` and the exported counters stay
         consistent whichever side declared the run dead.
         """
-        registry, progress = obs.registry, obs.progress
         timed_out = isinstance(error, RunTimeoutError)
         with obs.tracer.span("run", operator=scheduled.profile.name,
                              area=scheduled.deployment.area.name,
@@ -769,15 +767,11 @@ class CampaignRunner:
         quarantined = QuarantinedRun(
             *scheduled.key, error=f"{type(error).__name__}: {error}",
             attempts=attempts)
-        registry.counter("campaign_runs_quarantined_total").inc()
+        obs.registry.counter("campaign_runs_quarantined_total").inc()
         obs.events.emit("supervision.quarantined", severity="warning",
                         run_key=scheduled.key, error=quarantined.error,
                         attempts=attempts, timed_out=timed_out)
         result.quarantine(quarantined)
-        if timed_out:
-            progress.run_timed_out(scheduled.key)
-        else:
-            progress.run_quarantined(scheduled.key)
         if checkpoint is not None:
             checkpoint.record_failure(scheduled.key, quarantined.error,
                                       attempts)
@@ -790,7 +784,7 @@ class CampaignRunner:
         """Merge already-finished head slots before a graceful stop.
 
         Walks the schedule-order queue head while the head outcome is
-        (or becomes, within the remaining ``shutdown_grace_s``)
+        (or becomes, within the remaining :data:`SHUTDOWN_GRACE_S`)
         available, so completed in-flight work lands in the checkpoint
         instead of being re-executed on resume.  Restored (checkpointed)
         heads are simply dropped — resume restores them again for free.
@@ -798,7 +792,7 @@ class CampaignRunner:
         the schedule-order contract.
         """
         registry = obs.registry
-        deadline_s = time.monotonic() + max(0.0, self.config.shutdown_grace_s)
+        deadline_s = time.monotonic() + SHUTDOWN_GRACE_S
         while pending:
             item = pending[0]
             if item.task is None:
@@ -825,21 +819,14 @@ class CampaignRunner:
                               result: CampaignResult, obs: Instrumentation,
                               campaign_span, breaker: CircuitBreaker) -> None:
         """Fold one run's outcome into the parent, in schedule order."""
-        registry, progress = obs.registry, obs.progress
         if outcome.metrics is not None:
-            registry.merge(outcome.metrics)
+            obs.registry.merge(outcome.metrics)
         if outcome.spans:
             obs.tracer.adopt([Span.from_dict(data) for data in outcome.spans],
                              parent=campaign_span)
         _emit_outcome(obs.events, outcome)
-        if outcome.retries:
-            progress.run_retried(scheduled.key, outcome.retries)
         if outcome.quarantined is not None:
             result.quarantine(outcome.quarantined)
-            if outcome.timed_out:
-                progress.run_timed_out(scheduled.key)
-            else:
-                progress.run_quarantined(scheduled.key)
             if checkpoint is not None:
                 checkpoint.record_failure(scheduled.key,
                                           outcome.quarantined.error,
@@ -859,7 +846,6 @@ class CampaignRunner:
         if not self.config.keep_traces:
             run_result.trace = None
         result.add(run_result)
-        progress.run_completed(scheduled.key)
         breaker.record_success()
 
     # ------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Pluggable campaign schedulers: inline, process pool, broker.
 
 :class:`~repro.campaign.runner.CampaignRunner` owns *what* to run (the
-schedule) and *how to account for it* (checkpoint, progress, in-order
-merge); a :class:`Scheduler` owns *where the work executes*.  The
-contract has coordinator verbs only: ``submit`` (hand one task to the
+schedule) and *how to account for it* (checkpoint, outcome events,
+in-order merge); a :class:`Scheduler` owns *where the work executes*.
+The contract has coordinator verbs only: ``submit`` (hand one task to the
 backend), ``seal`` (the schedule is complete), ``drain`` (block for the
 head slot's outcome: the schedule-order merge), ``poll`` (the head
 outcome within a timeout: the bounded shutdown drain) and ``kill``
@@ -266,7 +266,7 @@ class PoolScheduler(Scheduler):
         stay bit-identical to sequential execution.
         """
         obs = get_instrumentation()
-        registry, progress = obs.registry, obs.progress
+        registry = obs.registry
         try:
             while True:
                 try:
@@ -306,7 +306,6 @@ class PoolScheduler(Scheduler):
                     return DrainResult(error=error, attempts=item.kills)
                 registry.counter("campaign_run_retries_total").inc()
                 registry.counter("campaign_runs_retried_total").inc()
-                progress.run_retried(item.scheduled.key, 1)
                 self._resubmit(item)
         finally:
             try:

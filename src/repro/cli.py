@@ -467,12 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_instrumentation(args: argparse.Namespace) -> Instrumentation:
     """A live bundle when any observability flag is set, else the no-op."""
-    wants_progress = getattr(args, "progress", False)
-    if not (args.metrics_out or args.trace_out or wants_progress
+    if not (args.metrics_out or args.trace_out or args.progress
             or _wants_event_stream(args)):
         return NULL_INSTRUMENTATION
-    progress = StderrProgressReporter() if wants_progress else None
-    obs = make_instrumentation(progress=progress)
+    obs = make_instrumentation()
     _attach_event_stream(obs, args)
     return obs
 
@@ -516,13 +514,13 @@ def _flush_observability(obs: Instrumentation,
               file=sys.stderr)
 
 
-def _final_progress_snapshot(obs: Instrumentation) -> None:
-    snapshot = obs.progress.snapshot()
-    if snapshot:
+def _final_progress_snapshot(
+        progress: StderrProgressReporter | None) -> None:
+    if progress is not None:
         print("progress snapshot: "
               + " ".join(f"{key}={value:g}" if isinstance(value, float)
                          else f"{key}={value}"
-                         for key, value in snapshot.items()),
+                         for key, value in progress.snapshot().items()),
               file=sys.stderr)
 
 
@@ -553,6 +551,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         broker_url=args.broker,
     )
     obs = _build_instrumentation(args)
+    # --progress is one more event sink, attached like --log-level's.
+    progress = StderrProgressReporter() if args.progress else None
+    if progress is not None:
+        obs.events.add_sink(progress)
     try:
         with graceful_shutdown():
             result = CampaignRunner(profiles, config, obs=obs).run()
@@ -562,7 +564,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         # (SIGINT) and SIGTERM share this drain-flush-resume path and
         # exit 128 + signum (130 / 143).
         _flush_observability(obs, args)
-        _final_progress_snapshot(obs)
+        _final_progress_snapshot(progress)
         _print_resume_hint(args, "interrupted")
         return 128 + stop.signum if isinstance(stop, ShutdownRequested) \
             else 130
@@ -570,7 +572,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         # The failure pattern looked systemic; surface the breaker's
         # diagnostic summary and where to resume once it is fixed.
         _flush_observability(obs, args)
-        _final_progress_snapshot(obs)
+        _final_progress_snapshot(progress)
         print(f"error: {error}", file=sys.stderr)
         _print_resume_hint(args, "stopped early")
         return 1

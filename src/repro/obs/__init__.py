@@ -9,13 +9,14 @@ pipeline.  Three layers, all zero-cost when disabled (the default):
 * :mod:`repro.obs.tracing` — hierarchical spans
   (``campaign`` → ``run`` → ``simulate``/``parse``/``analyze``) on a
   monotonic clock, collected in memory and exported as JSONL.
-* :mod:`repro.obs.progress` — a :class:`ProgressReporter` protocol
-  (rate, ETA, completed/quarantined/retried tallies) the campaign
-  runner drives.
 * :mod:`repro.obs.events` — a structured :class:`EventLog` of campaign
   decision points (claim/steal/expire/retry/quarantine/breaker) with
   severity, dual timestamps, and correlation ids, mirrored to stderr
   and to per-worker telemetry spools via sinks.
+
+:mod:`repro.obs.progress` is one more sink: the live status line
+(rate, ETA, completed/quarantined/retried tallies) folded from the
+run-outcome events the campaign coordinator emits.
 
 :mod:`repro.obs.context` binds them: hot paths read the active
 :class:`Instrumentation` bundle via :func:`get_instrumentation`;
@@ -30,6 +31,7 @@ from repro.obs.context import (
     get_instrumentation,
     instrumented,
     make_instrumentation,
+    reset_instrumentation,
 )
 from repro.obs.events import (
     Event,
@@ -51,12 +53,7 @@ from repro.obs.metrics import (
     NullRegistry,
     Timer,
 )
-from repro.obs.progress import (
-    NULL_PROGRESS,
-    NullProgressReporter,
-    ProgressReporter,
-    StderrProgressReporter,
-)
+from repro.obs.progress import StderrProgressReporter
 from repro.obs.tracing import (
     NULL_TRACER,
     NullTracer,
@@ -77,14 +74,11 @@ __all__ = [
     "MetricsRegistry",
     "NULL_EVENTS",
     "NULL_INSTRUMENTATION",
-    "NULL_PROGRESS",
     "NULL_REGISTRY",
     "NULL_TRACER",
     "NullEventLog",
-    "NullProgressReporter",
     "NullRegistry",
     "NullTracer",
-    "ProgressReporter",
     "SEVERITIES",
     "Span",
     "StderrEventSink",
@@ -97,5 +91,6 @@ __all__ = [
     "make_instrumentation",
     "parse_events_jsonl",
     "parse_spans_jsonl",
+    "reset_instrumentation",
     "verify_span_tree",
 ]

@@ -217,11 +217,6 @@ class CampaignAggregator:
         events.sort(key=lambda event: (event.wall_s, event.seq))
         return events
 
-    def all_spans(self) -> list:
-        with self._mutex:
-            return [span for content in self._spools.values()
-                    for span in content.spans]
-
     def view(self, recent_events: int = 20,
              min_severity: str = "debug") -> CampaignView:
         """Assemble the status view from the current folded state."""

@@ -28,7 +28,6 @@ from typing import Callable, Iterator
 
 from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.obs.progress import NULL_PROGRESS, ProgressReporter
 from repro.obs.tracing import NULL_TRACER, Tracer
 
 __all__ = [
@@ -37,6 +36,7 @@ __all__ = [
     "get_instrumentation",
     "instrumented",
     "make_instrumentation",
+    "reset_instrumentation",
 ]
 
 
@@ -46,7 +46,6 @@ class Instrumentation:
 
     registry: MetricsRegistry = NULL_REGISTRY
     tracer: Tracer = NULL_TRACER
-    progress: ProgressReporter = NULL_PROGRESS
     events: EventLog = NULL_EVENTS
     enabled: bool = True
 
@@ -74,11 +73,20 @@ def instrumented(obs: Instrumentation) -> Iterator[Instrumentation]:
         _active = previous
 
 
+def reset_instrumentation() -> None:
+    """Make the no-op bundle active for the rest of the process.
+
+    For the process pool's worker initializer: a ``fork`` worker starts
+    with a copy of the coordinator's active bundle, sinks included, and
+    must not report into it (every event would reach stderr twice).
+    """
+    global _active
+    _active = NULL_INSTRUMENTATION
+
+
 def make_instrumentation(clock: Callable[[], float] = time.monotonic,
-                         progress: ProgressReporter | None = None,
                          ) -> Instrumentation:
     """A live bundle: fresh registry + tracer + events on one clock."""
     return Instrumentation(registry=MetricsRegistry(clock=clock),
                            tracer=Tracer(clock=clock),
-                           progress=progress or NULL_PROGRESS,
                            events=EventLog(clock=clock))

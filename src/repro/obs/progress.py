@@ -1,16 +1,15 @@
-"""Campaign progress reporting: rate, ETA and per-outcome tallies.
+"""Campaign progress: rate, ETA and per-outcome tallies, folded from events.
 
-:class:`ProgressReporter` is the protocol :class:`CampaignRunner`
-drives — one call per scheduled-run outcome (completed, quarantined,
-restored) plus retry notifications — so a months-long campaign is
-accountable while it runs, not only after.  The default is the inert
-:data:`NULL_PROGRESS`; the CLI's ``--progress`` flag swaps in
-:class:`StderrProgressReporter`, which redraws a single status line::
+:class:`StderrProgressReporter` is an :class:`~repro.obs.events.EventLog`
+sink: the campaign coordinator already emits one structured event per
+run outcome, and the reporter folds those (the table is in DESIGN §5.2)
+into a single redrawn status line::
 
     [  42/120]  35.0%  ok=40 quarantined=1 timeout=1 restored=0 retries=3  2.1 run/s eta 37s
 
-Timed-out runs get their own tally (they are quarantined too, but a
-deadline miss is operationally different from a crash or a parse
+The CLI's ``--progress`` flag attaches it next to the ``--log-level``
+sink.  Timed-out runs get their own tally (they are quarantined too,
+but a deadline miss is operationally different from a crash or a parse
 failure, so the two must not collapse into one "failed" number).
 
 Rates come from the injectable monotonic clock, so tests drive the
@@ -23,57 +22,13 @@ import sys
 import time
 from typing import Callable, TextIO
 
-__all__ = [
-    "NULL_PROGRESS",
-    "NullProgressReporter",
-    "ProgressReporter",
-    "StderrProgressReporter",
-]
+from repro.obs.events import Event
+
+__all__ = ["StderrProgressReporter"]
 
 
-class ProgressReporter:
-    """The protocol the campaign runner drives (base class is a no-op).
-
-    ``key`` arguments are run keys: ``(operator, area, location,
-    run_index)`` tuples.
-    """
-
-    def campaign_started(self, total_runs: int) -> None:
-        return None
-
-    def run_completed(self, key: tuple) -> None:
-        return None
-
-    def run_quarantined(self, key: tuple) -> None:
-        return None
-
-    def run_timed_out(self, key: tuple) -> None:
-        """A run quarantined because it blew its wall-clock budget."""
-        return None
-
-    def run_restored(self, key: tuple) -> None:
-        return None
-
-    def run_retried(self, key: tuple, retries: int) -> None:
-        return None
-
-    def campaign_finished(self) -> None:
-        return None
-
-    def snapshot(self) -> dict:
-        return {}
-
-
-class NullProgressReporter(ProgressReporter):
-    """Explicitly-named disabled reporter (the default)."""
-
-    enabled = False
-
-
-class StderrProgressReporter(ProgressReporter):
+class StderrProgressReporter:
     """Single-line live progress on a stream (stderr by default)."""
-
-    enabled = True
 
     def __init__(self, stream: TextIO | None = None,
                  clock: Callable[[], float] = time.monotonic):
@@ -87,38 +42,48 @@ class StderrProgressReporter(ProgressReporter):
         self.retries = 0
         self._start_s: float | None = None
         self._finished = False
+        # The last event was a pool kill, counted as a retry before the
+        # next one says whether the run was resubmitted.
+        self._open_kill = False
 
-    # -- runner callbacks ----------------------------------------------
-
-    def campaign_started(self, total_runs: int) -> None:
-        self.total = total_runs
-        self._start_s = self.clock()
-        self._finished = False
+    def __call__(self, event: Event) -> None:
+        """Fold one event into the tallies; other events are ignored."""
+        name, fields = event.name, event.fields
+        if name in ("campaign.finished", "campaign.aborted"):
+            self._finish()
+            return
+        if name == "campaign.started":
+            self.total = fields.get("scheduled", 0)
+            self._start_s = self.clock()
+            self._finished = False
+        elif name == "run.restored":
+            self.completed += 1
+            self.restored += 1
+        elif name in ("supervision.hung_run", "supervision.worker_crash"):
+            self.retries += 1  # the pool resubmits the killed run ...
+            self._open_kill = True
+        elif name == "breaker.open":
+            self.retries -= self._open_kill  # ... unless the kill tripped
+            self._open_kill = False
+        elif name in ("run.completed", "run.quarantined",
+                      "supervision.quarantined"):
+            if name == "supervision.quarantined":
+                self.retries -= self._open_kill  # ... or gave the run up
+            else:
+                self.retries += fields.get("attempts", 1) - 1
+            self._open_kill = False
+            if name == "run.completed":
+                self.completed += 1
+            elif fields.get("timed_out"):
+                self.timed_out += 1
+            else:
+                self.quarantined += 1
+        else:
+            return
         self._draw()
 
-    def run_completed(self, key: tuple) -> None:
-        self.completed += 1
-        self._draw()
-
-    def run_quarantined(self, key: tuple) -> None:
-        self.quarantined += 1
-        self._draw()
-
-    def run_timed_out(self, key: tuple) -> None:
-        self.timed_out += 1
-        self._draw()
-
-    def run_restored(self, key: tuple) -> None:
-        self.completed += 1
-        self.restored += 1
-        self._draw()
-
-    def run_retried(self, key: tuple, retries: int) -> None:
-        self.retries += retries
-        self._draw()
-
-    def campaign_finished(self) -> None:
-        if self._finished:
+    def _finish(self) -> None:
+        if self._start_s is None or self._finished:
             return
         self._finished = True
         self.stream.write("\r" + self.render() + "\n")
@@ -180,7 +145,3 @@ class StderrProgressReporter(ProgressReporter):
     def _draw(self) -> None:
         self.stream.write("\r" + self.render())
         self.stream.flush()
-
-
-#: Shared disabled reporter (the process-wide default instrumentation).
-NULL_PROGRESS = NullProgressReporter()

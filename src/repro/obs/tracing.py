@@ -215,10 +215,25 @@ def parse_spans_jsonl(text: str) -> list[Span]:
             for line in text.splitlines() if line.strip()]
 
 
-def _iter_sibling_pairs(spans: list[Span]) -> Iterator[tuple[Span, Span]]:
-    by_parent: dict[int | None, list[Span]] = {}
+def _processes(spans: list[Span]) -> dict[int, str | None]:
+    """Span id → the process that recorded it: the ``worker_pid`` on the
+    span or on its nearest ancestor (``None``: the coordinator).  A
+    parent opens first, so its smaller id resolves before its children;
+    a parent link against that order resolves to the coordinator."""
+    processes: dict[int, str | None] = {}
+    for span in sorted(spans, key=lambda span: span.span_id):
+        pid = span.attributes.get("worker_pid")
+        processes[span.span_id] = processes.get(span.parent_id) \
+            if pid is None else repr(pid)
+    return processes
+
+
+def _iter_sibling_pairs(spans: list[Span], processes: dict[int, str | None],
+                        ) -> Iterator[tuple[Span, Span]]:
+    by_parent: dict[tuple, list[Span]] = {}
     for span in spans:
-        by_parent.setdefault(span.parent_id, []).append(span)
+        by_parent.setdefault((span.parent_id, processes[span.span_id]),
+                             []).append(span)
     for siblings in by_parent.values():
         ordered = sorted(siblings, key=lambda span: span.start_s)
         for first, second in zip(ordered, ordered[1:]):
@@ -236,9 +251,14 @@ def verify_span_tree(spans: list[Span],
     * siblings under one parent do not overlap (the pipeline is
       sequential, so overlap means a bookkeeping bug);
     * every non-root ``parent_id`` resolves to a collected span.
+
+    Containment and overlap are checked between spans of one process
+    only (the ``worker_pid`` on a span or its nearest ancestor; none:
+    the coordinator): concurrent pool runs may overlap each other.
     """
     violations: list[str] = []
     by_id = {span.span_id: span for span in spans}
+    processes = _processes(spans)
     for span in spans:
         label = f"{span.name}#{span.span_id}"
         if not span.closed:
@@ -253,14 +273,16 @@ def verify_span_tree(spans: list[Span],
         if parent is None:
             violations.append(f"{label}: parent {span.parent_id} missing")
             continue
-        if parent.closed and (
+        same_process = processes[span.span_id] == processes[parent.span_id]
+        if parent.closed and same_process and (
                 span.start_s < parent.start_s - tolerance_s
                 or span.end_s > parent.end_s + tolerance_s):
             violations.append(
                 f"{label}: escapes parent {parent.name}#{parent.span_id} "
                 f"([{span.start_s}, {span.end_s}] outside "
                 f"[{parent.start_s}, {parent.end_s}])")
-    for first, second in _iter_sibling_pairs([s for s in spans if s.closed]):
+    for first, second in _iter_sibling_pairs(
+            [span for span in spans if span.closed], processes):
         if second.start_s < first.end_s - tolerance_s:
             violations.append(
                 f"{second.name}#{second.span_id} overlaps sibling "

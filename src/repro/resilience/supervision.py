@@ -44,7 +44,7 @@ from repro.core.deadline import (
     current_deadline,
     deadline_scope,
 )
-from repro.obs import get_instrumentation
+from repro.obs import get_instrumentation, reset_instrumentation
 
 __all__ = [
     "CircuitBreaker",
@@ -258,9 +258,23 @@ class PoolSupervisor:
     def _build_pool(self) -> ProcessPoolExecutor | None:
         try:
             return ProcessPoolExecutor(max_workers=self.workers,
-                                       mp_context=self._mp_context)
+                                       mp_context=self._mp_context,
+                                       initializer=_init_pool_worker)
         except (OSError, PermissionError, ValueError):
             return None
+
+
+def _init_pool_worker() -> None:
+    """Drop what a ``fork`` pool worker inherits from the coordinator:
+    the live instrumentation bundle, whose sinks would report every
+    event twice, and the :func:`graceful_shutdown` handlers, under which
+    ``kill``'s SIGTERM only raises inside the run (the executor ships
+    that back, and a worker blocked shipping it outlives ``kill``).
+    Ctrl-C reaches the whole process group: workers ignore it, and the
+    coordinator drains finished runs, then kills them."""
+    reset_instrumentation()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 @contextmanager

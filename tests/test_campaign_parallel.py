@@ -22,6 +22,7 @@ from repro.obs import (
     make_instrumentation,
 )
 from repro.resilience.retry import RetryPolicy
+from tests.test_campaign_pins import progress_tallies
 from tests.test_obs_metrics import FakeClock
 
 
@@ -111,17 +112,22 @@ class TestParallelTelemetry:
         assert len({span.span_id for span in tracer.spans()}) \
             == len(tracer.spans())
 
-    def test_progress_callbacks_serialized_in_parent(self):
+    def test_progress_tallied_once_in_parent(self):
         clock = FakeClock()
         stream = io.StringIO()
         progress = StderrProgressReporter(stream=stream, clock=clock)
-        obs = make_instrumentation(clock=clock, progress=progress)
+        obs = make_instrumentation(clock=clock)
+        obs.events.add_sink(progress)
         result = CampaignRunner([operator("OP_V")],
                                 small_config(workers=2), obs=obs).run()
         snapshot = progress.snapshot()
         assert snapshot["total"] == result.scheduled == 4
         assert snapshot["completed"] == result.completed
         assert snapshot["done"] == result.scheduled
+        # Recorded from the progress callbacks the sink replaced.
+        assert progress_tallies(progress) == {
+            "total": 4, "done": 4, "completed": 4, "quarantined": 0,
+            "timed_out": 0, "restored": 0, "retries": 0}
         assert stream.getvalue().endswith("\n")
 
 

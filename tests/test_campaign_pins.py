@@ -4,7 +4,7 @@ Two kinds of pin:
 
 * the sequential path, observed from the outside: for a fresh run with
   injected failures and for a resume over a checkpoint with one corrupt
-  trace, the exact event stream, progress-callback sequence, counters,
+  trace, the exact event stream, the progress sink's tallies, counters,
   span tree (names, parents, run-span attributes), result and
   checkpoint bytes;
 * checkpoint bytes of a seeded fixture campaign (six areas across the
@@ -14,10 +14,12 @@ Two kinds of pin:
   sequential resume byte for byte.
 
 The expected values were recorded from the code before the scheduler
-unification; any change to them is a change of campaign output.
+unification (the progress tallies from the progress callbacks that the
+sink replaced); any change to them is a change of campaign output.
 """
 
 import hashlib
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +28,7 @@ import pytest
 from repro.campaign import CampaignConfig, CampaignRunner, operator
 from repro.campaign.dataset import CampaignResult
 from repro.campaign.runner import run_once
-from repro.obs import ProgressReporter, make_instrumentation
+from repro.obs import StderrProgressReporter, make_instrumentation
 from repro.resilience.checkpoint import CampaignCheckpoint
 from tests.test_obs_metrics import FakeClock
 
@@ -41,32 +43,14 @@ FIXTURE_CHECKPOINT_SHA256 = \
     "552a89b70b2a9aa47d282f21f903d5ab097a6fc8c85c5ad22e5e051e2df4f784"
 
 
-class RecordingProgress(ProgressReporter):
-    """Every progress callback, in call order."""
+#: The progress tallies compared against the pins (not the timings).
+TALLIES = ("total", "done", "completed", "quarantined", "timed_out",
+           "restored", "retries")
 
-    def __init__(self):
-        self.calls = []
 
-    def campaign_started(self, total_runs):
-        self.calls.append(("campaign_started", total_runs))
-
-    def run_completed(self, key):
-        self.calls.append(("run_completed", key))
-
-    def run_quarantined(self, key):
-        self.calls.append(("run_quarantined", key))
-
-    def run_timed_out(self, key):
-        self.calls.append(("run_timed_out", key))
-
-    def run_restored(self, key):
-        self.calls.append(("run_restored", key))
-
-    def run_retried(self, key, retries):
-        self.calls.append(("run_retried", key, retries))
-
-    def campaign_finished(self):
-        self.calls.append(("campaign_finished",))
+def progress_tallies(progress: StderrProgressReporter) -> dict:
+    snapshot = progress.snapshot()
+    return {name: snapshot[name] for name in TALLIES}
 
 
 def sha256(path) -> str:
@@ -78,7 +62,7 @@ class Observed:
     """What one pinned campaign produced, in comparable form."""
 
     result: CampaignResult
-    progress: list
+    progress: dict
     events: list
     counters: dict
     tree: list  # (span name, parent span name) in finish order
@@ -88,15 +72,16 @@ class Observed:
 
 
 def run_pinned(config: CampaignConfig, **runner_kwargs) -> Observed:
-    progress = RecordingProgress()
-    obs = make_instrumentation(clock=FakeClock(), progress=progress)
+    obs = make_instrumentation(clock=FakeClock())
+    progress = StderrProgressReporter(stream=io.StringIO(), clock=FakeClock())
+    obs.events.add_sink(progress)
     result = CampaignRunner([operator("OP_V")], config, obs=obs,
                             **runner_kwargs).run()
     spans = obs.tracer.spans()
     by_id = {span.span_id: span for span in spans}
     [campaign] = [span for span in spans if span.name == "campaign"]
     return Observed(
-        result=result, progress=progress.calls,
+        result=result, progress=progress_tallies(progress),
         events=[(event.name, event.severity, event.campaign, event.run_key,
                  event.fields) for event in obs.events.recent(limit=10_000)],
         counters=obs.registry.snapshot()["counters"],
@@ -181,7 +166,8 @@ class TestSequentialFreshRun:
         campaign = "4e9c6097"
         assert fresh.events == [
             ("campaign.started", "info", campaign, None,
-             {"scheduler": "inline", "workers": 1, "seed": 0}),
+             {"scheduler": "inline", "workers": 1, "seed": 0,
+              "scheduled": 4}),
             ("run.completed", "debug", campaign, K0, {"attempts": 1}),
             ("run.retry", "warning", campaign, K1,
              {"attempt": 1, "backoff_s": 0.0,
@@ -198,17 +184,10 @@ class TestSequentialFreshRun:
              {"scheduled": 4, "completed": 3, "quarantined": 1}),
         ]
 
-    def test_progress_callbacks(self, fresh):
-        assert fresh.progress == [
-            ("campaign_started", 4),
-            ("run_completed", K0),
-            ("run_retried", K1, 1),
-            ("run_quarantined", K1),
-            ("run_retried", K2, 1),
-            ("run_completed", K2),
-            ("run_completed", K3),
-            ("campaign_finished",),
-        ]
+    def test_progress_tallies(self, fresh):
+        assert fresh.progress == {
+            "total": 4, "done": 4, "completed": 3, "quarantined": 1,
+            "timed_out": 0, "restored": 0, "retries": 2}
 
     def test_counters(self, fresh):
         assert fresh.counters == {
@@ -257,7 +236,8 @@ class TestSequentialResume:
         campaign = "4e9c6097"
         assert resumed.events == [
             ("campaign.started", "info", campaign, None,
-             {"scheduler": "inline", "workers": 1, "seed": 0}),
+             {"scheduler": "inline", "workers": 1, "seed": 0,
+              "scheduled": 4}),
             ("parse.records_quarantined", "warning", campaign, None,
              {"total_lines": 1, "skipped": 1,
               "errors": {"TraceDecodeError": 1}}),
@@ -270,15 +250,10 @@ class TestSequentialResume:
              {"scheduled": 4, "completed": 4, "quarantined": 0}),
         ]
 
-    def test_progress_callbacks(self, resumed):
-        assert resumed.progress == [
-            ("campaign_started", 4),
-            ("run_completed", K0),
-            ("run_completed", K1),
-            ("run_restored", K2),
-            ("run_restored", K3),
-            ("campaign_finished",),
-        ]
+    def test_progress_tallies(self, resumed):
+        assert resumed.progress == {
+            "total": 4, "done": 4, "completed": 4, "quarantined": 0,
+            "timed_out": 0, "restored": 2, "retries": 0}
 
     def test_counters(self, resumed):
         assert resumed.counters == {

@@ -12,6 +12,7 @@ import pytest
 
 from repro.campaign import CampaignConfig, CampaignRunner, operator
 from repro.obs import (
+    Event,
     StderrProgressReporter,
     get_instrumentation,
     instrumented,
@@ -95,12 +96,22 @@ class TestCampaignSpans:
         assert run_span.attributes["attempts"] == 1
 
 
+K = ("OP", "A", "P", 0)
+
+
+def feed(progress, *events):
+    """Fold ``(name, fields)`` pairs through the sink as events."""
+    for name, fields in events:
+        progress(Event(name=name, run_key=K, fields=fields))
+
+
 class TestProgressReporting:
     def test_reporter_tallies_and_snapshot(self):
         clock = FakeClock()
         stream = io.StringIO()
         progress = StderrProgressReporter(stream=stream, clock=clock)
-        obs = make_instrumentation(clock=clock, progress=progress)
+        obs = make_instrumentation(clock=clock)
+        obs.events.add_sink(progress)
         result = CampaignRunner([operator("OP_V")], MINI, obs=obs).run()
         snapshot = progress.snapshot()
         assert snapshot["total"] == result.scheduled == 4
@@ -110,29 +121,104 @@ class TestProgressReporting:
         assert "ok=" in stream.getvalue()
         assert stream.getvalue().endswith("\n")  # final line flushed
 
-    def test_retry_notification_repaints_status_line(self):
-        # run_retried must redraw immediately: a long retry storm with
-        # no completions would otherwise leave a stale line on screen.
+    def test_pool_kill_repaints_status_line(self):
+        # A kill must redraw immediately: a long crash storm with no
+        # completions would otherwise leave a stale line on screen.
         stream = io.StringIO()
         progress = StderrProgressReporter(stream=stream, clock=FakeClock())
-        progress.campaign_started(4)
+        feed(progress, ("campaign.started", {"scheduled": 4}))
         painted = stream.getvalue()
-        progress.run_retried(("OP", "A", "P", 0), 2)
+        feed(progress, ("supervision.worker_crash", {}))
         repaint = stream.getvalue()[len(painted):]
-        assert "retries=2" in repaint
-        assert progress.snapshot()["retries"] == 2
+        assert "retries=1" in repaint
+        assert progress.snapshot()["retries"] == 1
 
     def test_rate_and_eta_from_fake_clock(self):
         clock = FakeClock()
         progress = StderrProgressReporter(stream=io.StringIO(), clock=clock)
-        progress.campaign_started(10)
+        feed(progress, ("campaign.started", {"scheduled": 10}))
         clock.advance(2.0)
-        progress.run_completed(("OP", "A", "P", 0))
-        progress.run_completed(("OP", "A", "P", 1))
+        feed(progress, ("run.completed", {"attempts": 1}),
+             ("run.completed", {"attempts": 1}))
         assert progress.rate_per_s() == pytest.approx(1.0)
         assert progress.eta_s() == pytest.approx(8.0)
         assert "2.1" not in progress.render()
         assert "eta 8s" in progress.render()
+
+
+class TestProgressFold:
+    """The event → tally fold, one event sequence at a time."""
+
+    @staticmethod
+    def fold(*events):
+        progress = StderrProgressReporter(stream=io.StringIO(),
+                                          clock=FakeClock())
+        feed(progress, ("campaign.started", {"scheduled": 3}), *events)
+        snapshot = progress.snapshot()
+        return {name: value for name, value in snapshot.items()
+                if name not in ("elapsed_s", "rate_per_s")
+                and value}
+
+    def test_outcomes_and_in_worker_retries(self):
+        assert self.fold(
+            ("run.completed", {"attempts": 3}),
+            ("run.quarantined", {"attempts": 2, "timed_out": False}),
+            ("run.quarantined", {"attempts": 1, "timed_out": True}),
+        ) == {"total": 3, "done": 3, "completed": 1, "quarantined": 1,
+              "timed_out": 1, "retries": 3}
+
+    def test_restored_runs_count_as_completed(self):
+        assert self.fold(("run.restored", {}), ("run.restored", {})) \
+            == {"total": 3, "done": 2, "completed": 2, "restored": 2}
+
+    def test_resubmitted_kills_are_retries(self):
+        assert self.fold(
+            ("supervision.hung_run", {"budget_s": 1.0}),
+            ("supervision.worker_crash", {"error": "BrokenProcessPool"}),
+            ("run.completed", {"attempts": 2}),
+        ) == {"total": 3, "done": 1, "completed": 1, "retries": 3}
+
+    def test_kill_before_supervision_quarantine_was_not_resubmitted(self):
+        assert self.fold(
+            ("supervision.worker_crash", {"error": "BrokenProcessPool"}),
+            ("supervision.worker_crash", {"error": "BrokenProcessPool"}),
+            ("supervision.quarantined", {"attempts": 2, "timed_out": False}),
+            ("supervision.hung_run", {"budget_s": 1.0}),
+            ("supervision.quarantined", {"attempts": 1, "timed_out": True}),
+        ) == {"total": 3, "done": 2, "quarantined": 1, "timed_out": 1,
+              "retries": 1}
+
+    def test_kill_that_trips_the_breaker_was_not_resubmitted(self):
+        assert self.fold(
+            ("supervision.worker_crash", {"error": "BrokenProcessPool"}),
+            ("pool.rebuild", {"reason": "worker crash"}),
+            ("breaker.open", {"reason": "4 pool rebuilds"}),
+            ("campaign.aborted", {"error": "CircuitBreakerOpen"}),
+        ) == {"total": 3}
+
+    def test_breaker_without_a_kill_takes_nothing_back(self):
+        assert self.fold(
+            ("run.quarantined", {"attempts": 2, "timed_out": False}),
+            ("breaker.open", {"reason": "1 consecutive run failures"}),
+        ) == {"total": 3, "done": 1, "quarantined": 1, "retries": 1}
+
+    def test_other_events_do_not_redraw(self):
+        stream = io.StringIO()
+        progress = StderrProgressReporter(stream=stream, clock=FakeClock())
+        feed(progress, ("run.retry", {"attempt": 1}),
+             ("queue.run_stolen", {}), ("campaign.aborted", {}))
+        assert stream.getvalue() == ""  # nothing started, nothing drawn
+
+    def test_final_line_written_once(self):
+        stream = io.StringIO()
+        progress = StderrProgressReporter(stream=stream, clock=FakeClock())
+        feed(progress, ("campaign.started", {"scheduled": 1}),
+             ("run.completed", {"attempts": 1}),
+             ("campaign.finished", {}), ("campaign.aborted", {}))
+        assert stream.getvalue().count("\n") == 1
+        assert stream.getvalue().endswith("[1/1] 100.0%  ok=1 "
+                                          "quarantined=0 timeout=0 "
+                                          "restored=0 retries=0\n")
 
 
 class TestCheckpointRestoreTelemetry:

@@ -8,6 +8,10 @@ counters.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +99,28 @@ class TestCampaignMetricsOut:
         err = capsys.readouterr().err
         assert "ok=1" in err
         assert "[1/1]" in err
+
+    def test_pool_workers_stay_out_of_the_coordinators_sinks(self):
+        # A fork pool worker starts with a copy of the coordinator's
+        # event log and its stderr sinks; the pool initializer drops it,
+        # so each run is reported once and only the coordinator draws
+        # the progress line (started, two runs, final line).
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "campaign", "--operator",
+             "OP_V", "--areas", "A9", "--locations", "2", "--runs", "1",
+             "--duration", "30", "--workers", "2", "--log-level", "debug",
+             "--progress"],
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+            capture_output=True, timeout=300)
+        err = completed.stderr.decode()  # bytes: keep the \r redraws
+        assert completed.returncode == 0, err
+        assert err.count(" run.completed key=") == 2
+        assert err.count("\r[") == 4
+        final = err.rsplit("\r", 1)[-1]
+        assert final.startswith("[2/2] 100.0%  ok=2 quarantined=0 "
+                                "timeout=0 restored=0 retries=0")
+        assert final.endswith("\n")
 
     def test_no_flags_no_observability_files(self, tmp_path, capsys):
         argv = ["campaign", "--operator", "OP_V", "--areas", "A9",
@@ -192,16 +218,20 @@ class TestProfileCommand:
             self, tmp_path, capsys):
         """``repro profile --seed 42`` at its defaults, under
         ``--workers 1`` and ``--workers 2``: the metrics export
-        reconciles, and the parallel run exports exactly the sequential
-        run's counters."""
+        reconciles, the parallel run exports exactly the sequential
+        run's counters, and both span files pass the span check."""
         snapshots = {}
         for workers in (1, 2):
             metrics = tmp_path / f"metrics-w{workers}.json"
+            spans = tmp_path / f"spans-w{workers}.jsonl"
             assert main(["profile", "--seed", "42", "--workers",
                          str(workers), "--metrics-out", str(metrics),
-                         "--trace-out",
-                         str(tmp_path / f"spans-w{workers}.jsonl")]) == 0
+                         "--trace-out", str(spans)]) == 0
             snapshots[workers] = json.loads(metrics.read_text())
+            # Pool runs overlap across worker processes; the span check
+            # compares spans of one process only.
+            assert verify_span_tree(
+                parse_spans_jsonl(spans.read_text())) == []
         counters = snapshots[1]["counters"]
 
         def total(name):

@@ -182,6 +182,60 @@ class TestSpanTreeIntegrity:
             == ["open#1: never closed"]
 
 
+class TestSpanTreeAcrossProcesses:
+    """Pool runs carry their worker's pid; the check runs per process."""
+
+    @staticmethod
+    def pool_campaign(first_pid, second_pid):
+        from repro.obs import Span
+
+        # Two adopted runs that overlap in time, each with a child that
+        # names no pid (it inherits its run's), under a coordinator
+        # campaign span that closed before the second run did.
+        return [
+            Span("campaign", 1, None, 0.0, 9.0),
+            Span("run", 2, 1, 1.0, 6.0,
+                 attributes={"worker_pid": first_pid}),
+            Span("simulate", 3, 2, 1.5, 5.0),
+            Span("run", 4, 1, 2.0, 9.5,
+                 attributes={"worker_pid": second_pid}),
+            Span("simulate", 5, 4, 2.5, 9.0),
+        ]
+
+    def test_runs_from_distinct_pids_may_overlap(self):
+        assert verify_span_tree(self.pool_campaign(101, 102)) == []
+
+    def test_runs_from_one_pid_may_not_overlap(self):
+        assert verify_span_tree(self.pool_campaign(101, 101)) \
+            == ["run#4 overlaps sibling run#2"]
+
+    def test_child_inherits_its_runs_process_for_containment(self):
+        from repro.obs import Span
+
+        spans = self.pool_campaign(101, 102)
+        spans[2] = Span("simulate", 3, 2, 1.5, 7.0)  # outlives its run
+        assert verify_span_tree(spans) == [
+            "simulate#3: escapes parent run#2 ([1.5, 7.0] outside "
+            "[1.0, 6.0])"]
+
+    def test_coordinator_siblings_of_worker_runs_are_still_checked(self):
+        from repro.obs import Span
+
+        spans = self.pool_campaign(101, 102) + [
+            Span("pool_rebuild", 6, 1, 3.0, 4.0),
+            Span("run", 7, 1, 3.5, 5.0, attributes={"supervised": True}),
+        ]
+        assert verify_span_tree(spans) \
+            == ["run#7 overlaps sibling pool_rebuild#6"]
+
+    def test_parent_cycle_does_not_hang(self):
+        from repro.obs import Span
+
+        spans = [Span("a", 1, 2, 0.0, 1.0), Span("b", 2, 1, 0.0, 0.5)]
+        assert verify_span_tree(spans) == [
+            "a#1: escapes parent b#2 ([0.0, 1.0] outside [0.0, 0.5])"]
+
+
 class TestJsonlExport:
     def test_round_trip(self, tracer, clock, tmp_path):
         with tracer.span("campaign", seed=7):

@@ -20,6 +20,7 @@ in-process fallback.
 """
 
 import io
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -39,14 +40,22 @@ from repro.core.deadline import (
     current_deadline,
     deadline_scope,
 )
-from repro.obs import StderrProgressReporter, make_instrumentation
+from repro.obs import (
+    NULL_INSTRUMENTATION,
+    StderrProgressReporter,
+    get_instrumentation,
+    instrumented,
+    make_instrumentation,
+)
 from repro.resilience.supervision import (
     CircuitBreaker,
     CircuitBreakerOpen,
+    PoolSupervisor,
     ShutdownRequested,
     graceful_shutdown,
     parent_wait_budget,
 )
+from tests.test_campaign_pins import progress_tallies
 from tests.test_obs_metrics import FakeClock
 
 
@@ -57,11 +66,23 @@ def small_config(**overrides) -> CampaignConfig:
     return CampaignConfig(**defaults)
 
 
-def run_campaign(config: CampaignConfig, **runner_kwargs):
+def run_campaign(config: CampaignConfig, progress=None, **runner_kwargs):
     obs = make_instrumentation(clock=FakeClock())
+    if progress is not None:
+        obs.events.add_sink(progress)
     result = CampaignRunner([operator("OP_V")], config,
                             obs=obs, **runner_kwargs).run()
     return obs, result
+
+
+def new_progress() -> StderrProgressReporter:
+    return StderrProgressReporter(stream=io.StringIO(), clock=FakeClock())
+
+
+def tallies(progress: StderrProgressReporter) -> tuple:
+    """(total, done, completed, quarantined, timed_out, restored,
+    retries) from the progress sink's snapshot."""
+    return tuple(progress_tallies(progress).values())
 
 
 # ----------------------------------------------------------------------
@@ -183,13 +204,11 @@ def make_slow_run_fn(delay_s: float):
 
 class TestInProcessDeadline:
     def test_overrunning_run_quarantines_as_timeout(self):
-        stream = io.StringIO()
-        progress = StderrProgressReporter(stream=stream, clock=FakeClock())
-        obs = make_instrumentation(clock=FakeClock(), progress=progress)
+        progress = new_progress()
         config = small_config(locations_per_area=1, runs_per_location=2,
                               run_timeout_s=0.005)
-        result = CampaignRunner([operator("OP_V")], config, obs=obs,
-                                run_fn=make_slow_run_fn(0.05)).run()
+        obs, result = run_campaign(config, progress,
+                                   run_fn=make_slow_run_fn(0.05))
         assert result.completed == 0
         assert len(result.quarantined) == 2
         assert all(q.error.startswith("RunTimeoutError")
@@ -197,9 +216,10 @@ class TestInProcessDeadline:
         assert result.reconciles()
         assert obs.registry.counter(
             "campaign_run_timeouts_total").total() == 2
-        # Timed-out runs get their own progress tally, not "quarantined".
-        assert progress.timed_out == 2
-        assert progress.quarantined == 0
+        # Timed-out runs get their own progress tally, not "quarantined"
+        # (tallies recorded from the progress callbacks the sink
+        # replaced, as in the pool tests below).
+        assert tallies(progress) == (2, 2, 0, 0, 2, 0, 0)
         assert "timeout=2" in progress.render()
 
     def test_timeouts_flow_through_retry(self):
@@ -267,8 +287,9 @@ def make_crashing_run_once(marker_path, location_suffix="-P1",
 class TestPoolSupervision:
     def test_hung_worker_is_killed_and_run_quarantined(self, monkeypatch):
         monkeypatch.setattr(runner_module, "run_once", hang_first_run)
+        progress = new_progress()
         obs, result = run_campaign(
-            small_config(workers=2, run_timeout_s=0.2))
+            small_config(workers=2, run_timeout_s=0.2), progress)
         assert len(result.quarantined) == 1
         assert result.quarantined[0].error.startswith("RunTimeoutError")
         assert result.completed == 3
@@ -277,6 +298,8 @@ class TestPoolSupervision:
             "campaign_pool_rebuilds_total").total() == 1
         assert obs.registry.counter(
             "campaign_run_timeouts_total").total() == 1
+        # The kill was not resubmitted (supervision.quarantined follows).
+        assert tallies(progress) == (4, 4, 3, 0, 1, 0, 0)
 
     def test_crashed_worker_rebuild_then_results_match_sequential(
             self, tmp_path, monkeypatch):
@@ -284,8 +307,9 @@ class TestPoolSupervision:
         monkeypatch.setattr(
             runner_module, "run_once",
             make_crashing_run_once(str(tmp_path / "crashed.marker")))
+        progress = new_progress()
         obs, result = run_campaign(
-            small_config(workers=2, max_retries=1))
+            small_config(workers=2, max_retries=1), progress)
         # The crash-once run was retried after the rebuild: no quarantine,
         # and the merged results are the sequential ones, bit-identical.
         assert result.quarantined == expected.quarantined == []
@@ -295,6 +319,8 @@ class TestPoolSupervision:
             == [run.analysis for run in expected.runs]
         assert obs.registry.counter(
             "campaign_pool_rebuilds_total").total() >= 1
+        # One resubmitted kill: one retry.
+        assert tallies(progress) == (4, 4, 4, 0, 0, 0, 1)
 
     def test_always_crashing_run_is_quarantined_as_crash(
             self, tmp_path, monkeypatch):
@@ -302,11 +328,13 @@ class TestPoolSupervision:
             runner_module, "run_once",
             make_crashing_run_once(str(tmp_path / "unused.marker"),
                                    crash_once=False))
-        obs, result = run_campaign(small_config(workers=2))
+        progress = new_progress()
+        obs, result = run_campaign(small_config(workers=2), progress)
         assert len(result.quarantined) == 1
         assert result.quarantined[0].error.startswith("WorkerCrashError")
         assert result.completed == 3
         assert result.reconciles()
+        assert tallies(progress) == (4, 4, 3, 1, 0, 0, 0)
 
     def test_rebuild_storm_trips_the_breaker(self, tmp_path, monkeypatch):
         def always_crashes(deployment, profile, device, point, location_name,
@@ -314,9 +342,39 @@ class TestPoolSupervision:
             os._exit(1)
 
         monkeypatch.setattr(runner_module, "run_once", always_crashes)
+        progress = new_progress()
         with pytest.raises(CircuitBreakerOpen) as info:
-            run_campaign(small_config(workers=2, breaker_max_rebuilds=2))
+            run_campaign(small_config(workers=2, breaker_max_rebuilds=2),
+                         progress)
         assert "pool rebuilds" in str(info.value)
+        # Two kills quarantined their runs and the third tripped the
+        # breaker: none was resubmitted.
+        assert tallies(progress) == (4, 2, 0, 2, 0, 0, 0)
+
+
+def pool_worker_state() -> tuple:
+    """What a pool worker starts with: (no-op bundle, default SIGTERM,
+    ignored SIGINT)."""
+    return (get_instrumentation() is NULL_INSTRUMENTATION,
+            signal.getsignal(signal.SIGTERM) is signal.SIG_DFL,
+            signal.getsignal(signal.SIGINT) is signal.SIG_IGN)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+class TestPoolWorkerInitializer:
+    def test_fork_worker_drops_the_coordinators_bundle_and_handlers(self):
+        # The pool forks inside the coordinator's live bundle and its
+        # graceful-shutdown handlers, as under `repro campaign`.
+        supervisor = PoolSupervisor(1, multiprocessing.get_context("fork"))
+        with instrumented(make_instrumentation()), graceful_shutdown():
+            assert supervisor.start()
+            try:
+                state = supervisor.submit(pool_worker_state).result(
+                    timeout=120)
+            finally:
+                supervisor.kill()
+        assert state == (True, True, True)
 
 
 # ----------------------------------------------------------------------
@@ -431,3 +489,36 @@ class TestKillAndResume:
         assert counter("campaign_runs_scheduled_total").total() == 9
         assert counter("campaign_runs_completed_total").total() \
             + counter("campaign_runs_quarantined_total").total() == 9
+
+    def test_ctrl_c_to_the_process_group_exits(self, tmp_path):
+        # Ctrl-C reaches the pool workers too.  They ignore it; the
+        # coordinator drains, kills them and exits 130.  Workers that
+        # kept the coordinator's handlers could outlive the kill while
+        # shipping back the interrupt, and the coordinator hung at exit.
+        checkpoint = tmp_path / "campaign.ckpt"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "campaign",
+             "--operator", "OP_V", "--areas", "A9",
+             "--locations", "8", "--runs", "8", "--duration", "300",
+             "--workers", "2", "--seed", "0",
+             "--checkpoint", str(checkpoint)],
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            deadline = time.monotonic() + 120
+            while time.monotonic() < deadline and process.poll() is None:
+                if checkpoint.exists() and checkpoint.stat().st_size > 0:
+                    break
+                time.sleep(0.05)
+            os.killpg(process.pid, signal.SIGINT)
+            _, stderr = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.wait()
+        # 130 = graceful Ctrl-C stop; 0 = the campaign won the race.
+        assert process.returncode in (0, 130), stderr
+        if process.returncode == 130:
+            assert "resume with --checkpoint" in stderr
