@@ -52,8 +52,7 @@ def test_live_ingest_sustains_10k_records_per_second():
 
     best = float("inf")
     for _ in range(3):
-        analyzer = IncrementalAnalyzer(trace.metadata, mode="live",
-                                       horizon=4096)
+        analyzer = IncrementalAnalyzer(horizon=4096)
         start = time.perf_counter()
         for record in records:
             analyzer.feed(record)
@@ -81,7 +80,7 @@ def test_incremental_verdict_beats_batch_reanalysis():
     chunk = 500
 
     start = time.perf_counter()
-    analyzer = IncrementalAnalyzer(trace.metadata, mode="live", horizon=4096)
+    analyzer = IncrementalAnalyzer(horizon=4096)
     incremental_verdicts = []
     for index, record in enumerate(records, start=1):
         analyzer.feed(record)

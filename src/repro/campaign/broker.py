@@ -63,6 +63,7 @@ from repro.resilience.checkpoint import CheckpointMismatchError
 from repro.resilience.framing import LineReader, frame_object, load_framed_line
 from repro.resilience.memo import ArtifactStore
 from repro.resilience.taskqueue import (
+    BROKER_PROTOCOL_VERSION,
     Claim,
     DurableTaskQueue,
     TaskQueueError,
@@ -70,6 +71,7 @@ from repro.resilience.taskqueue import (
     _int,
     _run_key,
     _seq,
+    _text,
 )
 
 logger = logging.getLogger(__name__)
@@ -79,10 +81,6 @@ __all__ = [
     "CampaignBroker",
     "serve_broker",
 ]
-
-#: Version tag advertised in every status snapshot.  Version 2 carries
-#: task and outcome payloads inside the framed verbs.
-BROKER_PROTOCOL_VERSION = 2
 
 #: How many idempotency-key responses the broker remembers.
 _IDEMPOTENCY_CACHE_SIZE = 4096
@@ -94,13 +92,6 @@ _DRAIN_READABLE = ("/v1/sync", "/v1/outcome")
 
 #: The most spool bytes one ``sync`` answer carries.
 _SYNC_MAX_BYTES = 1 << 20
-
-
-def _text(value: object) -> str:
-    """A payload field: task and outcome payloads are text."""
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string payload, got {value!r}")
-    return value
 
 
 def _worker_id(value: object) -> str:

@@ -45,6 +45,10 @@ to a resumable exit (the outstanding lease expires and is stolen), the
 coordinator's :class:`~repro.campaign.scheduler.BrokerScheduler` trips
 the circuit breaker into the standard resume-hint path.  Nothing is
 lost either way — the broker's spool is the store of record.
+
+* **Answers decode or raise.**  ``open`` refuses a broker advertising
+  another ``protocol``, and every field the client reads decodes with
+  the spool replay's rules or raises :class:`BrokerError`.
 """
 
 from __future__ import annotations
@@ -54,13 +58,24 @@ import os
 import threading
 import time
 import urllib.parse
+from contextlib import contextmanager
 from typing import Callable
 
 from repro.obs import get_instrumentation
 from repro.resilience.checkpoint import CheckpointMismatchError
 from repro.resilience.framing import frame_object, load_framed_line
 from repro.resilience.retry import RetryPolicy
-from repro.resilience.taskqueue import Claim, LeaseState, replay_line
+from repro.resilience.taskqueue import (
+    BROKER_PROTOCOL_VERSION,
+    Claim,
+    LeaseState,
+    _finite,
+    _int,
+    _run_key,
+    _seq,
+    _text,
+    replay_line,
+)
 
 __all__ = [
     "BrokerClient",
@@ -74,7 +89,8 @@ __all__ = [
 
 class BrokerError(RuntimeError):
     """The broker answered, and the answer is a protocol error
-    (malformed request, unknown verb) — retrying cannot help."""
+    (malformed request, unknown verb, another protocol version, a
+    response field that does not decode) — retrying cannot help."""
 
 
 class BrokerTransportError(OSError):
@@ -87,6 +103,37 @@ class BrokerUnavailableError(RuntimeError):
     as down.  Latched — every later call fails immediately, so callers
     reach their own degradation path (worker resumable exit, scheduler
     breaker trip) instead of grinding through per-call timeouts."""
+
+
+def _flag(value: object) -> bool:
+    """A boolean response field."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected a boolean, got {value!r}")
+    return value
+
+
+def _names(value: object) -> list[str]:
+    """A list of worker ids."""
+    if not isinstance(value, list) \
+            or not all(isinstance(name, str) for name in value):
+        raise TypeError(f"expected a list of names, got {value!r}")
+    return value
+
+
+def _optional(decode: Callable[[object], object], value: object):
+    return None if value is None else decode(value)
+
+
+@contextmanager
+def _answer(path: str):
+    """Decode one 200 answer to ``path``: a missing or undecodable field
+    raises :class:`BrokerError`.  Never wrap a ``_call``: its
+    ``CheckpointMismatchError`` is a ``ValueError`` too."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as error:
+        raise BrokerError(f"POST {path}: malformed broker answer "
+                          f"({type(error).__name__}: {error})") from None
 
 
 def default_broker_retry(seed: int = 0) -> RetryPolicy:
@@ -256,31 +303,39 @@ class BrokerClient:
             self._down = message
         raise BrokerUnavailableError(message)
 
-    def _absorb(self, status: dict | None) -> None:
-        """Fold a broker status snapshot into client-side views."""
-        if not isinstance(status, dict):
-            return
+    def _absorb(self, status: object, path: str) -> bool:
+        """Fold a broker status snapshot into client-side views; returns
+        whether the broker's queue exists (``ready``)."""
+        with _answer(path):
+            if not isinstance(status, dict):
+                raise TypeError(f"expected a status object, got {status!r}")
+            now = _finite(status["now"])
+            ready = _flag(status["ready"])
+            if ready:
+                workers = _names(status["live_workers"])
+                identity = _optional(_text, status["identity"])
+                lease = _optional(_finite, status["lease_s"])
+                closed = _flag(status["closed"])
+                total = _optional(_int, status["total"])
+                completed = _int(status["completed"])
+                submitted = _int(status["submitted"])
         with self._lock:
-            now = status.get("now")
-            if isinstance(now, (int, float)):
-                self._clock_offset = float(now) - self._monotonic()
-            workers = status.get("live_workers")
-            if isinstance(workers, list):
-                self._live_workers = [str(w) for w in workers]
+            self._clock_offset = now - self._monotonic()
+            if not ready:
+                return False
+            self._live_workers = workers
             state = self.state
-            if state.identity is None and status.get("identity") is not None:
-                state.identity = str(status["identity"])
-            lease = status.get("lease_s")
-            if state.default_lease_s is None and lease is not None:
-                state.default_lease_s = float(lease)
-            if self.role != "coordinator" and status.get("ready"):
+            if state.identity is None:
+                state.identity = identity
+            if state.default_lease_s is None:
+                state.default_lease_s = lease
+            if self.role != "coordinator":
                 # No event mirror on the worker side: project the
                 # snapshot into the lite state so drained() works.
-                state.closed = bool(status.get("closed"))
-                total = status.get("total")
-                state.total = None if total is None else int(total)
-                state.stats.completed = int(status.get("completed") or 0)
-                state.stats.submitted = int(status.get("submitted") or 0)
+                state.closed, state.total = closed, total
+                state.stats.completed = completed
+                state.stats.submitted = submitted
+        return True
 
     # -- spool mirror (coordinator) -------------------------------------
 
@@ -288,23 +343,23 @@ class BrokerClient:
         """Pull and replay new spool events (also drives broker-side
         lease expiry, which happens inside the sync handler)."""
         response = self._call("POST", "/v1/sync", {"offset": self._offset})
-        self._absorb(response.get("status"))
-        text = response.get("events")
-        next_offset = response.get("next_offset", self._offset)
-        if isinstance(text, str):
-            for line in text.encode("utf-8").split(b"\n"):
-                if not line.strip():
-                    continue
-                observed = replay_line(self.state, line)
-                if observed is None:
-                    # A corrupt spool line (a torn-tail fragment the
-                    # broker's writer repaired around) is skipped, as in
-                    # the broker's own replay.  Whole-response corruption
-                    # was already caught by the response framing in _call.
-                    self._skipped_lines += 1
-                else:
-                    self._dispositions.append(observed)
-        self._offset = int(next_offset)
+        with _answer("/v1/sync"):
+            lines = _text(response["events"]).encode("utf-8").split(b"\n")
+            next_offset = _seq(response["next_offset"])
+        self._absorb(response.get("status"), "/v1/sync")
+        for line in lines:
+            if not line.strip():
+                continue
+            observed = replay_line(self.state, line)
+            if observed is None:
+                # A corrupt spool line (a torn-tail fragment the
+                # broker's writer repaired around) is skipped, as in
+                # the broker's own replay.  Whole-response corruption
+                # was already caught by the response framing in _call.
+                self._skipped_lines += 1
+            else:
+                self._dispositions.append(observed)
+        self._offset = next_offset
 
     # -- lifecycle -------------------------------------------------------
 
@@ -319,9 +374,14 @@ class BrokerClient:
         if create and self.default_lease_s is not None:
             request["lease_s"] = self.default_lease_s
         response = self._call("POST", "/v1/attach", request)
-        if not response.get("ready"):
+        protocol = response.get("protocol")
+        if isinstance(protocol, bool) or protocol != BROKER_PROTOCOL_VERSION:
+            raise BrokerError(
+                f"broker {self.base_url} speaks protocol {protocol!r}, this "
+                f"client protocol {BROKER_PROTOCOL_VERSION}: run the same "
+                f"repro version on both ends")
+        if not self._absorb(response, "/v1/attach"):
             return False
-        self._absorb(response)
         if self.role == "coordinator":
             self._sync()
         return True
@@ -331,11 +391,13 @@ class BrokerClient:
     def submit(self, key: tuple, payload: str) -> int:
         response = self._call("POST", "/v1/submit",
                               {"key": list(key), "payload": payload})
-        self._absorb(response)
-        return int(response["seq"])
+        with _answer("/v1/submit"):
+            seq = _seq(response["seq"])
+        self._absorb(response, "/v1/submit")
+        return seq
 
     def close(self) -> None:
-        self._absorb(self._call("POST", "/v1/seal", {}))
+        self._absorb(self._call("POST", "/v1/seal", {}), "/v1/seal")
 
     def take_completion(self, seq: int) -> str | None:
         task = self.state.tasks.get(seq)
@@ -344,8 +406,9 @@ class BrokerClient:
         outcome, task.outcome = task.outcome, None
         if not isinstance(outcome, str) or not outcome:
             return None  # already taken
-        return str(self._call("POST", "/v1/outcome",
-                              {"digest": outcome})["payload"])
+        response = self._call("POST", "/v1/outcome", {"digest": outcome})
+        with _answer("/v1/outcome"):
+            return _text(response["payload"])
 
     def expire_overdue(self) -> None:
         # Expiry is the broker's decision (its clock, its spool); the
@@ -363,27 +426,30 @@ class BrokerClient:
         response = self._call("POST", "/v1/claim",
                               {"worker": worker, "lease_s": lease_s},
                               idem=self._next_idem())
-        self._absorb(response)
-        claimed = response.get("claim")
-        if claimed is None:
-            return None
-        return Claim(seq=int(claimed["seq"]), token=int(claimed["token"]),
-                     worker=str(claimed.get("worker", worker)),
-                     key=tuple(claimed.get("key") or ()),
-                     payload=str(claimed["payload"]))
+        with _answer("/v1/claim"):
+            claimed = response["claim"]
+            claim = None if claimed is None else Claim(
+                seq=_seq(claimed["seq"]), token=_int(claimed["token"]),
+                worker=_text(claimed["worker"]),
+                key=_run_key(claimed["key"]),
+                payload=_text(claimed["payload"]))
+        self._absorb(response, "/v1/claim")
+        return claim
 
     def heartbeat(self, claim: Claim, lease_s: float) -> bool:
         response = self._call("POST", "/v1/heartbeat",
                               {"seq": claim.seq, "token": claim.token,
                                "worker": claim.worker, "lease_s": lease_s})
-        return bool(response.get("ok"))
+        with _answer("/v1/heartbeat"):
+            return _flag(response["ok"])
 
     def complete(self, claim: Claim, payload: str) -> bool:
         response = self._call("POST", "/v1/complete",
                               {"seq": claim.seq, "token": claim.token,
                                "worker": claim.worker, "payload": payload},
                               idem=self._next_idem())
-        return bool(response.get("ok"))
+        with _answer("/v1/complete"):
+            return _flag(response["ok"])
 
     def write_worker_heartbeat(self, worker: str, ttl_s: float,
                                run_key: tuple | None = None,

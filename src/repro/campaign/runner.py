@@ -347,7 +347,6 @@ def _worker_deployment(profile: OperatorProfile,
 
 
 def _run_task(task: _WorkerTask, deployment: AreaDeployment,
-              run_fn: Callable[..., RunResult] | None = None,
               **span_attributes) -> _WorkerOutcome:
     """One run through the retry loop, reported into the active bundle.
 
@@ -355,22 +354,19 @@ def _run_task(task: _WorkerTask, deployment: AreaDeployment,
     unrestorable-checkpoint fallback) or under
     :func:`_execute_worker_task`.  It records the ``run`` span and the
     retry/quarantine counters; the terminal event, checkpoint and
-    result stay with the schedule-order merge.  ``run_fn`` is the
-    runner's hook (``None``: :func:`run_once`, looked up at call time);
-    retry backoff is recorded, never waited out; ``span_attributes``
-    extend the ``run`` span (a worker's pid).  ``timed_out`` flags a
-    quarantine caused by the run's wall-clock budget (own tally and
-    counter).
+    result stay with the schedule-order merge.  :func:`run_once` is
+    looked up at call time, so a test that patches the module global
+    substitutes every run on every backend; it receives ``memo=`` only
+    when a memo is configured.  Retry backoff is recorded, never waited
+    out; ``span_attributes`` extend the ``run`` span (a worker's pid).
+    ``timed_out`` flags a quarantine caused by the run's wall-clock
+    budget (own tally and counter).
     """
     obs = get_instrumentation()
     registry = obs.registry
     test_device = device_by_name(task.device_name)
-    run_fn = run_fn or run_once
-    # Only the stock run_once takes ``memo``: custom run_fn hooks (the
-    # chaos harness) keep their exact signature, and stand-ins patched
-    # over the module global only receive it when a memo is configured.
     run_kwargs = {}
-    if task.memo_dir is not None and run_fn is run_once:
+    if task.memo_dir is not None:
         run_kwargs["memo"] = AnalysisMemo(task.memo_dir,
                                           identity=task.memo_identity)
 
@@ -380,10 +376,10 @@ def _run_task(task: _WorkerTask, deployment: AreaDeployment,
         # boundary (or here, if it only overran while finishing) and
         # flows through the normal retry/quarantine machinery.
         with deadline_scope(task.run_timeout_s):
-            value = run_fn(deployment, task.profile, test_device,
-                           task.point, task.location_name, task.run_index,
-                           duration_s=task.duration_s,
-                           keep_trace=task.keep_trace, **run_kwargs)
+            value = run_once(deployment, task.profile, test_device,
+                             task.point, task.location_name, task.run_index,
+                             duration_s=task.duration_s,
+                             keep_trace=task.keep_trace, **run_kwargs)
             check_deadline("run")
             return value
 
@@ -481,9 +477,7 @@ def _mp_context():
 class CampaignRunner:
     """Run a full campaign over one or more operator profiles.
 
-    ``run_fn`` defaults to :func:`run_once`; tests swap in wrappers
-    (the chaos harness injects run failures and trace corruption), and
-    a custom ``run_fn`` keeps the campaign in this process.  Retry
+    Every run goes through :func:`run_once`, on every backend.  Retry
     backoff is recorded, never waited out.
 
     ``obs`` is the observability bundle the campaign reports into: a
@@ -499,7 +493,6 @@ class CampaignRunner:
 
     profiles: list[OperatorProfile]
     config: CampaignConfig = field(default_factory=CampaignConfig)
-    run_fn: Callable[..., RunResult] | None = None
     obs: Instrumentation | None = None
 
     def schedule(self) -> Iterator[ScheduledRun]:
@@ -551,16 +544,12 @@ class CampaignRunner:
         scheduler = None
         if backend == "broker":
             scheduler = self._broker_scheduler(breaker)
-        elif workers > 1 and self.run_fn is None:
+        elif workers > 1:
             scheduler = self._pool_scheduler(workers, breaker, policy)
-        if scheduler is None:
-            # Sequential execution in this process.  A custom run_fn
-            # forces it: it is a closure over local state (the chaos
-            # harness counts attempts in-process), so shipping it to
-            # workers would be both unpicklable and semantically wrong.
+        if scheduler is None:  # sequential execution in this process
             workers = 1
             scheduler = InlineScheduler(lambda item: _run_task(
-                item.task, item.scheduled.deployment, self.run_fn))
+                item.task, item.scheduled.deployment))
         schedule = list(self.schedule())
         obs.events.emit("campaign.started", scheduler=scheduler.name,
                         workers=workers, seed=self.config.seed,
@@ -614,10 +603,6 @@ class CampaignRunner:
         """
         if self.config.broker_url is None:
             raise ValueError("scheduler='broker' requires broker_url")
-        if self.run_fn is not None:
-            raise ValueError(
-                "scheduler='broker' cannot ship a custom run_fn hook "
-                "to independent worker processes; use the pool scheduler")
         from repro.campaign.broker_client import BrokerClient
 
         client = BrokerClient(self.config.broker_url, role="coordinator",
@@ -691,8 +676,7 @@ class CampaignRunner:
                     return
                 # Unrestorable (corrupt or trace-less entry): re-execute
                 # in-process, where it stays in schedule order.
-                outcome = _run_task(task_for(scheduled), scheduled.deployment,
-                                    self.run_fn)
+                outcome = _run_task(task_for(scheduled), scheduled.deployment)
             else:
                 drained = scheduler.drain(item)
                 if drained.error is not None:
@@ -834,15 +818,9 @@ class CampaignRunner:
             breaker.record_failure("quarantine", scheduled.key)
             return
         run_result = outcome.run_result
-        if checkpoint is not None:
-            # A custom run_fn may drop the trace even when asked to keep
-            # it; record a trace-less success so resume still knows the
-            # run completed (it re-executes deliberately, keeping
-            # CampaignResult counters reconciled).
-            checkpoint.record_success(
-                scheduled.key,
-                run_result.trace.to_jsonl()
-                if run_result.trace is not None else None)
+        if checkpoint is not None:  # every task asked for its trace
+            checkpoint.record_success(scheduled.key,
+                                      run_result.trace.to_jsonl())
         if not self.config.keep_traces:
             run_result.trace = None
         result.add(run_result)

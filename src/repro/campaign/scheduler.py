@@ -17,8 +17,7 @@ to sequential execution absent faults.
 
 * :class:`InlineScheduler` — sequential execution in the campaign's
   own process, one run at a time.  The runner picks it for
-  ``workers <= 1``, for custom ``run_fn``/``sleep`` hooks, and when no
-  process pool is available.
+  ``workers <= 1`` and when no process pool is available.
 * :class:`PoolScheduler` — the supervised in-host ``ProcessPool``
   (:class:`~repro.resilience.supervision.PoolSupervisor`).  Submitting
   a task both enqueues and implicitly leases it to the pool, the OS

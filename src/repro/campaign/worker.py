@@ -20,7 +20,8 @@ and the worker exits 0 once the queue is sealed and fully drained.
 SIGTERM/SIGINT raise :class:`ShutdownRequested` between stages (the
 outstanding lease, if any, simply expires and is stolen) and map to
 exit ``128 + signum``; a broker that stays unreachable through the
-client's retry budget maps to exit 75.
+client's retry budget maps to exit 75, and an answer the client cannot
+decode (``BrokerError``) to one ``error:`` line and exit 1.
 """
 
 from __future__ import annotations
@@ -256,9 +257,9 @@ class QueueWorker:
                     run_key=claim.key, token=claim.token)
                 if not self.queue.heartbeat(claim, self.lease_s):
                     return  # fenced: the run was stolen, stop renewing
-            except _broker_unavailable():
-                # The main loop will hit the same latched error at its
-                # next verb and exit resumably; stop renewing here.
+            except _broker_failures():
+                # The main loop meets the same latched outage (or its
+                # own protocol error) at its next verb; stop renewing.
                 return
             self._flush_telemetry()
 
@@ -267,3 +268,8 @@ def _broker_unavailable() -> type[Exception]:
     """Late import: ``import repro.campaign`` never loads the HTTP stack."""
     from repro.campaign.broker_client import BrokerUnavailableError
     return BrokerUnavailableError
+
+
+def _broker_failures() -> tuple[type[Exception], ...]:
+    from repro.campaign.broker_client import BrokerError
+    return (_broker_unavailable(), BrokerError)

@@ -465,13 +465,21 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 
 
-def _build_instrumentation(args: argparse.Namespace) -> Instrumentation:
-    """A live bundle when any observability flag is set, else the no-op."""
-    if not (args.metrics_out or args.trace_out or args.progress
+def _build_instrumentation(
+        args: argparse.Namespace,
+        progress: StderrProgressReporter | None = None) -> Instrumentation:
+    """A live bundle when any observability flag is set, else the no-op.
+
+    ``progress`` (``--progress``) is one more event sink; the
+    ``--log-level`` sink keeps its records off its status line.
+    """
+    if not (args.metrics_out or args.trace_out or progress is not None
             or _wants_event_stream(args)):
         return NULL_INSTRUMENTATION
     obs = make_instrumentation()
-    _attach_event_stream(obs, args)
+    _attach_event_stream(obs, args, status_line=progress)
+    if progress is not None:
+        obs.events.add_sink(progress)
     return obs
 
 
@@ -480,8 +488,9 @@ def _wants_event_stream(args: argparse.Namespace) -> bool:
         or getattr(args, "log_json", False)
 
 
-def _attach_event_stream(obs: Instrumentation,
-                         args: argparse.Namespace) -> None:
+def _attach_event_stream(obs: Instrumentation, args: argparse.Namespace,
+                         status_line: StderrProgressReporter | None = None,
+                         ) -> None:
     """Mirror structured events to stderr per ``--log-level/--log-json``.
 
     Also routes stdlib ``logging`` warnings from the ``repro`` loggers
@@ -492,7 +501,8 @@ def _attach_event_stream(obs: Instrumentation,
         return
     level = getattr(args, "log_level", None) or "info"
     obs.events.add_sink(StderrEventSink(
-        min_severity=level, json_mode=getattr(args, "log_json", False)))
+        min_severity=level, json_mode=getattr(args, "log_json", False),
+        status_line=status_line))
     attach_logging_bridge(obs.events)
 
 
@@ -550,11 +560,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         memo_dir=args.memo_dir,
         broker_url=args.broker,
     )
-    obs = _build_instrumentation(args)
-    # --progress is one more event sink, attached like --log-level's.
     progress = StderrProgressReporter() if args.progress else None
-    if progress is not None:
-        obs.events.add_sink(progress)
+    obs = _build_instrumentation(args, progress)
     try:
         with graceful_shutdown():
             result = CampaignRunner(profiles, config, obs=obs).run()
@@ -568,9 +575,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         _print_resume_hint(args, "interrupted")
         return 128 + stop.signum if isinstance(stop, ShutdownRequested) \
             else 130
-    except CircuitBreakerOpen as error:
-        # The failure pattern looked systemic; surface the breaker's
-        # diagnostic summary and where to resume once it is fixed.
+    except (CircuitBreakerOpen, _broker_error()) as error:
+        # The failure pattern looked systemic, or the broker answered
+        # something this client cannot decode: surface the diagnostic
+        # and where to resume once it is fixed.
         _flush_observability(obs, args)
         _final_progress_snapshot(progress)
         print(f"error: {error}", file=sys.stderr)
@@ -582,6 +590,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     _flush_observability(obs, args)
     print(campaign_report(result))
     return 0
+
+
+def _broker_error() -> type[Exception]:
+    """The broker client's protocol error, imported only once an
+    exception needs matching: the pool path never loads the HTTP
+    stack."""
+    from repro.campaign.broker_client import BrokerError
+    return BrokerError
 
 
 def _print_resume_hint(args: argparse.Namespace, what: str) -> None:
@@ -685,6 +701,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
               f"({worker.completed} completed)", file=sys.stderr)
         return 128 + stop.signum if isinstance(stop, ShutdownRequested) \
             else 130
+    except _broker_error() as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 def _cmd_broker(args: argparse.Namespace) -> int:
@@ -791,7 +810,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 def _cmd_stream_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import json
     import threading
 
     from repro.serve import StreamIngestServer, serve_metrics
@@ -801,13 +819,8 @@ def _cmd_stream_serve(args: argparse.Namespace) -> int:
     events_file = None
     if args.events_out:
         events_file = open(args.events_out, "a", encoding="utf-8")
-
-        def _jsonl_sink(event) -> None:
-            events_file.write(json.dumps(event.to_dict(),
-                                         separators=(",", ":")) + "\n")
-            events_file.flush()
-
-        obs.events.add_sink(_jsonl_sink)
+        obs.events.add_sink(StderrEventSink(
+            min_severity="debug", json_mode=True, stream=events_file))
     horizon = args.horizon
     if horizon is None:
         from repro.serve.server import DEFAULT_HORIZON

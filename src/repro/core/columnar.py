@@ -3,8 +3,8 @@
 Every analysis stage past loop detection looks records and intervals up
 by time.  Re-scanning Python record lists for each lookup is what made
 the per-record pipeline slow, so each trace is tabulated **once**:
-per-kind record time arrays (:class:`RecordColumns`, accumulated by
-:class:`RecordColumnsBuilder`) and interval start/end/5G-on/interned
+per-kind record time arrays (:class:`RecordColumns`, built in one pass
+by :meth:`RecordColumns.from_trace`) and interval start/end/5G-on/interned
 cell-set-id arrays plus the collapsed 5G timeline
 (:class:`IntervalColumns`).  The stages themselves live in the modules
 named after their concept — :mod:`repro.core.classify`,
@@ -34,7 +34,6 @@ from repro.traces.records import (
 __all__ = [
     "IntervalColumns",
     "RecordColumns",
-    "RecordColumnsBuilder",
 ]
 
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
@@ -92,101 +91,81 @@ class RecordColumns:
 
     @staticmethod
     def from_trace(trace: SignalingTrace) -> "RecordColumns":
-        builder = RecordColumnsBuilder()
+        signaling: list[Record] = []
+        throughput_t: list[float] = []
+        throughput_mbps: list[float] = []
+        meas_reports: list[MeasurementReportRecord] = []
+        meas_t: list[float] = []
+        nr_report_t: list[float] = []
+        scg_failure_t: list[float] = []
+        reest: list[RrcReestablishmentRequestRecord] = []
+        reest_t: list[float] = []
+        dereg_t: list[float] = []
+        dereg_sig_index: list[int] = []
+        scg_config_t: list[float] = []
+        scg_config_pscells: list[CellIdentity] = []
+        ho_release_t: list[float] = []
+        ho_release_targets: list[CellIdentity | None] = []
+        scg_release_t: list[float] = []
+        scellmod: list[RrcReconfigurationRecord] = []
+        scellmod_t: list[float] = []
+        scellmod_sig_index: list[int] = []
         for record in trace.records:
-            builder.push(record)
-        return builder.build()
-
-
-class RecordColumnsBuilder:
-    """Push-based accumulator behind :meth:`RecordColumns.from_trace`.
-
-    The per-kind dispatch used to live inline in ``from_trace``; it is
-    a class so the incremental analyzer (:mod:`repro.core.incremental`)
-    can feed records one at a time and :meth:`build` the identical
-    column set at finalize — the batch path goes through the same
-    ``push`` calls, so the two cannot drift.
-    """
-
-    def __init__(self) -> None:
-        self.signaling: list[Record] = []
-        self.throughput_t: list[float] = []
-        self.throughput_mbps: list[float] = []
-        self.meas_reports: list[MeasurementReportRecord] = []
-        self.meas_t: list[float] = []
-        self.nr_report_t: list[float] = []
-        self.scg_failure_t: list[float] = []
-        self.reest: list[RrcReestablishmentRequestRecord] = []
-        self.reest_t: list[float] = []
-        self.dereg_t: list[float] = []
-        self.dereg_sig_index: list[int] = []
-        self.scg_config_t: list[float] = []
-        self.scg_config_pscells: list[CellIdentity] = []
-        self.ho_release_t: list[float] = []
-        self.ho_release_targets: list[CellIdentity | None] = []
-        self.scg_release_t: list[float] = []
-        self.scellmod: list[RrcReconfigurationRecord] = []
-        self.scellmod_t: list[float] = []
-        self.scellmod_sig_index: list[int] = []
-
-    def push(self, record: Record) -> None:
-        if isinstance(record, ThroughputSampleRecord):
-            self.throughput_t.append(record.time_s)
-            self.throughput_mbps.append(record.mbps)
-            return
-        sig_index = len(self.signaling)
-        self.signaling.append(record)
-        if isinstance(record, MeasurementReportRecord):
-            self.meas_reports.append(record)
-            self.meas_t.append(record.time_s)
-            if any(measurement.identity.rat is Rat.NR
-                   for measurement in record.measurements):
-                self.nr_report_t.append(record.time_s)
-        elif isinstance(record, ScgFailureRecord):
-            self.scg_failure_t.append(record.time_s)
-        elif isinstance(record, RrcReestablishmentRequestRecord):
-            self.reest.append(record)
-            self.reest_t.append(record.time_s)
-        elif isinstance(record, MmStateRecord):
-            if record.state == "DEREGISTERED":
-                self.dereg_t.append(record.time_s)
-                self.dereg_sig_index.append(sig_index)
-        elif isinstance(record, RrcReconfigurationRecord):
-            if record.scg_pscell is not None:
-                self.scg_config_t.append(record.time_s)
-                self.scg_config_pscells.append(record.scg_pscell)
-            if record.release_scg:
-                if record.is_handover:
-                    self.ho_release_t.append(record.time_s)
-                    self.ho_release_targets.append(record.handover_target)
-                else:
-                    self.scg_release_t.append(record.time_s)
-            if record.scell_add_mod and record.scell_release_indices:
-                self.scellmod.append(record)
-                self.scellmod_t.append(record.time_s)
-                self.scellmod_sig_index.append(sig_index)
-
-    def build(self) -> RecordColumns:
+            if isinstance(record, ThroughputSampleRecord):
+                throughput_t.append(record.time_s)
+                throughput_mbps.append(record.mbps)
+                continue
+            sig_index = len(signaling)
+            signaling.append(record)
+            if isinstance(record, MeasurementReportRecord):
+                meas_reports.append(record)
+                meas_t.append(record.time_s)
+                if any(measurement.identity.rat is Rat.NR
+                       for measurement in record.measurements):
+                    nr_report_t.append(record.time_s)
+            elif isinstance(record, ScgFailureRecord):
+                scg_failure_t.append(record.time_s)
+            elif isinstance(record, RrcReestablishmentRequestRecord):
+                reest.append(record)
+                reest_t.append(record.time_s)
+            elif isinstance(record, MmStateRecord):
+                if record.state == "DEREGISTERED":
+                    dereg_t.append(record.time_s)
+                    dereg_sig_index.append(sig_index)
+            elif isinstance(record, RrcReconfigurationRecord):
+                if record.scg_pscell is not None:
+                    scg_config_t.append(record.time_s)
+                    scg_config_pscells.append(record.scg_pscell)
+                if record.release_scg:
+                    if record.is_handover:
+                        ho_release_t.append(record.time_s)
+                        ho_release_targets.append(record.handover_target)
+                    else:
+                        scg_release_t.append(record.time_s)
+                if record.scell_add_mod and record.scell_release_indices:
+                    scellmod.append(record)
+                    scellmod_t.append(record.time_s)
+                    scellmod_sig_index.append(sig_index)
         return RecordColumns(
-            signaling=self.signaling,
-            throughput_t=_as_f64(self.throughput_t),
-            throughput_mbps=_as_f64(self.throughput_mbps),
-            meas_reports=self.meas_reports,
-            meas_t=_as_f64(self.meas_t),
-            nr_report_t=_as_f64(self.nr_report_t),
-            scg_failure_t=_as_f64(self.scg_failure_t),
-            reest=self.reest,
-            reest_t=_as_f64(self.reest_t),
-            dereg_t=_as_f64(self.dereg_t),
-            dereg_sig_index=_as_i64(self.dereg_sig_index),
-            scg_config_t=_as_f64(self.scg_config_t),
-            scg_config_pscells=self.scg_config_pscells,
-            ho_release_t=_as_f64(self.ho_release_t),
-            ho_release_targets=self.ho_release_targets,
-            scg_release_t=_as_f64(self.scg_release_t),
-            scellmod=self.scellmod,
-            scellmod_t=_as_f64(self.scellmod_t),
-            scellmod_sig_index=_as_i64(self.scellmod_sig_index),
+            signaling=signaling,
+            throughput_t=_as_f64(throughput_t),
+            throughput_mbps=_as_f64(throughput_mbps),
+            meas_reports=meas_reports,
+            meas_t=_as_f64(meas_t),
+            nr_report_t=_as_f64(nr_report_t),
+            scg_failure_t=_as_f64(scg_failure_t),
+            reest=reest,
+            reest_t=_as_f64(reest_t),
+            dereg_t=_as_f64(dereg_t),
+            dereg_sig_index=_as_i64(dereg_sig_index),
+            scg_config_t=_as_f64(scg_config_t),
+            scg_config_pscells=scg_config_pscells,
+            ho_release_t=_as_f64(ho_release_t),
+            ho_release_targets=ho_release_targets,
+            scg_release_t=_as_f64(scg_release_t),
+            scellmod=scellmod,
+            scellmod_t=_as_f64(scellmod_t),
+            scellmod_sig_index=_as_i64(scellmod_sig_index),
         )
 
 

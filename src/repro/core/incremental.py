@@ -40,17 +40,14 @@ fleet-scale ingest service (see :mod:`repro.serve`) needs a verdict
   Only *stable* intervals are published to the detector: the cell-set
   builder may still reabsorb its most recent interval on a
   same-timestamp state change, so an interval enters the dedup sequence
-  once the stream clock has strictly passed its end.  In ``mode="full"``
-  the analyzer also accumulates the columnar record tables
-  (:class:`~repro.core.columnar.RecordColumnsBuilder`) and
-  :meth:`finalize` assembles a :class:`~repro.core.pipeline.RunAnalysis`
-  through the same :func:`~repro.core.pipeline.assemble_analysis` the
-  batch pipeline uses — field-for-field identical to ``analyze_trace``
-  on the same records (Hypothesis-gated in
-  ``tests/test_core_incremental.py``).  ``mode="live"`` retains no
-  records or intervals at all — per-stream state is the tracker, the
-  dedup ring and a handful of counters — and :meth:`finalize` returns a
-  compact :class:`StreamVerdict`.
+  once the stream clock has strictly passed its end, and is dropped
+  from the builder once published.  The analyzer retains no records or
+  intervals at all — per-stream state is the tracker, the dedup ring
+  and a handful of counters — and :meth:`~IncrementalAnalyzer.finalize`
+  returns a compact :class:`StreamVerdict` whose detection, record
+  count, dedup length and duration equal batch ``analyze_trace``'s on
+  the same records (Hypothesis-gated in
+  ``tests/test_core_incremental.py``).
 
 Out-of-order records (live streams deliver them; batch traces cannot)
 are handled here and only here, in :meth:`IncrementalAnalyzer._admit`,
@@ -64,7 +61,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -73,15 +70,12 @@ from repro.core.cellset import (
     CellSet,
     CellSetSequenceBuilder,
 )
-from repro.core.columnar import IntervalColumns, RecordColumnsBuilder
 from repro.core.loops import (
     LoopDetection,
     LoopKind,
     SpanDedup,
     _canonical_rotation,
 )
-from repro.core.pipeline import RunAnalysis, assemble_analysis
-from repro.traces.log import TraceMetadata
 from repro.traces.records import Record, ThroughputSampleRecord
 
 __all__ = [
@@ -268,7 +262,7 @@ class IncrementalLoopDetector:
 
 @dataclass(frozen=True)
 class StreamVerdict:
-    """What ``mode="live"`` :meth:`IncrementalAnalyzer.finalize` returns."""
+    """What :meth:`IncrementalAnalyzer.finalize` returns."""
 
     detection: LoopDetection
     records: int
@@ -290,16 +284,11 @@ class StreamVerdict:
 
 
 class IncrementalAnalyzer:
-    """Record-at-a-time analysis of one device stream.
+    """Record-at-a-time loop detection over one device stream.
 
-    ``mode="full"`` (default) retains what the batch pipeline retains —
-    record columns and the interval list — and :meth:`finalize` returns
-    a :class:`RunAnalysis` field-for-field identical to
-    ``analyze_trace`` on the same records.  ``mode="live"`` keeps only
-    bounded state (tracker + dedup ring + counters) and :meth:`finalize`
-    returns a :class:`StreamVerdict`; with a ``horizon`` set, per-stream
-    memory is O(horizon + distinct cell sets) regardless of stream
-    length.
+    Keeps only bounded state (tracker + dedup ring + counters): with a
+    ``horizon`` set, per-stream memory is O(horizon + distinct cell
+    sets) regardless of stream length.
 
     ``on_event`` (optional) receives live detector transitions:
     ``loop_onset`` (first loop detected), ``loop_update`` (an earlier /
@@ -308,25 +297,17 @@ class IncrementalAnalyzer:
     event carries the stream clock and the current detection shape.
     """
 
-    def __init__(self, metadata: TraceMetadata | None = None, *,
-                 min_repetitions: int = 2,
+    def __init__(self, *, min_repetitions: int = 2,
                  horizon: int | None = None,
                  on_disorder: str = "strict",
-                 mode: str = "full",
                  on_event: EventCallback | None = None) -> None:
-        if mode not in ("full", "live"):
-            raise ValueError(f"unknown mode: {mode!r}")
         if on_disorder not in ("strict", "recover"):
             raise ValueError(f"unknown on_disorder mode: {on_disorder!r}")
-        self.metadata = metadata if metadata is not None else TraceMetadata()
-        self.mode = mode
         self._strict = on_disorder == "strict"
         self._cells = CellSetSequenceBuilder()
         self.detector = IncrementalLoopDetector(
             min_repetitions=min_repetitions, horizon=horizon)
-        self._columns = RecordColumnsBuilder() if mode == "full" else None
         self._on_event = on_event
-        self._published = 0          # intervals already fed to the detector
         self._last_best: tuple[int, int] | None = None
         self._last_open = False
         self.records_fed = 0
@@ -370,18 +351,11 @@ class IncrementalAnalyzer:
             raise RuntimeError("stream already finalized")
         record = self._admit(record)
         self.records_fed += 1
-        if self._columns is not None:
-            self._columns.push(record)
         if isinstance(record, ThroughputSampleRecord):
             return
         self._cells.push(record)
         self._publish_stable()
         self._emit_transitions()
-
-    def feed_many(self, records: Iterable[Record]) -> None:
-        """Ingest a chunk; identical to feeding record-by-record."""
-        for record in records:
-            self.feed(record)
 
     def _publish_stable(self) -> None:
         """Feed the detector every interval the stream clock has passed.
@@ -393,19 +367,17 @@ class IncrementalAnalyzer:
         """
         intervals = self._cells.intervals
         cutoff = self._cells.last_time_s
-        published = self._published
+        published = 0
         detector = self.detector
         while published < len(intervals) \
                 and intervals[published].end_s < cutoff:
             interval = intervals[published]
             detector.push(interval.cellset, interval.start_s, interval.end_s)
             published += 1
-        if self.mode == "live" and published:
-            # Live streams never look back: drop published intervals so
+        if published:
+            # The stream never looks back: drop published intervals so
             # per-stream memory stays bounded by the dedup ring alone.
             del intervals[:published]
-            published = 0
-        self._published = published
 
     # ------------------------------------------------------------------
     # Live events
@@ -447,40 +419,28 @@ class IncrementalAnalyzer:
         """The live verdict over the published (stable) prefix."""
         return self.detector.detection()
 
-    def finalize(self, end_time_s: float | None = None,
-                 ) -> RunAnalysis | StreamVerdict:
+    def finalize(self, end_time_s: float | None = None) -> StreamVerdict:
         """Flush pending state and return the stream's verdict.
 
-        ``mode="full"``: a :class:`RunAnalysis` bit-identical to
-        ``analyze_trace`` over the same records.  ``mode="live"``: a
-        :class:`StreamVerdict`.  ``end_time_s`` extends the final
-        interval past the last record, exactly like
-        ``extract_cellset_sequence``'s parameter (the batch pipeline
-        passes the last record's time, which is the default here).
+        ``end_time_s`` extends the final interval past the last record,
+        exactly like ``extract_cellset_sequence``'s parameter (the batch
+        pipeline passes the last record's time, which is the default
+        here).
         """
         if self._finalized:
             raise RuntimeError("stream already finalized")
         self._finalized = True
         if end_time_s is None and self.records_fed:
             end_time_s = self._end_time
-        intervals = self._cells.finish(end_time_s)
         detector = self.detector
-        for interval in intervals[self._published:]:
+        for interval in self._cells.finish(end_time_s):
             detector.push(interval.cellset, interval.start_s, interval.end_s)
-        self._published = len(intervals)
         self._emit_transitions()
-        detection = detector.detection()
-        duration_s = self._end_time - self._first_time \
-            if self.records_fed else 0.0
-        if self._columns is None:
-            return StreamVerdict(
-                detection=detection,
-                records=self.records_fed,
-                dedup_elements=len(detector),
-                records_out_of_order=self.records_out_of_order,
-                duration_s=duration_s,
-            )
-        rcolumns = self._columns.build()
-        icolumns = IntervalColumns.from_intervals(intervals)
-        return assemble_analysis(self.metadata, rcolumns, icolumns,
-                                 intervals, detection, duration_s)
+        return StreamVerdict(
+            detection=detector.detection(),
+            records=self.records_fed,
+            dedup_elements=len(detector),
+            records_out_of_order=self.records_out_of_order,
+            duration_s=self._end_time - self._first_time
+            if self.records_fed else 0.0,
+        )

@@ -143,13 +143,7 @@ def assemble_analysis(metadata: TraceMetadata,
                       intervals: list[CellSetInterval],
                       detection: LoopDetection,
                       duration_s: float) -> RunAnalysis:
-    """Classify + metrics + stats: the analysis stages past detection.
-
-    Shared verbatim between :func:`analyze_trace` and
-    :meth:`repro.core.incremental.IncrementalAnalyzer.finalize` — given
-    the same columns, intervals and detection, both produce the same
-    :class:`RunAnalysis` by construction.
-    """
+    """Classify + metrics + stats: the analysis stages past detection."""
     registry = get_instrumentation().registry
     with registry.timer("stage_seconds", stage="classify"):
         if detection.is_loop:

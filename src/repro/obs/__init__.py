@@ -41,7 +41,6 @@ from repro.obs.events import (
     SEVERITIES,
     StderrEventSink,
     attach_logging_bridge,
-    parse_events_jsonl,
 )
 from repro.obs.metrics import (
     Counter,
@@ -89,7 +88,6 @@ __all__ = [
     "get_instrumentation",
     "instrumented",
     "make_instrumentation",
-    "parse_events_jsonl",
     "parse_spans_jsonl",
     "reset_instrumentation",
     "verify_span_tree",

@@ -13,13 +13,13 @@ worker, and a lease generation:
   run key from different lease generations are distinguishable.
 
 :class:`EventLog` is the in-process collector: a bounded ring buffer
-(JSONL-exportable) plus fan-out sinks.  Sinks make the log a routing
-point rather than a destination — the CLI attaches a
-:class:`StderrEventSink` for ``--log-level``/``--log-json``, the queue
-worker's telemetry spool drains fresh events to disk, and tests attach
-plain lists.  Like the other layers, the null instance
-(:data:`NULL_EVENTS`) makes ``emit()`` a no-op so uninstrumented hot
-paths pay one attribute read.
+plus fan-out sinks.  Sinks make the log a routing point rather than a
+destination — the CLI attaches a :class:`StderrEventSink` for
+``--log-level``/``--log-json`` (and one on a file for ``repro stream
+serve --events-out``), the queue worker's telemetry spool drains fresh
+events to disk, and tests attach plain lists.  Like the other layers,
+the null instance (:data:`NULL_EVENTS`) makes ``emit()`` a no-op so
+uninstrumented hot paths pay one attribute read.
 
 The stdlib-``logging`` bridge (:func:`attach_logging_bridge`) captures
 the pre-existing ad-hoc ``logger.warning`` calls in the resilience
@@ -45,7 +45,6 @@ __all__ = [
     "SEVERITIES",
     "StderrEventSink",
     "attach_logging_bridge",
-    "parse_events_jsonl",
 ]
 
 #: Severity names in escalation order, mapped to comparable ranks.
@@ -225,30 +224,9 @@ class EventLog:
         with self._lock:
             return [event for event in self._buffer if event.seq > seq]
 
-    @property
-    def last_seq(self) -> int:
-        with self._lock:
-            return self._next_seq - 1
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._buffer)
-
-    def to_jsonl(self) -> str:
-        with self._lock:
-            events = list(self._buffer)
-        return "".join(json.dumps(event.to_dict(), sort_keys=True) + "\n"
-                       for event in events)
-
-    def export_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_jsonl())
-
-
-def parse_events_jsonl(text: str) -> list[Event]:
-    """Parse events back from a JSONL export (skips blank lines)."""
-    return [Event.from_dict(json.loads(line))
-            for line in text.splitlines() if line.strip()]
 
 
 class NullEventLog(EventLog):
@@ -285,15 +263,23 @@ NULL_EVENTS = NullEventLog()
 
 
 class StderrEventSink:
-    """Mirror events to stderr — the ``--log-level``/``--log-json``
-    surface.  Text mode renders one aligned human line per event; JSON
-    mode emits the ``to_dict`` record, one object per line."""
+    """Mirror events to a text stream, stderr unless ``stream`` is
+    given — the ``--log-level``/``--log-json`` surface, and the
+    ``--events-out`` file of ``repro stream serve``.  Text mode renders
+    one aligned human line per event; JSON mode emits the ``to_dict``
+    record, one object per line.  A write error never crashes a run.
+
+    ``status_line`` is a live status line drawn on the same stream (the
+    ``--progress`` reporter): it is erased before each record and
+    redrawn after it, so every record starts its own line.
+    """
 
     def __init__(self, min_severity: str = "info", json_mode: bool = False,
-                 stream: IO[str] | None = None):
+                 stream: IO[str] | None = None, status_line=None):
         self.min_rank = severity_rank(min_severity)
         self.json_mode = json_mode
         self.stream = stream
+        self.status_line = status_line
 
     def __call__(self, event: Event) -> None:
         if severity_rank(event.severity) < self.min_rank:
@@ -303,8 +289,13 @@ class StderrEventSink:
             line = json.dumps(event.to_dict(), sort_keys=True)
         else:
             line = event.render()
+        status_line = self.status_line
         try:
+            if status_line is not None:
+                status_line.clear()
             stream.write(line + "\n")
+            if status_line is not None:
+                status_line.redraw()
             stream.flush()
         except (OSError, ValueError):  # closed stderr: never crash a run
             pass

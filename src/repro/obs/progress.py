@@ -8,8 +8,11 @@ into a single redrawn status line::
     [  42/120]  35.0%  ok=40 quarantined=1 timeout=1 restored=0 retries=3  2.1 run/s eta 37s
 
 The CLI's ``--progress`` flag attaches it next to the ``--log-level``
-sink.  Timed-out runs get their own tally (they are quarantined too,
-but a deadline miss is operationally different from a crash or a parse
+sink, which erases the status line
+(:meth:`~StderrProgressReporter.clear`) before each record it writes
+and redraws it after, so records never land on the status line.
+Timed-out runs get their own tally (they are quarantined too, but a
+deadline miss is operationally different from a crash or a parse
 failure, so the two must not collapse into one "failed" number).
 
 Rates come from the injectable monotonic clock, so tests drive the
@@ -42,6 +45,7 @@ class StderrProgressReporter:
         self.retries = 0
         self._start_s: float | None = None
         self._finished = False
+        self._drawn = 0  # width of the status line left open on the stream
         # The last event was a pool kill, counted as a retry before the
         # next one says whether the run was resubmitted.
         self._open_kill = False
@@ -86,8 +90,20 @@ class StderrProgressReporter:
         if self._start_s is None or self._finished:
             return
         self._finished = True
+        self._drawn = 0
         self.stream.write("\r" + self.render() + "\n")
         self.stream.flush()
+
+    def clear(self) -> None:
+        """Erase the open status line, so the next write starts a line."""
+        if self._drawn:
+            self.stream.write("\r" + " " * self._drawn + "\r")
+
+    def redraw(self) -> None:
+        """Draw the open status line again after another writer's line
+        (whose newline left the cursor at the start of a fresh line)."""
+        if self._drawn:
+            self._draw(start="")
 
     # -- accounting ----------------------------------------------------
 
@@ -142,6 +158,8 @@ class StderrProgressReporter:
                 line += f" eta {eta:.0f}s"
         return line
 
-    def _draw(self) -> None:
-        self.stream.write("\r" + self.render())
+    def _draw(self, start: str = "\r") -> None:
+        line = self.render()
+        self.stream.write(start + line)
         self.stream.flush()
+        self._drawn = len(line)

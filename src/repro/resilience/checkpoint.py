@@ -36,7 +36,10 @@ fields do not have the writer's types — and a torn final line are
 skipped, counted into the ``checkpoint_lines_skipped_total`` metric and
 reported in a single warning naming the line numbers.  Later entries
 for the same key win, so re-running a previously failed run overwrites
-its quarantine entry.
+its quarantine entry.  An ``ok`` entry whose ``trace`` is ``null``
+(older writers recorded such trace-less successes; this one never
+does) still loads, and resume re-executes its run: there is nothing
+to restore the analysis from.
 """
 
 from __future__ import annotations
@@ -116,14 +119,8 @@ class CampaignCheckpoint:
         self.identity = identity
         self.fsync = fsync
 
-    def record_success(self, key: RunKey, trace_jsonl: str | None) -> None:
-        """Record a completed run.
-
-        ``trace_jsonl=None`` records a *trace-less* success (a custom
-        ``run_fn`` dropped the trace): resume then knows the run
-        completed but deliberately re-executes it, since there is
-        nothing to restore the analysis from.
-        """
+    def record_success(self, key: RunKey, trace_jsonl: str) -> None:
+        """Record a completed run with its serialized trace."""
         self._append({"key": list(key), "status": "ok",
                       "trace": trace_jsonl})
 

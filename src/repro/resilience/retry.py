@@ -8,9 +8,9 @@ a bounded number of attempts with exponential backoff whose jitter is
 clock or global RNG state — so a re-run of the same campaign retries at
 identical simulated delays and quarantines identical runs.
 
-Sleeping is injected: pass ``sleep=time.sleep`` for real pacing, or
-leave it ``None`` (the default) to record the schedule without waiting,
-which is what simulations and tests want.
+The loop records the backoff schedule (``AttemptOutcome.backoffs_s``,
+the ``retry_backoff_seconds`` histogram) and never waits it out: a
+simulated run has no field conditions to wait for.
 """
 
 from __future__ import annotations
@@ -86,9 +86,7 @@ class AttemptOutcome:
 
 
 def execute_with_retry(fn: Callable[[], object], policy: RetryPolicy,
-                       key: tuple = (),
-                       sleep: Callable[[float], None] | None = None,
-                       ) -> AttemptOutcome:
+                       key: tuple = ()) -> AttemptOutcome:
     """Run ``fn`` under ``policy``; never raises on run failure.
 
     ``Exception`` s from ``fn`` are retried up to ``policy.max_retries``
@@ -116,8 +114,6 @@ def execute_with_retry(fn: Callable[[], object], policy: RetryPolicy,
                             run_key=key or None, attempt=attempt + 1,
                             backoff_s=round(delay, 4),
                             error=f"{type(error).__name__}: {error}")
-            if sleep is not None and delay > 0:
-                sleep(delay)
     registry.histogram("retry_attempts",
                        buckets=ATTEMPT_BUCKETS).observe(outcome.attempts)
     if outcome.backoffs_s:

@@ -104,6 +104,11 @@ __all__ = [
 #: The spool format this writer produces (shares the checkpoint lineage).
 QUEUE_VERSION = 1
 
+#: The broker's wire version, advertised in every status snapshot and
+#: checked by the client on attach.  Version 2 carries task and outcome
+#: payloads inside the framed verbs.
+BROKER_PROTOCOL_VERSION = 2
+
 #: How long past its ttl a worker heartbeat file still counts as live.
 _HEARTBEAT_GRACE = 2.0
 
@@ -175,11 +180,19 @@ def _finite(value: object) -> float:
     return number
 
 
+def _text(value: object) -> str:
+    """A text field (task and outcome payloads are text)."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def _run_key(value: object) -> tuple:
-    """A run key: a list of JSON scalars, so the tuple is hashable."""
+    """A run key: a list of JSON scalars other than booleans, so the
+    tuple is hashable."""
     if not isinstance(value, list) or not all(
             part is None or isinstance(part, (str, int, float))
-            for part in value):
+            and not isinstance(part, bool) for part in value):
         raise TypeError(f"expected a run key list, got {value!r}")
     return tuple(value)
 

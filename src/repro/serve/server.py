@@ -26,9 +26,9 @@ an undecodable ``meta``, a close with a non-numeric or non-finite
 ``end_time_s``) gets an error frame and ends only that stream; the
 connection and its other streams carry on.
 
-Each stream runs a ``mode="live"`` :class:`IncrementalAnalyzer` with
-the server's dedup ``horizon``, so per-stream memory is bounded no
-matter how long a device stays connected.  Backpressure is structural:
+Each stream runs an :class:`IncrementalAnalyzer` with the server's
+dedup ``horizon``, so per-stream memory is bounded no matter how long
+a device stays connected.  Backpressure is structural:
 records are analyzed inline before the next frame is read, so a slow
 analysis stalls the reader, fills the kernel socket buffer, and blocks
 the sender — no unbounded queue anywhere.  ``max_streams`` caps
@@ -49,7 +49,7 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.core.incremental import IncrementalAnalyzer, StreamVerdict
+from repro.core.incremental import IncrementalAnalyzer
 from repro.obs import Instrumentation, get_instrumentation, instrumented
 from repro.obs.httpd import PROMETHEUS_TYPE, HardenedHTTPServer, serve_http
 from repro.resilience.errors import TraceParseError
@@ -249,16 +249,14 @@ class StreamIngestServer:
                         "error": f"server at max_streams="
                                  f"{self.max_streams}"}
             try:
-                metadata = parse_metadata(frame.get("meta") or {})
+                parse_metadata(frame.get("meta") or {})
             except TraceParseError as error:
                 return {"op": "error", "stream": stream_id,
                         "error": str(error)}
             streams[stream_id] = IncrementalAnalyzer(
-                metadata,
                 min_repetitions=self.min_repetitions,
                 horizon=self.horizon,
                 on_disorder=self.on_disorder,
-                mode="live",
                 on_event=self._event_emitter(stream_id, obs),
             )
             self._open_streams += 1
@@ -297,7 +295,6 @@ class StreamIngestServer:
                 return {"op": "error", "stream": stream_id,
                         "error": f"malformed end_time_s {end_time!r}"}
             verdict = analyzer.finalize(end_time)
-            assert isinstance(verdict, StreamVerdict)
             registry.counter("stream_verdicts_total").inc(
                 kind=verdict.detection.kind.value)
             return {"op": "verdict", "stream": stream_id,

@@ -10,13 +10,20 @@ in recover mode and analysed.  The pipeline must complete end-to-end and
 its accounting must reconcile: ``completed + quarantined == scheduled``,
 and identical seeds must yield identical quarantine lists and
 :class:`~repro.resilience.ingest.ParseReport` tallies.
+
+The harness reaches the runner the way every test substitutes runs: it
+patches ``repro.campaign.runner.run_once`` for the campaign's duration.
+Its stand-in keeps the attempt ledger in this process, so chaos
+campaigns keep the default ``workers=1``.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from unittest import mock
 
+from repro.campaign import runner as runner_module
 from repro.campaign.dataset import CampaignResult, RunResult
 from repro.campaign.runner import CampaignConfig, CampaignRunner, run_once
 from repro.core.pipeline import analyze_trace
@@ -109,15 +116,15 @@ class ChaosHarness:
     def run(self) -> ChaosReport:
         """Run the campaign; raises :class:`SimulatedInterrupt` only when
         the chaos config asked for one."""
-        runner = CampaignRunner(self.profiles, self.config,
-                                run_fn=self._chaotic_run_once)
-        result = runner.run()
+        with mock.patch.object(runner_module, "run_once",
+                               self._chaotic_run_once):
+            result = CampaignRunner(self.profiles, self.config).run()
         return ChaosReport(result=result,
                            parse_reports=dict(self.parse_reports),
                            injections=dict(self.injections))
 
     # ------------------------------------------------------------------
-    # The chaotic run function (CampaignRunner.run_fn)
+    # The chaotic run_once stand-in
     # ------------------------------------------------------------------
 
     def _chaotic_run_once(self, deployment, profile, device, point,

@@ -18,8 +18,11 @@ Three layers, no sockets except where sockets are the point:
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,12 +44,13 @@ from repro.campaign.broker_client import (
 from repro.campaign.scheduler import BrokerScheduler
 from repro.campaign.worker import QueueWorker, WorkerConfig
 from repro.cli import build_parser
+from repro.obs.httpd import serve_http
 from repro.resilience.checkpoint import CheckpointMismatchError
 from repro.resilience.framing import frame_line, frame_object, load_framed_line
 from repro.resilience.memo import sha256_digest
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.supervision import CircuitBreaker, CircuitBreakerOpen
-from repro.resilience.taskqueue import LeaseState, replay_line
+from repro.resilience.taskqueue import Claim, LeaseState, replay_line
 from tests.test_obs_metrics import FakeClock
 
 
@@ -568,6 +572,119 @@ class TestRequestFieldsDecodeOr400:
         assert status == 200, load_framed_line(payload)
 
 
+#: The fields of a status snapshot (stapled onto attach, submit, seal
+#: and claim answers, and the ``status`` of a sync answer).
+_SNAPSHOT_FIELDS = ("ready", "protocol", "now", "draining", "identity",
+                    "lease_s", "closed", "total", "submitted", "completed",
+                    "depth", "active_leases", "expired", "stolen", "fenced",
+                    "drained", "live_workers", "artifacts")
+
+#: Every field of every answer the client decodes, as (verb path,
+#: field path): a nested path names a field of the claim block or of
+#: the sync answer's status snapshot.
+_ANSWER_FIELDS = [
+    *[(path, (name,)) for path in ("/v1/attach", "/v1/submit", "/v1/seal",
+                                   "/v1/claim")
+      for name in _SNAPSHOT_FIELDS],
+    ("/v1/submit", ("seq",)),
+    ("/v1/claim", ("claim",)),
+    *[("/v1/claim", ("claim", name))
+      for name in ("seq", "token", "worker", "key", "payload")],
+    ("/v1/heartbeat", ("ok",)), ("/v1/heartbeat", ("now",)),
+    ("/v1/complete", ("ok",)),
+    ("/v1/sync", ("events",)), ("/v1/sync", ("next_offset",)),
+    ("/v1/sync", ("status",)),
+    *[("/v1/sync", ("status", name)) for name in _SNAPSHOT_FIELDS],
+    ("/v1/outcome", ("payload",)),
+]
+
+
+def with_answer_field(payload, field_path, text):
+    """A 200 answer with the field at ``field_path`` set to the JSON
+    ``text`` (``None``: left out), re-framed under a valid CRC."""
+    answer = load_framed_line(payload)
+    *parents, name = field_path
+    target = answer
+    for parent in parents:
+        target = target.get(parent)
+        if not isinstance(target, dict):
+            return payload  # no such block in this answer
+    target.pop(name, None)
+    if text is None:
+        return frame_object(answer)
+    target[name] = "\0field\0"
+    body = json.dumps(answer).replace(json.dumps("\0field\0"), text)
+    return frame_line(body.encode()) + b"\n"
+
+
+def client_lifecycle(send) -> dict:
+    """Every answer-decoding client verb once, in a campaign's order;
+    returns what each decoded (heartbeat and complete need a claim)."""
+    coordinator = make_client(send, role="coordinator", identity="camp",
+                              default_lease_s=30.0)
+    worker = make_client(send, role="worker", worker_id="w0")
+    seen = {"attach": coordinator.open(create=True),
+            "submit": coordinator.submit(("r0",), "task")}
+    coordinator.close()
+    seen["worker attach"] = worker.open()
+    seen["claim"] = claim = worker.claim("w0", lease_s=30.0)
+    if claim is not None:
+        seen["heartbeat"] = worker.heartbeat(claim, lease_s=30.0)
+        seen["complete"] = worker.complete(claim, "done")
+    coordinator.expire_overdue()
+    seen["outcome"] = coordinator.take_completion(0)
+    return seen
+
+
+class TestAnswersDecodeOrBrokerError:
+    """Any JSON in any field of any answer the client reads: the verb
+    decodes it or raises from the client's taxonomy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(path_field=st.sampled_from(_ANSWER_FIELDS),
+           text=st.none() | _FIELD_TEXT)
+    def test_any_json_in_any_answer_field(self, path_field, text):
+        path, field_path = path_field
+        with tempfile.TemporaryDirectory() as root:
+            inner = direct_send(CampaignBroker(
+                os.path.join(root, "q"), clock=FakeClock(), fsync=False))
+
+            def send(method, request_path, body):
+                status, payload = inner(method, request_path, body)
+                if request_path == path and status == 200:
+                    payload = with_answer_field(payload, field_path, text)
+                return status, payload
+
+            try:
+                client_lifecycle(send)
+            except (BrokerError, BrokerUnavailableError,
+                    CheckpointMismatchError):
+                pass
+
+    def test_the_valid_answers_decode(self, tmp_path):
+        assert client_lifecycle(direct_send(make_broker(tmp_path))) == {
+            "attach": True, "submit": 0, "worker attach": True,
+            "claim": Claim(seq=0, token=1, worker="w0", key=("r0",),
+                           payload="task"),
+            "heartbeat": True, "complete": True, "outcome": "done"}
+
+    @pytest.mark.parametrize("protocol", [1, 3, "2", None, True])
+    def test_open_refuses_another_protocol(self, tmp_path, protocol):
+        inner = direct_send(make_broker(tmp_path))
+
+        def send(method, path, body):
+            status, payload = inner(method, path, body)
+            if path == "/v1/attach":
+                payload = with_answer_field(payload, ("protocol",),
+                                            json.dumps(protocol))
+            return status, payload
+
+        client = make_client(send, role="coordinator", identity="camp")
+        with pytest.raises(BrokerError, match=f"protocol {protocol!r}.*"
+                           f"protocol {BROKER_PROTOCOL_VERSION}"):
+            client.open(create=True)
+
+
 class TestBrokerClient:
     def test_end_to_end_in_process_drain(self, tmp_path):
         broker = make_broker(tmp_path)
@@ -877,6 +994,36 @@ class TestBrokerScheduler:
 
 
 class TestWorkerBrokerMode:
+    def test_protocol_1_broker_is_one_error_line_and_exit_1(self):
+        # A protocol-1 broker: no payloads inside its verbs.
+        snapshot = frame_object({"ready": True, "protocol": 1, "now": 0.0,
+                                 "identity": "camp", "lease_s": 30.0,
+                                 "closed": False, "total": None,
+                                 "submitted": 0, "completed": 0,
+                                 "live_workers": []})
+        server = serve_http(
+            lambda method, path, body: (200, "application/json", snapshot),
+            port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "worker", "--broker", url,
+                 "--attach-timeout", "5"],
+                env={**os.environ, "PYTHONPATH": str(
+                    Path(__file__).parent.parent / "src")},
+                capture_output=True, text=True, timeout=120)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=30)
+        assert completed.returncode == 1, completed.stderr
+        assert completed.stderr.splitlines() == [
+            f"error: broker {url} speaks protocol 1, this client protocol "
+            f"{BROKER_PROTOCOL_VERSION}: run the same repro version on both "
+            f"ends"]
+
     def test_unreachable_broker_is_resumable_exit_75(self, tmp_path):
         worker = QueueWorker(WorkerConfig(
             broker_url="http://127.0.0.1:9", worker_id="w0",

@@ -173,22 +173,6 @@ class TestInProcessFallback:
         assert len(in_process_runs) == result.scheduled == 4
         assert campaign_workers(obs) == 1
 
-    def test_custom_run_fn_falls_back_to_in_process(self, no_pool):
-        calls = []
-
-        def spy_run_fn(deployment, profile, device, point, location_name,
-                       run_index, duration_s=300, keep_trace=False):
-            calls.append((location_name, run_index))
-            return run_once(deployment, profile, device, point,
-                            location_name, run_index, duration_s=duration_s,
-                            keep_trace=keep_trace)
-
-        obs, result = run_campaign(small_config(workers=4),
-                                   run_fn=spy_run_fn)
-        # The closure observed every run: execution stayed in-process.
-        assert len(calls) == result.scheduled == 4
-        assert campaign_workers(obs) == 1
-
     def test_missing_multiprocessing_falls_back_to_in_process(
             self, monkeypatch, no_pool, in_process_runs):
         monkeypatch.setattr(runner_module, "_mp_context", lambda: None)

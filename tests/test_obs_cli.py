@@ -9,6 +9,7 @@ counters.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,30 @@ from repro.obs import parse_spans_jsonl, verify_span_tree
 CAMPAIGN_ARGV = ["campaign", "--operator", "OP_V", "--areas", "A9",
                  "--locations", "2", "--runs", "2", "--duration", "60",
                  "--seed", "7"]
+
+#: The start of a rendered event record: ``HH:MM:SS SEVERITY``.
+EVENT_RECORD = re.compile(r"\d\d:\d\d:\d\d (DEBUG|INFO|WARNING|ERROR) ")
+
+
+def run_repro(*args: str) -> subprocess.CompletedProcess:
+    """``python -m repro <args>`` on this checkout's sources."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        env={**os.environ,
+             "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+        capture_output=True, timeout=300)
+
+
+def on_screen(text: str) -> list[str]:
+    """The lines a terminal shows for ``text``: each carriage return
+    moves back to column 0 and the following text overwrites."""
+    lines = []
+    for line in text.split("\n"):
+        shown = ""
+        for part in line.split("\r"):
+            shown = part + shown[len(part):]
+        lines.append(shown.rstrip())
+    return lines
 
 
 @pytest.fixture(scope="module")
@@ -105,14 +130,10 @@ class TestCampaignMetricsOut:
         # event log and its stderr sinks; the pool initializer drops it,
         # so each run is reported once and only the coordinator draws
         # the progress line (started, two runs, final line).
-        completed = subprocess.run(
-            [sys.executable, "-m", "repro", "campaign", "--operator",
-             "OP_V", "--areas", "A9", "--locations", "2", "--runs", "1",
-             "--duration", "30", "--workers", "2", "--log-level", "debug",
-             "--progress"],
-            env={**os.environ,
-                 "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
-            capture_output=True, timeout=300)
+        completed = run_repro(
+            "campaign", "--operator", "OP_V", "--areas", "A9",
+            "--locations", "2", "--runs", "1", "--duration", "30",
+            "--workers", "2", "--log-level", "debug", "--progress")
         err = completed.stderr.decode()  # bytes: keep the \r redraws
         assert completed.returncode == 0, err
         assert err.count(" run.completed key=") == 2
@@ -121,6 +142,24 @@ class TestCampaignMetricsOut:
         assert final.startswith("[2/2] 100.0%  ok=2 quarantined=0 "
                                 "timeout=0 restored=0 retries=0")
         assert final.endswith("\n")
+
+    def test_event_records_start_their_own_lines(self):
+        # The --log-level sink erases the --progress status line before
+        # each record and redraws it after, so no record is appended to
+        # the status line.
+        completed = run_repro(
+            "campaign", "--operator", "OP_V", "--areas", "A9",
+            "--locations", "2", "--runs", "1", "--duration", "30",
+            "--progress", "--log-level", "debug")
+        err = completed.stderr.decode()
+        assert completed.returncode == 0, err
+        screen = on_screen(err)
+        records = [line for line in screen if EVENT_RECORD.search(line)]
+        assert [line.split()[2] for line in records] == [
+            "campaign.started", "run.completed", "run.completed",
+            "campaign.finished"]
+        assert all(EVENT_RECORD.match(line) for line in records), records
+        assert screen[-2].startswith("[2/2] 100.0%  ok=2 ")
 
     def test_no_flags_no_observability_files(self, tmp_path, capsys):
         argv = ["campaign", "--operator", "OP_V", "--areas", "A9",

@@ -11,7 +11,6 @@ from repro.obs.events import (
     StderrEventSink,
     attach_logging_bridge,
     detach_logging_bridge,
-    parse_events_jsonl,
     severity_rank,
 )
 from tests.test_obs_metrics import FakeClock
@@ -36,7 +35,6 @@ class TestEmission:
         assert event.token == 3
         assert event.fields == {"seq_field": 7}
         assert log.emit("next").seq == 2
-        assert log.last_seq == 2
 
     def test_bound_correlation_is_stamped_and_unbindable(self):
         log, _ = make_log()
@@ -55,16 +53,15 @@ class TestEmission:
             log.emit(f"e{index}")
         assert len(log) == 3
         assert [event.name for event in log.recent()] == ["e2", "e3", "e4"]
-        assert log.last_seq == 5
+        assert log.emit("e5").seq == 6
 
     def test_since_returns_only_newer_events(self):
         log, _ = make_log()
-        log.emit("a")
-        marker = log.last_seq
+        marker = log.emit("a").seq
         log.emit("b")
-        log.emit("c")
+        last = log.emit("c").seq
         assert [event.name for event in log.since(marker)] == ["b", "c"]
-        assert log.since(log.last_seq) == []
+        assert log.since(last) == []
 
     def test_recent_filters_by_severity_then_limits(self):
         log, _ = make_log()
@@ -85,9 +82,10 @@ class TestSerialization:
     def test_jsonl_round_trip_preserves_correlation(self):
         log, _ = make_log()
         log.bind(campaign="feed0000")
-        log.emit("run.retry", severity="warning",
-                 run_key=("OP_T", "A1", "L2", 3), token=2, attempt=1)
-        [back] = parse_events_jsonl(log.to_jsonl())
+        event = log.emit("run.retry", severity="warning",
+                         run_key=("OP_T", "A1", "L2", 3), token=2, attempt=1)
+        # What the telemetry spools write and replay: one JSON line.
+        back = Event.from_dict(json.loads(json.dumps(event.to_dict())))
         assert back.name == "run.retry"
         assert back.severity == "warning"
         assert back.campaign == "feed0000"

@@ -12,8 +12,9 @@ tallies.
 import pytest
 
 from repro.analysis.report import campaign_report
-from repro.campaign import CampaignConfig, operator
+from repro.campaign import CampaignConfig, CampaignRunner, operator
 from repro.resilience.checkpoint import CampaignCheckpoint
+from repro.resilience.framing import frame_object
 from tests.chaos.harness import (
     ChaosConfig,
     ChaosHarness,
@@ -138,65 +139,43 @@ class TestChaosInterruptResume:
         assert report.result.completed == chaos_report.result.completed
 
 
-class TracelessChaosHarness(ChaosHarness):
-    """A chaos harness whose run_fn drops every trace.
-
-    The runner asks for traces when checkpointing, but a custom run_fn
-    is free to ignore that — this one always does, exercising the
-    trace-less checkpoint-success path.
-    """
-
-    def _chaotic_run_once(self, deployment, profile, device, point,
-                          location_name, run_index, duration_s=300,
-                          keep_trace=False):
-        return super()._chaotic_run_once(
-            deployment, profile, device, point, location_name, run_index,
-            duration_s=duration_s, keep_trace=False)
-
-
 class TestTracelessCheckpoint:
-    def test_traceless_success_still_checkpointed(self, tmp_path):
-        profiles = [operator(name) for name in PROFILES]
-        path = tmp_path / "traceless.ckpt"
-        report = TracelessChaosHarness(
-            profiles, campaign_config(checkpoint_path=path),
-            chaos_config()).run()
-        assert report.reconciles()
-
-        entries = CampaignCheckpoint(path).load()
-        assert len(entries) == report.result.scheduled == 8
-        succeeded = [e for e in entries.values() if e.succeeded]
-        assert len(succeeded) == report.result.completed
-        # The run_fn dropped every trace, yet each completion was still
-        # recorded — as a trace-less success.
-        assert all(entry.trace_jsonl is None for entry in succeeded)
-        assert '"trace": null' in path.read_text()
-
     def test_traceless_resume_reexecutes_deliberately(self, tmp_path,
                                                       chaos_report):
+        # An ok entry whose trace is null (older writers recorded such
+        # trace-less successes) still loads, and resume re-executes its
+        # run — there is nothing to restore — while counters reconcile.
         profiles = [operator(name) for name in PROFILES]
-        path = tmp_path / "traceless2.ckpt"
-        interrupted = TracelessChaosHarness(
-            profiles, campaign_config(checkpoint_path=path),
-            chaos_config(interrupt_after=3))
-        with pytest.raises(SimulatedInterrupt):
-            interrupted.run()
+        path = tmp_path / "traceless.ckpt"
+        runner = CampaignRunner(profiles,
+                                campaign_config(checkpoint_path=path))
+        keys = [scheduled.key for scheduled in runner.schedule()][:3]
+        path.write_bytes(b"".join(
+            [frame_object({"version": 1,
+                           "identity": runner.campaign_identity()})]
+            + [frame_object({"key": list(key), "status": "ok",
+                             "trace": None}) for key in keys]))
+        entries = CampaignCheckpoint(path).load()
+        assert [(key, entries[key].succeeded, entries[key].trace_jsonl)
+                for key in keys] == [(key, True, None) for key in keys]
 
-        resumed = TracelessChaosHarness(
+        resumed = ChaosHarness(
             profiles, campaign_config(checkpoint_path=path, resume=True),
             chaos_config())
         report = resumed.run()
-        # Trace-less entries cannot be restored, so every completed run
-        # re-executes — and the counters still reconcile.
         assert report.reconciles()
         assert report.result.scheduled == 8
         assert len(resumed.parse_reports) == report.result.completed
         assert report.quarantine_keys() == chaos_report.quarantine_keys()
+        # The re-executed successes are checkpointed with their traces.
+        reloaded = CampaignCheckpoint(path).load()
+        assert all(entry.trace_jsonl for entry in reloaded.values()
+                   if entry.succeeded)
 
     def test_load_streams_past_truncated_final_line(self, tmp_path):
         profiles = [operator(name) for name in PROFILES]
         path = tmp_path / "truncated.ckpt"
-        report = TracelessChaosHarness(
+        report = ChaosHarness(
             profiles, campaign_config(checkpoint_path=path),
             chaos_config()).run()
         with path.open("a", encoding="utf-8") as handle:

@@ -2,6 +2,7 @@
 checkpoint."""
 
 import json
+import time
 
 import pytest
 
@@ -164,14 +165,15 @@ class TestRetry:
         policy = RetryPolicy(max_retries=1, backoff_base_s=0.5, seed=9)
         assert policy.backoff_s(("a",), 0) != policy.backoff_s(("b",), 0)
 
-    def test_sleep_receives_backoffs(self):
-        slept = []
-        policy = RetryPolicy(max_retries=2, backoff_base_s=0.1)
+    def test_backoffs_are_recorded_not_waited_out(self):
+        # An hour-long schedule: waiting it out would hang the test.
+        policy = RetryPolicy(max_retries=2, backoff_base_s=1800.0)
+        started = time.monotonic()
         outcome = execute_with_retry(
             lambda: (_ for _ in ()).throw(RuntimeError("boom")),
-            policy, key=("k",), sleep=slept.append)
-        assert slept == outcome.backoffs_s
-        assert len(slept) == 2
+            policy, key=("k",))
+        assert time.monotonic() - started < 60.0
+        assert outcome.backoffs_s == policy.schedule(("k",))
 
     def test_backoff_cap_bounds_every_delay(self):
         # Uncapped, 2**9 * 0.05 would be ~25s+; the cap pins the tail.

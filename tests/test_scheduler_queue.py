@@ -36,7 +36,6 @@ import pytest
 from repro.campaign import CampaignConfig, CampaignRunner, operator
 from repro.campaign.broker import CampaignBroker
 from repro.campaign.broker_client import BrokerClient
-from repro.campaign.runner import run_once
 from repro.campaign.scheduler import (
     BrokerScheduler,
     PendingRun,
@@ -218,12 +217,6 @@ class TestSchedulerSelection:
     def test_only_pool_and_broker_are_accepted(self, config, message):
         with pytest.raises(ValueError, match=message):
             CampaignRunner([operator("OP_V")], config).run()
-
-    def test_broker_refuses_in_process_hooks(self):
-        config = CampaignConfig(scheduler="broker",
-                                broker_url="http://127.0.0.1:9")
-        with pytest.raises(ValueError, match="cannot ship"):
-            CampaignRunner([operator("OP_V")], config, run_fn=run_once).run()
 
 
 # ----------------------------------------------------------------------

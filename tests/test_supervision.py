@@ -12,11 +12,10 @@ Three layers under test:
   pool rebuild, with the in-flight keys rescheduled — and absent any
   fault, results stay bit-identical to sequential execution.
 
-The pool tests monkeypatch ``repro.campaign.runner.run_once`` (the
-module global the worker entry point resolves at call time): patching
-happens before the pool forks, so the children inherit the patched
-module — unlike a ``run_fn=`` hook, which deliberately forces the
-in-process fallback.
+Runs are substituted by monkeypatching ``repro.campaign.runner.run_once``
+(the module global every run resolves at call time): in-process runs
+see the patch directly, and pool tests patch before the pool forks, so
+the children inherit the patched module.
 """
 
 import io
@@ -66,12 +65,11 @@ def small_config(**overrides) -> CampaignConfig:
     return CampaignConfig(**defaults)
 
 
-def run_campaign(config: CampaignConfig, progress=None, **runner_kwargs):
+def run_campaign(config: CampaignConfig, progress=None):
     obs = make_instrumentation(clock=FakeClock())
     if progress is not None:
         obs.events.add_sink(progress)
-    result = CampaignRunner([operator("OP_V")], config,
-                            obs=obs, **runner_kwargs).run()
+    result = CampaignRunner([operator("OP_V")], config, obs=obs).run()
     return obs, result
 
 
@@ -192,23 +190,24 @@ class TestCircuitBreaker:
 # ----------------------------------------------------------------------
 
 
-def make_slow_run_fn(delay_s: float):
-    def slow_run_fn(deployment, profile, device, point, location_name,
-                    run_index, duration_s=300, keep_trace=False):
+def make_slow_run_once(delay_s: float):
+    def slow_run_once(deployment, profile, device, point, location_name,
+                      run_index, duration_s=300, keep_trace=False):
         time.sleep(delay_s)
         return run_once(deployment, profile, device, point, location_name,
                         run_index, duration_s=duration_s,
                         keep_trace=keep_trace)
-    return slow_run_fn
+    return slow_run_once
 
 
 class TestInProcessDeadline:
-    def test_overrunning_run_quarantines_as_timeout(self):
+    def test_overrunning_run_quarantines_as_timeout(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "run_once",
+                            make_slow_run_once(0.05))
         progress = new_progress()
         config = small_config(locations_per_area=1, runs_per_location=2,
                               run_timeout_s=0.005)
-        obs, result = run_campaign(config, progress,
-                                   run_fn=make_slow_run_fn(0.05))
+        obs, result = run_campaign(config, progress)
         assert result.completed == 0
         assert len(result.quarantined) == 2
         assert all(q.error.startswith("RunTimeoutError")
@@ -222,12 +221,12 @@ class TestInProcessDeadline:
         assert tallies(progress) == (2, 2, 0, 0, 2, 0, 0)
         assert "timeout=2" in progress.render()
 
-    def test_timeouts_flow_through_retry(self):
-        obs = make_instrumentation(clock=FakeClock())
+    def test_timeouts_flow_through_retry(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "run_once",
+                            make_slow_run_once(0.05))
         config = small_config(locations_per_area=1, runs_per_location=1,
                               run_timeout_s=0.005, max_retries=2)
-        result = CampaignRunner([operator("OP_V")], config, obs=obs,
-                                run_fn=make_slow_run_fn(0.05)).run()
+        _, result = run_campaign(config)
         assert len(result.quarantined) == 1
         assert result.quarantined[0].attempts == 3
 
@@ -239,14 +238,14 @@ class TestInProcessDeadline:
         assert budgeted[0].registry.snapshot()["counters"] \
             == plain[0].registry.snapshot()["counters"]
 
-    def test_consecutive_failure_breaker_fails_fast(self):
+    def test_consecutive_failure_breaker_fails_fast(self, monkeypatch):
         def always_fails(*args, **kwargs):
             raise ValueError("measurement rig offline")
 
+        monkeypatch.setattr(runner_module, "run_once", always_fails)
         config = small_config(breaker_max_consecutive_failures=2)
         with pytest.raises(CircuitBreakerOpen) as info:
-            CampaignRunner([operator("OP_V")], config,
-                           run_fn=always_fails).run()
+            CampaignRunner([operator("OP_V")], config).run()
         assert "2 consecutive" in str(info.value)
 
 

@@ -32,6 +32,7 @@ from repro.resilience.checkpoint import CheckpointMismatchError
 from repro.resilience.framing import frame_line, frame_object, load_framed_line
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.taskqueue import (
+    BROKER_PROTOCOL_VERSION,
     DurableTaskQueue,
     LeaseState,
     TaskQueueError,
@@ -467,18 +468,26 @@ def disk_replay(root):
     return queue
 
 
+#: The status snapshot a broker staples onto its answers (the fields
+#: the client reads).
+SNAPSHOT = {"ready": True, "protocol": BROKER_PROTOCOL_VERSION, "now": 0.0,
+            "identity": None, "lease_s": None, "closed": False,
+            "total": None, "submitted": 0, "completed": 0,
+            "live_workers": []}
+
+
 def mirror_replay(root):
     """The coordinator's broker-client mirror of the same spool bytes."""
     spool = root / "events.spool"
 
     def send(method, path, body):
         if path == "/v1/attach":
-            return 200, frame_object({"ready": True})
+            return 200, frame_object(SNAPSHOT)
         offset = load_framed_line(body)["offset"]
         data = spool.read_bytes()
         return 200, frame_object({
             "events": data[offset:].decode("utf-8", "replace"),
-            "next_offset": len(data), "status": {}})
+            "next_offset": len(data), "status": SNAPSHOT})
 
     client = BrokerClient("http://spool", role="coordinator", send=send,
                           sleep=lambda _s: None,
