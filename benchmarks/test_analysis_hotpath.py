@@ -13,6 +13,11 @@ production ``run_performance`` and ``scg_measurement_delays`` are timed
 against the naive ones and printed but gated only on output equality,
 since their share of the end-to-end win is already covered by the
 ``analyze_trace`` gate.
+
+Measured on a 2-vCPU VM since ``detect_loop`` runs the online loop
+detector: ~19x on ``detect_loop`` (~9.6 ms for 1,000 elements), ~20x
+on ``analyze_trace`` and ~5x columnar against per-record.  The Z-array
+scan the detector replaced read ~120x, ~38x and ~8x (1.4 ms).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import pytest
 from repro.cells.cell import CellIdentity, Rat
 from repro.core.cellset import CellSet, CellSetInterval
 from repro.core.columnar import IntervalColumns
-from repro.core.loops import LoopKind, dedup_sequence, detect_loop
+from repro.core.loops import LoopKind, detect_loop
 from repro.core.metrics import (
     RunPerformance,
     run_performance,
@@ -49,6 +54,7 @@ from benchmarks.conftest import print_header
 from tests.conftest import record_columns
 from tests.oracles import analysis as oracle
 from tests.oracles.analysis import five_g_timeline
+from tests.oracles.loops import dedup_sequence
 
 pytestmark = pytest.mark.perf
 

@@ -6,6 +6,8 @@ Prints one JSON line:
 
 * ``src_lines`` — newlines in every ``src/**/*.py`` file, the count
   ``find src -name '*.py' | xargs cat | wc -l`` gives;
+* ``package_lines`` — the same count for each ``src/repro/<package>/``
+  and for ``src/repro/cli.py``;
 * ``flags`` — the ``--`` options each leaf command of
   ``repro.cli.build_parser()`` accepts (``--help`` excluded), keyed by
   the command (``"broker serve"``), and their sum ``flags_total``; a
@@ -31,8 +33,18 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def src_lines() -> int:
-    return sum(path.read_bytes().count(b"\n") for path in SRC.rglob("*.py"))
+def line_count(paths) -> int:
+    return sum(path.read_bytes().count(b"\n") for path in paths)
+
+
+def package_lines() -> dict[str, int]:
+    """Lines per ``src/repro/<package>/``, plus ``cli.py``."""
+    repro = SRC / "repro"
+    split = {package.name: line_count(package.rglob("*.py"))
+             for package in sorted(repro.iterdir())
+             if (package / "__init__.py").is_file()}
+    split["cli.py"] = line_count([repro / "cli.py"])
+    return split
 
 
 def leaf_parsers(parser: argparse.ArgumentParser,
@@ -67,7 +79,8 @@ def main() -> int:
               for config in (CampaignConfig, WorkerConfig)}
     flags_total = sum(flags.values())
     print(json.dumps({
-        "src_lines": src_lines(),
+        "src_lines": line_count(SRC.rglob("*.py")),
+        "package_lines": package_lines(),
         "flags": flags,
         "flags_total": flags_total,
         "config_fields": fields,

@@ -115,6 +115,7 @@ from repro.obs import (
     attach_logging_bridge,
     make_instrumentation,
 )
+from repro.obs.events import detach_logging_bridge
 from repro.obs.profile import run_profile
 from repro.resilience.checkpoint import CheckpointMismatchError
 from repro.resilience.memo import AnalysisMemo, trace_digest
@@ -126,13 +127,23 @@ from repro.resilience.supervision import (
 from repro.traces.parser import TraceParseError, parse_trace
 
 
-def _lease_seconds(text: str) -> float:
-    """A lease duration: a finite number of seconds above zero."""
-    value = float(text)
-    if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number of seconds > 0, got {text!r}")
-    return value
+def _checked(convert, accept, rule: str):
+    """An argparse type: ``convert`` the text, refused unless ``accept``."""
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {rule}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # "invalid float value: 'x'"
+    return parse
+
+
+_positive_seconds = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                             "a finite number of seconds > 0")
+_stall_seconds = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                          "a finite number of seconds >= 0")
+_retry_count = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _add_campaign_parser(subparsers) -> None:
@@ -151,7 +162,7 @@ def _add_campaign_parser(subparsers) -> None:
                         help="run duration in seconds (default 300)")
     parser.add_argument("--device", default="OnePlus 12R",
                         help="phone model (default: OnePlus 12R)")
-    parser.add_argument("--max-retries", type=int, default=0,
+    parser.add_argument("--max-retries", type=_retry_count, default=0,
                         help="retries per failed run before quarantining it "
                              "(default 0)")
     parser.add_argument("--checkpoint", default=None, metavar="PATH",
@@ -179,12 +190,12 @@ def _add_campaign_parser(subparsers) -> None:
                              "broker serve` at this URL (e.g. "
                              "http://127.0.0.1:8737) and its `repro "
                              "worker` processes instead of --workers")
-    parser.add_argument("--lease-timeout", type=_lease_seconds,
+    parser.add_argument("--lease-timeout", type=_positive_seconds,
                         default=30.0, metavar="SECONDS",
                         help="work-claim lease duration; a worker silent "
                              "for this long has its run stolen "
                              "(default 30)")
-    parser.add_argument("--queue-stall", type=float, default=60.0,
+    parser.add_argument("--queue-stall", type=_stall_seconds, default=60.0,
                         metavar="SECONDS",
                         help="fail fast when the queue sees no activity "
                              "and no live workers for this long "
@@ -212,7 +223,7 @@ def _add_worker_parser(subparsers) -> None:
     parser.add_argument("--worker-id", default=None,
                         help="stable worker identity "
                              "(default: <hostname>-<pid>)")
-    parser.add_argument("--lease", type=_lease_seconds, default=None,
+    parser.add_argument("--lease", type=_positive_seconds, default=None,
                         metavar="SECONDS",
                         help="lease duration per claim; heartbeats renew "
                              "it every lease/3 (default: the campaign's "
@@ -296,7 +307,7 @@ def _add_workers_flag(parser) -> None:
 
 
 def _add_run_timeout_flag(parser) -> None:
-    parser.add_argument("--run-timeout", type=float, default=None,
+    parser.add_argument("--run-timeout", type=_positive_seconds, default=None,
                         metavar="SECONDS", dest="run_timeout",
                         help="wall-clock budget per run; a run that blows "
                              "it is retried/quarantined as a timeout, and "
@@ -374,7 +385,7 @@ def _add_profile_parser(subparsers) -> None:
                         help="runs per location (default 2)")
     parser.add_argument("--duration", type=int, default=60,
                         help="run duration in seconds (default 60)")
-    parser.add_argument("--max-retries", type=int, default=0,
+    parser.add_argument("--max-retries", type=_retry_count, default=0,
                         help="retries per failed run (default 0)")
     parser.add_argument("--memo-dir", default=None, metavar="DIR",
                         help="content-addressed analysis cache; a warm "
@@ -414,8 +425,8 @@ def _add_stream_parser(subparsers) -> None:
                             "(default 4096; 0 = unbounded)")
     serve.add_argument("--min-repetitions", type=int, default=2,
                        metavar="K",
-                       help="repetitions required to call a loop "
-                            "(default 2)")
+                       help="repetitions required to call a loop, "
+                            "at least 2 (default 2)")
     serve.add_argument("--max-streams", type=int, default=10_000,
                        metavar="N",
                        help="cap on concurrently open streams "
@@ -470,11 +481,11 @@ def _build_instrumentation(
         progress: StderrProgressReporter | None = None) -> Instrumentation:
     """A live bundle when any observability flag is set, else the no-op.
 
-    ``progress`` (``--progress``) is one more event sink; the
-    ``--log-level`` sink keeps its records off its status line.
+    ``progress`` (``--progress``) is one more event sink; the stderr
+    event sink keeps its records off its status line.
     """
-    if not (args.metrics_out or args.trace_out or progress is not None
-            or _wants_event_stream(args)):
+    if not (args.metrics_out or args.trace_out
+            or _event_stream_level(args, progress)):
         return NULL_INSTRUMENTATION
     obs = make_instrumentation()
     _attach_event_stream(obs, args, status_line=progress)
@@ -483,27 +494,39 @@ def _build_instrumentation(
     return obs
 
 
-def _wants_event_stream(args: argparse.Namespace) -> bool:
-    return getattr(args, "log_level", None) is not None \
-        or getattr(args, "log_json", False)
+def _event_stream_level(args: argparse.Namespace,
+                        status_line: StderrProgressReporter | None = None,
+                        ) -> str | None:
+    """The lowest severity mirrored to stderr (None: no mirror).
+
+    ``--log-json`` alone implies ``info``; ``--progress`` alone implies
+    ``warning``, so a warning gets its own line instead of landing on
+    the status line.
+    """
+    if getattr(args, "log_level", None) is not None:
+        return args.log_level
+    if getattr(args, "log_json", False):
+        return "info"
+    return "warning" if status_line is not None else None
 
 
 def _attach_event_stream(obs: Instrumentation, args: argparse.Namespace,
                          status_line: StderrProgressReporter | None = None,
                          ) -> None:
-    """Mirror structured events to stderr per ``--log-level/--log-json``.
+    """Mirror structured events to stderr at :func:`_event_stream_level`.
 
     Also routes stdlib ``logging`` warnings from the ``repro`` loggers
     into the event stream, so the old ad-hoc warnings show up exactly
     once, in the structured format, instead of as loose stderr lines.
+    :func:`main` detaches that bridge when the command returns.
     """
-    if not (obs.events.enabled and _wants_event_stream(args)):
+    level = _event_stream_level(args, status_line)
+    if not (obs.events.enabled and level):
         return
-    level = getattr(args, "log_level", None) or "info"
     obs.events.add_sink(StderrEventSink(
         min_severity=level, json_mode=getattr(args, "log_json", False),
         status_line=status_line))
-    attach_logging_bridge(obs.events)
+    args.logging_bridge = attach_logging_bridge(obs.events)
 
 
 def _flush_observability(obs: Instrumentation,
@@ -814,25 +837,29 @@ def _cmd_stream_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import StreamIngestServer, serve_metrics
 
+    horizon = args.horizon
+    if horizon is None:
+        from repro.serve.server import DEFAULT_HORIZON
+        horizon = DEFAULT_HORIZON
     obs = make_instrumentation()
+    try:
+        server = StreamIngestServer(
+            host=args.host, port=args.port,
+            horizon=horizon or None,  # 0 -> unbounded
+            min_repetitions=args.min_repetitions,
+            max_streams=args.max_streams,
+            on_disorder=args.on_disorder,
+            obs=obs,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     _attach_event_stream(obs, args)
     events_file = None
     if args.events_out:
         events_file = open(args.events_out, "a", encoding="utf-8")
         obs.events.add_sink(StderrEventSink(
             min_severity="debug", json_mode=True, stream=events_file))
-    horizon = args.horizon
-    if horizon is None:
-        from repro.serve.server import DEFAULT_HORIZON
-        horizon = DEFAULT_HORIZON
-    server = StreamIngestServer(
-        host=args.host, port=args.port,
-        horizon=horizon or None,  # 0 -> unbounded
-        min_repetitions=args.min_repetitions,
-        max_streams=args.max_streams,
-        on_disorder=args.on_disorder,
-        obs=obs,
-    )
     metrics_server = None
 
     async def _run() -> None:
@@ -922,6 +949,10 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141
+    finally:
+        # In-process callers get stdlib logging back as they left it.
+        if getattr(args, "logging_bridge", None) is not None:
+            detach_logging_bridge(args.logging_bridge)
 
 
 if __name__ == "__main__":  # pragma: no cover

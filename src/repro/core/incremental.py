@@ -2,52 +2,25 @@
 
 ``analyze_trace`` needs the whole trace before it says anything; a
 fleet-scale ingest service (see :mod:`repro.serve`) needs a verdict
-*while* the stream is open.  This module provides the streaming core:
+*while* the stream is open.  :class:`IncrementalAnalyzer` provides it:
+it feeds records through a streaming
+:class:`~repro.core.cellset.CellSetSequenceBuilder` and the one loop
+detector, :class:`~repro.core.loops.IncrementalLoopDetector` (defined
+in :mod:`repro.core.loops` and re-exported here), with a ``horizon``
+ring bounding its memory.  Batch ``detect_loop`` runs the same
+detector, unbounded, so a stream's verdict is the batch verdict by
+construction whenever its dedup sequence fits the horizon.
 
-* :class:`IncrementalLoopDetector` — an amortized online variant of
-  :func:`repro.core.loops.detect_loop`.  It maintains, per candidate
-  period ``p``, the length of the maximal sequence suffix that matches
-  itself at distance ``p`` (``run[p]`` — the online complement of the
-  batch Z-array LCP), and exploits two facts about the batch scan:
-
-  1. *Validity is monotone*: once a ``(start, period)`` pair repeats
-     ``min_repetitions`` times it stays valid as the sequence grows
-     (the batch LCP never shrinks).
-  2. *A pair becomes valid at exactly one length*: ``(s, p)`` first
-     satisfies ``lcp >= (min_repetitions - 1) * p`` at dedup length
-     ``n = s + min_repetitions * p`` — an LCP grows only while its
-     match runs to the end of the sequence, so a pair that is not valid
-     the moment its window completes never becomes valid.
-
-  Newly valid pairs at length ``n`` are therefore exactly
-  ``{(n - min_repetitions * p, p) : run[p] >= (min_repetitions-1) * p}``,
-  and the batch answer — the lexicographically smallest valid
-  ``(start, period)`` with a state-mixed block — is a running minimum
-  over those enumerations.  The winner's LCP is tracked forward with an
-  open/closed flag (open == the periodic region still reaches the end
-  of the sequence == the batch persistence rule), so the final
-  :class:`LoopDetection` is bit-identical to ``detect_loop``.
-
-  Memory is bounded by the ``horizon`` ring: only the last ``horizon``
-  dedup elements are retained (:meth:`SpanDedup.evict`), capping the
-  detectable period at ``horizon // min_repetitions``.  Equivalence
-  with batch detection is guaranteed whenever the final dedup length
-  fits the horizon; the winning block is materialized the moment it is
-  elected, so eviction never invalidates an already-reported loop.
-
-* :class:`IncrementalAnalyzer` — feeds records through a streaming
-  :class:`~repro.core.cellset.CellSetSequenceBuilder` and the detector.
-  Only *stable* intervals are published to the detector: the cell-set
-  builder may still reabsorb its most recent interval on a
-  same-timestamp state change, so an interval enters the dedup sequence
-  once the stream clock has strictly passed its end, and is dropped
-  from the builder once published.  The analyzer retains no records or
-  intervals at all — per-stream state is the tracker, the dedup ring
-  and a handful of counters — and :meth:`~IncrementalAnalyzer.finalize`
-  returns a compact :class:`StreamVerdict` whose detection, record
-  count, dedup length and duration equal batch ``analyze_trace``'s on
-  the same records (Hypothesis-gated in
-  ``tests/test_core_incremental.py``).
+Only *stable* intervals are published to the detector: the cell-set
+builder may still reabsorb its most recent interval on a same-timestamp
+state change, so an interval enters the dedup sequence once the stream
+clock has strictly passed its end, and is dropped from the builder once
+published.  The analyzer retains no records or intervals at all —
+per-stream state is the tracker, the dedup ring and a handful of
+counters — and :meth:`~IncrementalAnalyzer.finalize` returns a compact
+:class:`StreamVerdict` whose detection, record count, dedup length and
+duration equal batch ``analyze_trace``'s on the same records
+(Hypothesis-gated in ``tests/test_core_incremental.py``).
 
 Out-of-order records (live streams deliver them; batch traces cannot)
 are handled here and only here, in :meth:`IncrementalAnalyzer._admit`,
@@ -63,19 +36,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from repro.core.cellset import (
-    _TIME_TOLERANCE_S,
-    CellSet,
-    CellSetSequenceBuilder,
-)
-from repro.core.loops import (
-    LoopDetection,
-    LoopKind,
-    SpanDedup,
-    _canonical_rotation,
-)
+from repro.core.cellset import _TIME_TOLERANCE_S, CellSetSequenceBuilder
+from repro.core.loops import IncrementalLoopDetector, LoopDetection
 from repro.traces.records import Record, ThroughputSampleRecord
 
 __all__ = [
@@ -86,178 +48,6 @@ __all__ = [
 
 #: ``on_event`` callback signature: ``callback(name, **fields)``.
 EventCallback = Callable[..., None]
-
-
-class IncrementalLoopDetector:
-    """Online :func:`~repro.core.loops.detect_loop` over a dedup stream.
-
-    Feed deduplicated cell-set elements via :meth:`push` (one call per
-    interval; consecutive equal cell sets merge into the shared
-    :class:`SpanDedup`); read the current verdict via :meth:`detection`.
-    Each *new* dedup element costs ``O(min(n, horizon))`` — and dedup
-    elements only appear when the serving cell set actually changes, so
-    the per-record amortized cost on real streams is far lower.
-    """
-
-    def __init__(self, *, min_repetitions: int = 2,
-                 horizon: int | None = None) -> None:
-        if min_repetitions < 1:
-            raise ValueError("min_repetitions must be >= 1")
-        if horizon is not None and horizon < 2 * min_repetitions:
-            raise ValueError(
-                f"horizon {horizon} cannot hold even one "
-                f"{min_repetitions}-repetition loop of period 2")
-        self.min_repetitions = min_repetitions
-        self.horizon = horizon
-        self._max_period = horizon // min_repetitions if horizon else None
-        self.dedup = SpanDedup()
-        # Interning: cell set -> small int code (+ its 5G-ON flag), so
-        # all periodicity comparisons are int comparisons.
-        self._codes: dict[CellSet, int] = {}
-        self._code_on: list[int] = []
-        # Interned codes, parallel to dedup.cellsets, as a growable
-        # numpy buffer: the per-period run update below is one
-        # vectorized compare over the lag window instead of a Python
-        # loop (that loop dominated per-record cost at large horizons).
-        self._seq = np.empty(256, dtype=np.int64)
-        self._seq_len = 0                 # ring-relative element count
-        self._on_prefix: list[int] = [0]  # running 5G-ON prefix sums
-        self._run = np.zeros(256, dtype=np.int64)  # run[p]: match at lag p
-        self._best: tuple[int, int] | None = None   # (start, period)
-        self._best_lcp = 0
-        self._best_open = False
-        self._best_block: tuple[CellSet, ...] = ()
-        self._best_window_start = 0.0
-
-    @property
-    def best(self) -> tuple[int, int] | None:
-        """The current winning ``(start_index, period)`` (None: no loop)."""
-        return self._best
-
-    @property
-    def best_open(self) -> bool:
-        """Whether the winner's periodic region reaches the sequence end."""
-        return self._best_open
-
-    @property
-    def window_start_s(self) -> float:
-        """Start time of the winning periodic region (0.0 before one)."""
-        return self._best_window_start
-
-    def __len__(self) -> int:
-        """Absolute dedup-sequence length (including evicted elements)."""
-        return len(self.dedup)
-
-    def push(self, cellset: CellSet, start_s: float, end_s: float) -> bool:
-        """Feed one (final) interval; True when the verdict may have moved."""
-        if not self.dedup.push(cellset, start_s, end_s):
-            return False
-        code = self._codes.get(cellset)
-        if code is None:
-            code = len(self._codes)
-            self._codes[cellset] = code
-            self._code_on.append(1 if cellset.five_g_on else 0)
-        seq = self._seq
-        if self._seq_len == seq.size:
-            seq = np.concatenate([seq, np.empty(seq.size, dtype=np.int64)])
-            self._seq = seq
-        seq[self._seq_len] = code
-        self._seq_len += 1
-        self._on_prefix.append(self._on_prefix[-1] + self._code_on[code])
-
-        n = len(self.dedup)
-        base = self.dedup.base
-        rel = n - 1 - base               # new element, ring-relative
-        moved = False
-
-        # 1. Extend the winner's LCP while its match still reaches the
-        #    end of the sequence (== the batch persistence rule).
-        if self._best_open:
-            if seq[rel] == seq[rel - self._best[1]]:
-                self._best_lcp += 1
-            else:
-                self._best_open = False
-                moved = True
-
-        # 2. Update the per-period suffix self-match lengths — one
-        #    vectorized pass: run[p] advances when seq[rel - p] equals
-        #    the new code and resets to zero otherwise.
-        limit = rel if self._max_period is None \
-            else min(rel, self._max_period)
-        run = self._run
-        if run.size <= limit:
-            grown = np.zeros(max(run.size * 2, limit + 1), dtype=np.int64)
-            grown[:run.size] = run
-            self._run = run = grown
-        if limit > 0:
-            lagged = seq[rel - limit:rel][::-1]   # lagged[p-1] = seq[rel-p]
-            window = run[1:limit + 1]
-            window += 1
-            window *= lagged == code
-        # 3. Enumerate the pairs becoming valid exactly now — (s, p)
-        #    with s = n - min_repetitions * p — and fold them into the
-        #    running lexicographic minimum.  Only periods whose implied
-        #    start can still beat the winner are inspected: s <= bs
-        #    requires p >= ceil((n - bs) / min_repetitions), which
-        #    shrinks the scan to O(bs / min_repetitions + 1) once any
-        #    winner exists (the (s, p) >= best check stays as the exact
-        #    filter; the range is purely a prune).
-        min_reps = self.min_repetitions
-        need = min_reps - 1
-        p_hi = n // min_reps
-        if self._max_period is not None and p_hi > self._max_period:
-            p_hi = self._max_period
-        if p_hi > rel:
-            p_hi = rel
-        best = self._best
-        p_lo = 2 if best is None \
-            else max(2, -((best[0] - n) // min_reps))
-        for p in range(p_lo, p_hi + 1):
-            if run[p] < need * p:
-                continue
-            s = n - min_reps * p
-            if best is not None and (s, p) >= best:
-                continue
-            sp = s - base
-            on_in_block = self._on_prefix[sp + p] - self._on_prefix[sp]
-            if on_in_block == 0 or on_in_block == p:
-                continue
-            best = (s, p)
-            self._elect(s, p)
-            moved = True
-        # 4. Ring eviction (amortized: trim half when past 2x horizon).
-        if self.horizon is not None and self._seq_len > 2 * self.horizon:
-            excess = self._seq_len - self.horizon
-            self.dedup.evict(self.horizon)
-            seq[:self.horizon] = seq[excess:self._seq_len]
-            self._seq_len = self.horizon
-            del self._on_prefix[:excess]
-        return moved
-
-    def _elect(self, start: int, period: int) -> None:
-        """Install a new winner; materialize its block out of the ring."""
-        first = start - self.dedup.base
-        self._best = (start, period)
-        # At election the window [start, start + min_reps * period) just
-        # completed, so the LCP is exactly the repeated part and open.
-        self._best_lcp = (self.min_repetitions - 1) * period
-        self._best_open = True
-        self._best_block = _canonical_rotation(
-            self.dedup.cellsets[first:first + period])
-        self._best_window_start = self.dedup.starts[first]
-
-    def detection(self) -> LoopDetection:
-        """The batch-identical :class:`LoopDetection` for the sequence
-        seen so far (bit-identical to ``detect_loop`` whenever the dedup
-        length fits the horizon)."""
-        if self._best is None:
-            return LoopDetection(kind=LoopKind.NO_LOOP)
-        start, period = self._best
-        kind = LoopKind.PERSISTENT if self._best_open \
-            else LoopKind.SEMI_PERSISTENT
-        return LoopDetection(kind=kind, start_index=start, period=period,
-                             repetitions=1 + self._best_lcp // period,
-                             block=self._best_block)
 
 
 @dataclass(frozen=True)

@@ -7,26 +7,25 @@ plus any partial-block tail that is a prefix of the block, extend to
 the very end of the deduplicated sequence — and *semi-persistent* if
 the sequence later leaves the loop.
 
-Detection scans the deduplicated cell set sequence for the earliest,
-shortest periodic block; the reported block is rotated to the canonical
-phase (starting at a 5G-ON set that follows a 5G-OFF one), matching the
+The reported loop is the earliest, shortest periodic block of the
+deduplicated cell set sequence, rotated to the canonical phase
+(starting at a 5G-ON set that follows a 5G-OFF one), matching the
 paper's "starts with 5G ON, ends with 5G OFF" presentation.
 
-The scan is built for campaign-scale sequences: cell sets are interned
-to small integers once per run, and each candidate start is tested with
-a single Z-array (longest-common-prefix) pass over its suffix, so every
-(start, period) pair costs O(1) after O(n) preparation per start.
-Candidate starts whose cell set never recurs at a feasible period are
-skipped outright via per-symbol occurrence lists, which makes the scan
-near-linear on real traces (the naive slice-comparing scan is
-O(n^3)-O(n^4) on the same input).
+There is one detector, :class:`IncrementalLoopDetector`, and it is
+online: it takes the sequence one element at a time and holds the
+verdict for the prefix seen so far.  ``repro stream serve`` feeds it
+record by record (:mod:`repro.core.incremental`), and batch
+:func:`detect_loop` pushes a whole run through an unbounded one, so a
+live verdict and an offline verdict are the same computation.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.cellset import CellSet, CellSetInterval
 
@@ -72,9 +71,7 @@ class SpanDedup:
 
     Consecutive equal cell sets collapse into one *element* whose time
     span covers all merged intervals.  This is the one implementation
-    shared by :func:`dedup_sequence`, :func:`loop_window` and the
-    incremental detector (:mod:`repro.core.incremental`) — it used to
-    live as two divergence-prone inline copies.
+    shared by the loop detector and :func:`loop_window`.
 
     Elements are stored as parallel lists (``cellsets``/``starts``/
     ``ends``).  Long-lived streams may :meth:`evict` old elements;
@@ -121,13 +118,6 @@ class SpanDedup:
             self.base += excess
 
 
-def dedup_sequence(intervals: list[CellSetInterval]) -> list[CellSet]:
-    """The cell set sequence with consecutive duplicates merged."""
-    dedup = SpanDedup()
-    dedup.extend(intervals)
-    return dedup.cellsets
-
-
 def _canonical_rotation(block: list[CellSet]) -> tuple[CellSet, ...]:
     """Rotate the block to start at an ON set preceded (cyclically) by OFF."""
     n = len(block)
@@ -139,96 +129,234 @@ def _canonical_rotation(block: list[CellSet]) -> tuple[CellSet, ...]:
     return tuple(block)
 
 
-def _intern(sequence: list[CellSet]) -> tuple[list[int], list[int]]:
-    """Map each distinct cell set to a small integer, once per run.
+def check_detector_settings(min_repetitions: int,
+                            horizon: int | None = None) -> None:
+    """Refuse settings no loop detector can honour (``ValueError``).
 
-    Returns the interned sequence and a prefix-sum table of 5G-ON flags
-    (``on_prefix[i]`` = number of ON sets among the first ``i``
-    elements), so any block's state mix is an O(1) lookup.
+    A loop repeats twice or more, so ``min_repetitions`` is at least 2,
+    and a ``horizon`` ring must hold one loop of the shortest period.
+    The detector checks this when built; the stream server checks it
+    when configured, before any stream opens.
     """
-    codes: dict[CellSet, int] = {}
-    flags: dict[CellSet, int] = {}
-    interned: list[int] = []
-    on_prefix: list[int] = [0]
-    for cellset in sequence:
-        code = codes.get(cellset)
+    if min_repetitions < 2:
+        raise ValueError(
+            f"min_repetitions must be >= 2 (a loop repeats twice or "
+            f"more), got {min_repetitions}")
+    if horizon is not None and horizon < 2 * min_repetitions:
+        raise ValueError(
+            f"horizon {horizon} cannot hold even one "
+            f"{min_repetitions}-repetition loop of period 2")
+
+
+class IncrementalLoopDetector:
+    """The loop detector: online, one dedup element at a time.
+
+    Feed intervals via :meth:`push` (consecutive equal cell sets merge
+    into the shared :class:`SpanDedup`); read the verdict for the
+    sequence so far via :meth:`detection`.  The verdict is the
+    lexicographically smallest ``(start, period)`` whose block mixes
+    both 5G states and repeats ``min_repetitions`` times.  The detector
+    keeps, per candidate period ``p``, the length of the maximal
+    sequence suffix that matches itself at distance ``p`` (``run[p]``),
+    and exploits two facts:
+
+    1. *Validity is monotone*: once a ``(start, period)`` pair repeats
+       ``min_repetitions`` times it stays valid as the sequence grows.
+    2. *A pair becomes valid at exactly one length*: ``(s, p)`` first
+       repeats ``min_repetitions`` times at dedup length
+       ``n = s + min_repetitions * p``.  A match grows only while it
+       runs to the end of the sequence, so a pair that is not valid the
+       moment its window completes never becomes valid.
+
+    Newly valid pairs at length ``n`` are therefore exactly
+    ``{(n - min_repetitions * p, p) : run[p] >= (min_repetitions-1) * p}``,
+    and the answer is a running minimum over those enumerations.  The
+    winner's match is tracked forward with an open/closed flag: open
+    means the periodic region still reaches the end of the sequence,
+    which is the persistence rule.
+
+    Each *new* dedup element costs ``O(min(n, horizon))`` (one
+    vectorized update of ``run``), so a whole run costs ``O(n²)``
+    element work in the worst case; dedup elements only appear when the
+    serving cell set changes.  Memory is bounded by the optional
+    ``horizon`` ring: only the last ``horizon`` dedup elements are
+    retained (:meth:`SpanDedup.evict`), capping the detectable period
+    at ``horizon // min_repetitions``.  The verdict equals the
+    unbounded one whenever the final dedup length fits the horizon;
+    the winning block is materialized the moment it is elected, so
+    eviction never invalidates an already-reported loop.
+    """
+
+    def __init__(self, *, min_repetitions: int = 2,
+                 horizon: int | None = None) -> None:
+        check_detector_settings(min_repetitions, horizon)
+        self.min_repetitions = min_repetitions
+        self.horizon = horizon
+        self._max_period = horizon // min_repetitions if horizon else None
+        self.dedup = SpanDedup()
+        # Interning: cell set -> small int code (+ its 5G-ON flag), so
+        # all periodicity comparisons are int comparisons.
+        self._codes: dict[CellSet, int] = {}
+        self._code_on: list[int] = []
+        # Interned codes, parallel to dedup.cellsets, as a growable
+        # numpy buffer: the per-period run update below is one
+        # vectorized compare over the lag window instead of a Python
+        # loop (that loop dominated per-record cost at large horizons).
+        self._seq = np.empty(256, dtype=np.int64)
+        self._seq_len = 0                 # ring-relative element count
+        self._on_prefix: list[int] = [0]  # running 5G-ON prefix sums
+        self._run = np.zeros(256, dtype=np.int64)  # run[p]: match at lag p
+        self._best: tuple[int, int] | None = None   # (start, period)
+        self._best_lcp = 0
+        self._best_open = False
+        self._best_block: tuple[CellSet, ...] = ()
+        self._best_window_start = 0.0
+
+    @property
+    def best(self) -> tuple[int, int] | None:
+        """The current winning ``(start_index, period)`` (None: no loop)."""
+        return self._best
+
+    @property
+    def best_open(self) -> bool:
+        """Whether the winner's periodic region reaches the sequence end."""
+        return self._best_open
+
+    @property
+    def window_start_s(self) -> float:
+        """Start time of the winning periodic region (0.0 before one)."""
+        return self._best_window_start
+
+    def __len__(self) -> int:
+        """Absolute dedup-sequence length (including evicted elements)."""
+        return len(self.dedup)
+
+    def push(self, cellset: CellSet, start_s: float, end_s: float) -> bool:
+        """Feed one (final) interval; True when the verdict may have moved."""
+        if not self.dedup.push(cellset, start_s, end_s):
+            return False
+        code = self._codes.get(cellset)
         if code is None:
-            code = len(codes)
-            codes[cellset] = code
-            flags[cellset] = 1 if cellset.five_g_on else 0
-        interned.append(code)
-        on_prefix.append(on_prefix[-1] + flags[cellset])
-    return interned, on_prefix
+            code = len(self._codes)
+            self._codes[cellset] = code
+            self._code_on.append(1 if cellset.five_g_on else 0)
+        seq = self._seq
+        if self._seq_len == seq.size:
+            seq = np.concatenate([seq, np.empty(seq.size, dtype=np.int64)])
+            self._seq = seq
+        seq[self._seq_len] = code
+        self._seq_len += 1
+        self._on_prefix.append(self._on_prefix[-1] + self._code_on[code])
 
+        n = len(self.dedup)
+        base = self.dedup.base
+        rel = n - 1 - base               # new element, ring-relative
+        moved = False
 
-def _z_array(seq: list[int]) -> list[int]:
-    """Z-array: ``z[i]`` = length of the longest common prefix of
-    ``seq`` and ``seq[i:]`` (the classic linear-time scan)."""
-    n = len(seq)
-    z = [0] * n
-    if n:
-        z[0] = n
-    left = right = 0
-    for i in range(1, n):
-        k = min(right - i, z[i - left]) if i < right else 0
-        while i + k < n and seq[k] == seq[i + k]:
-            k += 1
-        z[i] = k
-        if i + k > right:
-            left, right = i, i + k
-    return z
+        # 1. Extend the winner's match while it still reaches the end of
+        #    the sequence (== the persistence rule).
+        if self._best_open:
+            if seq[rel] == seq[rel - self._best[1]]:
+                self._best_lcp += 1
+            else:
+                self._best_open = False
+                moved = True
+
+        # 2. Update the per-period suffix self-match lengths — one
+        #    vectorized pass: run[p] advances when seq[rel - p] equals
+        #    the new code and resets to zero otherwise.
+        limit = rel if self._max_period is None \
+            else min(rel, self._max_period)
+        run = self._run
+        if run.size <= limit:
+            grown = np.zeros(max(run.size * 2, limit + 1), dtype=np.int64)
+            grown[:run.size] = run
+            self._run = run = grown
+        if limit > 0:
+            lagged = seq[rel - limit:rel][::-1]   # lagged[p-1] = seq[rel-p]
+            window = run[1:limit + 1]
+            window += 1
+            window *= lagged == code
+        # 3. Enumerate the pairs becoming valid exactly now — (s, p)
+        #    with s = n - min_repetitions * p — and fold them into the
+        #    running lexicographic minimum.  Only periods whose implied
+        #    start can still beat the winner are inspected: s <= bs
+        #    requires p >= ceil((n - bs) / min_repetitions), which
+        #    shrinks the scan to O(bs / min_repetitions + 1) once any
+        #    winner exists (the (s, p) >= best check stays as the exact
+        #    filter; the range is purely a prune).
+        min_reps = self.min_repetitions
+        need = min_reps - 1
+        p_hi = n // min_reps
+        if self._max_period is not None and p_hi > self._max_period:
+            p_hi = self._max_period
+        if p_hi > rel:
+            p_hi = rel
+        best = self._best
+        p_lo = 2 if best is None \
+            else max(2, -((best[0] - n) // min_reps))
+        for p in range(p_lo, p_hi + 1):
+            if run[p] < need * p:
+                continue
+            s = n - min_reps * p
+            if best is not None and (s, p) >= best:
+                continue
+            sp = s - base
+            on_in_block = self._on_prefix[sp + p] - self._on_prefix[sp]
+            if on_in_block == 0 or on_in_block == p:
+                continue
+            best = (s, p)
+            self._elect(s, p)
+            moved = True
+        # 4. Ring eviction (amortized: trim half when past 2x horizon).
+        if self.horizon is not None and self._seq_len > 2 * self.horizon:
+            excess = self._seq_len - self.horizon
+            self.dedup.evict(self.horizon)
+            seq[:self.horizon] = seq[excess:self._seq_len]
+            self._seq_len = self.horizon
+            del self._on_prefix[:excess]
+        return moved
+
+    def _elect(self, start: int, period: int) -> None:
+        """Install a new winner; materialize its block out of the ring."""
+        first = start - self.dedup.base
+        self._best = (start, period)
+        # At election the window [start, start + min_reps * period) just
+        # completed, so the match is exactly the repeated part and open.
+        self._best_lcp = (self.min_repetitions - 1) * period
+        self._best_open = True
+        self._best_block = _canonical_rotation(
+            self.dedup.cellsets[first:first + period])
+        self._best_window_start = self.dedup.starts[first]
+
+    def detection(self) -> LoopDetection:
+        """The :class:`LoopDetection` for the sequence seen so far."""
+        if self._best is None:
+            return LoopDetection(kind=LoopKind.NO_LOOP)
+        start, period = self._best
+        kind = LoopKind.PERSISTENT if self._best_open \
+            else LoopKind.SEMI_PERSISTENT
+        return LoopDetection(kind=kind, start_index=start, period=period,
+                             repetitions=1 + self._best_lcp // period,
+                             block=self._best_block)
 
 
 def detect_loop(intervals: list[CellSetInterval],
                 min_repetitions: int = 2) -> LoopDetection:
     """Detect a 5G ON-OFF loop in a cell set interval sequence.
 
-    Scans for the earliest start index, then the shortest period, whose
-    block repeats at least ``min_repetitions`` times and visits both 5G
-    states.  Persistence follows the paper's rule: the periodic region
-    (complete repetitions plus a partial-block tail that is a prefix of
-    the block) must extend to the end of the run.
+    Pushes every interval into an unbounded
+    :class:`IncrementalLoopDetector` and returns its verdict: the
+    earliest start index, then the shortest period, whose block repeats
+    at least ``min_repetitions`` (>= 2) times and visits both 5G
+    states, persistent when the periodic region (complete repetitions
+    plus a partial-block tail that is a prefix of the block) extends to
+    the end of the run.
     """
-    sequence = dedup_sequence(intervals)
-    n = len(sequence)
-    if n < 2 * min_repetitions:
-        return LoopDetection(kind=LoopKind.NO_LOOP)
-    interned, on_prefix = _intern(sequence)
-    # Occurrence lists let us skip starts whose symbol never recurs at a
-    # feasible period (a block of period p repeating means the start
-    # symbol recurs exactly p positions later).
-    occurrences: dict[int, list[int]] = {}
-    for index, code in enumerate(interned):
-        occurrences.setdefault(code, []).append(index)
-    for start in range(n):
-        max_period = (n - start) // min_repetitions
-        if max_period < 2:
-            break
-        positions = occurrences[interned[start]]
-        next_at = bisect_right(positions, start + 1)
-        if next_at >= len(positions) or \
-                positions[next_at] - start > max_period:
-            continue
-        z = _z_array(interned[start:])
-        for period in range(2, max_period + 1):
-            on_in_block = on_prefix[start + period] - on_prefix[start]
-            if on_in_block == 0 or on_in_block == period:
-                continue
-            lcp = z[period]
-            repetitions = 1 + lcp // period
-            if repetitions < min_repetitions:
-                continue
-            # The periodic region spans [start, start + period + lcp);
-            # the run is persistent iff it reaches the end of the
-            # sequence (complete repetitions + partial-block tail).
-            persistent = start + period + lcp == n
-            kind = LoopKind.PERSISTENT if persistent \
-                else LoopKind.SEMI_PERSISTENT
-            block = sequence[start:start + period]
-            return LoopDetection(kind=kind, start_index=start, period=period,
-                                 repetitions=repetitions,
-                                 block=_canonical_rotation(block))
-    return LoopDetection(kind=LoopKind.NO_LOOP)
+    detector = IncrementalLoopDetector(min_repetitions=min_repetitions)
+    for interval in intervals:
+        detector.push(interval.cellset, interval.start_s, interval.end_s)
+    return detector.detection()
 
 
 def loop_window(intervals: list[CellSetInterval],

@@ -50,6 +50,7 @@ import asyncio
 import json
 
 from repro.core.incremental import IncrementalAnalyzer
+from repro.core.loops import check_detector_settings
 from repro.obs import Instrumentation, get_instrumentation, instrumented
 from repro.obs.httpd import PROMETHEUS_TYPE, HardenedHTTPServer, serve_http
 from repro.resilience.errors import TraceParseError
@@ -123,6 +124,9 @@ class StreamIngestServer:
                  max_frame_bytes: int = MAX_FRAME_BYTES,
                  on_disorder: str = "recover",
                  obs: Instrumentation | None = None) -> None:
+        # Every stream's detector is built from these two settings, so
+        # refuse them here rather than at each stream's ``open``.
+        check_detector_settings(min_repetitions, horizon)
         self.host = host
         self.port = port
         self.horizon = horizon

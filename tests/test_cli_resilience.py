@@ -73,6 +73,24 @@ class TestCampaignFlags:
         assert args.resume
 
     @pytest.mark.parametrize("argv", [
+        ["campaign", "--run-timeout", "nan"],
+        ["campaign", "--run-timeout", "-1"],
+        ["campaign", "--run-timeout", "0"],
+        ["campaign", "--workers", "2", "--run-timeout", "inf"],
+        ["campaign", "--max-retries", "-1"],
+        ["campaign", "--queue-stall", "nan"],
+        ["campaign", "--queue-stall", "-1"],
+        ["campaign", "--queue-stall", "inf"],
+        ["profile", "--run-timeout", "nan"],
+        ["profile", "--max-retries", "-1"],
+    ])
+    def test_bad_numeric_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["faults", "run.jsonl"],
         ["campaign", "--broker-fault-rate", "0.25"],
         ["worker", "--broker", "http://127.0.0.1:9", "--fail-after", "1"],

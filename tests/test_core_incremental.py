@@ -25,7 +25,7 @@ from repro.core.incremental import (
     IncrementalLoopDetector,
     StreamVerdict,
 )
-from repro.core.loops import LoopKind, dedup_sequence, detect_loop
+from repro.core.loops import LoopKind, detect_loop
 from repro.core.pipeline import analyze_trace
 from repro.resilience.errors import OutOfOrderRecordError
 from repro.traces.log import SignalingTrace, TraceMetadata
@@ -34,6 +34,8 @@ from repro.traces.records import (
     RrcSetupCompleteRecord,
 )
 from tests.conftest import cell_id
+from tests.oracles import loops as oracle
+from tests.oracles.loops import dedup_sequence
 from tests.test_core_columnar import traces
 
 IDLE = CellSet()
@@ -93,15 +95,19 @@ class TestBatchEquivalence:
 
 
 class TestDetectorPrefixEquivalence:
-    """The online detector equals batch ``detect_loop`` at EVERY prefix."""
+    """The online detector equals the naive oracle at EVERY prefix."""
 
-    @given(st.lists(st.sampled_from(CANDIDATES), max_size=24))
-    def test_every_prefix_matches_detect_loop(self, cellsets):
+    @given(st.lists(st.sampled_from(CANDIDATES), max_size=40),
+           st.integers(min_value=2, max_value=4))
+    @settings(deadline=None)
+    def test_every_prefix_matches_detect_loop(self, cellsets,
+                                              min_repetitions):
         intervals = _intervals(cellsets)
-        detector = IncrementalLoopDetector()
+        detector = IncrementalLoopDetector(min_repetitions=min_repetitions)
         for length, interval in enumerate(intervals, start=1):
             detector.push(interval.cellset, interval.start_s, interval.end_s)
-            assert detector.detection() == detect_loop(intervals[:length])
+            assert detector.detection() == oracle.detect_loop(
+                intervals[:length], min_repetitions)
 
     @given(st.lists(st.sampled_from(CANDIDATES), max_size=30),
            st.integers(min_value=4, max_value=12))

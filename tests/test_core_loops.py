@@ -1,11 +1,14 @@
 """Tests for ON-OFF loop detection (Figure 4 semantics)."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.cells.cell import Rat
 from repro.core.cellset import CellSet, CellSetInterval
-from repro.core.loops import LoopKind, dedup_sequence, detect_loop
+from repro.core.loops import IncrementalLoopDetector, LoopKind, detect_loop
 from tests.conftest import cell_id
+from tests.oracles import loops as oracle
+from tests.oracles.loops import dedup_sequence
 
 IDLE = CellSet()
 ON_A = CellSet(pcell=cell_id(393, 521310))
@@ -108,8 +111,8 @@ class TestDedup:
 
 
 class TestSpanDedup:
-    """The shared span-preserving dedup helper (used by dedup_sequence,
-    loop_window and the incremental detector)."""
+    """The shared span-preserving dedup helper (used by the detector
+    and loop_window), against the oracle's groupby dedup."""
 
     def test_merges_spans(self):
         from repro.core.loops import SpanDedup
@@ -248,52 +251,29 @@ class TestPersistenceRegression:
         assert detection.kind is LoopKind.PERSISTENT
 
 
-def _naive_detect(sequence: list[CellSet], min_repetitions: int = 2):
-    """The seed's O(n^3) slice-comparing scan, kept as a test oracle.
-
-    Identical tie-break semantics (earliest start, then shortest
-    period); encodes the *fixed* persistence rule — the repetitions
-    plus a partial-block tail that is a prefix of the block must extend
-    to the end of the deduplicated sequence.
-    """
-    n = len(sequence)
-    for start in range(n):
-        for period in range(2, (n - start) // min_repetitions + 1):
-            block = sequence[start:start + period]
-            if not any(cellset.five_g_on for cellset in block):
-                continue
-            if all(cellset.five_g_on for cellset in block):
-                continue
-            repetitions = 1
-            while sequence[start + repetitions * period:
-                           start + (repetitions + 1) * period] == block:
-                repetitions += 1
-            if repetitions < min_repetitions:
-                continue
-            end = start + repetitions * period
-            tail = 0
-            while end + tail < n and sequence[end + tail] == block[tail]:
-                tail += 1
-            return start, period, repetitions, end + tail == n
-    return None
-
-
 class TestOracleEquivalence:
     @given(st.lists(st.sampled_from([ON_A, ON_B, ON_C, IDLE, OFF_LTE]),
-                    max_size=24))
-    def test_fast_detector_matches_naive_oracle(self, cellsets):
+                    max_size=40),
+           st.integers(min_value=2, max_value=4))
+    def test_fast_detector_matches_naive_oracle(self, cellsets,
+                                                min_repetitions):
         intervals = seq(*cellsets)
-        fast = detect_loop(intervals)
-        expected = _naive_detect(dedup_sequence(intervals))
-        if expected is None:
-            assert fast.kind is LoopKind.NO_LOOP
-        else:
-            start, period, repetitions, persistent = expected
-            assert fast.is_loop
-            assert (fast.start_index, fast.period, fast.repetitions) == \
-                (start, period, repetitions)
-            assert fast.kind is (LoopKind.PERSISTENT if persistent
-                                 else LoopKind.SEMI_PERSISTENT)
+        assert detect_loop(intervals, min_repetitions) == \
+            oracle.detect_loop(intervals, min_repetitions)
+
+
+class TestSettings:
+    """A loop repeats twice or more: fewer is refused up front."""
+
+    @pytest.mark.parametrize("min_repetitions", [1, 0, -1])
+    def test_detect_loop_refuses_fewer_than_two_repetitions(
+            self, min_repetitions):
+        with pytest.raises(ValueError, match="min_repetitions"):
+            detect_loop(seq(IDLE, OFF_LTE, IDLE, ON_A), min_repetitions)
+
+    def test_detector_refuses_one_repetition(self):
+        with pytest.raises(ValueError, match="min_repetitions"):
+            IncrementalLoopDetector(min_repetitions=1)
 
 
 class TestRobustness:

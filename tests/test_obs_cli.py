@@ -161,6 +161,27 @@ class TestCampaignMetricsOut:
         assert all(EVENT_RECORD.match(line) for line in records), records
         assert screen[-2].startswith("[2/2] 100.0%  ok=2 ")
 
+    def test_logging_warnings_start_their_own_lines(self, tmp_path):
+        # --progress alone mirrors warnings through a sink that shares
+        # the status line, so a stdlib logging warning (the checkpoint
+        # skipping a corrupt line on resume) is not appended to it.
+        checkpoint = tmp_path / "c.ckpt"
+        argv = ("campaign", "--operator", "OP_V", "--areas", "A9",
+                "--locations", "2", "--runs", "1", "--duration", "30",
+                "--checkpoint", str(checkpoint))
+        assert run_repro(*argv).returncode == 0
+        with checkpoint.open("a", encoding="utf-8") as handle:
+            handle.write("garbage\n")
+        completed = run_repro(*argv, "--resume", "--progress")
+        err = completed.stderr.decode()
+        assert completed.returncode == 0, err
+        screen = on_screen(err)
+        warnings = [line for line in screen
+                    if "skipped 1 corrupt line" in line]
+        assert warnings, screen
+        assert all(EVENT_RECORD.match(line) for line in warnings), screen
+        assert screen[-2].startswith("[2/2] 100.0%  ok=2 ")
+
     def test_no_flags_no_observability_files(self, tmp_path, capsys):
         argv = ["campaign", "--operator", "OP_V", "--areas", "A9",
                 "--locations", "1", "--runs", "1", "--duration", "60"]

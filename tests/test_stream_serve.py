@@ -386,6 +386,32 @@ class TestProtocolErrors:
         assert verdict["kind"] == batch.kind.value
 
 
+class TestDetectorSettings:
+    """Settings no stream's detector could honour are refused when the
+    server is configured, not at every ``open``."""
+
+    @pytest.mark.parametrize("kwargs", [{"min_repetitions": 0},
+                                        {"min_repetitions": 1},
+                                        {"horizon": 3}])
+    def test_constructor_refuses(self, kwargs):
+        with pytest.raises(ValueError):
+            StreamIngestServer(**kwargs)
+
+    @pytest.mark.parametrize("flags", [["--min-repetitions", "0"],
+                                       ["--horizon", "3"],
+                                       ["--horizon", "-5"]])
+    def test_serve_command_exits_with_one_error_line(self, flags):
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "stream", "serve", *flags],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stdout == ""  # no address: the server never bound
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 class TestServeCommand:
     """``repro stream serve`` as its own process, fed by ``repro stream
     replay``: 20 simulated device traces over 5 connections."""
