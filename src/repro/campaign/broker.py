@@ -4,7 +4,7 @@
 completion a durability property; :class:`CampaignBroker` is the one
 way work reaches it.  The broker is the only process touching the
 spool, and every verb — attach / submit / seal / claim / heartbeat /
-complete / worker_heartbeat / sync / outcome — is one CRC-framed JSON
+complete / worker_heartbeat / sync — is one CRC-framed JSON
 request line answered by one CRC-framed JSON response line (the
 :mod:`repro.resilience.framing` frame, verified again on the far
 side) over the hardened stdlib server of :mod:`repro.obs.httpd`, so
@@ -28,20 +28,16 @@ committed completion into a phantom fence.  ``submit`` is idempotent by
 schedule key, and ``seal``/``heartbeat``/``worker_heartbeat`` are
 naturally idempotent.
 
-**Payloads ride inside the verbs.**  ``submit`` carries the task
-payload, ``claim`` returns it, ``complete`` carries the outcome and
-``outcome`` reads one back by digest.  The broker keeps each payload
-in its content-addressed
-:class:`~repro.resilience.memo.ArtifactStore` — written outside the
-request lock, and durable (under the broker's ``fsync`` setting)
-before the spool event that names it — so spool events carry digests,
-never payloads.  A stolen run's thief reproduces the identical
-deterministic outcome, hashes to the identical digest, and the store
-keeps one blob.
+**Payloads ride inside the verbs and the spool.**  ``submit`` carries
+the task payload into its ``submit`` event, ``claim`` returns the
+replayed payload, and ``complete`` carries the outcome into its
+``complete`` event, which ``sync`` streams to the coordinator's mirror
+with every other spool line.  The spool is the broker's only durable
+store: a payload and its event are one fsynced line.
 
 **Graceful degradation.**  ``begin_drain()`` (wired to SIGTERM in
 ``repro broker serve``) flips the broker into drain mode: mutating
-verbs answer 503 with ``Retry-After`` while status/metrics/sync/outcome
+verbs answer 503 with ``Retry-After`` while status/metrics/sync
 stay readable, the fsynced spool needs no further flushing, and a
 restarted broker against the same queue directory resumes mid-campaign
 — clients retry through the outage and re-attach to the same replayed
@@ -61,7 +57,6 @@ from repro.obs import Instrumentation, make_instrumentation
 from repro.obs.httpd import PROMETHEUS_TYPE, HardenedHTTPServer, serve_http
 from repro.resilience.checkpoint import CheckpointMismatchError
 from repro.resilience.framing import LineReader, frame_object, load_framed_line
-from repro.resilience.memo import ArtifactStore
 from repro.resilience.taskqueue import (
     BROKER_PROTOCOL_VERSION,
     Claim,
@@ -88,7 +83,7 @@ _IDEMPOTENCY_CACHE_SIZE = 4096
 _FRAMED_TYPE = "application/x-repro-framed-json"
 
 #: Verbs still answered in drain mode: they only read.
-_DRAIN_READABLE = ("/v1/sync", "/v1/outcome")
+_DRAIN_READABLE = ("/v1/sync",)
 
 #: The most spool bytes one ``sync`` answer carries.
 _SYNC_MAX_BYTES = 1 << 20
@@ -103,14 +98,22 @@ def _worker_id(value: object) -> str:
     return value
 
 
+def _duration(value: object) -> float:
+    """A lease or ttl in seconds: finite and > 0 (a lease born expired
+    is stolen at once)."""
+    seconds = _finite(value)
+    if seconds <= 0:
+        raise ValueError(f"expected seconds > 0, got {value!r}")
+    return seconds
+
+
 class CampaignBroker:
     """HTTP-facing owner of one campaign queue directory.
 
     The broker holds the only :class:`DurableTaskQueue` instance for
-    the spool plus the content-addressed :class:`ArtifactStore`; every
-    request is serialized under one lock (queue verbs are append +
-    replay, microseconds each), which also makes the idempotency cache
-    race-free.  Payload blobs are written before that lock is taken.
+    the spool; every request is serialized under one lock (queue verbs
+    are append + replay, microseconds each), which also makes the
+    idempotency cache race-free.  ``fsync`` covers the spool appends.
     ``handle`` is pure request → response, so the protocol is fully
     unit-testable without sockets; :func:`serve_broker` adds the HTTP
     layer.
@@ -124,14 +127,11 @@ class CampaignBroker:
         self.clock = clock
         self.fsync = fsync
         self.obs = obs if obs is not None else make_instrumentation()
-        self.store = ArtifactStore(self.queue_dir / "artifacts",
-                                   fsync=fsync)
         self.draining = False
         self._queue: DurableTaskQueue | None = None
         self._key_to_seq: dict[tuple, int] = {}
         self._idem: OrderedDict[str, tuple[int, str, bytes]] = OrderedDict()
         self._mutex = threading.RLock()
-        self._artifacts_stored = self.store.count()
 
     # -- lifecycle ------------------------------------------------------
 
@@ -149,7 +149,8 @@ class CampaignBroker:
             self.draining = True
         self.obs.events.emit("broker.drain", severity="warning",
                              queue=str(self.queue_dir))
-        logger.info("broker: draining — mutating verbs now answer 503")
+        logger.info("broker: draining — mutating verbs now answer 503",
+                    extra={"event": "broker.drain"})
 
     def _ensure_queue(self, create: bool = False,
                       identity: str | None = None,
@@ -159,7 +160,9 @@ class CampaignBroker:
 
         Raises :class:`CheckpointMismatchError` when ``identity`` and
         the spool header both exist and disagree — the 409 the
-        coordinator turns back into the same error client-side.
+        coordinator turns back into the same error client-side — and
+        :class:`TaskQueueError` when the replay refuses the spool (a
+        header of another format version): a 409 too.
         """
         with self._mutex:
             if self._queue is None:
@@ -225,7 +228,6 @@ class CampaignBroker:
             "/v1/complete": self._handle_complete,
             "/v1/worker_heartbeat": self._handle_worker_heartbeat,
             "/v1/sync": self._handle_sync,
-            "/v1/outcome": self._handle_outcome,
         }.get(path)
         if handler is None:
             return self._error(404, f"unknown path {path}")
@@ -276,7 +278,6 @@ class CampaignBroker:
             "fenced": state.stats.fenced,
             "drained": state.drained(),
             "live_workers": queue.live_workers(),
-            "artifacts": self._artifacts_stored,
             "now": now,
             "draining": self.draining,
         }
@@ -314,33 +315,6 @@ class CampaignBroker:
         registry.gauge("broker_queue_depth").set(state.depth())
         registry.gauge("broker_leases_active").set(
             state.active_leases(self.clock()))
-        registry.gauge("broker_artifacts_stored").set(self._artifacts_stored)
-
-    # -- payload blobs ----------------------------------------------------
-
-    def _store(self, payload: str) -> str:
-        """Write one payload blob (durably, when the broker fsyncs);
-        returns its digest.  Called before the request lock is taken,
-        and before the spool event that names the blob is appended."""
-        data = payload.encode("utf-8")
-        digest, stored = self.store.put(data)
-        if stored:
-            with self._mutex:
-                self._artifacts_stored += 1
-            self.obs.registry.counter("broker_artifacts_stored_total").inc()
-            self.obs.registry.counter("broker_artifact_bytes_total").inc(
-                len(data))
-        return digest
-
-    def _load(self, digest: object, what: str) -> str:
-        """The payload stored under ``digest``; a missing or corrupt
-        blob is a :class:`TaskQueueError` (409, never retried)."""
-        data = self.store.get(digest) if isinstance(digest, str) else None
-        if data is None:
-            raise TaskQueueError(
-                f"{what} {digest} is missing from the broker's artifact "
-                f"store (lost or corrupt on disk)")
-        return data.decode("utf-8")
 
     # -- idempotency ----------------------------------------------------
 
@@ -369,17 +343,18 @@ class CampaignBroker:
         create = bool(request.get("create"))
         identity = request.get("identity")
         lease_s = request.get("lease_s")
+        lease_s = None if lease_s is None else _duration(lease_s)
         with self._mutex:
             self._ensure_queue(
                 create=create,
                 identity=None if identity is None else str(identity),
-                lease_s=None if lease_s is None else _finite(lease_s))
+                lease_s=lease_s)
             # Until a coordinator creates the spool: "ready": False.
             return self._ok(self._snapshot())
 
     def _handle_submit(self, request: dict) -> tuple[int, str, bytes]:
         key = _run_key(request["key"])
-        digest = self._store(_text(request["payload"]))
+        payload = _text(request["payload"])
         with self._mutex:
             queue = self._ensure_queue()
             if queue is None:
@@ -390,7 +365,7 @@ class CampaignBroker:
                 return self._ok({"seq": existing, **self._snapshot()})
             queue.catch_up()
             seq = max(queue.state.tasks, default=-1) + 1
-            queue.submit_at(seq, key, digest)
+            queue.submit_at(seq, key, payload)
             self._key_to_seq[key] = seq
             return self._ok({"seq": seq, **self._snapshot()})
 
@@ -406,7 +381,7 @@ class CampaignBroker:
 
     def _handle_claim(self, request: dict) -> tuple[int, str, bytes]:
         worker = _worker_id(request["worker"])
-        lease_s = _finite(request["lease_s"])
+        lease_s = _duration(request["lease_s"])
         with self._mutex:
             cached = self._idem_lookup(request)
             if cached is not None:
@@ -420,7 +395,7 @@ class CampaignBroker:
                 payload["claim"] = {
                     "seq": claim.seq, "token": claim.token,
                     "worker": claim.worker, "key": list(claim.key),
-                    "payload": self._load(claim.payload, "task payload"),
+                    "payload": claim.payload,
                 }
                 self.obs.events.emit("broker.claim", severity="debug",
                                      run_key=claim.key, worker=worker,
@@ -436,7 +411,7 @@ class CampaignBroker:
 
     def _handle_heartbeat(self, request: dict) -> tuple[int, str, bytes]:
         claim = self._claim_handle(request)
-        lease_s = _finite(request["lease_s"])
+        lease_s = _duration(request["lease_s"])
         with self._mutex:
             queue = self._ensure_queue()
             if queue is None:
@@ -446,9 +421,7 @@ class CampaignBroker:
 
     def _handle_complete(self, request: dict) -> tuple[int, str, bytes]:
         claim = self._claim_handle(request)
-        # Stored before the complete event is appended: no spool event
-        # ever names a blob the store lacks.
-        digest = self._store(_text(request["payload"]))
+        payload = _text(request["payload"])
         with self._mutex:
             cached = self._idem_lookup(request)
             if cached is not None:
@@ -463,7 +436,7 @@ class CampaignBroker:
                 # flight); acknowledging again is the exactly-once
                 # contract, not a new event.
                 return self._idem_store(request, self._ok({"ok": True}))
-            ok = queue.complete(claim, digest)
+            ok = queue.complete(claim, payload)
             if not ok:
                 self.obs.registry.counter(
                     "broker_completions_fenced_total").inc()
@@ -476,7 +449,7 @@ class CampaignBroker:
     def _handle_worker_heartbeat(self,
                                  request: dict) -> tuple[int, str, bytes]:
         worker = _worker_id(request["worker"])
-        ttl_s = _finite(request["ttl_s"])
+        ttl_s = _duration(request["ttl_s"])
         pid = _int(request.get("pid", 0))
         run_key = request.get("run_key")
         run_key = None if run_key is None else _run_key(run_key)
@@ -505,11 +478,6 @@ class CampaignBroker:
             return self._ok({"events": chunk.decode("utf-8", "replace"),
                              "next_offset": lines.offset,
                              "status": self._snapshot()})
-
-    def _handle_outcome(self, request: dict) -> tuple[int, str, bytes]:
-        # A read of the content-addressed store: no request lock.
-        return self._ok({"payload": self._load(_text(request["digest"]),
-                                               "outcome")})
 
 
 def serve_broker(broker: CampaignBroker, port: int, host: str = "127.0.0.1",

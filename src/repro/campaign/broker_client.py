@@ -17,11 +17,12 @@ its worker verbs.  What the network adds:
   an at-least-once network.
 
 * **Payloads ride inside the verbs.**  ``submit`` carries the task
-  payload, ``claim`` returns it, ``complete`` carries the outcome, and
-  the coordinator reads an outcome back with ``POST /v1/outcome`` by
-  the digest its spool mirror holds.  The CRC framing covers payload
-  and verb alike, so a mangled payload is re-sent like any other
-  mangled line.
+  payload, ``claim`` returns it and ``complete`` carries the outcome.
+  The broker writes each payload into its spool event, so the
+  coordinator's mirror receives every outcome with the spool lines
+  ``sync`` streams, and :meth:`BrokerClient.take_completion` hands one
+  over without a request.  The CRC framing covers payload and verb
+  alike, so a mangled payload is re-sent like any other mangled line.
 
 * **The broker's clock is the clock.**  The client sends lease
   *durations* only; :meth:`clock` estimates broker time (local
@@ -400,15 +401,14 @@ class BrokerClient:
         self._absorb(self._call("POST", "/v1/seal", {}), "/v1/seal")
 
     def take_completion(self, seq: int) -> str | None:
+        """The mirrored outcome of task ``seq``, handed over once and
+        then dropped from the mirror (``None``: not complete yet, or
+        already taken).  Sends no request: ``sync`` brought it."""
         task = self.state.tasks.get(seq)
         if task is None or not task.done:
             return None
         outcome, task.outcome = task.outcome, None
-        if not isinstance(outcome, str) or not outcome:
-            return None  # already taken
-        response = self._call("POST", "/v1/outcome", {"digest": outcome})
-        with _answer("/v1/outcome"):
-            return _text(response["payload"])
+        return outcome or None
 
     def expire_overdue(self) -> None:
         # Expiry is the broker's decision (its clock, its spool); the

@@ -307,7 +307,7 @@ class _WorkerTask:
     instrument: bool
     run_timeout_s: float | None = None
     # Memo cache wiring (str, not Path: tasks pickle into the broker's
-    # artifact store as well as the pool pipe).
+    # spool as well as the pool pipe).
     memo_dir: str | None = None
     memo_identity: str | None = None
 

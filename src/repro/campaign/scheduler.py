@@ -34,10 +34,10 @@ to sequential execution absent faults.
   counters/gauges and the :class:`CircuitBreaker`, and merges
   completions in schedule order.
 
-Task and outcome payloads cross the broker as pickles (compressed,
-base64-framed text): the exact objects the pool backend already
-pickles through the executor, which is what makes the backends
-bit-identical.
+Task and outcome payloads cross the broker, inside its spool events,
+as pickles (compressed, base64-framed text): the exact objects the
+pool backend already pickles through the executor, which is what makes
+the backends bit-identical.
 """
 
 from __future__ import annotations
@@ -354,8 +354,9 @@ class BrokerScheduler(Scheduler):
     schedule order and matches).
 
     The whole schedule is submitted up front (the default ``window``):
-    tasks are small, outcomes wait in the broker's artifact store until
-    their in-order merge, and workers never starve behind the merge.
+    tasks are small, outcomes wait in the client's spool mirror (which
+    ``sync`` fills) until their in-order merge, and workers never
+    starve behind the merge.
     ``kill`` has nothing to tear down: workers are independent
     processes that notice the coordinator's absence through their own
     idle/drained exits, and the queue stays durable for a resumed

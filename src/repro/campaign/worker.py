@@ -150,7 +150,8 @@ class QueueWorker:
         logger.error(
             "worker %s: %s; any outstanding lease will expire and be "
             "stolen — restart this worker to resume draining",
-            self.config.worker_id, error)
+            self.config.worker_id, error,
+            extra={"event": "worker.broker_unavailable"})
         return 75  # EX_TEMPFAIL: transient by contract, retry the process
 
     def _drain(self) -> int:
@@ -167,7 +168,8 @@ class QueueWorker:
                     logger.info(
                         "worker %s: queue drained (%d completed, "
                         "%d fenced of %d claims)", self.config.worker_id,
-                        self.completed, self.fenced, self.claims)
+                        self.completed, self.fenced, self.claims,
+                        extra={"event": "worker.drained"})
                     return 0
                 time.sleep(self.config.poll_s)
                 continue
@@ -228,7 +230,8 @@ class QueueWorker:
                                  seq=claim.seq)
             logger.warning("worker %s: completion for task %d fenced off "
                            "(lease stolen mid-run); outcome discarded",
-                           self.config.worker_id, claim.seq)
+                           self.config.worker_id, claim.seq,
+                           extra={"event": "worker.fenced"})
         self._flush_telemetry()
 
     def _flush_telemetry(self) -> None:

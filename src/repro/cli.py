@@ -33,9 +33,12 @@ The subcommands mirror the reproduction's main workflows::
 
     python -m repro broker serve --queue-dir QDIR [--port N]
         Own a campaign queue directory and serve the task-queue verbs
-        (submit/seal/claim/heartbeat/complete/outcome/status) over HTTP
-        with a broker-authoritative lease clock; every verb, payloads
-        included, is one CRC-framed JSON line each way.  Point the
+        (attach/submit/seal/claim/heartbeat/complete/worker_heartbeat/
+        sync, plus status and metrics) over HTTP with a
+        broker-authoritative lease clock; every verb, payloads
+        included, is one CRC-framed JSON line each way, and the fsynced
+        event spool, which carries the payloads too, is the queue's
+        only store.  Point the
         coordinator (``repro campaign --broker URL``) and any number of
         workers, on this host or others (``repro worker --broker
         URL``), at it.  The bound URL is printed on stdout (``--port
@@ -141,9 +144,9 @@ def _checked(convert, accept, rule: str):
 
 _positive_seconds = _checked(float, lambda v: math.isfinite(v) and v > 0,
                              "a finite number of seconds > 0")
-_stall_seconds = _checked(float, lambda v: math.isfinite(v) and v >= 0,
-                          "a finite number of seconds >= 0")
-_retry_count = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_seconds = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                    "a finite number of seconds >= 0")
+_count = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _add_campaign_parser(subparsers) -> None:
@@ -162,7 +165,7 @@ def _add_campaign_parser(subparsers) -> None:
                         help="run duration in seconds (default 300)")
     parser.add_argument("--device", default="OnePlus 12R",
                         help="phone model (default: OnePlus 12R)")
-    parser.add_argument("--max-retries", type=_retry_count, default=0,
+    parser.add_argument("--max-retries", type=_count, default=0,
                         help="retries per failed run before quarantining it "
                              "(default 0)")
     parser.add_argument("--checkpoint", default=None, metavar="PATH",
@@ -195,7 +198,7 @@ def _add_campaign_parser(subparsers) -> None:
                         help="work-claim lease duration; a worker silent "
                              "for this long has its run stolen "
                              "(default 30)")
-    parser.add_argument("--queue-stall", type=_stall_seconds, default=60.0,
+    parser.add_argument("--queue-stall", type=_seconds, default=60.0,
                         metavar="SECONDS",
                         help="fail fast when the queue sees no activity "
                              "and no live workers for this long "
@@ -228,10 +231,10 @@ def _add_worker_parser(subparsers) -> None:
                         help="lease duration per claim; heartbeats renew "
                              "it every lease/3 (default: the campaign's "
                              "--lease-timeout, as the broker advertises)")
-    parser.add_argument("--poll", type=float, default=0.05,
+    parser.add_argument("--poll", type=_positive_seconds, default=0.05,
                         metavar="SECONDS",
                         help="idle poll interval (default 0.05)")
-    parser.add_argument("--attach-timeout", type=float, default=60.0,
+    parser.add_argument("--attach-timeout", type=_seconds, default=60.0,
                         metavar="SECONDS",
                         help="how long to wait for the coordinator to "
                              "create the queue before exiting 1 "
@@ -247,15 +250,16 @@ def _add_broker_parser(subparsers) -> None:
         "serve", help="own a queue directory and serve the queue verbs "
                       "over HTTP")
     serve.add_argument("--queue-dir", required=True, metavar="DIR",
-                       help="queue directory this broker owns (spool + "
-                            "payload store); restarting against the same "
-                            "directory resumes the campaign")
+                       help="queue directory this broker owns (spool and "
+                            "worker heartbeat files); restarting against "
+                            "the same directory resumes the campaign")
     serve.add_argument("--port", type=int, default=0, metavar="PORT",
                        help="TCP port to bind (default 0 = pick a free "
                             "one; the bound URL is printed on stdout)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
-    serve.add_argument("--request-timeout", type=float, default=30.0,
+    serve.add_argument("--request-timeout", type=_positive_seconds,
+                       default=30.0,
                        metavar="SECONDS",
                        help="per-request socket timeout; a stalled "
                             "client can never wedge the broker "
@@ -266,9 +270,9 @@ def _add_broker_parser(subparsers) -> None:
                             "mutating verbs for this long before "
                             "stopping (default 1)")
     serve.add_argument("--no-fsync", action="store_true",
-                       help="skip the per-append fsync on the spool and "
-                            "the fsync of each payload blob (faster, "
-                            "weaker durability)")
+                       help="skip the per-append fsync on the spool, "
+                            "payloads included (faster, weaker "
+                            "durability)")
     _add_log_flags(serve)
 
 
@@ -291,7 +295,7 @@ def _add_status_parser(subparsers) -> None:
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address for --serve "
                              "(default 127.0.0.1)")
-    parser.add_argument("--events", type=int, default=20, metavar="N",
+    parser.add_argument("--events", type=_count, default=20, metavar="N",
                         help="recent events to include (default 20)")
     parser.add_argument("--min-severity", choices=tuple(SEVERITIES),
                         default="debug",
@@ -385,7 +389,7 @@ def _add_profile_parser(subparsers) -> None:
                         help="runs per location (default 2)")
     parser.add_argument("--duration", type=int, default=60,
                         help="run duration in seconds (default 60)")
-    parser.add_argument("--max-retries", type=_retry_count, default=0,
+    parser.add_argument("--max-retries", type=_count, default=0,
                         help="retries per failed run (default 0)")
     parser.add_argument("--memo-dir", default=None, metavar="DIR",
                         help="content-addressed analysis cache; a warm "
@@ -782,6 +786,18 @@ def _render_status_once(aggregator, args: argparse.Namespace) -> str:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
+    from repro.resilience.taskqueue import TaskQueueError
+
+    try:
+        return _show_status(args)
+    except TaskQueueError as error:
+        # The spool is structurally unusable (another format version, a
+        # seq re-used for another key): one line, as the broker's 409.
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+
+
+def _show_status(args: argparse.Namespace) -> int:
     from repro.obs.aggregate import CampaignAggregator, serve_status
 
     aggregator = CampaignAggregator(args.queue_dir)

@@ -44,10 +44,19 @@ __all__ = [
     "IncrementalAnalyzer",
     "IncrementalLoopDetector",
     "StreamVerdict",
+    "check_disorder_mode",
 ]
 
 #: ``on_event`` callback signature: ``callback(name, **fields)``.
 EventCallback = Callable[..., None]
+
+
+def check_disorder_mode(on_disorder: str) -> None:
+    """Refuse an ``on_disorder`` mode other than ``"strict"`` and
+    ``"recover"`` (``ValueError``).  The analyzer checks it when built;
+    the stream server when configured, before any stream opens."""
+    if on_disorder not in ("strict", "recover"):
+        raise ValueError(f"unknown on_disorder mode: {on_disorder!r}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +100,7 @@ class IncrementalAnalyzer:
                  horizon: int | None = None,
                  on_disorder: str = "strict",
                  on_event: EventCallback | None = None) -> None:
-        if on_disorder not in ("strict", "recover"):
-            raise ValueError(f"unknown on_disorder mode: {on_disorder!r}")
+        check_disorder_mode(on_disorder)
         self._strict = on_disorder == "strict"
         self._cells = CellSetSequenceBuilder()
         self.detector = IncrementalLoopDetector(

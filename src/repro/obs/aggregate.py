@@ -55,7 +55,11 @@ from repro.obs.spool import (
     fold_frames,
     read_spool_frames,
 )
-from repro.resilience.taskqueue import DurableTaskQueue, WorkerHeartbeat
+from repro.resilience.taskqueue import (
+    DurableTaskQueue,
+    TaskQueueError,
+    WorkerHeartbeat,
+)
 
 __all__ = [
     "CampaignAggregator",
@@ -219,7 +223,8 @@ class CampaignAggregator:
 
     def view(self, recent_events: int = 20,
              min_severity: str = "debug") -> CampaignView:
-        """Assemble the status view from the current folded state."""
+        """Assemble the status view from the current folded state, with
+        the ``recent_events`` latest events (0: none)."""
         state = self.queue.state
         now = self._clock()
         stats = state.stats
@@ -275,7 +280,8 @@ class CampaignAggregator:
             leases=leases,
             throughput=self._throughput(depth),
             counters=counters,
-            events=[event.to_dict() for event in events[-recent_events:]],
+            events=[event.to_dict() for event
+                    in events[max(0, len(events) - recent_events):]],
             telemetry=telemetry,
         )
 
@@ -399,7 +405,8 @@ def serve_status(aggregator: CampaignAggregator, port: int,
     """An OpenMetrics/JSON status server over ``aggregator``.
 
     ``GET /metrics`` refreshes and returns the Prometheus text
-    exposition; ``GET /status`` (or ``/``) the JSON view.  The caller
+    exposition; ``GET /status`` (or ``/``) the JSON view; a spool the
+    replay refuses (:class:`TaskQueueError`) answers 409.  The caller
     owns the returned server (``serve_forever()`` / ``shutdown()``) —
     the CLI blocks on it, tests run it in a thread.
     """
@@ -409,7 +416,10 @@ def serve_status(aggregator: CampaignAggregator, port: int,
         if path not in ("/metrics", "/", "/status", "/status.json"):
             return (404, "text/plain",
                     b"unknown path (try /status, /metrics)\n")
-        opened = aggregator.refresh()
+        try:
+            opened = aggregator.refresh()
+        except TaskQueueError as error:
+            return 409, "text/plain", f"{error}\n".encode("utf-8")
         if path == "/metrics":
             return (200, PROMETHEUS_TYPE,
                     aggregator.to_prometheus().encode("utf-8"))

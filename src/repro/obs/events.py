@@ -313,13 +313,25 @@ def _level_to_severity(level: int) -> str:
 
 
 class _EventLogHandler(logging.Handler):
-    """Route stdlib-``logging`` records into an :class:`EventLog`."""
+    """Route stdlib-``logging`` records into an :class:`EventLog`.
+
+    A record logged with ``extra={"event": name}`` repeats the event
+    its call site has just emitted, for readers without the bridge.
+    When that event is the newest in this log, the bridge skips the
+    record, so each decision reaches the stream once; an event that
+    went to another bundle (the broker's queue reports into the
+    process's ambient one) leaves its record bridged.
+    """
 
     def __init__(self, events: EventLog, level: int = logging.DEBUG):
         super().__init__(level=level)
         self.events = events
 
     def emit(self, record: logging.LogRecord) -> None:
+        repeated = getattr(record, "event", None)
+        if repeated is not None and [
+                event.name for event in self.events.recent(1)] == [repeated]:
+            return
         try:
             self.events.emit(f"log.{record.name.rpartition('.')[2]}",
                              severity=_level_to_severity(record.levelno),

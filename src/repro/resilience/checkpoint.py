@@ -213,7 +213,8 @@ class CampaignCheckpoint:
         logger.warning(
             "checkpoint %s: skipped %d corrupt line(s) (line %s); "
             "the affected runs will re-execute on resume",
-            self.path, report.lines_skipped, shown)
+            self.path, report.lines_skipped, shown,
+            extra={"event": "checkpoint.lines_skipped"})
 
 
 def _is_int(value: object) -> bool:

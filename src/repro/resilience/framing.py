@@ -1,9 +1,9 @@
 """The one framed-file layer: CRC frame, appender, tail reader, atomic writer.
 
 Every durable record goes through here: the campaign checkpoint, the
-broker's task-queue spool, the workers' telemetry spools, the analysis
-memo and the broker's artifact store, and the broker's wire speaks the
-same frame.
+broker's task-queue spool (task and outcome payloads included), the
+workers' telemetry spools and the analysis memo, and the broker's wire
+speaks the same frame.
 
 * **Frame** — ``<crc32: 8 lowercase hex> <payload>`` on bytes.  Line
   stores hold one frame per ``\\n``-terminated line around a JSON

@@ -31,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import pickle
-import re
 from pathlib import Path
 
 from repro.obs import get_instrumentation
@@ -39,15 +38,7 @@ from repro.resilience.framing import frame_line, unframe_line, write_atomic
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["AnalysisMemo", "ArtifactStore", "sha256_digest", "trace_digest"]
-
-#: The names an :class:`ArtifactStore` holds: lowercase SHA-256 hex.
-_SHA256_HEX = re.compile("[0-9a-f]{64}")
-
-
-def sha256_digest(data: bytes) -> str:
-    """Content address of an arbitrary blob: its SHA-256 hex digest."""
-    return hashlib.sha256(data).hexdigest()
+__all__ = ["AnalysisMemo", "trace_digest"]
 
 
 def trace_digest(trace_jsonl: str) -> str:
@@ -101,7 +92,7 @@ class AnalysisMemo:
                             path=str(path))
             logger.warning(
                 "memo cache entry %s is corrupt; recomputing the analysis",
-                path)
+                path, extra={"event": "memo.corrupt"})
             try:
                 path.unlink()
             except OSError:  # pragma: no cover - concurrent cleanup
@@ -123,72 +114,6 @@ class AnalysisMemo:
             write_atomic(path, frame_line(payload))
         except OSError as error:
             logger.debug("memo cache write %s failed: %s", path, error)
-
-
-class ArtifactStore:
-    """A directory of content-addressed raw blobs, keyed by SHA-256.
-
-    The campaign broker keeps task and outcome payloads here, and its
-    spool events name them by digest: the payloads themselves travel
-    inside the framed ``submit``/``claim``/``complete``/``outcome``
-    verbs.  Blobs are written atomically, and with ``fsync`` (the
-    broker's setting) the blob and the directory entries its write
-    created are synced before :meth:`put` returns, so the spool event
-    appended next never names a blob a power cut can take.  Every read
-    is re-verified against its own digest (a blob that does not hash
-    to its name is treated as absent and unlinked), so a half-written
-    or bit-rotted blob can never be served.  A name that is not a
-    SHA-256 hex digest is absent, so no request field can address a
-    path outside the store.
-
-    Layout: ``<directory>/<digest[:2]>/<digest>`` (fan-out keeps any
-    one directory small at campaign scale).
-    """
-
-    def __init__(self, directory: str | Path, fsync: bool = False):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.fsync = fsync
-
-    def _path(self, digest: str) -> Path:
-        return self.directory / digest[:2] / digest
-
-    def get(self, digest: str) -> bytes | None:
-        """The blob for ``digest``, or ``None`` (absent or corrupt)."""
-        if not _SHA256_HEX.fullmatch(digest):
-            return None
-        path = self._path(digest)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return None
-        if sha256_digest(data) != digest:
-            logger.warning("artifact %s does not hash to its name; "
-                           "discarding the corrupt blob", path)
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - concurrent cleanup
-                pass
-            return None
-        return data
-
-    def put(self, data: bytes) -> tuple[str, bool]:
-        """Store ``data`` under its digest; idempotent.
-
-        Returns the digest and whether this call wrote the blob
-        (``False``: the store already held it).
-        """
-        digest = sha256_digest(data)
-        path = self._path(digest)
-        if path.exists():
-            return digest, False
-        write_atomic(path, data, fsync=self.fsync)
-        return digest, True
-
-    def count(self) -> int:
-        """How many blobs the store currently holds."""
-        return sum(1 for child in self.directory.glob("??/*")
-                   if child.is_file() and ".tmp" not in child.name)
 
 
 def _decode(blob: bytes):

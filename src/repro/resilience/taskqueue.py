@@ -15,17 +15,21 @@ double-counting a run.
 
 **Event log.**  Every line is one :mod:`repro.resilience.framing`
 frame, ``<crc32:8 hex> <json>``.  The first event is a header carrying
-the campaign identity hash — opening a spool whose identity names a
-different campaign raises
+the format version and the campaign identity hash — opening a spool
+whose identity names a different campaign raises
 :class:`~repro.resilience.checkpoint.CheckpointMismatchError`
 instead of silently merging two campaigns.  Then, in any order::
 
-    {"ev": "submit",    "seq": n, "key": [...], "payload": "..."}
+    {"ev": "submit",    "seq": n, "key": [...], "payload": "<task>"}
     {"ev": "close",     "total": N}
     {"ev": "claim",     "seq": n, "worker": w, "token": t, "deadline": d}
     {"ev": "heartbeat", "seq": n, "token": t, "deadline": d}
     {"ev": "expire",    "seq": n, "token": t}
-    {"ev": "complete",  "seq": n, "token": t, "payload": "..."}
+    {"ev": "complete",  "seq": n, "token": t, "payload": "<outcome>"}
+
+The task and outcome payloads are text inside their events, so the
+spool is the queue's only durable store: a payload and the event that
+carries it are one fsynced line.
 
 **Lease state machine** (:class:`LeaseState`) is a pure replay of that
 log.  :func:`replay_line` is the one replay: the queue runs it over its
@@ -61,8 +65,16 @@ the lost event degrades to "never happened", which every event kind
 tolerates (a lost claim re-claims, a lost complete re-runs
 deterministically).  A CRC-valid event whose fields are not what its
 writer puts there is counted in :attr:`QueueStats.invalid` and changes
-nothing; only a ``seq`` re-used for a different key
-(:class:`TaskQueueError`) stops a replay.
+nothing; a ``submit`` or ``complete`` whose payload is not text is
+one.  Two things stop a replay with :class:`TaskQueueError`: a ``seq``
+re-used for a different key, and a header naming another format
+version than :data:`QUEUE_VERSION` (version 1 spools named payloads by
+the digest of a blob beside the spool).
+
+**Memory.**  The pure :class:`LeaseState` keeps each outcome until
+its reader takes it (the coordinator's mirror, whose
+``BrokerClient.take_completion`` drops it); the disk queue, which
+nobody takes outcomes from, drops each one as it replays it.
 """
 
 from __future__ import annotations
@@ -101,13 +113,15 @@ __all__ = [
     "replay_line",
 ]
 
-#: The spool format this writer produces (shares the checkpoint lineage).
-QUEUE_VERSION = 1
+#: The spool format this writer produces and the only one replay reads.
+#: Version 2 carries task and outcome payloads inside their events.
+QUEUE_VERSION = 2
 
 #: The broker's wire version, advertised in every status snapshot and
-#: checked by the client on attach.  Version 2 carries task and outcome
-#: payloads inside the framed verbs.
-BROKER_PROTOCOL_VERSION = 2
+#: checked by the client on attach.  Version 3 hands outcomes to the
+#: coordinator inside the spool lines ``sync`` streams (no ``outcome``
+#: verb).
+BROKER_PROTOCOL_VERSION = 3
 
 #: How long past its ttl a worker heartbeat file still counts as live.
 _HEARTBEAT_GRACE = 2.0
@@ -129,9 +143,9 @@ class TaskRecord:
 
     seq: int
     key: tuple
-    payload: object = None  # opaque submit payload
+    payload: str | None = None  # the submit payload (opaque text)
     done: bool = False
-    outcome: object = None  # opaque completion payload
+    outcome: str | None = None  # the completion payload, until taken
     worker: str | None = None  # current / last lease holder
     token: int = 0  # fencing token of the current / last lease
     deadline: float | None = None  # monotonic deadline of an active lease
@@ -262,10 +276,16 @@ class LeaseState:
         return "invalid"
 
     def _apply_header(self, event: dict) -> str:
-        version = _int(event.get("version", 0))
+        version = _int(event["version"])
         identity = event.get("identity")
         lease = event.get("lease_s")
         lease_s = None if lease is None else _finite(lease)
+        if version != QUEUE_VERSION:
+            raise TaskQueueError(
+                f"task queue spool format version {version} is not "
+                f"version {QUEUE_VERSION}, the only one this repro reads; "
+                f"finish that campaign with the repro that wrote it, or "
+                f"use a fresh queue directory")
         self.version = version
         self.identity = None if identity is None else str(identity)
         self.default_lease_s = lease_s
@@ -274,6 +294,7 @@ class LeaseState:
     def _apply_submit(self, event: dict) -> str:
         seq = _seq(event["seq"])
         key = _run_key(event["key"])
+        payload = _text(event["payload"])
         existing = self.tasks.get(seq)
         if existing is not None:
             if existing.key != key:
@@ -282,8 +303,7 @@ class LeaseState:
                     f"key ({existing.key} != {key}); the spool mixes two "
                     f"schedules — use a fresh queue directory")
             return "noop"  # idempotent resubmit (coordinator restart)
-        self.tasks[seq] = TaskRecord(seq=seq, key=key,
-                                     payload=event.get("payload"))
+        self.tasks[seq] = TaskRecord(seq=seq, key=key, payload=payload)
         self.stats.submitted += 1
         return "submit"
 
@@ -297,6 +317,7 @@ class LeaseState:
     def _apply_lease_event(self, kind: str, event: dict) -> str:
         seq = _seq(event["seq"])
         token = _int(event["token"])
+        outcome = _text(event["payload"]) if kind == "complete" else None
         task = self.tasks.get(seq)
         if task is None:
             self.stats.invalid += 1
@@ -339,7 +360,7 @@ class LeaseState:
             return "fenced"
         task.done = True
         task.active = False
-        task.outcome = event.get("payload")
+        task.outcome = outcome
         self.stats.completed += 1
         return "complete"
 
@@ -786,16 +807,22 @@ class DurableTaskQueue:
         Only whole, newline-terminated lines are consumed; a torn tail
         (a writer died mid-append) is left unread until a later append
         terminates it.  Lines without a framed JSON object are skipped
-        and counted, never fatal.
+        and counted, never fatal.  Outcome payloads are dropped as
+        they are replayed: nobody takes them from the disk queue.
         """
         with self._mutex:
             lines = LineReader(self.events_path, self._offset)
             for line in lines:
-                line_offset, self._offset = self._offset, lines.offset
                 if not line.strip():
+                    self._offset = lines.offset
                     continue
+                # Applied before the cursor passes it, so a line that
+                # stops the replay stops every later catch-up too.
                 observed = replay_line(self.state, line)
+                line_offset, self._offset = self._offset, lines.offset
                 if observed is not None:
+                    if observed[0] == "complete":
+                        self.state.tasks[observed[1]].outcome = None
                     self._dispositions.append(observed)
                     continue
                 self._skipped_lines += 1
@@ -803,7 +830,8 @@ class DurableTaskQueue:
                     "queue.spool_corrupt_line", severity="warning",
                     queue=str(self.root), offset=line_offset)
                 logger.warning("task queue %s: skipped corrupt spool "
-                               "line at byte %d", self.root, line_offset)
+                               "line at byte %d", self.root, line_offset,
+                               extra={"event": "queue.spool_corrupt_line"})
 
     def _append_events(self, events: list[dict]) -> None:
         """Append framed events; caller must hold the flock.

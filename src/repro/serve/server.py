@@ -49,7 +49,7 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.core.incremental import IncrementalAnalyzer
+from repro.core.incremental import IncrementalAnalyzer, check_disorder_mode
 from repro.core.loops import check_detector_settings
 from repro.obs import Instrumentation, get_instrumentation, instrumented
 from repro.obs.httpd import PROMETHEUS_TYPE, HardenedHTTPServer, serve_http
@@ -124,9 +124,10 @@ class StreamIngestServer:
                  max_frame_bytes: int = MAX_FRAME_BYTES,
                  on_disorder: str = "recover",
                  obs: Instrumentation | None = None) -> None:
-        # Every stream's detector is built from these two settings, so
+        # Every stream's analyzer is built from these settings, so
         # refuse them here rather than at each stream's ``open``.
         check_detector_settings(min_repetitions, horizon)
+        check_disorder_mode(on_disorder)
         self.host = host
         self.port = port
         self.horizon = horizon

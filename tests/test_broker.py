@@ -3,8 +3,8 @@
 Three layers, no sockets except where sockets are the point:
 
 * ``CampaignBroker.handle`` is pure request → response, so the verb
-  protocol (attach/submit/seal/claim/heartbeat/complete/sync/outcome,
-  payload storage, drain mode, idempotency-key replay, the decoding of
+  protocol (attach/submit/seal/claim/heartbeat/complete/sync, payloads
+  in the spool, drain mode, idempotency-key replay, the decoding of
   every request field) is tested directly against framed bodies.
 * :class:`BrokerClient` is tested with an injected ``send`` that talks
   straight to ``handle`` — retries, CRC re-framing, the unavailability
@@ -23,6 +23,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -41,17 +42,23 @@ from repro.campaign.broker_client import (
     HTTPTransport,
     default_broker_retry,
 )
-from repro.campaign.scheduler import BrokerScheduler
+from repro.campaign.scheduler import (
+    BrokerScheduler,
+    PendingRun,
+    decode_payload,
+    encode_payload,
+)
 from repro.campaign.worker import QueueWorker, WorkerConfig
-from repro.cli import build_parser
+from repro.cli import build_parser, main
+from repro.obs.aggregate import CampaignAggregator, serve_status
 from repro.obs.httpd import serve_http
 from repro.resilience.checkpoint import CheckpointMismatchError
 from repro.resilience.framing import frame_line, frame_object, load_framed_line
-from repro.resilience.memo import sha256_digest
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.supervision import CircuitBreaker, CircuitBreakerOpen
 from repro.resilience.taskqueue import Claim, LeaseState, replay_line
 from tests.test_obs_metrics import FakeClock
+from tests.test_taskqueue import write_version_1_spool
 
 
 def make_broker(tmp_path, clock=None, **kwargs):
@@ -149,10 +156,9 @@ _FRAMED_PAYLOADS = st.one_of(
     st.text(max_size=40))
 
 
-class TestBlobDurability:
-    """A payload blob is on disk before the spool event that names it:
-    with ``fsync`` the blob, then each directory entry its write
-    created, then the spool append are synced, in that order."""
+class TestPayloadDurability:
+    """A payload and its event are one fsynced line: with ``fsync`` a
+    submit or complete syncs the spool append and nothing else."""
 
     @staticmethod
     def recording_fsync(monkeypatch) -> list[int]:
@@ -161,17 +167,20 @@ class TestBlobDurability:
             os, "fsync", lambda fd: synced.append(os.fstat(fd).st_ino))
         return synced
 
-    def test_blob_then_its_directories_then_the_spool(self, tmp_path,
-                                                      monkeypatch):
+    def test_payload_and_its_event_are_one_synced_append(self, tmp_path,
+                                                         monkeypatch):
         broker = make_broker(tmp_path, fsync=True)
         attach(broker)
         synced = self.recording_fsync(monkeypatch)
         submit(broker, ("r0",), "task-r0")
-        blob = broker.store.directory / sha256_digest(b"task-r0")[:2] \
-            / sha256_digest(b"task-r0")
-        assert synced == [path.stat().st_ino for path in (
-            blob, blob.parent, broker.store.directory,
-            broker.queue_dir / "events.spool")]
+        post(broker, "/v1/claim", {"worker": "w0", "lease_s": 5.0})
+        post(broker, "/v1/complete", {"seq": 0, "token": 1, "worker": "w0",
+                                      "payload": "outcome-r0"})
+        spool = broker.queue_dir / "events.spool"
+        assert synced == [spool.stat().st_ino] * 3  # submit, claim, complete
+        state = replay_spool(broker)
+        assert (state.tasks[0].payload, state.tasks[0].outcome) \
+            == ("task-r0", "outcome-r0")
 
     def test_no_fsync_broker_syncs_nothing(self, tmp_path, monkeypatch):
         broker = make_broker(tmp_path)  # fsync=False
@@ -251,15 +260,13 @@ class TestBrokerProtocol:
         assert response["code"] == "identity_mismatch"
         assert "different campaign" in response["error"]
 
-    def test_submit_stores_the_payload_and_spools_its_digest(self, tmp_path):
+    def test_submit_spools_the_payload(self, tmp_path):
         broker = make_broker(tmp_path)
         attach(broker)
         submit(broker, ("k",), "task-payload")
-        digest = sha256_digest(b"task-payload")
-        assert broker.store.get(digest) == b"task-payload"
-        assert replay_spool(broker).tasks[0].payload == digest
-        assert b"task-payload" not in \
-            (broker.queue_dir / "events.spool").read_bytes()
+        assert replay_spool(broker).tasks[0].payload == "task-payload"
+        assert {entry.name for entry in broker.queue_dir.iterdir()} \
+            == {"events.spool", "queue.lock", "workers"}
 
     def test_submit_is_idempotent_across_broker_restart(self, tmp_path):
         broker = make_broker(tmp_path)
@@ -293,10 +300,8 @@ class TestBrokerProtocol:
             "seq": 0, "token": 1, "worker": "w0",
             "payload": "outcome-bytes"})
         assert response["ok"] is True
-        outcome = sha256_digest(b"outcome-bytes")
-        assert replay_spool(broker).tasks[0].outcome == outcome
-        status, response = post(broker, "/v1/outcome", {"digest": outcome})
-        assert status == 200 and response["payload"] == "outcome-bytes"
+        assert replay_spool(broker).tasks[0].outcome == "outcome-bytes"
+        assert broker._queue.state.tasks[0].outcome is None  # dropped
         status, _ctype, payload = broker.handle("GET", "/v1/status", b"")
         final = load_framed_line(payload)
         assert final["drained"] is True and final["depth"] == 0
@@ -336,28 +341,6 @@ class TestBrokerProtocol:
         status, _ctype, payload = broker.handle("GET", "/v1/status", b"")
         final = load_framed_line(payload)
         assert final["completed"] == 1 and final["fenced"] == 0
-
-    def test_two_completes_of_one_outcome_store_one_blob(self, tmp_path):
-        # A stolen run's victim completes late with the outcome its
-        # thief already committed: the store keeps one blob, and the
-        # victim's complete is fenced.
-        clock = FakeClock()
-        broker = make_broker(tmp_path, clock=clock)
-        attach(broker)
-        submit(broker, ("a",), "pa")
-        post(broker, "/v1/claim", {"worker": "w0", "lease_s": 5.0})
-        clock.advance(6.0)
-        _, stolen = post(broker, "/v1/claim", {"worker": "w1", "lease_s": 5.0})
-        assert stolen["claim"]["token"] == 2
-        blobs = broker.store.count()
-        _, thief = post(broker, "/v1/complete", {
-            "seq": 0, "token": 2, "worker": "w1", "payload": "outcome"})
-        _, victim = post(broker, "/v1/complete", {
-            "seq": 0, "token": 1, "worker": "w0", "payload": "outcome"})
-        assert thief["ok"] is True and victim["ok"] is False
-        assert broker.store.count() == blobs + 1
-        state = replay_spool(broker)
-        assert state.stats.completed == 1 and state.stats.fenced == 0
 
     def test_non_finite_lease_timeout_keeps_the_campaign_identity(
             self, tmp_path):
@@ -422,11 +405,13 @@ class TestBrokerProtocol:
         assert broker.handle("GET", "/v1/nope", b"")[0] == 404
         assert post(broker, "/v1/nope", {})[0] == 404
         assert broker.handle("DELETE", "/v1/claim", b"")[0] == 405
-        # Payloads ride inside the verbs: no raw artifact routes.
-        digest = sha256_digest(b"blob")
+        # Payloads ride inside the verbs and the spool: no raw artifact
+        # routes, no outcome read.
+        digest = "0" * 64
         assert broker.handle("GET", f"/v1/artifacts/{digest}", b"")[0] == 404
         assert broker.handle("PUT", f"/v1/artifacts/{digest}",
                              b"blob")[0] == 405
+        assert post(broker, "/v1/outcome", {"digest": digest})[0] == 404
 
     def test_drain_mode_refuses_mutations_keeps_reads(self, tmp_path):
         broker = make_broker(tmp_path)
@@ -442,21 +427,7 @@ class TestBrokerProtocol:
         assert post(broker, "/v1/sync", {"offset": 0})[0] == 200
         status, _ctype, payload = broker.handle("GET", "/v1/status", b"")
         assert status == 200 and load_framed_line(payload)["draining"] is True
-        assert broker.store.count() == 0  # the refused submit stored nothing
-
-    def test_outcome_is_answered_in_drain_mode(self, tmp_path):
-        broker = make_broker(tmp_path)
-        attach(broker)
-        submit(broker, ("a",), "pa")
-        post(broker, "/v1/claim", {"worker": "w0", "lease_s": 5.0})
-        post(broker, "/v1/complete", {"seq": 0, "token": 1, "worker": "w0",
-                                      "payload": "the outcome"})
-        broker.begin_drain()
-        status, response = post(broker, "/v1/outcome",
-                                {"digest": sha256_digest(b"the outcome")})
-        assert status == 200 and response["payload"] == "the outcome"
-        status, response = post(broker, "/v1/outcome", {"digest": "0" * 64})
-        assert status == 409 and "missing" in response["error"]
+        assert replay_spool(broker).stats.submitted == 0  # nothing spooled
 
     def test_worker_heartbeat_records_the_workers_pid(self, tmp_path):
         broker = make_broker(tmp_path)
@@ -501,7 +472,6 @@ _VERB_REQUESTS = {
     "/v1/worker_heartbeat": {"worker": "w0", "ttl_s": 30.0, "pid": 7,
                              "run_key": ["r0"], "token": 1},
     "/v1/sync": {"offset": 0},
-    "/v1/outcome": {"digest": sha256_digest(b"done")},
 }
 
 _VERB_FIELDS = [(path, field) for path, request in _VERB_REQUESTS.items()
@@ -559,10 +529,12 @@ class TestRequestFieldsDecodeOr400:
                 if path != "/v1/attach":
                     assert state.identity == "camp"
             # Nothing written beside the queue directory, nor outside
-            # its own layout.
-            assert os.listdir(root) == ["q"]
-            assert {entry.name for entry in broker.queue_dir.iterdir()} \
-                <= {"events.spool", "queue.lock", "workers", "artifacts"}
+            # its own layout (a refused attach creates nothing at all).
+            assert set(os.listdir(root)) <= {"q"}
+            if broker.queue_dir.exists():
+                assert {entry.name for entry
+                        in broker.queue_dir.iterdir()} \
+                    <= {"events.spool", "queue.lock", "workers"}
 
     @pytest.mark.parametrize("path", sorted(_VERB_REQUESTS))
     def test_the_valid_requests_succeed(self, tmp_path, path):
@@ -572,12 +544,44 @@ class TestRequestFieldsDecodeOr400:
         assert status == 200, load_framed_line(payload)
 
 
+#: The four durations the verbs take, as (verb path, field).
+_DURATION_FIELDS = [("/v1/attach", "lease_s"), ("/v1/claim", "lease_s"),
+                    ("/v1/heartbeat", "lease_s"),
+                    ("/v1/worker_heartbeat", "ttl_s")]
+
+
+class TestDurationsArePositive:
+    """A lease or ttl of 0 s or less is a 400 that appends nothing: a
+    claim's lease would be born expired (stolen at once), an attach's
+    would be advertised to every worker in the spool header."""
+
+    @pytest.mark.parametrize("value", [0, -5])
+    @pytest.mark.parametrize("path_field", _DURATION_FIELDS,
+                             ids=lambda pair: "".join(pair))
+    def test_non_positive_duration_is_400(self, tmp_path, path_field,
+                                          value):
+        path, field = path_field
+        broker = fuzz_broker(tmp_path / "q", path)
+        spool = broker.queue_dir / "events.spool"
+        workers = broker.queue_dir / "workers"
+
+        def on_disk():
+            return (spool.read_bytes() if spool.exists() else None,
+                    sorted(workers.iterdir()) if workers.exists() else [])
+
+        before = on_disk()
+        status, response = post(broker, path,
+                                {**_VERB_REQUESTS[path], field: value})
+        assert status == 400 and "malformed" in response["error"]
+        assert on_disk() == before
+
+
 #: The fields of a status snapshot (stapled onto attach, submit, seal
 #: and claim answers, and the ``status`` of a sync answer).
 _SNAPSHOT_FIELDS = ("ready", "protocol", "now", "draining", "identity",
                     "lease_s", "closed", "total", "submitted", "completed",
                     "depth", "active_leases", "expired", "stolen", "fenced",
-                    "drained", "live_workers", "artifacts")
+                    "drained", "live_workers")
 
 #: Every field of every answer the client decodes, as (verb path,
 #: field path): a nested path names a field of the claim block or of
@@ -595,7 +599,6 @@ _ANSWER_FIELDS = [
     ("/v1/sync", ("events",)), ("/v1/sync", ("next_offset",)),
     ("/v1/sync", ("status",)),
     *[("/v1/sync", ("status", name)) for name in _SNAPSHOT_FIELDS],
-    ("/v1/outcome", ("payload",)),
 ]
 
 
@@ -668,7 +671,7 @@ class TestAnswersDecodeOrBrokerError:
                            payload="task"),
             "heartbeat": True, "complete": True, "outcome": "done"}
 
-    @pytest.mark.parametrize("protocol", [1, 3, "2", None, True])
+    @pytest.mark.parametrize("protocol", [2, 4, "3", None, True])
     def test_open_refuses_another_protocol(self, tmp_path, protocol):
         inner = direct_send(make_broker(tmp_path))
 
@@ -713,6 +716,13 @@ class TestBrokerClient:
         coordinator.expire_overdue()  # pumps the mirror sync
         assert coordinator.state.drained()
         assert coordinator.live_workers() == ["w0"]
+        assert all(task.outcome is None  # the broker keeps none
+                   for task in broker._queue.state.tasks.values())
+
+        def no_request(method, path, body):
+            raise AssertionError(f"take_completion sent {method} {path}")
+
+        coordinator.send = no_request  # the mirror holds every outcome
         for index in range(4):
             assert coordinator.take_completion(index) == f"outcome-{index}"
             assert coordinator.take_completion(index) is None  # taken once
@@ -807,26 +817,6 @@ class TestBrokerClient:
         # The re-send replayed the first claim: one lease, one event.
         state = replay_spool(broker)
         assert [task.token for task in state.tasks.values()] == [1, 0]
-
-    def test_missing_task_blob_is_a_protocol_error(self, tmp_path):
-        broker = make_broker(tmp_path)
-        coordinator = make_client(broker, role="coordinator", identity="c")
-        assert coordinator.open(create=True)
-        coordinator.submit(("a",), "task payload")
-        digest = sha256_digest(b"task payload")
-        blob = broker.queue_dir / "artifacts" / digest[:2] / digest
-        blob.write_bytes(b"bit-rotted on disk")
-        calls = {"count": 0}
-        inner = direct_send(broker)
-
-        def counting(method, path, body):
-            calls["count"] += 1
-            return inner(method, path, body)
-
-        worker = make_client(counting, role="worker", worker_id="w0")
-        with pytest.raises(BrokerError, match="missing"):
-            worker.claim("w0", lease_s=10.0)
-        assert calls["count"] == 1  # answered, not retried
 
     def test_unavailability_latches(self, tmp_path):
         calls = {"count": 0}
@@ -982,6 +972,40 @@ class TestBrokerScheduler:
             scheduler.start()
         assert "unreachable" in str(excinfo.value)
 
+    def test_merge_leaves_no_outcome_payload_behind(self, tmp_path):
+        broker = make_broker(tmp_path)
+        coordinator = make_client(broker, role="coordinator", identity="c",
+                                  default_lease_s=10.0)
+        worker = make_client(broker, role="worker", worker_id="w0")
+
+        def worker_turn(_delay):
+            claim = worker.claim("w0", lease_s=10.0)
+            if claim is not None:
+                task = decode_payload(claim.payload)
+                worker.complete(claim, encode_payload(("ran", task.key)))
+
+        scheduler = BrokerScheduler(coordinator, CircuitBreaker(),
+                                    poll_s=0.01, stall_s=0.0,
+                                    sleep=worker_turn)
+        assert scheduler.start()
+        keys = [(f"r{index}",) for index in range(3)]
+        items = [PendingRun(scheduled=SimpleNamespace(key=key),
+                            task=SimpleNamespace(key=key)) for key in keys]
+        for item in items:
+            scheduler.submit(item)
+        scheduler.seal()
+        assert [scheduler.drain(item).outcome for item in items] \
+            == [("ran", key) for key in keys]
+        assert broker._queue.state.drained()
+        assert [task.outcome for task in broker._queue.state.tasks.values()] \
+            == [None] * 3
+        assert [task.outcome for task in coordinator.state.tasks.values()] \
+            == [None] * 3
+        # The spool keeps them: a resumed coordinator's mirror replays it.
+        assert [decode_payload(task.outcome) for task
+                in replay_spool(broker).tasks.values()] \
+            == [("ran", key) for key in keys]
+
     def test_shutdown_swallows_unavailability(self, tmp_path):
         broker = make_broker(tmp_path)
         client = make_client(broker, role="coordinator", identity="c",
@@ -1034,3 +1058,90 @@ class TestWorkerBrokerMode:
             role="worker", worker_id="w0",
             retry=RetryPolicy(max_retries=1, backoff_base_s=0.0))
         assert worker.run() == 75  # EX_TEMPFAIL: restart to resume
+
+
+class TestVersion1QueueDirectory:
+    """A queue directory a version-1 broker left (payloads named by the
+    digest of a blob beside the spool) is refused by the one replay:
+    one ``error:`` line and exit 1 from each command, a 409 from the
+    broker."""
+
+    CAMPAIGN = ["--operator", "OP_V", "--areas", "A9", "--locations", "1",
+                "--runs", "1", "--duration", "30"]
+
+    @staticmethod
+    def assert_one_error_line(code, stderr, text):
+        assert code == 1, stderr
+        assert "Traceback" not in stderr
+        errors = [line for line in stderr.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and text in errors[0], stderr
+
+    def test_broker_answers_409_on_attach(self, tmp_path):
+        write_version_1_spool(tmp_path / "qdir")
+        broker = make_broker(tmp_path)
+        status, response = post(broker, "/v1/attach",
+                                {"create": True, "identity": "camp"})
+        assert status == 409 and response["code"] == "task_queue"
+        assert "version 1 " in response["error"]
+
+    @pytest.mark.parametrize("second_line, text", [
+        ({"ev": "header", "version": 1, "identity": "camp"}, "version 1 "),
+        ({"ev": "submit", "seq": 0, "key": ["other"], "payload": "p"},
+         "re-submitted"),
+    ], ids=["version-1", "seq-reused"])
+    def test_status_is_one_error_line(self, tmp_path, capsys, second_line,
+                                      text):
+        qdir = tmp_path / "q"
+        qdir.mkdir()
+        (qdir / "events.spool").write_bytes(
+            frame_object({"ev": "header", "version": 2,
+                          "identity": "camp"})
+            + frame_object({"ev": "submit", "seq": 0, "key": ["k0"],
+                            "payload": "p"})
+            + frame_object(second_line))
+        code = main(["status", str(qdir)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        self.assert_one_error_line(code, captured.err, text)
+
+    def test_status_server_answers_409(self, tmp_path):
+        write_version_1_spool(tmp_path / "q")
+        server = serve_status(CampaignAggregator(tmp_path / "q"), port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            transport = HTTPTransport(
+                f"http://127.0.0.1:{server.server_address[1]}")
+            for path in ("/status", "/metrics"):
+                status, body = transport("GET", path, b"")
+                assert status == 409 and b"version 1 " in body
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=30)
+
+    def test_campaign_and_worker_against_broker_serve(self, tmp_path):
+        qdir = tmp_path / "q"
+        write_version_1_spool(qdir)
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        broker = subprocess.Popen(
+            [sys.executable, "-m", "repro", "broker", "serve",
+             "--queue-dir", str(qdir), "--no-fsync", "--drain-grace", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)
+        try:
+            url = broker.stdout.readline().strip()
+            assert url.startswith("http://"), broker.stderr.read()
+            for command in (["campaign", *self.CAMPAIGN, "--broker", url],
+                            ["worker", "--broker", url,
+                             "--attach-timeout", "5"]):
+                completed = subprocess.run(
+                    [sys.executable, "-m", "repro", *command], env=env,
+                    capture_output=True, text=True, timeout=120)
+                self.assert_one_error_line(completed.returncode,
+                                           completed.stderr, "version 1 ")
+        finally:
+            broker.terminate()
+            broker.communicate(timeout=60)

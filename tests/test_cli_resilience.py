@@ -1,9 +1,13 @@
 """CLI resilience: analyze diagnostics/exit codes on a seeded corrupt
-trace, campaign checkpoint flags."""
+trace, campaign checkpoint flags, numeric flags decoded at parse time."""
+
+import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.aggregate import CampaignAggregator
+from repro.resilience.taskqueue import DurableTaskQueue
 from tests.chaos.faults import FaultInjector
 
 
@@ -83,6 +87,16 @@ class TestCampaignFlags:
         ["campaign", "--queue-stall", "inf"],
         ["profile", "--run-timeout", "nan"],
         ["profile", "--max-retries", "-1"],
+        ["worker", "--broker", "http://b:1", "--poll", "-1"],
+        ["worker", "--broker", "http://b:1", "--poll", "nan"],
+        ["worker", "--broker", "http://b:1", "--poll", "0"],
+        ["worker", "--broker", "http://b:1", "--attach-timeout", "nan"],
+        ["worker", "--broker", "http://b:1", "--attach-timeout", "-1"],
+        ["worker", "--broker", "http://b:1", "--attach-timeout", "inf"],
+        ["broker", "serve", "--queue-dir", "q", "--request-timeout", "nan"],
+        ["broker", "serve", "--queue-dir", "q", "--request-timeout", "-1"],
+        ["broker", "serve", "--queue-dir", "q", "--request-timeout", "0"],
+        ["status", "q", "--events", "-1"],
     ])
     def test_bad_numeric_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
@@ -112,3 +126,29 @@ class TestCampaignFlags:
         assert main(argv + ["--resume"]) == 0
         second = capsys.readouterr().out
         assert "1 scheduled, 1 completed, 0 quarantined" in second
+
+
+class TestStatusEvents:
+    """``repro status --events N`` shows the N latest events; 0 shows
+    none (``events[-0:]`` used to show every one)."""
+
+    @pytest.fixture
+    def queue_dir(self, tmp_path):
+        queue = DurableTaskQueue(tmp_path / "q", fsync=False)
+        queue.open(create=True)
+        queue.submit_at(0, ("k0",), "p0")
+        queue.close()  # synthesized as a ``queue.sealed`` event
+        return tmp_path / "q"
+
+    def test_view_keeps_the_latest_n(self, queue_dir):
+        aggregator = CampaignAggregator(queue_dir)
+        assert aggregator.refresh()
+        assert aggregator.view(recent_events=0).events == []
+        assert [event["name"] for event
+                in aggregator.view(recent_events=1).events] \
+            == ["queue.sealed"]
+
+    def test_events_0_prints_none(self, queue_dir, capsys):
+        assert main(["status", str(queue_dir), "--json",
+                     "--events", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["events"] == []

@@ -49,6 +49,19 @@ def on_screen(text: str) -> list[str]:
     return lines
 
 
+#: A 2-run campaign whose checkpoint the resume tests append garbage to.
+RESUME_ARGV = ("campaign", "--operator", "OP_V", "--areas", "A9",
+               "--locations", "2", "--runs", "1", "--duration", "30")
+
+
+@pytest.fixture(scope="module")
+def finished_checkpoint(tmp_path_factory):
+    """The checkpoint of one finished ``RESUME_ARGV`` campaign."""
+    path = tmp_path_factory.mktemp("ckpt") / "done.ckpt"
+    assert run_repro(*RESUME_ARGV, "--checkpoint", str(path)).returncode == 0
+    return path
+
+
 @pytest.fixture(scope="module")
 def campaign_outputs(tmp_path_factory):
     """One instrumented CLI campaign shared by the acceptance checks."""
@@ -177,10 +190,28 @@ class TestCampaignMetricsOut:
         assert completed.returncode == 0, err
         screen = on_screen(err)
         warnings = [line for line in screen
-                    if "skipped 1 corrupt line" in line]
-        assert warnings, screen
+                    if "checkpoint.lines_skipped" in line]
+        assert len(warnings) == 1, screen
         assert all(EVENT_RECORD.match(line) for line in warnings), screen
         assert screen[-2].startswith("[2/2] 100.0%  ok=2 ")
+
+    @pytest.mark.parametrize("flags", [[], ["--log-level", "warning"],
+                                       ["--log-json"], ["--progress"]])
+    def test_a_skipped_checkpoint_line_is_reported_once(
+            self, tmp_path, finished_checkpoint, flags):
+        # The checkpoint emits an event and logs the same decision for
+        # readers without the event stream; with the logging bridge
+        # attached, the log record is not bridged a second time.
+        checkpoint = tmp_path / "c.ckpt"
+        checkpoint.write_bytes(finished_checkpoint.read_bytes()
+                               + b"garbage\n")
+        completed = run_repro(*RESUME_ARGV, "--checkpoint", str(checkpoint),
+                              "--resume", *flags)
+        err = completed.stderr.decode()
+        assert completed.returncode == 0, err
+        reports = [line for line in on_screen(err)
+                   if "lines_skipped" in line or "corrupt line" in line]
+        assert len(reports) == 1, err
 
     def test_no_flags_no_observability_files(self, tmp_path, capsys):
         argv = ["campaign", "--operator", "OP_V", "--areas", "A9",

@@ -167,3 +167,23 @@ class TestLoggingBridge:
         finally:
             detach_logging_bridge(handler, logger_name="repro")
         assert logging.getLogger("repro").propagate is True
+
+    def test_a_record_repeating_the_newest_event_is_not_bridged(self):
+        log, _ = make_log()
+        handler = attach_logging_bridge(log, logger_name="repro")
+        logger = logging.getLogger("repro.resilience.checkpoint")
+        try:
+            log.emit("checkpoint.lines_skipped", severity="warning",
+                     skipped=1)
+            logger.warning("checkpoint c: skipped 1 corrupt line(s)",
+                           extra={"event": "checkpoint.lines_skipped"})
+            assert [event.name for event in log.recent()] \
+                == ["checkpoint.lines_skipped"]
+            # Its event went to another log (the null one, say): the
+            # record is the only report, so it is bridged.
+            logger.warning("task queue q: skipped corrupt spool line",
+                           extra={"event": "queue.spool_corrupt_line"})
+            assert [event.name for event in log.recent()] \
+                == ["checkpoint.lines_skipped", "log.checkpoint"]
+        finally:
+            detach_logging_bridge(handler, logger_name="repro")

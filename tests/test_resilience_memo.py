@@ -5,9 +5,7 @@ from __future__ import annotations
 import functools
 import io
 import pickle
-import sys
 import tempfile
-import threading
 import zlib
 
 import pytest
@@ -19,12 +17,7 @@ from repro.campaign.runner import CampaignConfig, CampaignRunner
 from repro.core.pipeline import analyze_trace
 from repro.obs import instrumented, make_instrumentation
 from repro.resilience.framing import frame_line
-from repro.resilience.memo import (
-    AnalysisMemo,
-    ArtifactStore,
-    sha256_digest,
-    trace_digest,
-)
+from repro.resilience.memo import AnalysisMemo, trace_digest
 from repro.traces.log import SignalingTrace, TraceMetadata
 from repro.traces.records import (
     RrcReleaseRecord,
@@ -196,53 +189,6 @@ class TestMemoEntryFuzz:
         else:
             assert counters == {"hits": 0, "misses": 1, "corrupt": 1}
             assert evicted
-
-
-class TestArtifactStore:
-    def test_put_get_and_dedup(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        assert store.put(b"blob") == (sha256_digest(b"blob"), True)
-        assert store.put(b"blob") == (sha256_digest(b"blob"), False)
-        assert store.get(sha256_digest(b"blob")) == b"blob"
-        assert store.count() == 1
-
-    def test_names_that_are_not_digests_are_absent(self, tmp_path):
-        # The broker's ``outcome`` verb passes a client's string here: a
-        # name that climbs out of the store must not reach (and, as a
-        # "corrupt blob", unlink) a file beside it.
-        store = ArtifactStore(tmp_path / "store")
-        (tmp_path / "outside").write_bytes(b"not a blob")
-        for name in ("", "..", f"../{tmp_path.name}/outside",
-                     "0" * 63, "A" * 64):
-            assert store.get(name) is None
-        assert (tmp_path / "outside").exists()
-
-    def test_threads_storing_one_new_blob_at_once(self, tmp_path):
-        # The broker writes blobs outside its request lock, so several
-        # threads may store the same new blob at the same moment.
-        store = ArtifactStore(tmp_path)
-        errors = []
-        switch = sys.getswitchinterval()
-
-        def put_all():
-            try:
-                for index in range(200):
-                    store.put(f"blob {index}".encode())
-            except OSError as error:  # pragma: no cover - the failure
-                errors.append(error)
-
-        threads = [threading.Thread(target=put_all) for _ in range(8)]
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert store.count() == 200
 
 
 class _ClassNameLog(pickle.Unpickler):

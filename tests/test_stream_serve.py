@@ -387,12 +387,13 @@ class TestProtocolErrors:
 
 
 class TestDetectorSettings:
-    """Settings no stream's detector could honour are refused when the
+    """Settings no stream's analyzer could honour are refused when the
     server is configured, not at every ``open``."""
 
     @pytest.mark.parametrize("kwargs", [{"min_repetitions": 0},
                                         {"min_repetitions": 1},
-                                        {"horizon": 3}])
+                                        {"horizon": 3},
+                                        {"on_disorder": "bogus"}])
     def test_constructor_refuses(self, kwargs):
         with pytest.raises(ValueError):
             StreamIngestServer(**kwargs)

@@ -16,6 +16,10 @@ Three layers under test:
   arbitrary JSON in every field of every event kind through both
   spool replays — the queue's own and the broker client's mirror —
   which must agree and never crash.
+
+The disk queue drops each outcome payload as it replays it, so tests
+read outcomes through a pure :class:`LeaseState` replay of the spool
+file (:func:`spool_state`) or through the mirror.
 """
 
 import hashlib
@@ -24,7 +28,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.broker_client import BrokerClient
@@ -33,9 +37,11 @@ from repro.resilience.framing import frame_line, frame_object, load_framed_line
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.taskqueue import (
     BROKER_PROTOCOL_VERSION,
+    QUEUE_VERSION,
     DurableTaskQueue,
     LeaseState,
     TaskQueueError,
+    replay_line,
 )
 from tests.test_obs_metrics import FakeClock
 
@@ -44,6 +50,14 @@ def make_queue(root, clock=None, **kwargs):
     kwargs.setdefault("fsync", False)
     queue = DurableTaskQueue(root, clock=clock or FakeClock(), **kwargs)
     return queue
+
+
+def spool_state(root) -> LeaseState:
+    """A pure replay of the spool file, outcomes included."""
+    state = LeaseState()
+    for line in (Path(root) / "events.spool").read_bytes().splitlines():
+        replay_line(state, line)
+    return state
 
 
 def open_pair(root, clock):
@@ -162,7 +176,8 @@ class TestLeaseLifecycle:
         coordinator.catch_up()
         assert coordinator.state.stats.completed == 1
         assert coordinator.state.stats.stolen == 1
-        assert coordinator.state.tasks[0].outcome == "won"
+        assert coordinator.state.tasks[0].outcome is None  # dropped
+        assert spool_state(tmp_path / "q").tasks[0].outcome == "won"
 
     def test_reclaim_by_same_worker_is_not_a_steal(self, tmp_path):
         clock = FakeClock()
@@ -253,11 +268,13 @@ class TestSpoolDurability:
 
 
 #: SHA-256 of the spool and heartbeat file
-#: ``test_fixed_verb_sequence_writes_pinned_bytes`` writes, recorded from
-#: the code before the spool writers shared one framed-file layer: a
-#: change to them is a change of the on-disk format.
+#: ``test_fixed_verb_sequence_writes_pinned_bytes`` writes: a change to
+#: them is a change of the on-disk format.  Recorded before the spool
+#: writers shared one framed-file layer; the spool's re-recorded for
+#: format version 2, which changed its header line alone
+#: (``"version": 2``; the payloads here were already text).
 SPOOL_SHA256 = \
-    "94f5f75a43f32f23dbfb3a56202ec2e4a6a7a5f382ff89a3927c3284273af4cc"
+    "38df5e0ccaac1facbca9a08045ec31a0144431315811c3555ad54bc57d052d1a"
 HEARTBEAT_SHA256 = \
     "62e8d909f83e04f214ffa6ca3de18b82e0480ccec74b7b6e163ae3ce77780e1f"
 
@@ -375,8 +392,10 @@ class TestLeaseProperty:
         assert fresh.state.stats.completed == submitted
         assert fresh.state.stats.submitted == submitted
         assert fresh.state.drained()
+        replayed = spool_state(root)
         for seq in range(submitted):
-            assert fresh.state.tasks[seq].outcome == f"done{seq}"
+            assert fresh.state.tasks[seq].outcome is None
+            assert replayed.tasks[seq].outcome == f"done{seq}"
 
 
 # A raw replay event against a single-task spool: the kind, a token
@@ -412,8 +431,8 @@ class TestLeaseStateReplayProperty:
     @given(events=st.lists(_REPLAY_EV, max_size=60))
     def test_no_resurrection_and_monotonic_fencing(self, events):
         state = LeaseState()
-        state.apply({"ev": "header", "version": 1, "identity": "prop",
-                     "lease_s": 10.0})
+        state.apply({"ev": "header", "version": QUEUE_VERSION,
+                     "identity": "prop", "lease_s": 10.0})
         state.apply({"ev": "submit", "seq": 0, "key": ["k0"],
                      "payload": "p0"})
         accepted_tokens = []
@@ -510,6 +529,32 @@ CRASHERS = [
 ]
 
 
+#: One framed line each, appended after a claim of task 0, whose
+#: payload is not text: a ``submit`` or ``complete`` the replays count
+#: invalid.
+NON_TEXT_PAYLOADS = [
+    '{"ev": "submit", "seq": 1, "key": ["k1"], "payload": 5}',
+    '{"ev": "submit", "seq": 1, "key": ["k1"], "payload": null}',
+    '{"ev": "submit", "seq": 1, "key": ["k1"]}',
+    '{"ev": "complete", "seq": 0, "token": 1, "payload": ["o"]}',
+    '{"ev": "complete", "seq": 0, "token": 1, "payload": {"o": 1}}',
+    '{"ev": "complete", "seq": 0, "token": 1}',
+]
+
+
+def write_version_1_spool(root):
+    """A queue directory as version 1 left it: header ``"version": 1``
+    and a submit whose payload is the SHA-256 of a blob that lived in
+    ``<root>/artifacts/``."""
+    root.mkdir(parents=True)
+    digest = hashlib.sha256(b"task").hexdigest()
+    (root / "events.spool").write_bytes(
+        frame_object({"ev": "header", "version": 1, "identity": "camp",
+                      "lease_s": 30.0})
+        + frame_object({"ev": "submit", "seq": 0, "key": ["k0"],
+                        "payload": digest}))
+
+
 class TestReplayRobustness:
     @pytest.mark.parametrize("replay", [disk_replay, mirror_replay],
                              ids=["disk", "mirror"])
@@ -523,7 +568,7 @@ class TestReplayRobustness:
         assert state.stats.submitted == 1 and list(state.tasks) == [0]
         assert not state.tasks[0].active  # the bad claim changed nothing
         assert (state.identity, state.version, state.default_lease_s) \
-            == ("camp", 1, None)  # nor did the bad header
+            == ("camp", QUEUE_VERSION, None)  # nor did the bad header
         assert queue._skipped_lines == 0
 
     @pytest.mark.parametrize("replay", [disk_replay, mirror_replay],
@@ -533,6 +578,39 @@ class TestReplayRobustness:
         spool_with_task_0(tmp_path / "q", [
             '{"ev": "submit", "seq": 0, "key": ["other"], "payload": "p"}'])
         with pytest.raises(TaskQueueError, match="mixes two schedules"):
+            replay(tmp_path / "q")
+
+    @pytest.mark.parametrize("replay", [disk_replay, mirror_replay],
+                             ids=["disk", "mirror"])
+    @pytest.mark.parametrize("line", NON_TEXT_PAYLOADS)
+    def test_non_text_payload_is_invalid(self, tmp_path, replay, line):
+        spool_with_task_0(tmp_path / "q", [
+            '{"ev": "claim", "seq": 0, "token": 1, "worker": "w0", '
+            '"deadline": 5.0}', line])
+        state = replay(tmp_path / "q").state
+        assert state.stats.invalid == 1
+        assert list(state.tasks) == [0]  # no task 1 was submitted
+        task = state.tasks[0]
+        assert task.active and not task.done  # nor task 0 completed
+        assert (task.payload, task.outcome) == ("p0", None)
+
+    @pytest.mark.parametrize("replay", [disk_replay, mirror_replay],
+                             ids=["disk", "mirror"])
+    @pytest.mark.parametrize("version", [1, 0, QUEUE_VERSION + 1])
+    def test_header_of_another_version_raises(self, tmp_path, replay,
+                                              version):
+        spool_with_task_0(tmp_path / "q", [json.dumps(
+            {"ev": "header", "version": version, "identity": "camp"})])
+        with pytest.raises(TaskQueueError, match=f"version {version} "):
+            replay(tmp_path / "q")
+
+    @pytest.mark.parametrize("replay", [disk_replay, mirror_replay],
+                             ids=["disk", "mirror"])
+    def test_version_1_spool_raises(self, tmp_path, replay):
+        # What a version-1 writer left: payloads named by the digest of
+        # a blob beside the spool.
+        write_version_1_spool(tmp_path / "q")
+        with pytest.raises(TaskQueueError, match="version 1 "):
             replay(tmp_path / "q")
 
 
@@ -555,7 +633,7 @@ _FIELDS = {
     "complete": ("seq", "token", "payload"),
 }
 _PLAUSIBLE = {
-    "version": st.just(1),
+    "version": st.just(QUEUE_VERSION),
     "identity": st.just("camp"),
     "lease_s": st.just(10.0),
     "seq": st.integers(0, 2),
@@ -583,13 +661,29 @@ def _events(draw):
     return event
 
 
+#: A well-formed claim of task 0, so a pinned ``complete`` can land.
+CLAIM_0 = {"ev": "claim", "seq": 0, "token": 1, "worker": "w0",
+           "deadline": 5.0}
+
+
 class TestReplayFuzzProperty:
-    """Arbitrary JSON in every field of every event kind: both replays
-    either raise ``TaskQueueError`` (a seq re-used for another key) or
-    finish, and then agree on the state, dispositions and skip count."""
+    """Arbitrary JSON in every field of every event kind, payloads and
+    header versions included: both replays either raise
+    ``TaskQueueError`` (a seq re-used for another key, a header of
+    another version) or finish, and then agree on the state,
+    dispositions and skip count once the mirror's outcomes are taken —
+    each equal to its spool event's payload, where the disk queue holds
+    none."""
 
     @settings(max_examples=150, deadline=None)
     @given(events=st.lists(_events(), max_size=12))
+    @example(events=[CLAIM_0, {"ev": "complete", "seq": 0, "token": 1,
+                                "payload": "o"}])
+    @example(events=[CLAIM_0,
+                     {"ev": "submit", "seq": 1, "key": ["k1"], "payload": 5},
+                     {"ev": "complete", "seq": 0, "token": 1,
+                      "payload": ["o"]}])
+    @example(events=[{"ev": "header", "version": 1, "identity": "camp"}])
     def test_both_replays_survive_and_agree(self, events):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp) / "q"
@@ -601,6 +695,13 @@ class TestReplayFuzzProperty:
                 except TaskQueueError:
                     outcomes.append("TaskQueueError")
                     continue
+                if replay is mirror_replay:
+                    expected = spool_state(root)
+                    for seq, task in expected.tasks.items():
+                        assert queue.take_completion(seq) == task.outcome
+                else:
+                    assert all(task.outcome is None
+                               for task in queue.state.tasks.values())
                 outcomes.append((repr(vars(queue.state)),
                                  queue.drain_dispositions(),
                                  queue._skipped_lines))
